@@ -1,6 +1,7 @@
 """Scenario runner: schema validation, CSV output, determinism."""
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -308,6 +309,53 @@ def test_validate_scenario_passes(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["failed"] == 0
     assert summary["passed"] >= 6
+
+
+# sha256 of every output file of every bundled scenario, run with its own
+# seed and tol; any change to a bundled output must update this table on purpose
+BUNDLED_DIGESTS = {
+    "conjunct_sweep.json": {
+        "conjunct.csv": "121820373f0d9654a07347c5dc4d55b3a4fafb4efc1e9370ce2e857e32b9dbeb",
+        "summary.json": "f641f48cbe51fa00a47a14d619a761acb3f0de9b6eb7fe81090ad38004a037cd",
+    },
+    "conjunct_trajectory.json": {
+        "conjunct.csv": "cb3e2e3fafcfe314853fffcfa970621ec809613415e823b3b7d55bc376496b8e",
+        "summary.json": "3da23d8f3ecbe18912cb93a64861100e348164c1b6f211cae066453c1d5a8be4",
+    },
+    "domain_map.json": {
+        "domain_map.csv": "dc7dac0f228280d118917e149b792a7655571a1e3018d2741565d190f1163fdd",
+        "summary.json": "4dd043188b2348e89daf321540b457c8fe6caeb198652e14b8e2b4e5c977a5ec",
+    },
+    "evolve.json": {
+        "evolve.csv": "57f4593b8ede1e17570bd126299e01f5f728ee4ca51d2a2eb02703622fa54cbc",
+        "summary.json": "1cfd19ae2a1e591c9f55654c5bffa3cee73a96675f430e0a5f24407050069459",
+    },
+    "growth.json": {
+        "growth.csv": "8b15e18f400e8e7eed1cb4ae48844414c19d76b9d47c6e070dc33b72c537c98c",
+        "summary.json": "9f6df0b5c60f89c1045fa6b22a12aa7b97cdd129e28cdb8d63ca644bbe6ed544",
+    },
+    "hazard.json": {
+        "hazard.csv": "f381d89b33f766e21bb8682a17e8e90cc3a62ba2973a0ca87c207b9b7c89f2d3",
+        "summary.json": "a8c5260fd872226cd9e36dad210a751279c2c13ab29bb3a75e6412d5d8e31ac5",
+    },
+    "slippage.json": {
+        "slippage.csv": "e663d60e3fcbe007493d24aea332092817dcddd7bfbe5a8955ff104525f52cdf",
+        "summary.json": "e4331e141ad0f9c5b039a5b5ef175d81f85a8ed644998d5189c7fd0e1d4bbe57",
+    },
+    "validate.json": {
+        "validate.csv": "e239369be4f1e31d3cb33e4eceebe6dfa4ce8cc29eecb7821ab7fdbbc64abfe9",
+        "summary.json": "5aaadf245ae0034821fd48bd5c5e3a6b677300790efec567780a589743c1f729",
+    },
+}
+
+
+def test_bundled_scenarios_byte_identical(tmp_path):
+    assert sorted(os.listdir(SCENARIOS)) == sorted(BUNDLED_DIGESTS)
+    for name, expected in BUNDLED_DIGESTS.items():
+        out = tmp_path / name
+        assert run(os.path.join(SCENARIOS, name), out_dir=str(out)) == 0, name
+        digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in out.iterdir()}
+        assert digests == expected, name
 
 
 def test_main_runs_hazard(tmp_path, capsys):
