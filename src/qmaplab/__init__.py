@@ -6,7 +6,8 @@ forms, the family of reduced affine maps with their positivity and
 compatibility domains, a conjunction engine that reuses one frozen map across
 consecutive time steps and reports the unphysical states this produces, a
 slipped-initial-condition analysis, and an independent feasibility oracle
-that certifies domain membership with explicit witness states.
+that certifies both domain verdicts: a witness state for inside, a dual
+certificate for outside.
 """
 from .conjunction import (
     ConjunctionSchedule,
@@ -16,15 +17,14 @@ from .conjunction import (
     conjunct,
     first_unphysical_n,
     greedy_extremal_growth,
-    hazard_slope_at_join,
     sigma2_conjunction,
 )
 from .dynamics import MeanValueState, crosscheck, evolve_density, evolve_mean_values, unitary
 from .feasibility import (
     CrossValidationReport,
     CrossValidationSpec,
-    ExtensionSearchConfig,
     cross_validate,
+    dual_certificate,
     feasibility_search,
     is_compatible_oracle,
 )
@@ -59,7 +59,6 @@ __all__ = [
     "CrossValidationSpec",
     "DomainVerdict",
     "EdgeState",
-    "ExtensionSearchConfig",
     "HazardReport",
     "MeanValueState",
     "PhysicalityVerdict",
@@ -72,13 +71,13 @@ __all__ = [
     "cross_validate",
     "crosscheck",
     "density_from_params",
+    "dual_certificate",
     "embed_mean_values",
     "evolve_density",
     "evolve_mean_values",
     "feasibility_search",
     "first_unphysical_n",
     "greedy_extremal_growth",
-    "hazard_slope_at_join",
     "in_compatibility_domain",
     "in_positivity_domain",
     "is_compatible_oracle",

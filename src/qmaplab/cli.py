@@ -44,8 +44,14 @@ from .conjunction import (
     sigma2_conjunction,
 )
 from .dynamics import MeanValueState, crosscheck, evolve_mean_values
-from .feasibility import ExtensionSearchConfig, feasibility_search
-from .pauli import DEFAULT_TOL, TwoQubitState, density_from_params, min_eigenvalue
+from .feasibility import dual_certificate, feasibility_search
+from .pauli import (
+    DEFAULT_TOL,
+    TwoQubitState,
+    density_from_params,
+    min_eigenvalue,
+    params_from_density,
+)
 from .reduced import (
     ReducedMap,
     compat_slice_check,
@@ -456,19 +462,17 @@ def _run_growth(sc: Scenario, tol: float, seed: int) -> tuple[list, list, dict]:
 def _run_domain_map(sc: Scenario, tol: float, seed: int) -> tuple[list, list, dict]:
     a2_values = sc.grid("a2").values()
     c1_values = sc.grid("c1").values()
-    cfg = ExtensionSearchConfig(restarts=1, max_iterations=150, tolerance=1e-10, seed=seed)
     header = ["a2", "c1", "slice_margin", "supnorm_margin", "oracle_margin",
               "near_boundary", "agree"]
     rows = []
     disagreements = 0
     near = 0
-    for i, a2 in enumerate(a2_values):
-        for j, c1 in enumerate(c1_values):
+    for a2 in a2_values:
+        for c1 in c1_values:
             a2, c1 = float(a2), float(c1)
             sl = compat_slice_check(a2, c1, tol=tol)
             sup = in_compatibility_domain(c1, 0.0, [0.0, a2, 0.0], tol=tol)
-            point_cfg = dataclasses.replace(cfg, seed=seed + i * len(c1_values) + j)
-            best, _ = feasibility_search([0.0, a2, 0.0], c1, 0.0, point_cfg)
+            best, _ = feasibility_search([0.0, a2, 0.0], c1, 0.0)
             near_boundary = abs(sl.margin) <= BOUNDARY_BAND or abs(4.0 * best) <= BOUNDARY_BAND
             oracle_inside = best >= -tol
             agree = (sl.inside == sup.inside == oracle_inside)
@@ -499,6 +503,28 @@ def _run_slippage(sc: Scenario, tol: float, seed: int) -> tuple[list, list, dict
                 slipped = slip_state([0.0, a2, 0.0], c1, n)
                 rows.append([n, a2, c1, verdict.inside, verdict.margin, float(slipped[1])])
     return header, rows, {"max_n": sc.n, "rows": len(rows)}
+
+
+def _oracle_answer_certified(a, c1: float, c2: float, value: float,
+                             witness: TwoQubitState, tol: float) -> bool:
+    """Audit one feasibility answer.  Inside (value >= -tol): the witness is
+    physical and carries (a, c1, c2).  Outside: the dual certificate W is PSD
+    with unit trace and no component on a free parameter, and
+    tr(W rho_witness) < -tol, which bounds every extension's min eigenvalue."""
+    rho = density_from_params(witness)
+    if value >= -tol:
+        return bool(
+            min_eigenvalue(rho) >= -1e-9
+            and np.abs(witness.a - np.asarray(a)).max() < 1e-10
+            and abs(witness.T[0, 0] - c1) < 1e-10
+            and abs(witness.T[1, 0] - c2) < 1e-10
+        )
+    w = dual_certificate(a, c1, c2)
+    if abs(np.trace(w) - 1.0) > 1e-12 or min_eigenvalue(w) < -1e-12:
+        return False
+    back = params_from_density(w)
+    free = np.concatenate((back.b, back.T[:, 1:].ravel(), back.T[2:, 0]))
+    return bool(np.abs(free).max() <= 1e-12 and np.trace(w @ rho).real < -tol)
 
 
 def _run_validate(sc: Scenario, tol: float, seed: int) -> tuple[list, list, dict]:
@@ -545,28 +571,17 @@ def _run_validate(sc: Scenario, tol: float, seed: int) -> tuple[list, list, dict
                 mismatches += 1
     checks.append(("slice_vs_sup_norm_verdicts", mismatches == 0, f"mismatches={mismatches}"))
 
-    # feasibility oracle vs the analytic slice condition, with witness audit
-    cfg = ExtensionSearchConfig(restarts=1, max_iterations=150, tolerance=1e-10, seed=seed)
+    # feasibility oracle vs the analytic slice condition, with certificate audit
     disagreements = 0
     witness_bad = 0
     values = np.linspace(-1.0, 1.0, 11)
-    for i, a2 in enumerate(values):
-        for j, c1 in enumerate(values):
+    for a2 in values:
+        for c1 in values:
             a2, c1 = float(a2), float(c1)
             sl = compat_slice_check(a2, c1, tol=tol)
-            best, witness = feasibility_search(
-                [0.0, a2, 0.0], c1, 0.0,
-                dataclasses.replace(cfg, seed=seed + i * len(values) + j),
-            )
-            if best >= -tol:
-                rho = density_from_params(witness)
-                rebuilt_ok = (
-                    min_eigenvalue(rho) >= -1e-9
-                    and abs(witness.a[1] - a2) < 1e-10
-                    and abs(witness.T[0, 0] - c1) < 1e-10
-                )
-                if not rebuilt_ok:
-                    witness_bad += 1
+            best, witness = feasibility_search([0.0, a2, 0.0], c1, 0.0)
+            if not _oracle_answer_certified([0.0, a2, 0.0], c1, 0.0, best, witness, tol):
+                witness_bad += 1
             if abs(sl.margin) <= BOUNDARY_BAND or abs(4.0 * best) <= BOUNDARY_BAND:
                 continue
             if (best >= -tol) != sl.inside:

@@ -121,14 +121,6 @@ def sigma2_conjunction(a2: float, c1: float, t: float, s: float) -> float:
     return a2 * math.cos(t) * math.cos(s) + c1 * (math.sin(t) * math.cos(s) + math.sin(s))
 
 
-def hazard_slope_at_join(q: float) -> float:
-    """Initial growth rate d<S_2>(q|s)/ds at s = 0 for the edge state of
-    parameter q; equals sin q, strictly positive on (0, pi/2)."""
-    if not 0.0 < q < math.pi / 2:
-        raise ValueError(f"q must lie in (0, pi/2), got {q!r}")
-    return math.sin(q)
-
-
 def _sigma2_legs(a2: float, c1: float, durations: Sequence[float]) -> float:
     """Fold the frozen-map update v -> v cos s + c1 sin s over the legs."""
     v = a2

@@ -2,139 +2,113 @@
 
 Given the system Bloch vector `a` and the frozen correlations (c1, c2), this
 module decides whether some physical two-qubit state carries exactly those
-values, by maximizing the minimum eigenvalue of the reconstructed density
+values, i.e. it maximizes the minimum eigenvalue of the reconstructed density
 matrix over the 10 unconstrained parameters (the partner Bloch vector and the
 seven correlation entries other than T11 = c1, T21 = c2).
 
-The objective — the minimum eigenvalue of an affine Hermitian family — is
-concave in the search variables, so a derivative-free simplex search with
-seeded restarts finds the global optimum reliably at this dimension; the
-restarts guard against stagnation on the nonsmooth ridges where eigenvalues
-cross.  Verdicts are one-sided: a witness with nonnegative margin is exact
-proof of feasibility (check it by reconstruction), while "outside" only
-states that the search found no witness and is reported as numerical
-evidence.
+That maximization is a small semidefinite program with a closed-form optimum
+and a matching dual.  With c = (c1, c2), p = a_xy + c and m = a_xy - c, let
+x_+ = (p, z_+) and x_- = (m, z_-), where z_+ + z_- = 2 a3 is split in
+proportion to |p| : |m|.
+
+- Primal witness: the classical-quantum extension that is block-diagonal in
+  the eigenbasis |e> of the partner's E1, sum_e w_e rho_e x |e><e|, with
+  block Bloch vectors x_e / (2 w_e) and weights
+  w_+- = (1 +- (|x_+| - |x_-|)/2)/2.  In parameters: T[:, 0] = (x_+ - x_-)/2,
+  b = (w_+ - w_-, 0, 0), every other free entry 0.  Both blocks have the
+  minimum eigenvalue (1 - (|x_+| + |x_-|)/2)/4, also where a weight leaves
+  [0, 1] (such points are outside).
+- Dual certificate: W = (I + u.S x I + v1 S1 x E1 + v2 S2 x E1)/4 with
+  u = (p^ + m^)/2, v = (p^ - m^)/2, p^ = -x_+/|x_+| and m^ = -x_-/|x_-|.
+  W >= 0 and tr W = 1, and W has no component on a free parameter, so
+  tr(W rho) is the same for every extension rho, equals the witness's
+  minimum eigenvalue, and bounds every extension's minimum eigenvalue from
+  above.
+
+(|x_+| + |x_-|)/2 equals sup_t |a(t)|, so the optimum is (1 - sup_t |a(t)|)/4,
+but the oracle never evaluates that supremum: both certificates are built
+from (a, c1, c2) alone and each is checked by one eigvalsh.  A witness with
+minimum eigenvalue >= -tol proves "inside" (check it by reconstruction); W
+with tr(W rho) < -tol proves "outside".
 """
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .optimize import nelder_mead_max
-from .pauli import _BASIS, DEFAULT_TOL, TwoQubitState, _as_bloch
+from .optimize import nelder_mead_max  # noqa: F401  no longer called; perfbench traces this binding
+from .pauli import (
+    DEFAULT_TOL,
+    TwoQubitState,
+    _as_bloch,
+    density_from_params,
+    embed_mean_values,
+    min_eigenvalue,
+)
 from .reduced import DomainVerdict, in_compatibility_domain
 
-# All search variables are expectation values of products of +/-1-valued
-# observables, so the box [-1, 1] is exhaustive.
-_BOX = (-1.0, 1.0)
+
+def _block_vectors(a: np.ndarray, c1: float, c2: float) -> tuple[np.ndarray, np.ndarray]:
+    """(x_+, x_-) = (a_xy + c, z_+), (a_xy - c, z_-) with z_+ + z_- = 2 a3
+    split in proportion to |a_xy + c| : |a_xy - c| (equally when both are 0)."""
+    p = np.array([a[0] + c1, a[1] + c2])
+    m = np.array([a[0] - c1, a[1] - c2])
+    norm_p, norm_m = np.linalg.norm(p), np.linalg.norm(m)
+    total = norm_p + norm_m
+    share = 0.5 if total == 0.0 else norm_p / total
+    return np.append(p, 2.0 * a[2] * share), np.append(m, 2.0 * a[2] * (1.0 - share))
 
 
-@dataclass(frozen=True)
-class ExtensionSearchConfig:
-    restarts: int = 20
-    max_iterations: int = 300
-    tolerance: float = 1e-10  # convergence threshold on min-eigenvalue improvement
-    seed: int = 0
+def feasibility_search(a, c1: float, c2: float) -> tuple[float, TwoQubitState]:
+    """Optimal extension of (a, c1, c2): the largest minimum eigenvalue any
+    two-qubit state carrying these values can have, and a state attaining it.
 
-    def __post_init__(self):
-        if self.restarts < 1:
-            raise ValueError(f"restarts must be >= 1, got {self.restarts}")
-        if self.tolerance <= 0:
-            raise ValueError(f"tolerance must be > 0, got {self.tolerance}")
-
-
-def _assemble(a: np.ndarray, c1: float, c2: float, x: np.ndarray) -> TwoQubitState:
-    """Free parameters x = (b1, b2, b3, T12, T13, T22, T23, T31, T32, T33),
-    with T[i, j] = <S_{i+1} x E_{j+1}> and T11, T21 pinned to (c1, c2)."""
-    T = np.array(
-        [
-            [c1, x[3], x[4]],
-            [c2, x[5], x[6]],
-            [x[7], x[8], x[9]],
-        ]
-    )
-    return TwoQubitState(a=a, b=x[:3], T=T)
-
-
-def _min_eig_of_extension(a: np.ndarray, c1: float, c2: float, x: np.ndarray) -> float:
-    """Hot-path objective: min eigenvalue of the reconstructed 4x4 matrix,
-    assembled straight onto the operator basis (same layout as `_assemble`)."""
-    coeffs = np.empty(16)
-    coeffs[0] = 1.0
-    coeffs[1:4] = a
-    coeffs[4:7] = x[:3]
-    coeffs[7] = c1
-    coeffs[8:10] = x[3:5]
-    coeffs[10] = c2
-    coeffs[11:13] = x[5:7]
-    coeffs[13:16] = x[7:10]
-    rho = 0.25 * np.tensordot(coeffs, _BASIS, axes=1)
-    return float(np.linalg.eigvalsh(rho)[0])
-
-
-def feasibility_search(
-    a,
-    c1: float,
-    c2: float,
-    cfg: Optional[ExtensionSearchConfig] = None,
-) -> tuple[float, TwoQubitState]:
-    """Maximize the min eigenvalue over all extensions of (a, c1, c2).
-
-    The first restart starts from the all-zero extension (whose witness is
-    already optimal on the slice a = (0, a2, 0), c2 = 0); the remaining
-    restarts start from seeded uniform draws in the box.  Deterministic for a
-    fixed config.  Returns the best value found and its witness state.
+    The witness carries a, c1 and c2 exactly; the value is the minimum
+    eigenvalue of its reconstructed density matrix.
     """
     a = _as_bloch(a)
-    cfg = cfg or ExtensionSearchConfig()
-
-    def objective(x: np.ndarray) -> float:
-        return _min_eig_of_extension(a, c1, c2, x)
-
-    rng = np.random.default_rng(cfg.seed)
-    best_val, best_x = -np.inf, np.zeros(10)
-    for restart in range(cfg.restarts):
-        x0 = np.zeros(10) if restart == 0 else rng.uniform(-0.5, 0.5, 10)
-        x, val = nelder_mead_max(
-            objective,
-            x0,
-            bounds=_BOX,
-            xatol=1e-6,
-            fatol=cfg.tolerance,
-            max_iter=cfg.max_iterations,
-        )
-        if val > best_val:
-            best_val, best_x = val, x
-    # polish: one more simplex from the incumbent with a tight initial step,
-    # which unsticks the stagnation NM suffers on eigenvalue-crossing ridges
-    x, val = nelder_mead_max(
-        objective,
-        best_x,
-        bounds=_BOX,
-        xatol=1e-8,
-        fatol=cfg.tolerance,
-        max_iter=cfg.max_iterations,
-        initial_step=0.02,
-    )
-    if val > best_val:
-        best_val, best_x = val, x
-    return best_val, _assemble(a, c1, c2, best_x)
+    x_plus, x_minus = _block_vectors(a, c1, c2)
+    T = np.zeros((3, 3))
+    T[:, 0] = (c1, c2, 0.5 * (x_plus[2] - x_minus[2]))
+    b1 = 0.5 * (np.linalg.norm(x_plus) - np.linalg.norm(x_minus))  # w_+ - w_-
+    witness = TwoQubitState(a=a, b=[b1, 0.0, 0.0], T=T)
+    return min_eigenvalue(density_from_params(witness)), witness
 
 
-def is_compatible_oracle(
-    a,
-    c1: float,
-    c2: float,
-    cfg: Optional[ExtensionSearchConfig] = None,
-    tol: float = DEFAULT_TOL,
-) -> DomainVerdict:
-    """Inside iff the search finds an extension with min eigenvalue >= -tol."""
+def dual_certificate(a, c1: float, c2: float) -> np.ndarray:
+    """The dual matrix W (4x4, PSD, unit trace) for (a, c1, c2).
+
+    W only has components on the identity, S_i x I, S1 x E1 and S2 x E1, so
+    tr(W rho) = (1 + u.a + v1 c1 + v2 c2)/4 for every extension rho, and that
+    value is >= the minimum eigenvalue of rho.  When one block vector
+    vanishes the other's direction is used for both; when both vanish,
+    W = I/4.
+    """
+    a = _as_bloch(a)
+
+    def down(x: np.ndarray) -> np.ndarray:
+        norm = np.linalg.norm(x)
+        return -x / norm if norm > 0.0 else np.zeros(3)
+
+    x_plus, x_minus = _block_vectors(a, c1, c2)
+    p_hat, m_hat = down(x_plus), down(x_minus)
+    if not p_hat.any():
+        p_hat = m_hat
+    if not m_hat.any():
+        m_hat = p_hat
+    # the proportional split of a3 gives p^ and m^ the same third component,
+    # so v3 = 0 and W has no S3 x E1 (free T31) component
+    u, v = 0.5 * (p_hat + m_hat), 0.5 * (p_hat - m_hat)
+    return density_from_params(embed_mean_values(u, v[0], v[1]))
+
+
+def is_compatible_oracle(a, c1: float, c2: float, tol: float = DEFAULT_TOL) -> DomainVerdict:
+    """Inside iff the optimal extension has min eigenvalue >= -tol."""
     if tol < 0:
         raise ValueError("tol must be >= 0")
-    best, _ = feasibility_search(a, c1, c2, cfg)
+    best, _ = feasibility_search(a, c1, c2)
     return DomainVerdict(inside=best >= -tol, margin=best)
 
 
@@ -144,15 +118,16 @@ class CrossValidationSpec:
     feasibility oracle against the sup-over-time compatibility verdict.
 
     Slice points use a = (0, a2, 0), c2 = 0.  Points whose analytic margin
-    (or 4x the oracle's eigenvalue margin, the slice-boundary scale relation)
-    falls within `band` of zero are excluded as boundary cases.
+    (or 4x the oracle's eigenvalue margin, the boundary scale relation)
+    falls within `band` of zero are excluded as boundary cases.  `seed` only
+    draws the random general points.
     """
 
     a2_values: Sequence[float]
     c1_values: Sequence[float]
     band: float = 1e-3
     random_points: int = 0
-    cfg: ExtensionSearchConfig = field(default_factory=ExtensionSearchConfig)
+    seed: int = 0
     tol: float = DEFAULT_TOL
 
 
@@ -178,15 +153,14 @@ def cross_validate(spec: CrossValidationSpec) -> CrossValidationReport:
     """Compare oracle and sup-over-time verdicts on the slice grid, plus the
     requested number of seeded random general (a, c1, c2) points.
 
-    Each point gets its own deterministic sub-seed, so reports are
-    reproducible and independent of evaluation order.  Disagreements are
-    returned with their witness states for inspection, never resolved.
+    Disagreements are returned with their witness states for inspection,
+    never resolved.
     """
     points: list[tuple[np.ndarray, float, float]] = []
     for a2 in spec.a2_values:
         for c1 in spec.c1_values:
             points.append((np.array([0.0, float(a2), 0.0]), float(c1), 0.0))
-    rng = np.random.default_rng([spec.cfg.seed, 0x5EED])
+    rng = np.random.default_rng([spec.seed, 0x5EED])
     for _ in range(spec.random_points):
         a = rng.uniform(-1.0, 1.0, 3)
         c1, c2 = rng.uniform(-1.0, 1.0, 2)
@@ -195,10 +169,9 @@ def cross_validate(spec: CrossValidationSpec) -> CrossValidationReport:
     checked = excluded = 0
     worst_gap = 0.0
     disagreements: list[Disagreement] = []
-    for i, (a, c1, c2) in enumerate(points):
+    for a, c1, c2 in points:
         analytic = in_compatibility_domain(c1, c2, a, tol=spec.tol)
-        point_cfg = dataclasses.replace(spec.cfg, seed=spec.cfg.seed + i)
-        best, witness = feasibility_search(a, c1, c2, point_cfg)
+        best, witness = feasibility_search(a, c1, c2)
         if abs(analytic.margin) <= spec.band or abs(4.0 * best) <= spec.band:
             excluded += 1
             continue

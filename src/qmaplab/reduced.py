@@ -5,7 +5,7 @@ Two domains matter: the positivity domain at a given t (images stay inside
 the Bloch ball) and the compatibility domain (the intersection of the
 positivity domains over all t, equal here to the set of Bloch vectors jointly
 realizable with the frozen correlations in some physical two-qubit state —
-`feasibility` validates that identity numerically instead of assuming it).
+`feasibility` certifies that identity independently instead of assuming it).
 """
 from __future__ import annotations
 

@@ -5,7 +5,6 @@ report lines alongside the pytest verdicts.
 """
 from __future__ import annotations
 
-import dataclasses
 import math
 import os
 import time
@@ -20,14 +19,12 @@ from qmaplab.conjunction import (
     sigma2_conjunction,
 )
 from qmaplab.dynamics import MeanValueState, crosscheck, evolve_mean_values
-from qmaplab.feasibility import ExtensionSearchConfig, feasibility_search
+from qmaplab.feasibility import feasibility_search
 from qmaplab.pauli import TwoQubitState, density_from_params, min_eigenvalue, params_from_density
 from qmaplab.reduced import compat_slice_check, in_compatibility_domain
 from qmaplab.slippage import max_safe_repetitions, slipped_domain_check
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
-
-GRID_CFG = ExtensionSearchConfig(restarts=1, max_iterations=150, tolerance=1e-10, seed=0)
 
 
 def report(criterion: int, ok: bool, detail: str) -> bool:
@@ -109,13 +106,12 @@ def test_criterion_6_three_way_slice_agreement():
     values = np.linspace(-1, 1, 41)
     band = 1e-3
     checked = excluded = disagreements = 0
-    for i, a2 in enumerate(values):
-        for j, c1 in enumerate(values):
+    for a2 in values:
+        for c1 in values:
             a2f, c1f = float(a2), float(c1)
             sl = compat_slice_check(a2f, c1f)
             sup = in_compatibility_domain(c1f, 0.0, [0, a2f, 0])
-            cfg = dataclasses.replace(GRID_CFG, seed=i * 41 + j)
-            best, _ = feasibility_search([0, a2f, 0], c1f, 0.0, cfg)
+            best, _ = feasibility_search([0, a2f, 0], c1f, 0.0)
             if abs(sl.margin) <= band or abs(4 * best) <= band:
                 excluded += 1
                 continue
@@ -185,7 +181,6 @@ def test_criterion_9_witness_soundness():
     rng = np.random.default_rng(9009)
     inside_verdicts = 0
     bad = 0
-    cfg = ExtensionSearchConfig(restarts=2, max_iterations=200, tolerance=1e-10, seed=0)
     for i in range(40):
         if i % 2 == 0:  # slice points, mostly feasible
             r = math.sqrt(rng.uniform(0, 1.1))
@@ -195,7 +190,7 @@ def test_criterion_9_witness_soundness():
         else:  # general points
             a = rng.uniform(-0.6, 0.6, 3)
             c1, c2 = rng.uniform(-0.6, 0.6, 2)
-        best, witness = feasibility_search(a, float(c1), float(c2), dataclasses.replace(cfg, seed=i))
+        best, witness = feasibility_search(a, float(c1), float(c2))
         if best < -1e-9:
             continue
         inside_verdicts += 1

@@ -13,7 +13,6 @@ from qmaplab.conjunction import (
     conjunct,
     first_unphysical_n,
     greedy_extremal_growth,
-    hazard_slope_at_join,
     sigma2_conjunction,
 )
 from qmaplab.dynamics import MeanValueState, evolve_mean_values
@@ -112,15 +111,6 @@ def test_sigma2_conjunction_agrees_with_conjunct_on_slice():
         assert abs(report.trajectory[1][1] - sigma2_conjunction(a2, c1, t, s)) < 1e-12
 
 
-def test_hazard_slope_values():
-    assert abs(hazard_slope_at_join(math.pi / 6) - 0.5) < 1e-15
-    assert abs(hazard_slope_at_join(math.pi / 3) - math.sqrt(3) / 2) < 1e-15
-    with pytest.raises(ValueError):
-        hazard_slope_at_join(0.0)
-    with pytest.raises(ValueError):
-        hazard_slope_at_join(math.pi / 2)
-
-
 @pytest.mark.parametrize("q", [0.2, math.pi / 6, math.pi / 4, math.pi / 3, 1.5])
 def test_hazard_slope_matches_finite_difference(q):
     h = 1e-6
@@ -128,8 +118,8 @@ def test_hazard_slope_matches_finite_difference(q):
     fd = (
         sigma2_conjunction(e.a2, e.c1, q, h) - sigma2_conjunction(e.a2, e.c1, q, -h)
     ) / (2 * h)
-    assert abs(hazard_slope_at_join(q) - fd) < 1e-8
-    assert hazard_slope_at_join(q) > 0
+    assert abs(math.sin(q) - fd) < 1e-8
+    assert fd > 0
 
 
 def test_greedy_growth_magnitude_law():
