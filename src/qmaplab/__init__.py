@@ -21,9 +21,6 @@ from .conjunction import (
 )
 from .dynamics import MeanValueState, crosscheck, evolve_density, evolve_mean_values, unitary
 from .feasibility import (
-    CrossValidationReport,
-    CrossValidationSpec,
-    cross_validate,
     dual_certificate,
     feasibility_search,
     is_compatible_oracle,
@@ -55,8 +52,6 @@ from .slippage import SlippagePolicy, max_safe_repetitions, slip_state, slipped_
 __all__ = [
     "DEFAULT_TOL",
     "ConjunctionSchedule",
-    "CrossValidationReport",
-    "CrossValidationSpec",
     "DomainVerdict",
     "EdgeState",
     "HazardReport",
@@ -68,7 +63,6 @@ __all__ = [
     "brute_force_max",
     "compat_slice_check",
     "conjunct",
-    "cross_validate",
     "crosscheck",
     "density_from_params",
     "dual_certificate",

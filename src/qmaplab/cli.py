@@ -25,6 +25,7 @@ Columns of each CSV are documented in the README.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
@@ -43,7 +44,7 @@ from .conjunction import (
     greedy_extremal_growth,
     sigma2_conjunction,
 )
-from .dynamics import MeanValueState, crosscheck, evolve_mean_values
+from .dynamics import MeanValueState, crosscheck, evolve_mean_values, rotate
 from .feasibility import dual_certificate, feasibility_search
 from .pauli import (
     DEFAULT_TOL,
@@ -74,11 +75,11 @@ class ScenarioError(Exception):
 
 
 def parse_angle(value: Any, where: str) -> float:
-    """Accept a plain number or a rational-multiple-of-pi string."""
+    """Accept a finite number or a rational-multiple-of-pi string."""
     if isinstance(value, bool):
         raise ScenarioError(f"{where}: expected a number or pi-string, got {value!r}")
     if isinstance(value, (int, float)):
-        return float(value)
+        return _require_number(value, where)
     if isinstance(value, str):
         m = _PI_PATTERN.match(value)
         if not m:
@@ -88,14 +89,27 @@ def parse_angle(value: Any, where: str) -> float:
         divisor = float(m.group(3)) if m.group(3) else 1.0
         if divisor == 0.0:
             raise ScenarioError(f"{where}: zero divisor in angle {value!r}")
-        return sign * coeff * math.pi / divisor
+        return _require_number(sign * coeff * math.pi / divisor, where)
     raise ScenarioError(f"{where}: expected a number or pi-string, got {type(value).__name__}")
 
 
 def _require_number(value: Any, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError(f"{where}: expected a number, got {type(value).__name__}")
-    return float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # an integer beyond the float range
+        value = math.inf
+    if not math.isfinite(value):
+        raise ScenarioError(f"{where}: expected a finite number")
+    return value
+
+
+def _require_tol(value: Any, where: str) -> float:
+    tol = _require_number(value, where)
+    if tol < 0:
+        raise ScenarioError(f"{where}: must be >= 0")
+    return tol
 
 
 def _require_int(value: Any, where: str) -> int:
@@ -149,7 +163,7 @@ def _parse_state(raw: Any) -> dict:
         a = raw["a"]
         if not isinstance(a, list) or len(a) != 3:
             raise ScenarioError("state.a: expected a list of three numbers")
-        out["a"] = np.array([_require_number(x, "state.a") for x in a])
+        out["a"] = np.array([_require_number(x, f"state.a[{i}]") for i, x in enumerate(a)])
     if raw.get("q") is not None:
         out["q"] = parse_angle(raw["q"], "state.q")
     if "c1" in raw:
@@ -169,7 +183,8 @@ def _parse_schedule(raw: Any) -> dict:
     if "steps" in raw:
         if not isinstance(raw["steps"], list):
             raise ScenarioError("schedule.steps: expected a list")
-        out["steps"] = tuple(parse_angle(s, "schedule.steps") for s in raw["steps"])
+        out["steps"] = tuple(parse_angle(s, f"schedule.steps[{i}]")
+                             for i, s in enumerate(raw["steps"]))
     return out
 
 
@@ -220,7 +235,7 @@ def load_scenario(path: str) -> Scenario:
             raw = json.load(fh)
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario file: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
         raise ScenarioError(f"scenario is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ScenarioError("scenario: expected a JSON object")
@@ -249,10 +264,7 @@ def load_scenario(path: str) -> Scenario:
     if "n" in raw:
         sc.n = _require_int(raw["n"], "scenario.n")
     if "tol" in raw:
-        tol = _require_number(raw["tol"], "scenario.tol")
-        if tol < 0:
-            raise ScenarioError("scenario.tol: must be >= 0")
-        sc.tol = tol
+        sc.tol = _require_tol(raw["tol"], "scenario.tol")
     if "seed" in raw:
         seed = _require_int(raw["seed"], "scenario.seed")
         if seed < 0:
@@ -335,12 +347,53 @@ def _format_cell(value: Any) -> str:
     return str(value)
 
 
-def emit_csv(header: list[str], rows: list[list], path: str) -> None:
-    """Write rows as UTF-8, LF-terminated CSV; floats keep exact round-trip form."""
-    lines = [",".join(header)]
-    lines += [",".join(_format_cell(v) for v in row) for row in rows]
+class Columns:
+    """Column-major CSV body: per column a float or bool ndarray, or a list of
+    formatted cells (`_axis`).  len() is the row count, as for a row list."""
+
+    def __init__(self, *columns):
+        self.columns = columns
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+
+def _axis(values, inner: int = 1, outer: int = 1) -> list[str]:
+    """Cells of a grid axis in row order: each value formatted once, repeated
+    `inner` times, and the whole block repeated `outer` times."""
+    cells = np.array([_format_cell(v) for v in values], dtype=object)
+    return np.repeat(cells, inner).tolist() * outer
+
+
+def _cells(column) -> list[str]:
+    if not isinstance(column, np.ndarray):
+        return column
+    if column.dtype == bool:
+        return np.where(column, "true", "false").tolist()
+    return list(map(float.__repr__, column.tolist()))  # exactly repr(float)
+
+
+# rows formatted and written per chunk, so no whole-file text is held in memory
+_CHUNK_ROWS = 1 << 15
+
+
+def emit_csv(header: list[str], rows, path: str) -> None:
+    """Stream `rows` (a list of rows or `Columns`) to `path` as UTF-8,
+    LF-terminated CSV; floats keep their exact round-trip form."""
+    columns = rows.columns if isinstance(rows, Columns) else [
+        [_format_cell(v) for v in column] for column in zip(*rows)]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(header) + "\n")
+        for lo in range(0, len(rows), _CHUNK_ROWS):
+            chunk = [_cells(column[lo:lo + _CHUNK_ROWS]) for column in columns]
+            fh.write("\n".join(map(",".join, zip(*chunk))) + "\n")
+
+
+def _norms(a1, a2, a3) -> np.ndarray:
+    """|a| per row, bit for bit np.linalg.norm of each row: a stacked (1x3)(3x1)
+    matmul takes the same dot product; norm(axis=1) rounds differently."""
+    a = np.stack(np.broadcast_arrays(a1, a2, a3), axis=-1)
+    return np.sqrt((a[:, None, :] @ a[:, :, None])[:, 0, 0])
 
 
 def _initial_mean_state(sc: Scenario) -> MeanValueState:
@@ -349,17 +402,16 @@ def _initial_mean_state(sc: Scenario) -> MeanValueState:
     return MeanValueState(a=sc.a, c1=sc.c1 or 0.0, c2=sc.c2 or 0.0)
 
 
-def _run_evolve(sc: Scenario, tol: float, seed: int) -> tuple[list, list, dict]:
+def _run_evolve(sc: Scenario, tol: float, seed: int) -> tuple[list, Columns, dict]:
     m0 = _initial_mean_state(sc)
+    t = sc.grids[0].values()
+    a1, a2, a3, c1, c2 = rotate(m0.a, m0.c1, m0.c2, t)
     header = ["t", "a1", "a2", "a3", "c1", "c2", "norm_a"]
-    rows = []
-    for t in sc.grids[0].values():
-        m = evolve_mean_values(m0, float(t))
-        rows.append([t, m.a[0], m.a[1], m.a[2], m.c1, m.c2, float(np.linalg.norm(m.a))])
+    rows = Columns(t, a1, a2, _axis([a3], inner=t.size), c1, c2, _norms(a1, a2, a3))
     return header, rows, {"rows": len(rows)}
 
 
-def _run_conjunct(sc: Scenario, tol: float, seed: int) -> tuple[list, list, dict]:
+def _run_conjunct(sc: Scenario, tol: float, seed: int) -> tuple[list, Any, dict]:
     m0 = _initial_mean_state(sc)
     c1, c2 = m0.c1, m0.c2
     s_grid = sc.grid("s")
@@ -392,62 +444,52 @@ def _run_conjunct(sc: Scenario, tol: float, seed: int) -> tuple[list, list, dict
         return header, rows, summary
 
     # sweep mode: one reuse of duration s over a grid
+    s = s_grid.values()
+    first_leg = ReducedMap(c1, c2, sc.t).apply(m0.a)
+    conj = ReducedMap(c1, c2, s).apply(first_leg)
+    exact = rotate(m0.a, c1, c2, sc.t + s)[:3]
+    norm_conj, norm_exact = _norms(*conj), _norms(*exact)
     header = ["s", "sigma2_exact", "sigma2_conjunction",
               "norm_exact", "norm_conjunction", "margin_exact", "margin_conjunction"]
-    rows = []
-    first_leg = ReducedMap(c1, c2, sc.t).apply(m0.a)
-    max_conj, argmax_s, first_hazard_s = -np.inf, None, None
-    for s in s_grid.values():
-        s = float(s)
-        conj_a = ReducedMap(c1, c2, s).apply(first_leg)
-        exact = evolve_mean_values(m0, sc.t + s)
-        norm_conj = float(np.linalg.norm(conj_a))
-        norm_exact = float(np.linalg.norm(exact.a))
-        rows.append([s, exact.a[1], conj_a[1], norm_exact, norm_conj,
-                     1.0 - norm_exact, 1.0 - norm_conj])
-        if conj_a[1] > max_conj:
-            max_conj, argmax_s = conj_a[1], s
-        if first_hazard_s is None and norm_conj > 1.0 + tol:
-            first_hazard_s = s
+    rows = Columns(s, exact[1], conj[1], norm_exact, norm_conj, 1.0 - norm_exact, 1.0 - norm_conj)
+    argmax = int(np.argmax(conj[1]))
+    hazards = np.flatnonzero(norm_conj > 1.0 + tol)
     summary = {
-        "max_sigma2_conjunction": float(max_conj),
-        "argmax_s": argmax_s,
-        "first_hazard_s": first_hazard_s,
+        "max_sigma2_conjunction": float(conj[1][argmax]),
+        "argmax_s": float(s[argmax]),
+        "first_hazard_s": float(s[hazards[0]]) if hazards.size else None,
         "rows": len(rows),
     }
     return header, rows, summary
 
 
-def _run_hazard(sc: Scenario, tol: float, seed: int) -> tuple[list, list, dict]:
+def _run_hazard(sc: Scenario, tol: float, seed: int) -> tuple[list, Columns, dict]:
     q_grid = sc.grid("q")
-    q_values = [sc.q] if q_grid is None else [float(v) for v in q_grid.values()]
-    s_values = [float(v) for v in sc.grid("s").values()]
+    q = np.array([sc.q]) if q_grid is None else q_grid.values()
+    s = sc.grid("s").values()
+    # rows run over s within each q: q down the first axis, s along the second
+    qq, ss = q[:, None], s[None, :]
+    a2, c1 = np.cos(qq), np.sin(qq)
+    exact = rotate((0.0, a2, 0.0), c1, 0.0, qq + ss)[1].ravel()
+    conj = sigma2_conjunction(a2, c1, qq, ss).ravel()
     header = ["q", "s", "sigma2_exact", "sigma2_conjunction", "margin_exact", "margin_conjunction"]
-    rows = []
-    max_conj = -np.inf
-    for q in q_values:
-        a2, c1 = math.cos(q), math.sin(q)
-        m0 = MeanValueState(a=[0.0, a2, 0.0], c1=c1, c2=0.0)
-        for s in s_values:
-            exact = evolve_mean_values(m0, q + s).a[1]
-            conj = sigma2_conjunction(a2, c1, q, s)
-            rows.append([q, s, exact, conj, 1.0 - abs(exact), 1.0 - abs(conj)])
-            max_conj = max(max_conj, conj)
+    rows = Columns(_axis(q, inner=s.size), _axis(s, outer=q.size),
+                   exact, conj, 1.0 - np.abs(exact), 1.0 - np.abs(conj))
+    max_conj = float(conj.max())
     summary = {
-        "max_sigma2_conjunction": float(max_conj),
+        "max_sigma2_conjunction": max_conj,
         "hazard": bool(max_conj > 1.0 + tol),
         "rows": len(rows),
     }
     return header, rows, summary
 
 
-def _run_growth(sc: Scenario, tol: float, seed: int) -> tuple[list, list, dict]:
+def _run_growth(sc: Scenario, tol: float, seed: int) -> tuple[list, Columns, dict]:
     a2, c1 = _slice_params(sc)
     magnitudes, sched = greedy_extremal_growth(a2, c1, sc.n)
     header = ["k", "duration", "magnitude", "exceeds_unit"]
-    rows = []
-    for k, (duration, mag) in enumerate(zip(sched.durations, magnitudes)):
-        rows.append([k, duration, float(mag), bool(mag > 1.0 + tol)])
+    rows = Columns(_axis(range(sc.n + 1)), np.array(sched.durations), magnitudes,
+                   magnitudes > 1.0 + tol)
     first = first_unphysical_n(a2, c1)
     safe = max_safe_repetitions(a2, c1)
     summary = {
@@ -465,8 +507,6 @@ def _run_domain_map(sc: Scenario, tol: float, seed: int) -> tuple[list, list, di
     header = ["a2", "c1", "slice_margin", "supnorm_margin", "oracle_margin",
               "near_boundary", "agree"]
     rows = []
-    disagreements = 0
-    near = 0
     for a2 in a2_values:
         for c1 in c1_values:
             a2, c1 = float(a2), float(c1)
@@ -477,31 +517,32 @@ def _run_domain_map(sc: Scenario, tol: float, seed: int) -> tuple[list, list, di
             oracle_inside = best >= -tol
             agree = (sl.inside == sup.inside == oracle_inside)
             rows.append([a2, c1, sl.margin, sup.margin, best, near_boundary, agree])
-            if near_boundary:
-                near += 1
-            elif not agree:
-                disagreements += 1
     summary = {
         "points": len(rows),
-        "near_boundary": near,
-        "disagreements": disagreements,
+        "near_boundary": sum(row[5] for row in rows),
+        "disagreements": sum(not row[5] and not row[6] for row in rows),
         "rows": len(rows),
     }
     return header, rows, summary
 
 
-def _run_slippage(sc: Scenario, tol: float, seed: int) -> tuple[list, list, dict]:
-    a2_values = [float(v) for v in sc.grid("a2").values()]
+def _run_slippage(sc: Scenario, tol: float, seed: int) -> tuple[list, Columns, dict]:
+    a2_values = sc.grid("a2").values()
     c1_grid = sc.grid("c1")
-    c1_values = [float(sc.c1)] if c1_grid is None else [float(v) for v in c1_grid.values()]
+    c1_values = np.array([sc.c1]) if c1_grid is None else c1_grid.values()
+    n_values = range(1, sc.n + 1)
+    # rows run over c1 within a2 within n: one array axis each
+    n = np.array(n_values)[:, None, None]
+    a2, c1 = a2_values[None, :, None], c1_values[None, None, :]
+    verdict = slipped_domain_check(a2, c1, n, tol=tol)
+    slipped = slip_state(np.stack(np.broadcast_arrays(0.0, a2, 0.0)), c1, n)
     header = ["n", "a2", "c1", "inside", "margin", "a2_slipped"]
-    rows = []
-    for n in range(1, sc.n + 1):
-        for a2 in a2_values:
-            for c1 in c1_values:
-                verdict = slipped_domain_check(a2, c1, n, tol=tol)
-                slipped = slip_state([0.0, a2, 0.0], c1, n)
-                rows.append([n, a2, c1, verdict.inside, verdict.margin, float(slipped[1])])
+    rows = Columns(
+        _axis(n_values, inner=a2.size * c1.size),
+        _axis(a2_values, inner=c1.size, outer=len(n_values)),
+        _axis(c1_values, outer=len(n_values) * a2.size),
+        verdict.inside.ravel(), verdict.margin.ravel(), slipped[1].ravel(),
+    )
     return header, rows, {"max_n": sc.n, "rows": len(rows)}
 
 
@@ -607,24 +648,23 @@ _RUNNERS = {
 }
 
 
-def run(scenario_path: str, out_dir: str = ".",
-        seed: Optional[int] = None, tol: Optional[float] = None) -> int:
+def run(scenario_path: str, out_dir: str = ".", seed: Optional[int] = None,
+        tol: Optional[float] = None, *, command: Optional[str] = None) -> int:
     """Execute a scenario file; returns the process exit status.
 
     Flag values win over scenario fields; defaults are seed 0, tol 1e-9.
-    All rows are computed before anything is written, so a failing scenario
-    leaves no partial output.
+    With `command`, the scenario must be of that command.  Both files are
+    written to temporary names in `out_dir` and moved into place with
+    os.replace once both are complete: a failing run (exit 1) leaves nothing.
     """
     try:
         sc = load_scenario(scenario_path)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
-    effective_tol = tol if tol is not None else (sc.tol if sc.tol is not None else DEFAULT_TOL)
-    effective_seed = seed if seed is not None else (sc.seed if sc.seed is not None else 0)
-
-    try:
+        if command is not None and sc.command != command:
+            raise ScenarioError(f"scenario file has command {sc.command!r} but the "
+                                f"{command!r} subcommand was invoked")
+        effective_tol = _require_tol(tol, "--tol") if tol is not None else (
+            sc.tol if sc.tol is not None else DEFAULT_TOL)
+        effective_seed = seed if seed is not None else (sc.seed if sc.seed is not None else 0)
         header, rows, summary = _RUNNERS[sc.command](sc, effective_tol, effective_seed)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -638,13 +678,25 @@ def run(scenario_path: str, out_dir: str = ".",
         "tol": effective_tol,
         **summary,
     }
+    # the summary moves last: once it is in place, the CSV is complete
+    targets = [os.path.join(out_dir, name) for name in (csv_name, "summary.json")]
+    temps = [f"{path}.{os.getpid()}.tmp" for path in targets]
+    moved = []
     try:
         os.makedirs(out_dir, exist_ok=True)
-        emit_csv(header, rows, os.path.join(out_dir, csv_name))
-        with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8", newline="\n") as fh:
+        emit_csv(header, rows, temps[0])
+        with open(temps[1], "w", encoding="utf-8", newline="\n") as fh:
             json.dump(summary, fh, indent=2, sort_keys=True)
             fh.write("\n")
-    except OSError as exc:
+        for temp, path in zip(temps, targets):
+            os.replace(temp, path)
+            moved.append(path)
+    except BaseException as exc:
+        for path in temps + moved:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        if not isinstance(exc, OSError):
+            raise
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 1
 
@@ -671,17 +723,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
         p.add_argument("--tol", type=float, default=None, help="override the scenario tolerance")
     args = parser.parse_args(argv)
-
-    try:
-        sc = load_scenario(args.scenario)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    if sc.command != args.command:
-        print(f"error: scenario file has command {sc.command!r} but the "
-              f"{args.command!r} subcommand was invoked", file=sys.stderr)
-        return 1
-    return run(args.scenario, out_dir=args.out, seed=args.seed, tol=args.tol)
+    return run(args.scenario, out_dir=args.out, seed=args.seed, tol=args.tol,
+               command=args.command)
 
 
 if __name__ == "__main__":

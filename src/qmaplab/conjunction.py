@@ -16,8 +16,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .dynamics import rotate
 from .optimize import golden_section_max
-from .pauli import DEFAULT_TOL, _as_bloch
+from .pauli import DEFAULT_TOL
 from .reduced import ReducedMap
 
 _TWO_PI = 2 * math.pi
@@ -98,14 +99,11 @@ def conjunct(
 ) -> HazardReport:
     """Run the frozen map over every leg of `sched`, recording the Bloch
     vector and its magnitude after each leg."""
-    a = _as_bloch(a)
     trajectory = []
-    magnitudes = []
     for duration in sched.durations:
         a = ReducedMap(c1, c2, duration).apply(a)
         trajectory.append(a)
-        magnitudes.append(float(np.linalg.norm(a)))
-    magnitudes = np.array(magnitudes)
+    magnitudes = np.array([float(np.linalg.norm(v)) for v in trajectory])
     exceed = np.nonzero(magnitudes > 1.0 + tol)[0]
     return HazardReport(
         magnitudes=magnitudes,
@@ -115,17 +113,19 @@ def conjunct(
     )
 
 
-def sigma2_conjunction(a2: float, c1: float, t: float, s: float) -> float:
+def sigma2_conjunction(a2, c1, t, s):
     """Second Bloch component after one reuse on the slice a = (0, a2, 0),
-    c2 = 0:  a2 cos t cos s + c1 (sin t cos s + sin s)."""
-    return a2 * math.cos(t) * math.cos(s) + c1 * (math.sin(t) * math.cos(s) + math.sin(s))
+    c2 = 0:  a2 cos t cos s + c1 (sin t cos s + sin s).  Two legs of `rotate`
+    with c1 frozen, multiplied out; this order rounds differently from the
+    fold and is the one the hazard outputs carry.  Broadcasts over arrays."""
+    return a2 * np.cos(t) * np.cos(s) + c1 * (np.sin(t) * np.cos(s) + np.sin(s))
 
 
 def _sigma2_legs(a2: float, c1: float, durations: Sequence[float]) -> float:
     """Fold the frozen-map update v -> v cos s + c1 sin s over the legs."""
     v = a2
     for s in durations:
-        v = v * math.cos(s) + c1 * math.sin(s)
+        v = rotate((0.0, v, 0.0), c1, 0.0, s)[1]
     return v
 
 

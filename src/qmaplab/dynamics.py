@@ -37,23 +37,26 @@ class MeanValueState:
         object.__setattr__(self, "c2", float(self.c2))
 
 
-def evolve_mean_values(m: MeanValueState, t: float) -> MeanValueState:
-    """Closed-form evolution of the five mean values over duration `t`:
+def rotate(a, c1, c2, t):
+    """The closed-form rotation behind every evolution and reduced map here;
+    returns (a1', a2', a3, c1', c2') for a = (a1, a2, a3):
 
         a1' = a1 cos t - c2 sin t        c1' = c1 cos t - a2 sin t
         a2' = a2 cos t + c1 sin t        c2' = c2 cos t + a1 sin t
-        a3' = a3
 
-    The pairs (a1, c2) and (a2, c1) rotate rigidly, so the update composes
-    exactly: evolve(evolve(m, t), s) == evolve(m, t + s).
+    Every argument broadcasts, so one call covers a whole grid.
     """
-    ct, st = math.cos(t), math.sin(t)
-    a1, a2, a3 = m.a
-    return MeanValueState(
-        a=np.array([a1 * ct - m.c2 * st, a2 * ct + m.c1 * st, a3]),
-        c1=m.c1 * ct - a2 * st,
-        c2=m.c2 * ct + a1 * st,
-    )
+    ct, st = np.cos(t), np.sin(t)
+    a1, a2, a3 = a
+    return a1 * ct - c2 * st, a2 * ct + c1 * st, a3, c1 * ct - a2 * st, c2 * ct + a1 * st
+
+
+def evolve_mean_values(m: MeanValueState, t: float) -> MeanValueState:
+    """Exact evolution of the five mean values over duration `t`.  The pairs
+    (a1, c2) and (a2, c1) rotate rigidly, so the update composes exactly:
+    evolve(evolve(m, t), s) == evolve(m, t + s)."""
+    a1, a2, a3, c1, c2 = rotate(m.a, m.c1, m.c2, t)
+    return MeanValueState(a=[a1, a2, a3], c1=c1, c2=c2)
 
 
 def unitary(t: float) -> np.ndarray:

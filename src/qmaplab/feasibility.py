@@ -33,9 +33,6 @@ with tr(W rho) < -tol proves "outside".
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 
 from .optimize import nelder_mead_max  # noqa: F401  no longer called; perfbench traces this binding
@@ -47,7 +44,7 @@ from .pauli import (
     embed_mean_values,
     min_eigenvalue,
 )
-from .reduced import DomainVerdict, in_compatibility_domain
+from .reduced import DomainVerdict
 
 
 def _block_vectors(a: np.ndarray, c1: float, c2: float) -> tuple[np.ndarray, np.ndarray]:
@@ -110,88 +107,3 @@ def is_compatible_oracle(a, c1: float, c2: float, tol: float = DEFAULT_TOL) -> D
         raise ValueError("tol must be >= 0")
     best, _ = feasibility_search(a, c1, c2)
     return DomainVerdict(inside=best >= -tol, margin=best)
-
-
-@dataclass(frozen=True)
-class CrossValidationSpec:
-    """Grid (and optional random general-state sample) for comparing the
-    feasibility oracle against the sup-over-time compatibility verdict.
-
-    Slice points use a = (0, a2, 0), c2 = 0.  Points whose analytic margin
-    (or 4x the oracle's eigenvalue margin, the boundary scale relation)
-    falls within `band` of zero are excluded as boundary cases.  `seed` only
-    draws the random general points.
-    """
-
-    a2_values: Sequence[float]
-    c1_values: Sequence[float]
-    band: float = 1e-3
-    random_points: int = 0
-    seed: int = 0
-    tol: float = DEFAULT_TOL
-
-
-@dataclass(frozen=True)
-class Disagreement:
-    a: np.ndarray
-    c1: float
-    c2: float
-    analytic_margin: float
-    oracle_margin: float
-    witness: TwoQubitState
-
-
-@dataclass(frozen=True)
-class CrossValidationReport:
-    points_checked: int
-    boundary_excluded: int
-    disagreements: tuple[Disagreement, ...]
-    worst_margin_gap: float
-
-
-def cross_validate(spec: CrossValidationSpec) -> CrossValidationReport:
-    """Compare oracle and sup-over-time verdicts on the slice grid, plus the
-    requested number of seeded random general (a, c1, c2) points.
-
-    Disagreements are returned with their witness states for inspection,
-    never resolved.
-    """
-    points: list[tuple[np.ndarray, float, float]] = []
-    for a2 in spec.a2_values:
-        for c1 in spec.c1_values:
-            points.append((np.array([0.0, float(a2), 0.0]), float(c1), 0.0))
-    rng = np.random.default_rng([spec.seed, 0x5EED])
-    for _ in range(spec.random_points):
-        a = rng.uniform(-1.0, 1.0, 3)
-        c1, c2 = rng.uniform(-1.0, 1.0, 2)
-        points.append((a, float(c1), float(c2)))
-
-    checked = excluded = 0
-    worst_gap = 0.0
-    disagreements: list[Disagreement] = []
-    for a, c1, c2 in points:
-        analytic = in_compatibility_domain(c1, c2, a, tol=spec.tol)
-        best, witness = feasibility_search(a, c1, c2)
-        if abs(analytic.margin) <= spec.band or abs(4.0 * best) <= spec.band:
-            excluded += 1
-            continue
-        checked += 1
-        oracle_inside = best >= -spec.tol
-        if oracle_inside != analytic.inside:
-            disagreements.append(
-                Disagreement(
-                    a=a,
-                    c1=c1,
-                    c2=c2,
-                    analytic_margin=analytic.margin,
-                    oracle_margin=best,
-                    witness=witness,
-                )
-            )
-            worst_gap = max(worst_gap, abs(analytic.margin - 4.0 * best))
-    return CrossValidationReport(
-        points_checked=checked,
-        boundary_excluded=excluded,
-        disagreements=tuple(disagreements),
-        worst_margin_gap=worst_gap,
-    )

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import rotate
 from .optimize import golden_section_max
 from .pauli import DEFAULT_TOL, _as_bloch
 
@@ -36,12 +37,11 @@ class ReducedMap:
     t: float
 
     def apply(self, a) -> np.ndarray:
-        """(a1 cos t - c2 sin t, a2 cos t + c1 sin t, a3)."""
-        a = _as_bloch(a)
-        ct, st = math.cos(self.t), math.sin(self.t)
-        return np.array(
-            [a[0] * ct - self.c2 * st, a[1] * ct + self.c1 * st, a[2]]
-        )
+        """(a1 cos t - c2 sin t, a2 cos t + c1 sin t, a3), the first three
+        components of `rotate` with the correlations left frozen.  `t` may
+        be an array; the result then has shape (3,) + t.shape."""
+        a1, a2, a3, _, _ = rotate(_as_bloch(a), self.c1, self.c2, self.t)
+        return np.array(np.broadcast_arrays(a1, a2, a3))
 
 
 def in_positivity_domain(m: ReducedMap, a, tol: float = DEFAULT_TOL) -> DomainVerdict:
@@ -90,15 +90,14 @@ def sup_norm_grid(c1: float, c2: float, a, points: int = 100_000) -> tuple[float
     plus one golden-section refinement around the best grid point."""
     a = _as_bloch(a)
     ts = np.linspace(0.0, 2 * math.pi, points, endpoint=False)
-    a1t = a[0] * np.cos(ts) - c2 * np.sin(ts)
-    a2t = a[1] * np.cos(ts) + c1 * np.sin(ts)
+    a1t, a2t, _, _, _ = rotate(a, c1, c2, ts)
     norm_sq = a1t**2 + a2t**2 + a[2] ** 2
     k = int(np.argmax(norm_sq))
     h = 2 * math.pi / points
 
     def norm_sq_at(t: float) -> float:
-        ct, st = math.cos(t), math.sin(t)
-        return (a[0] * ct - c2 * st) ** 2 + (a[1] * ct + c1 * st) ** 2 + a[2] ** 2
+        a1t, a2t, a3, _, _ = rotate(a, c1, c2, t)
+        return a1t**2 + a2t**2 + a3**2
 
     t_best, f_best = golden_section_max(norm_sq_at, ts[k] - h, ts[k] + h)
     return math.sqrt(max(f_best, 0.0)), t_best % (2 * math.pi)

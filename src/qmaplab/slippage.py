@@ -41,13 +41,12 @@ class SlippagePolicy:
         return slip_state(a, c1, self.n)
 
 
-def slipped_domain_check(
-    a2: float, c1: float, n: int, tol: float = DEFAULT_TOL
-) -> DomainVerdict:
-    """Inside iff a2^2 + (n+1) c1^2 <= 1; margin = 1 - sqrt of that sum."""
-    if n < 1:
+def slipped_domain_check(a2, c1, n, tol: float = DEFAULT_TOL) -> DomainVerdict:
+    """Inside iff a2^2 + (n+1) c1^2 <= 1; margin = 1 - sqrt of that sum.
+    Broadcasts over arrays of a2, c1 and n."""
+    if np.any(np.asarray(n) < 1):
         raise ValueError(f"n must be >= 1, got {n}")
-    margin = 1.0 - math.sqrt(a2 * a2 + (n + 1) * c1 * c1)
+    margin = 1.0 - np.sqrt(a2 * a2 + (n + 1) * c1 * c1)
     return DomainVerdict(inside=margin >= -tol, margin=margin)
 
 
@@ -66,20 +65,22 @@ def max_safe_repetitions(a2: float, c1: float) -> Optional[Union[int, float]]:
     return first - 1
 
 
-def slip_state(a, c1: float, n: int) -> np.ndarray:
+def slip_state(a, c1, n) -> np.ndarray:
     """Minimal radial adjustment of a slice state onto the n-reuse boundary.
 
     Already-safe inputs come back unchanged; otherwise a2 shrinks to
     sign(a2) * sqrt(max(0, 1 - (n+1) c1^2)).  Idempotent.  Only the slice
-    a = (0, a2, 0) is supported.
+    a = (0, a2, 0) is supported.  Broadcasts: `a` may stack slice states
+    along trailing axes, shape (3, ...), against arrays of c1 and n.
     """
-    a = _as_bloch(a)
-    if n < 1:
+    a = np.asarray(a, dtype=float)
+    if a.shape[:1] != (3,):
+        raise ValueError(f"Bloch vectors must have shape (3, ...), got {a.shape}")
+    if np.any(np.asarray(n) < 1):
         raise ValueError(f"n must be >= 1, got {n}")
-    if a[0] != 0.0 or a[2] != 0.0:
+    if np.any(a[0] != 0.0) or np.any(a[2] != 0.0):
         raise ValueError("slip_state is defined on the slice a = (0, a2, 0) only")
-    a2 = float(a[1])
-    if slipped_domain_check(a2, c1, n).inside:
-        return a.copy()
-    a2_new = math.copysign(math.sqrt(max(0.0, 1.0 - (n + 1) * c1 * c1)), a2)
-    return np.array([0.0, a2_new, 0.0])
+    a2 = a[1]
+    boundary = np.copysign(np.sqrt(np.maximum(0.0, 1.0 - (n + 1) * c1 * c1)), a2)
+    a2 = np.where(slipped_domain_check(a2, c1, n).inside, a2, boundary)
+    return np.array(np.broadcast_arrays(a[0], a2, a[2]))

@@ -9,7 +9,12 @@ import os
 import numpy as np
 import pytest
 
+from qmaplab import cli
 from qmaplab.cli import ScenarioError, emit_csv, load_scenario, main, parse_angle, run
+from qmaplab.conjunction import sigma2_conjunction
+from qmaplab.dynamics import MeanValueState, evolve_mean_values
+from qmaplab.reduced import ReducedMap
+from qmaplab.slippage import slip_state, slipped_domain_check
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
@@ -365,3 +370,171 @@ def test_main_runs_hazard(tmp_path, capsys):
     assert code == 0
     assert (out / "hazard.csv").exists()
     assert (out / "summary.json").exists()
+
+
+# ---------------------------------------------------------------- array programs
+
+def _reference_csv(header: list[str], rows: list[list]) -> bytes:
+    """CSV text built row by row, each cell formatted on its own."""
+    def cell(v):
+        if isinstance(v, (bool, np.bool_)):
+            return "true" if v else "false"
+        if isinstance(v, int):
+            return str(v)
+        return repr(float(v))
+    lines = [",".join(header)] + [",".join(cell(v) for v in row) for row in rows]
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def _run_and_read(tmp_path, payload: dict, csv_name: str) -> tuple[bytes, dict]:
+    out = tmp_path / "out"
+    assert run(write_scenario(tmp_path, payload), out_dir=str(out)) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    return (out / csv_name).read_bytes(), summary
+
+
+def test_hazard_grid_matches_row_by_row(tmp_path):
+    payload = {"command": "hazard", "grid": [
+        {"axis": "q", "start": 0.05, "stop": 1.5, "count": 7},
+        {"axis": "s", "start": -0.4, "stop": "3pi/2", "count": 501}]}
+    got, summary = _run_and_read(tmp_path, payload, "hazard.csv")
+    rows = []
+    for q in np.linspace(0.05, 1.5, 7).tolist():
+        m0 = MeanValueState(a=[0.0, math.cos(q), 0.0], c1=math.sin(q), c2=0.0)
+        for s in np.linspace(-0.4, 3 * math.pi / 2, 501).tolist():
+            exact = evolve_mean_values(m0, q + s).a[1]
+            conj = sigma2_conjunction(math.cos(q), math.sin(q), q, s)
+            rows.append([q, s, exact, conj, 1.0 - abs(exact), 1.0 - abs(conj)])
+    header = ["q", "s", "sigma2_exact", "sigma2_conjunction", "margin_exact", "margin_conjunction"]
+    assert got == _reference_csv(header, rows)
+    assert summary["max_sigma2_conjunction"] == max(row[3] for row in rows)
+    assert summary["rows"] == 7 * 501
+
+
+def test_evolve_grid_matches_row_by_row(tmp_path):
+    rng = np.random.default_rng(31)
+    a, (c1, c2) = rng.uniform(-0.6, 0.6, 3).tolist(), rng.uniform(-0.6, 0.6, 2).tolist()
+    payload = {"command": "evolve", "state": {"a": a, "c1": c1, "c2": c2},
+               "grid": {"axis": "t", "start": -3, "stop": 40, "count": 2001}}
+    got, summary = _run_and_read(tmp_path, payload, "evolve.csv")
+    m0 = MeanValueState(a=a, c1=c1, c2=c2)
+    rows = []
+    for t in np.linspace(-3, 40, 2001).tolist():
+        m = evolve_mean_values(m0, t)
+        rows.append([t, *m.a, m.c1, m.c2, np.linalg.norm(m.a)])
+    assert got == _reference_csv(["t", "a1", "a2", "a3", "c1", "c2", "norm_a"], rows)
+    assert summary["rows"] == 2001
+
+
+def test_conjunct_sweep_matches_row_by_row(tmp_path):
+    rng = np.random.default_rng(37)
+    a, (c1, c2) = rng.uniform(-0.6, 0.6, 3).tolist(), rng.uniform(-0.6, 0.6, 2).tolist()
+    t = 0.7
+    payload = {"command": "conjunct", "state": {"a": a, "c1": c1, "c2": c2},
+               "schedule": {"t": t}, "grid": {"axis": "s", "start": -1, "stop": 9, "count": 2001}}
+    got, summary = _run_and_read(tmp_path, payload, "conjunct.csv")
+    m0 = MeanValueState(a=a, c1=c1, c2=c2)
+    first_leg = ReducedMap(c1, c2, t).apply(a)
+    rows = []
+    for s in np.linspace(-1, 9, 2001).tolist():
+        conj = ReducedMap(c1, c2, s).apply(first_leg)
+        exact = evolve_mean_values(m0, t + s).a
+        norm_exact, norm_conj = np.linalg.norm(exact), np.linalg.norm(conj)
+        rows.append([s, exact[1], conj[1], norm_exact, norm_conj,
+                     1.0 - norm_exact, 1.0 - norm_conj])
+    header = ["s", "sigma2_exact", "sigma2_conjunction", "norm_exact", "norm_conjunction",
+              "margin_exact", "margin_conjunction"]
+    assert got == _reference_csv(header, rows)
+    best = max(rows, key=lambda row: row[2])  # first of equal maxima, as a scan keeps
+    assert summary["max_sigma2_conjunction"] == best[2]
+    assert summary["argmax_s"] == best[0]
+    assert summary["first_hazard_s"] == next(
+        (row[0] for row in rows if row[4] > 1.0 + 1e-9), None)
+
+
+def test_slippage_grid_matches_row_by_row(tmp_path):
+    payload = {"command": "slippage", "n": 4, "grid": [
+        {"axis": "a2", "start": -1.05, "stop": 1.05, "count": 31},
+        {"axis": "c1", "start": -0.6, "stop": 0.6, "count": 7}]}
+    got, _ = _run_and_read(tmp_path, payload, "slippage.csv")
+    rows = []
+    for n in range(1, 5):
+        for a2 in np.linspace(-1.05, 1.05, 31).tolist():
+            for c1 in np.linspace(-0.6, 0.6, 7).tolist():
+                verdict = slipped_domain_check(a2, c1, n, tol=1e-9)
+                slipped = slip_state([0.0, a2, 0.0], c1, n)
+                rows.append([n, a2, c1, verdict.inside, verdict.margin, slipped[1]])
+    assert got == _reference_csv(["n", "a2", "c1", "inside", "margin", "a2_slipped"], rows)
+
+
+def test_hazard_grid_calls_each_kernel_o1_times(tmp_path, monkeypatch):
+    calls = {"evolve_mean_values": 0, "sigma2_conjunction": 0}
+    for name in calls:
+        original = getattr(cli, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, counted)
+    payload = {"command": "hazard", "grid": [
+        {"axis": "q", "start": 0.1, "stop": 1.4, "count": 6},
+        {"axis": "s", "start": 0, "stop": 2, "count": 50}]}
+    assert run(write_scenario(tmp_path, payload), out_dir=str(tmp_path / "out")) == 0
+    assert calls["evolve_mean_values"] <= 1
+    assert calls["sigma2_conjunction"] <= 1
+
+
+# ---------------------------------------------------------------- input boundary
+
+def _assert_exit_1_nothing_written(tmp_path, payload: dict, field: str, capsys) -> None:
+    out = tmp_path / "out"
+    assert run(write_scenario(tmp_path, payload), out_dir=str(out)) == 1
+    assert not out.exists()
+    assert field in capsys.readouterr().err
+
+
+def test_infinite_correlation_rejected_with_field_path(tmp_path, capsys):
+    payload = {"command": "evolve", "state": {"a": [0, 0.5, 0], "c1": math.inf, "c2": 0},
+               "grid": {"axis": "t", "start": 0, "stop": 1, "count": 5}}
+    assert "Infinity" in json.dumps(payload)  # the file carries the JSON extension literal
+    _assert_exit_1_nothing_written(tmp_path, payload, "state.c1", capsys)
+
+
+def test_nan_bloch_component_rejected_with_field_path(tmp_path, capsys):
+    payload = {"command": "growth", "state": {"a": [0, math.nan, 0], "c1": 0.2}, "n": 3}
+    assert "NaN" in json.dumps(payload)
+    _assert_exit_1_nothing_written(tmp_path, payload, "state.a[1]", capsys)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, 10**400, "9" * 400 + "pi"],
+                         ids=["inf", "-inf", "nan", "huge-int", "huge-pi-string"])
+def test_non_finite_angles_rejected(bad):
+    with pytest.raises(ScenarioError, match="finite"):
+        parse_angle(bad, "x")
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-3])
+def test_bad_tol_flag_exits_1_without_output(tmp_path, tol, capsys):
+    out = tmp_path / "out"
+    assert run(os.path.join(SCENARIOS, "hazard.json"), out_dir=str(out), tol=tol) == 1
+    assert not out.exists()
+    assert "--tol" in capsys.readouterr().err
+
+
+def test_write_failure_leaves_nothing(tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / "summary.json").mkdir(parents=True)  # the summary cannot be written
+    assert run(os.path.join(SCENARIOS, "hazard.json"), out_dir=str(out)) == 1
+    assert [p.name for p in out.iterdir()] == ["summary.json"]
+    assert (out / "summary.json").is_dir()
+    assert "cannot write output" in capsys.readouterr().err
+
+
+def test_main_parses_the_scenario_once(tmp_path, monkeypatch):
+    loads = []
+    original = cli.load_scenario
+    monkeypatch.setattr(cli, "load_scenario", lambda path: loads.append(path) or original(path))
+    path = os.path.join(SCENARIOS, "hazard.json")
+    assert main(["hazard", "--scenario", path, "--out", str(tmp_path / "out")]) == 0
+    assert loads == [path]

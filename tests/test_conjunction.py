@@ -9,6 +9,7 @@ import pytest
 from qmaplab.conjunction import (
     ConjunctionSchedule,
     EdgeState,
+    _sigma2_legs,
     brute_force_max,
     conjunct,
     first_unphysical_n,
@@ -16,7 +17,7 @@ from qmaplab.conjunction import (
     sigma2_conjunction,
 )
 from qmaplab.dynamics import MeanValueState, evolve_mean_values
-from qmaplab.reduced import compat_slice_check
+from qmaplab.reduced import ReducedMap, compat_slice_check
 
 
 def test_schedule_counts():
@@ -224,3 +225,22 @@ def test_predecessor_left_domain_before_hazard(seed):
         assert k >= 1 or compat_slice_check(a2, c1).margin < 0
         if k >= 1:
             assert compat_slice_check(float(mags[k - 1]), c1).margin < 0
+
+
+def test_broadcast_forms_equal_scalar_closed_forms_exactly():
+    rng = np.random.default_rng(23)
+    a2, c1 = rng.uniform(-1, 1, (2, 300))
+    t, s = rng.uniform(-10, 10, (2, 300))
+    conj = sigma2_conjunction(a2, c1, t, s)
+    frozen_c1, frozen_c2, a = 0.3, -0.7, [0.2, -0.5, 0.4]
+    applied = ReducedMap(frozen_c1, frozen_c2, s).apply(a)
+    for k in range(300):
+        x2, y1, tk, sk = float(a2[k]), float(c1[k]), float(t[k]), float(s[k])
+        expected = x2 * math.cos(tk) * math.cos(sk) + y1 * (
+            math.sin(tk) * math.cos(sk) + math.sin(sk))
+        assert float(conj[k]) == expected == sigma2_conjunction(x2, y1, tk, sk)
+        fold = (x2 * math.cos(tk) + y1 * math.sin(tk)) * math.cos(sk) + y1 * math.sin(sk)
+        assert _sigma2_legs(x2, y1, [tk, sk]) == fold
+        assert applied[:, k].tolist() == ReducedMap(frozen_c1, frozen_c2, sk).apply(a).tolist()
+        assert applied[:, k].tolist() == [a[0] * math.cos(sk) - frozen_c2 * math.sin(sk),
+                                          a[1] * math.cos(sk) + frozen_c1 * math.sin(sk), a[2]]

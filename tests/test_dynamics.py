@@ -11,6 +11,7 @@ from qmaplab.dynamics import (
     crosscheck,
     evolve_density,
     evolve_mean_values,
+    rotate,
     unitary,
 )
 from qmaplab.pauli import (
@@ -140,3 +141,26 @@ def test_crosscheck_random(seed):
     rng = np.random.default_rng(seed)
     for _ in range(30):
         assert crosscheck(random_state(rng), float(rng.uniform(0, 4 * math.pi))) < 1e-12
+
+
+def _closed_form(a1, a2, a3, c1, c2, t):
+    """The five-value rotation written out in plain floats and math trig."""
+    ct, st = math.cos(t), math.sin(t)
+    return (a1 * ct - c2 * st, a2 * ct + c1 * st, a3, c1 * ct - a2 * st, c2 * ct + a1 * st)
+
+
+def test_rotate_equals_scalar_closed_form_exactly():
+    rng = np.random.default_rng(17)
+    n = 2000
+    a = rng.uniform(-1, 1, (3, n))
+    c1, c2 = rng.uniform(-1, 1, (2, n))
+    t = rng.uniform(-50, 50, n)
+    batch = rotate(a, c1, c2, t)  # one broadcast call over every state
+    for k in range(n):
+        expected = _closed_form(*a[:, k].tolist(), float(c1[k]), float(c2[k]), float(t[k]))
+        assert tuple(float(v[k]) for v in batch) == expected
+        assert tuple(map(float, rotate(a[:, k].tolist(), float(c1[k]), float(c2[k]),
+                                       float(t[k])))) == expected
+        if k < 100:
+            m = evolve_mean_values(MeanValueState(a=a[:, k], c1=c1[k], c2=c2[k]), float(t[k]))
+            assert tuple(as_five(m).tolist()) == expected

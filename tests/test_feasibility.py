@@ -1,5 +1,4 @@
-"""Feasibility oracle: closed-form witness, dual certificate, verdicts, and
-cross-validation."""
+"""Feasibility oracle: closed-form witness, dual certificate, verdicts."""
 from __future__ import annotations
 
 import math
@@ -8,8 +7,6 @@ import numpy as np
 import pytest
 
 from qmaplab.feasibility import (
-    CrossValidationSpec,
-    cross_validate,
     dual_certificate,
     feasibility_search,
     is_compatible_oracle,
@@ -153,29 +150,3 @@ def test_witness_soundness_on_feasible_points(seed):
     assert abs(min_eigenvalue(rho) - best) < 1e-12
     assert abs(witness.a[1] - a2) < 1e-10
     assert abs(witness.T[0, 0] - c1) < 1e-10
-
-
-def test_cross_validate_slice_grid():
-    spec = CrossValidationSpec(
-        a2_values=np.linspace(-1, 1, 11),
-        c1_values=np.linspace(-1, 1, 11),
-    )
-    report = cross_validate(spec)
-    assert report.disagreements == ()
-    assert report.worst_margin_gap == 0.0
-    assert report.points_checked + report.boundary_excluded == 121
-
-
-def test_cross_validate_includes_origin():
-    spec = CrossValidationSpec(a2_values=[0.0], c1_values=[0.0])
-    report = cross_validate(spec)
-    assert report.points_checked == 1
-    assert report.disagreements == ()
-
-
-def test_cross_validate_random_general_states():
-    # logged experiment: sup-over-time vs oracle away from the slice
-    spec = CrossValidationSpec(a2_values=[], c1_values=[], random_points=25, seed=3)
-    report = cross_validate(spec)
-    assert report.points_checked + report.boundary_excluded == 25
-    assert report.disagreements == ()
