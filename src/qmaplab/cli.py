@@ -501,26 +501,31 @@ def _run_growth(sc: Scenario, tol: float, seed: int) -> tuple[list, Columns, dic
     return header, rows, summary
 
 
-def _run_domain_map(sc: Scenario, tol: float, seed: int) -> tuple[list, list, dict]:
+def _slice_verdicts(a2_values, c1_values, tol: float):
+    """Slice-check and sup-norm verdicts for the slice states of the a2 x c1
+    grid, one entry per point in row order (c1 varying fastest)."""
+    a2, c1 = (v.ravel() for v in np.meshgrid(a2_values, c1_values, indexing="ij"))
+    sl = compat_slice_check(a2, c1, tol=tol)
+    sup = in_compatibility_domain(c1, 0.0, np.stack(np.broadcast_arrays(0.0, a2, 0.0)), tol=tol)
+    return a2, c1, sl, sup
+
+
+def _run_domain_map(sc: Scenario, tol: float, seed: int) -> tuple[list, Columns, dict]:
     a2_values = sc.grid("a2").values()
     c1_values = sc.grid("c1").values()
+    a2, c1, sl, sup = _slice_verdicts(a2_values, c1_values, tol)
+    best = np.array([feasibility_search([0.0, x, 0.0], y, 0.0)[0]
+                     for x, y in zip(a2.tolist(), c1.tolist())])
+    near_boundary = (np.abs(sl.margin) <= BOUNDARY_BAND) | (np.abs(4.0 * best) <= BOUNDARY_BAND)
+    agree = (sl.inside == sup.inside) & (sup.inside == (best >= -tol))
     header = ["a2", "c1", "slice_margin", "supnorm_margin", "oracle_margin",
               "near_boundary", "agree"]
-    rows = []
-    for a2 in a2_values:
-        for c1 in c1_values:
-            a2, c1 = float(a2), float(c1)
-            sl = compat_slice_check(a2, c1, tol=tol)
-            sup = in_compatibility_domain(c1, 0.0, [0.0, a2, 0.0], tol=tol)
-            best, _ = feasibility_search([0.0, a2, 0.0], c1, 0.0)
-            near_boundary = abs(sl.margin) <= BOUNDARY_BAND or abs(4.0 * best) <= BOUNDARY_BAND
-            oracle_inside = best >= -tol
-            agree = (sl.inside == sup.inside == oracle_inside)
-            rows.append([a2, c1, sl.margin, sup.margin, best, near_boundary, agree])
+    rows = Columns(_axis(a2_values, inner=c1_values.size), _axis(c1_values, outer=a2_values.size),
+                   sl.margin, sup.margin, best, near_boundary, agree)
     summary = {
         "points": len(rows),
-        "near_boundary": sum(row[5] for row in rows),
-        "disagreements": sum(not row[5] and not row[6] for row in rows),
+        "near_boundary": int(near_boundary.sum()),
+        "disagreements": int((~near_boundary & ~agree).sum()),
         "rows": len(rows),
     }
     return header, rows, summary
@@ -581,14 +586,11 @@ def _run_validate(sc: Scenario, tol: float, seed: int) -> tuple[list, list, dict
         worst = max(worst, crosscheck(s, float(rng.uniform(0, 4 * math.pi))))
     checks.append(("mean_values_vs_unitary", worst < 1e-12, f"max_discrepancy={worst:.3e}"))
 
-    # closed-form supremum vs dense grid
-    worst = 0.0
-    for _ in range(500):
-        a = rng.uniform(-1, 1, 3)
-        c1, c2 = rng.uniform(-1, 1, 2)
-        sup_closed, _ = sup_norm_over_time(c1, c2, a)
-        sup_grid, _ = sup_norm_grid(c1, c2, a, points=20_000)
-        worst = max(worst, abs(sup_closed - sup_grid) / max(sup_closed, 1e-12))
+    # closed-form supremum vs dense grid, 500 states (a1, a2, a3, c1, c2) per row
+    a1, a2, a3, c1, c2 = rng.uniform(-1, 1, (500, 5)).T
+    sup_closed, _ = sup_norm_over_time(c1, c2, np.stack((a1, a2, a3)))
+    sup_grid, _ = sup_norm_grid(c1, c2, np.stack((a1, a2, a3)), points=20_000)
+    worst = max(0.0, float(np.max(np.abs(sup_closed - sup_grid) / np.maximum(sup_closed, 1e-12))))
     checks.append(("sup_norm_closed_vs_grid", worst < 1e-9, f"max_rel_err={worst:.3e}"))
 
     # greedy growth vs brute-force grid maximization
@@ -601,32 +603,25 @@ def _run_validate(sc: Scenario, tol: float, seed: int) -> tuple[list, list, dict
     checks.append(("greedy_vs_brute_force", worst < 1e-6, f"max_abs_err={worst:.3e}"))
 
     # slice check vs sup-over-time verdicts on a dense analytic grid
-    mismatches = 0
-    for a2 in np.linspace(-1.2, 1.2, 201):
-        for c1 in np.linspace(-1.2, 1.2, 201):
-            sl = compat_slice_check(float(a2), float(c1), tol=tol)
-            if abs(sl.margin) <= 1e-9:
-                continue
-            sup = in_compatibility_domain(float(c1), 0.0, [0.0, float(a2), 0.0], tol=tol)
-            if sl.inside != sup.inside:
-                mismatches += 1
+    grid = np.linspace(-1.2, 1.2, 201)
+    _, _, sl, sup = _slice_verdicts(grid, grid, tol)
+    mismatches = int(np.sum(~(np.abs(sl.margin) <= 1e-9) & (sl.inside != sup.inside)))
     checks.append(("slice_vs_sup_norm_verdicts", mismatches == 0, f"mismatches={mismatches}"))
 
     # feasibility oracle vs the analytic slice condition, with certificate audit
     disagreements = 0
     witness_bad = 0
     values = np.linspace(-1.0, 1.0, 11)
-    for a2 in values:
-        for c1 in values:
-            a2, c1 = float(a2), float(c1)
-            sl = compat_slice_check(a2, c1, tol=tol)
-            best, witness = feasibility_search([0.0, a2, 0.0], c1, 0.0)
-            if not _oracle_answer_certified([0.0, a2, 0.0], c1, 0.0, best, witness, tol):
-                witness_bad += 1
-            if abs(sl.margin) <= BOUNDARY_BAND or abs(4.0 * best) <= BOUNDARY_BAND:
-                continue
-            if (best >= -tol) != sl.inside:
-                disagreements += 1
+    a2s, c1s = (v.ravel() for v in np.meshgrid(values, values, indexing="ij"))
+    sl = compat_slice_check(a2s, c1s, tol=tol)
+    for a2, c1, margin, inside in zip(*(v.tolist() for v in (a2s, c1s, sl.margin, sl.inside))):
+        best, witness = feasibility_search([0.0, a2, 0.0], c1, 0.0)
+        if not _oracle_answer_certified([0.0, a2, 0.0], c1, 0.0, best, witness, tol):
+            witness_bad += 1
+        if abs(margin) <= BOUNDARY_BAND or abs(4.0 * best) <= BOUNDARY_BAND:
+            continue
+        if (best >= -tol) != inside:
+            disagreements += 1
     checks.append(("oracle_vs_slice_verdicts", disagreements == 0, f"disagreements={disagreements}"))
     checks.append(("oracle_witness_soundness", witness_bad == 0, f"bad_witnesses={witness_bad}"))
 

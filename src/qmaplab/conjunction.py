@@ -154,13 +154,54 @@ def greedy_extremal_growth(
     return np.array(magnitudes), ConjunctionSchedule(t=durations[0], steps=tuple(durations[1:]))
 
 
-def brute_force_max(a2: float, c1: float, n: int, grid_points: int = 128) -> float:
-    """Independent oracle for the growth law: maximize |<S_2>| over a uniform
-    grid on [0, 2 pi)^(n+1), then refine with one cyclic pass of
-    golden-section searches (one bracketed 1-D solve per leg).
+def _require_finite(a2: float, c1: float) -> None:
+    if not (math.isfinite(a2) and math.isfinite(c1)):
+        raise ValueError(f"a2 and c1 must be finite, got a2={a2!r}, c1={c1!r}")
 
-    Cost grows as grid_points^(n+1); n is capped at 3 and the last leg is
-    folded chunk-wise so the full grid is never materialized.
+
+def _grid_argmax(a2: float, c1: float, n: int, grid_points: int) -> tuple[float, tuple[int, ...]]:
+    """Maximum of |v_n| over every schedule on the uniform grid of
+    `grid_points` angles per leg, and the first maximizing leg indices in
+    C order, without enumerating the grid_points^(n+1) schedules.
+
+    Each leg maps v to fl(fl(v cos g) + fl(c1 sin g)).  Rounding is
+    monotone, so for a fixed grid angle g the step is monotone in v, and the
+    largest and smallest values reachable after a leg come from the largest
+    and smallest after the leg before.  That envelope, taken with the same
+    arithmetic, gives the grid maximum.  The maximizer is fixed one leg at a
+    time: the first grid index whose continuation envelope still reaches
+    the maximum.  Cost O(n^2 G^2) for G grid points.
+    """
+    grid = np.arange(grid_points) * (_TWO_PI / grid_points)
+    cos_g, sin_g = np.cos(grid), np.sin(grid)
+
+    def leg(v):
+        """One leg from each value of v, over every grid angle (last axis)."""
+        return np.asarray(v)[..., None] * cos_g + c1 * sin_g
+
+    def peak(v, legs: int):
+        """max |value| reachable from each value of v in `legs` more legs."""
+        hi = lo = np.asarray(v)
+        for _ in range(legs):
+            both = leg(np.stack((hi, lo)))
+            hi, lo = both.max(axis=(0, -1)), both.min(axis=(0, -1))
+        return np.maximum(np.abs(hi), np.abs(lo))
+
+    best_val = float(peak(a2, n + 1))
+    v, idx = a2, []
+    for k in range(n + 1):
+        reachable = leg(v)
+        idx.append(int(np.flatnonzero(peak(reachable, n - k) == best_val)[0]))
+        v = reachable[idx[-1]]
+    return best_val, tuple(idx)
+
+
+def brute_force_max(a2: float, c1: float, n: int, grid_points: int = 128) -> float:
+    """Independent oracle for the growth law: the exact maximum of |<S_2>|
+    over a uniform grid on [0, 2 pi)^(n+1) (`_grid_argmax`, an envelope
+    that costs O(n^2 G^2) rather than G^(n+1)), then one cyclic pass of
+    golden-section searches (one bracketed 1-D solve per leg).  n is capped
+    at 3.
     """
     if n > 3:
         raise ValueError("brute_force_max supports n <= 3; use greedy_extremal_growth")
@@ -168,36 +209,12 @@ def brute_force_max(a2: float, c1: float, n: int, grid_points: int = 128) -> flo
         raise ValueError(f"n must be >= 0, got {n}")
     if grid_points < 64:
         raise ValueError(f"grid_points must be >= 64, got {grid_points}")
+    _require_finite(a2, c1)
 
-    grid = np.arange(grid_points) * (_TWO_PI / grid_points)
-    cos_g, sin_g = np.cos(grid), np.sin(grid)
-
-    # expand legs 0..n-1 into a flat array of running values (C order, so a
-    # flat position decodes back to per-leg grid indices)
-    v = a2 * cos_g + c1 * sin_g
-    for _ in range(n - 1):
-        v = (v[:, None] * cos_g + c1 * sin_g).ravel()
-
-    if n == 0:
-        best_flat = int(np.argmax(np.abs(v)))
-        best_val = abs(float(v[best_flat]))
-    else:
-        # final leg, chunked to bound memory
-        chunk = max(1, 2**22 // grid_points)
-        best_val, best_flat = -1.0, 0
-        for start in range(0, v.size, chunk):
-            block = np.abs(v[start : start + chunk, None] * cos_g + c1 * sin_g)
-            flat = int(np.argmax(block))
-            if block.flat[flat] > best_val:
-                best_val = float(block.flat[flat])
-                row, col = divmod(flat, grid_points)
-                best_flat = (start + row) * grid_points + col
-    leg_idx = np.unravel_index(best_flat, (grid_points,) * (n + 1))
-    best_legs = [grid[j] for j in leg_idx]
-
-    # one cyclic refinement pass: golden-section each leg on +/- one spacing
+    _, idx = _grid_argmax(a2, c1, n, grid_points)
     h = _TWO_PI / grid_points
-    legs = list(best_legs)
+    legs = [j * h for j in idx]
+    # one cyclic refinement pass: golden-section each leg on +/- one spacing
     for i in range(len(legs)):
 
         def objective(x: float, i: int = i) -> float:
@@ -216,7 +233,9 @@ def first_unphysical_n(a2: float, c1: float) -> Optional[int]:
     None when c1 == 0 (no correlation, no growth).  The inequality is tested
     directly with a 1e-12 boundary guard, so sums landing exactly on 1 do not
     count as exceeding it; no floating floor/ceil decides the index.
+    Raises ValueError for non-finite a2 or c1.
     """
+    _require_finite(a2, c1)
     c1_sq = c1 * c1
     if c1_sq < 1e-300:  # zero or numerically indistinguishable from it
         return None

@@ -1,5 +1,6 @@
-"""Small derivative-free search utilities: 1-D golden-section refinement and
-a bounded Nelder-Mead simplex.  Both are deterministic given their inputs."""
+"""Small derivative-free search utilities: 1-D golden-section refinement
+(broadcast over a batch of brackets) and a bounded Nelder-Mead simplex.
+Both are deterministic given their inputs."""
 from __future__ import annotations
 
 import math
@@ -12,33 +13,53 @@ _INVPHI_SQ = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
 
 
 def golden_section_max(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
+    f: Callable,
+    lo,
+    hi,
     tol: float = 1e-12,
     max_iter: int = 200,
-) -> tuple[float, float]:
-    """Maximize a unimodal function on [lo, hi] by golden-section search."""
-    a, b = float(lo), float(hi)
+):
+    """Maximize a unimodal function on [lo, hi] by golden-section search.
+
+    Broadcasts over brackets: `lo` and `hi` may be arrays, and `f` maps an
+    array of abscissae of their broadcast shape to the array of values,
+    element by element.  Each element stops on its own once its bracket is
+    no wider than `tol`; widths differ by a few ulps between elements, so
+    iteration counts can differ.  Returns (argmax, max), numpy scalars for
+    scalar brackets.
+    """
+    shape = np.broadcast(lo, hi).shape
+    a, b = (np.array(np.broadcast_to(v, shape), dtype=float).ravel() for v in (lo, hi))
+
+    def values(x: np.ndarray) -> np.ndarray:
+        return np.asarray(f(x.reshape(shape)[()]), dtype=float).ravel()
+
     h = b - a
     c = a + _INVPHI_SQ * h
     d = a + _INVPHI * h
-    fc, fd = f(c), f(d)
+    fc, fd = values(c), values(d)
     for _ in range(max_iter):
-        if h <= tol:
+        live = h > tol
+        if not live.any():
             break
-        if fc > fd:
-            b, d, fd = d, c, fc
-            h = b - a
-            c = a + _INVPHI_SQ * h
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            h = b - a
-            d = a + _INVPHI * h
-            fd = f(d)
-    x = c if fc > fd else d
-    return x, max(fc, fd)
+        gt = fc > fd
+        left, right = live & gt, live & ~gt
+        # left keeps [a, d]: the old c becomes d and c is probed anew;
+        # right keeps [c, b]: the old d becomes c and d is probed anew
+        np.copyto(a, c, where=right)
+        np.copyto(b, d, where=left)
+        h = b - a
+        x = a + np.where(left, _INVPHI_SQ, _INVPHI) * h
+        fx = values(x)
+        for p, q, new in ((c, d, x), (fc, fd, fx)):
+            np.copyto(q, p, where=left)
+            np.copyto(p, q, where=right)
+            np.copyto(p, new, where=left)
+            np.copyto(q, new, where=right)
+    x = np.where(fc > fd, c, d)
+    # the larger value as Python's max picks it: fc unless fd is larger
+    fx = np.where(fd > fc, fd, fc)
+    return x.reshape(shape)[()], fx.reshape(shape)[()]
 
 
 def nelder_mead_max(

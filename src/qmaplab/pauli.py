@@ -62,6 +62,14 @@ def _as_bloch(a) -> np.ndarray:
     return a
 
 
+def _as_blochs(a) -> np.ndarray:
+    """Bloch vectors stacked along trailing axes: shape (3, ...)."""
+    a = np.asarray(a, dtype=float)
+    if a.shape[:1] != (3,):
+        raise ValueError(f"Bloch vectors must have shape (3, ...), got {a.shape}")
+    return a
+
+
 @dataclass(frozen=True)
 class TwoQubitState:
     """15-parameter two-qubit state: Bloch vectors `a`, `b` and correlation

@@ -16,7 +16,7 @@ import numpy as np
 
 from .dynamics import rotate
 from .optimize import golden_section_max
-from .pauli import DEFAULT_TOL, _as_bloch
+from .pauli import DEFAULT_TOL, _as_bloch, _as_blochs
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,21 @@ def in_positivity_domain(m: ReducedMap, a, tol: float = DEFAULT_TOL) -> DomainVe
     return DomainVerdict(inside=margin >= -tol, margin=margin)
 
 
-def _norm_sq_coeffs(c1: float, c2: float, a: np.ndarray) -> tuple[float, float, float]:
+def _sq(x):
+    """x**2 rounded as Python's scalar power rounds it (libm pow).  That
+    differs from x*x, which array ** 2 computes, in about 0.1% of doubles;
+    the domain-map and validate outputs carry the scalar rounding."""
+    return np.float_power(x, 2)
+
+
+def _math2(fn, x, y) -> np.ndarray:
+    """The `math` function fn(x, y) element by element over broadcast x, y.
+    np.hypot and np.arctan2 round differently from math.hypot and
+    math.atan2 (about 0.6% and 8% of random pairs)."""
+    return np.asarray(np.frompyfunc(fn, 2, 1)(x, y), dtype=float)
+
+
+def _norm_sq_coeffs(c1, c2, a: np.ndarray) -> tuple:
     """|a(t)|^2 = A + B cos 2t + C sin 2t.
 
     With r^2 = a1^2 + a2^2 and k^2 = c1^2 + c2^2 the squared norm expands to
@@ -60,52 +74,73 @@ def _norm_sq_coeffs(c1: float, c2: float, a: np.ndarray) -> tuple[float, float, 
     double-angle identities give A = a3^2 + (r^2 + k^2)/2,
     B = (r^2 - k^2)/2, C = a2 c1 - a1 c2.
     """
-    r_sq = a[0] ** 2 + a[1] ** 2
-    k_sq = c1**2 + c2**2
-    big_a = a[2] ** 2 + 0.5 * (r_sq + k_sq)
+    r_sq = _sq(a[0]) + _sq(a[1])
+    k_sq = _sq(c1) + _sq(c2)
+    big_a = _sq(a[2]) + 0.5 * (r_sq + k_sq)
     big_b = 0.5 * (r_sq - k_sq)
     big_c = a[1] * c1 - a[0] * c2
     return big_a, big_b, big_c
 
 
-def sup_norm_over_time(c1: float, c2: float, a) -> tuple[float, float]:
+def sup_norm_over_time(c1, c2, a):
     """Supremum of |a(t)| over t in [0, 2 pi), with a maximizing t.
 
     Closed form: max |a(t)|^2 = A + sqrt(B^2 + C^2) with the coefficients of
-    `_norm_sq_coeffs`, attained at 2t = atan2(C, B).
+    `_norm_sq_coeffs`, attained at 2t = atan2(C, B).  Broadcasts: `a` may
+    stack Bloch vectors along trailing axes, shape (3, ...), against arrays
+    of c1 and c2.
     """
-    a = _as_bloch(a)
-    big_a, big_b, big_c = _norm_sq_coeffs(c1, c2, a)
-    amp = math.hypot(big_b, big_c)
-    sup_sq = big_a + amp
-    if amp == 0.0:
-        argmax_t = 0.0  # |a(t)| constant; every t maximizes
-    else:
-        argmax_t = 0.5 * math.atan2(big_c, big_b) % (2 * math.pi)
-    return math.sqrt(max(sup_sq, 0.0)), argmax_t
+    big_a, big_b, big_c = _norm_sq_coeffs(c1, c2, _as_blochs(a))
+    amp = _math2(math.hypot, big_b, big_c)
+    sup = np.sqrt(np.maximum(big_a + amp, 0.0))
+    # amp == 0: |a(t)| is constant and every t maximizes; report t = 0
+    argmax_t = np.where(amp == 0.0, 0.0, 0.5 * _math2(math.atan2, big_c, big_b) % (2 * math.pi))
+    return sup[()], argmax_t[()]
 
 
-def sup_norm_grid(c1: float, c2: float, a, points: int = 100_000) -> tuple[float, float]:
+# grid values per chunk in `sup_norm_grid`, bounding its memory
+_GRID_CHUNK = 1 << 17
+
+
+def sup_norm_grid(c1, c2, a, points: int = 100_000):
     """Validation path for `sup_norm_over_time`: dense grid over [0, 2 pi)
-    plus one golden-section refinement around the best grid point."""
-    a = _as_bloch(a)
-    ts = np.linspace(0.0, 2 * math.pi, points, endpoint=False)
-    a1t, a2t, _, _, _ = rotate(a, c1, c2, ts)
-    norm_sq = a1t**2 + a2t**2 + a[2] ** 2
-    k = int(np.argmax(norm_sq))
-    h = 2 * math.pi / points
+    plus one golden-section refinement around the best grid point.
 
-    def norm_sq_at(t: float) -> float:
-        a1t, a2t, a3, _, _ = rotate(a, c1, c2, t)
-        return a1t**2 + a2t**2 + a3**2
+    Broadcasts like `sup_norm_over_time`.  The t grid goes through in
+    chunks against every state at once, so each cos/sin is taken once and
+    memory stays bounded; the refinement runs once for the whole batch.
+    """
+    a1, a2, a3, c1, c2 = np.broadcast_arrays(*_as_blochs(a), c1, c2)
+    shape = a1.shape
+    a, c1, c2 = np.stack((a1.ravel(), a2.ravel(), a3.ravel())), c1.ravel(), c2.ravel()
+    ts = np.linspace(0.0, 2 * math.pi, points, endpoint=False)
+    h = 2 * math.pi / points
+    # running first argmax over the chunks: a later chunk wins only if larger
+    k = np.zeros(c1.size, dtype=int)
+    best = np.full(c1.size, -np.inf)
+    step = max(1, _GRID_CHUNK // max(c1.size, 1))
+    a3_sq = _sq(a[2, :, None])
+    for lo in range(0, points, step):
+        a1t, a2t, _, _, _ = rotate(a[:, :, None], c1[:, None], c2[:, None], ts[lo:lo + step])
+        norm_sq = a1t * a1t + a2t * a2t + a3_sq
+        j = np.argmax(norm_sq, axis=1)
+        top = np.take_along_axis(norm_sq, j[:, None], axis=1)[:, 0]
+        k = np.where(top > best, lo + j, k)
+        best = np.maximum(top, best)
+
+    def norm_sq_at(t: np.ndarray) -> np.ndarray:
+        a1t, a2t, a3t, _, _ = rotate(a, c1, c2, t)
+        return _sq(a1t) + _sq(a2t) + _sq(a3t)
 
     t_best, f_best = golden_section_max(norm_sq_at, ts[k] - h, ts[k] + h)
-    return math.sqrt(max(f_best, 0.0)), t_best % (2 * math.pi)
+    sup = np.sqrt(np.maximum(f_best, 0.0)).reshape(shape)
+    return sup[()], (t_best % (2 * math.pi)).reshape(shape)[()]
 
 
-def in_compatibility_domain(c1: float, c2: float, a, tol: float = DEFAULT_TOL) -> DomainVerdict:
+def in_compatibility_domain(c1, c2, a, tol: float = DEFAULT_TOL) -> DomainVerdict:
     """Inside iff sup over t of |a(t)| stays <= 1 + tol (intersection of all
-    positivity domains for the frozen correlations)."""
+    positivity domains for the frozen correlations).  Broadcasts like
+    `sup_norm_over_time`."""
     if tol < 0:
         raise ValueError("tol must be >= 0")
     sup, _ = sup_norm_over_time(c1, c2, a)
@@ -113,9 +148,9 @@ def in_compatibility_domain(c1: float, c2: float, a, tol: float = DEFAULT_TOL) -
     return DomainVerdict(inside=margin >= -tol, margin=margin)
 
 
-def compat_slice_check(a2: float, c1: float, tol: float = DEFAULT_TOL) -> DomainVerdict:
+def compat_slice_check(a2, c1, tol: float = DEFAULT_TOL) -> DomainVerdict:
     """Analytic compatibility check on the slice a = (0, a2, 0), c2 = 0:
     inside iff a2^2 + c1^2 <= 1.  Agrees with `in_compatibility_domain`
-    restricted to the slice."""
-    margin = 1.0 - math.hypot(a2, c1)
+    restricted to the slice.  Broadcasts over arrays of a2 and c1."""
+    margin = (1.0 - _math2(math.hypot, a2, c1))[()]
     return DomainVerdict(inside=margin >= -tol, margin=margin)

@@ -14,7 +14,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .conjunction import first_unphysical_n
-from .pauli import DEFAULT_TOL, _as_bloch
+from .pauli import DEFAULT_TOL, _as_bloch, _as_blochs
 from .reduced import DomainVerdict
 
 _MODES = ("check", "radial_scale")
@@ -73,9 +73,7 @@ def slip_state(a, c1, n) -> np.ndarray:
     a = (0, a2, 0) is supported.  Broadcasts: `a` may stack slice states
     along trailing axes, shape (3, ...), against arrays of c1 and n.
     """
-    a = np.asarray(a, dtype=float)
-    if a.shape[:1] != (3,):
-        raise ValueError(f"Bloch vectors must have shape (3, ...), got {a.shape}")
+    a = _as_blochs(a)
     if np.any(np.asarray(n) < 1):
         raise ValueError(f"n must be >= 1, got {n}")
     if np.any(a[0] != 0.0) or np.any(a[2] != 0.0):

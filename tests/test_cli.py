@@ -485,6 +485,39 @@ def test_hazard_grid_calls_each_kernel_o1_times(tmp_path, monkeypatch):
     assert calls["sigma2_conjunction"] <= 1
 
 
+def _count_calls(monkeypatch, names) -> dict:
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(cli, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, counted)
+    return calls
+
+
+def test_validate_calls_each_kernel_o1_times(tmp_path, monkeypatch):
+    calls = _count_calls(monkeypatch, ("sup_norm_grid", "sup_norm_over_time",
+                                       "in_compatibility_domain", "compat_slice_check"))
+    payload = {"command": "validate", "seed": 5}
+    assert run(write_scenario(tmp_path, payload), out_dir=str(tmp_path / "out")) == 0
+    # per-point loops made 500, 500, 40,401 and 40,522 calls
+    assert calls["sup_norm_grid"] == calls["sup_norm_over_time"] == 1
+    assert calls["in_compatibility_domain"] == 1
+    assert calls["compat_slice_check"] <= 2
+
+
+def test_domain_map_calls_each_kernel_o1_times(tmp_path, monkeypatch):
+    calls = _count_calls(monkeypatch, ("in_compatibility_domain", "compat_slice_check"))
+    payload = {"command": "domain-map", "grid": [
+        {"axis": "a2", "start": -1, "stop": 1, "count": 9},
+        {"axis": "c1", "start": -1, "stop": 1, "count": 7}]}
+    assert run(write_scenario(tmp_path, payload), out_dir=str(tmp_path / "out")) == 0
+    assert calls == {"in_compatibility_domain": 1, "compat_slice_check": 1}
+
+
 # ---------------------------------------------------------------- input boundary
 
 def _assert_exit_1_nothing_written(tmp_path, payload: dict, field: str, capsys) -> None:

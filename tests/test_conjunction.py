@@ -9,6 +9,7 @@ import pytest
 from qmaplab.conjunction import (
     ConjunctionSchedule,
     EdgeState,
+    _grid_argmax,
     _sigma2_legs,
     brute_force_max,
     conjunct,
@@ -17,7 +18,9 @@ from qmaplab.conjunction import (
     sigma2_conjunction,
 )
 from qmaplab.dynamics import MeanValueState, evolve_mean_values
+from qmaplab.optimize import golden_section_max
 from qmaplab.reduced import ReducedMap, compat_slice_check
+from qmaplab.slippage import max_safe_repetitions
 
 
 def test_schedule_counts():
@@ -184,6 +187,81 @@ def test_brute_force_matches_greedy(n):
         a2, c1 = rng.uniform(-1, 1, 2)
         mags, _ = greedy_extremal_growth(a2, c1, n)
         assert abs(brute_force_max(a2, c1, n, grid_points=64) - mags[-1]) < 1e-6
+
+
+def _enumerated_grid_argmax(a2, c1, n, grid_points):
+    """Reference for `_grid_argmax`: the plain enumeration of every schedule
+    on the grid that brute_force_max ran before the envelope.  Legs
+    0..n-1 expand into a flat C-order array; the last leg goes chunk by
+    chunk, and a later chunk wins only with a strictly larger value."""
+    grid = np.arange(grid_points) * (2 * math.pi / grid_points)
+    cos_g, c1_sin_g = np.cos(grid), c1 * np.sin(grid)
+    v = a2 * cos_g + c1_sin_g
+    for _ in range(n - 1):
+        v = (v[:, None] * cos_g + c1_sin_g).ravel()
+    if n == 0:
+        best_flat = int(np.argmax(np.abs(v)))
+        best_val = abs(float(v[best_flat]))
+    else:
+        chunk = max(1, 2**15 // grid_points)
+        best_val, best_flat = -1.0, 0
+        for start in range(0, v.size, chunk):
+            block = v[start:start + chunk, None] * cos_g
+            block += c1_sin_g
+            np.abs(block, out=block)
+            flat = int(np.argmax(block))
+            if block.flat[flat] > best_val:
+                best_val = float(block.flat[flat])
+                row, col = divmod(flat, grid_points)
+                best_flat = (start + row) * grid_points + col
+    idx = np.unravel_index(best_flat, (grid_points,) * (n + 1))
+    return best_val, tuple(int(j) for j in idx)
+
+
+def _refined(a2, c1, idx, grid_points):
+    """The cyclic golden-section pass brute_force_max runs from grid legs."""
+    grid = np.arange(grid_points) * (2 * math.pi / grid_points)
+    h = 2 * math.pi / grid_points
+    legs = [grid[j] for j in idx]
+    for i in range(len(legs)):
+
+        def objective(x, i=i):
+            trial = legs.copy()
+            trial[i] = x
+            return abs(_sigma2_legs(a2, c1, trial))
+
+        legs[i], best = golden_section_max(objective, legs[i] - h, legs[i] + h)
+    return best
+
+
+# c1 = 0, a2 = 0 and |a2| = 1 first, then 300 seeded pairs
+_PAIRS = [(0.0, 0.5), (0.6, 0.0), (0.0, 0.0), (1.0, 0.3), (-1.0, -0.7), (1.0, 0.0)] + [
+    tuple(p) for p in np.random.default_rng(2024).uniform(-1, 1, (300, 2)).tolist()]
+
+
+@pytest.mark.parametrize("n,grid_points",
+                         [(0, 64), (1, 64), (2, 64), (3, 64), (0, 128), (1, 128), (2, 128)])
+def test_envelope_equals_enumeration_exactly(n, grid_points):
+    # enumerating 64^4 schedules takes about 50 ms a pair, so n = 3 runs the
+    # first 56 pairs; the returned values are compared on the first 12
+    pairs = _PAIRS if n < 3 else _PAIRS[:56]
+    for k, (a2, c1) in enumerate(pairs):
+        expected = _enumerated_grid_argmax(a2, c1, n, grid_points)
+        assert _grid_argmax(a2, c1, n, grid_points) == expected, (a2, c1)
+        if k < 12:
+            value = brute_force_max(a2, c1, n, grid_points)
+            assert value == _refined(a2, c1, expected[1], grid_points), (a2, c1)
+
+
+@pytest.mark.parametrize("a2,c1", [(math.nan, 0.5), (0.5, math.nan), (math.inf, 0.1),
+                                   (0.2, -math.inf)])
+def test_non_finite_growth_inputs_raise(a2, c1):
+    with pytest.raises(ValueError, match="finite"):
+        first_unphysical_n(a2, c1)
+    with pytest.raises(ValueError, match="finite"):
+        max_safe_repetitions(a2, c1)
+    with pytest.raises(ValueError, match="finite"):
+        brute_force_max(a2, c1, 1, grid_points=64)
 
 
 def test_first_unphysical_known_case():

@@ -106,14 +106,12 @@ def test_sup_norm_argmax_attains_supremum():
 
 @pytest.mark.parametrize("seed", range(10))
 def test_sup_norm_closed_form_vs_dense_grid(seed):
-    # 50 cases per seed, 500 total, against a 1e5-point grid
-    rng = np.random.default_rng(seed)
-    for _ in range(50):
-        a = rng.uniform(-1, 1, 3)
-        c1, c2 = rng.uniform(-1, 1, 2)
-        sup_closed, _ = sup_norm_over_time(c1, c2, a)
-        sup_ref, _ = sup_norm_grid(c1, c2, a, points=100_000)
-        assert abs(sup_closed - sup_ref) / max(sup_ref, 1e-12) < 1e-9
+    # 50 cases per seed, 500 total, against a 1e5-point grid; one row of
+    # draws per case is (a1, a2, a3, c1, c2)
+    a1, a2, a3, c1, c2 = np.random.default_rng(seed).uniform(-1, 1, (50, 5)).T
+    sup_closed, _ = sup_norm_over_time(c1, c2, np.stack((a1, a2, a3)))
+    sup_ref, _ = sup_norm_grid(c1, c2, np.stack((a1, a2, a3)), points=100_000)
+    assert (np.abs(sup_closed - sup_ref) / np.maximum(sup_ref, 1e-12)).max() < 1e-9
 
 
 def test_compatibility_domain_boundary_and_outside():
@@ -144,14 +142,71 @@ def test_compat_slice_check_examples():
 def test_slice_check_agrees_with_sup_norm_on_grid():
     # 201x201 over [-1.2, 1.2]^2, exact verdict agreement away from the
     # 1e-9 boundary band
-    for a2 in np.linspace(-1.2, 1.2, 201):
-        for c1 in np.linspace(-1.2, 1.2, 201):
-            sl = compat_slice_check(float(a2), float(c1))
-            if abs(sl.margin) <= 1e-9:
-                continue
-            general = in_compatibility_domain(float(c1), 0.0, [0, float(a2), 0])
-            assert sl.inside == general.inside
-            assert abs(sl.margin - general.margin) < 1e-12
+    a2, c1 = np.meshgrid(np.linspace(-1.2, 1.2, 201), np.linspace(-1.2, 1.2, 201))
+    sl = compat_slice_check(a2, c1)
+    general = in_compatibility_domain(c1, 0.0, np.stack((0 * a2, a2, 0 * a2)))
+    away = np.abs(sl.margin) > 1e-9
+    assert away.sum() > 40_000
+    assert np.array_equal(sl.inside[away], general.inside[away])
+    assert np.abs(sl.margin - general.margin)[away].max() < 1e-12
+
+
+def _sup_norm_scalar_reference(c1, c2, a):
+    """The scalar closed form sup_norm_over_time computed before it
+    broadcast: libm pow squares, math.hypot and math.atan2."""
+    r_sq = a[0] ** 2 + a[1] ** 2
+    k_sq = c1**2 + c2**2
+    big_a = a[2] ** 2 + 0.5 * (r_sq + k_sq)
+    big_b = 0.5 * (r_sq - k_sq)
+    big_c = a[1] * c1 - a[0] * c2
+    amp = math.hypot(big_b, big_c)
+    argmax_t = 0.0 if amp == 0.0 else 0.5 * math.atan2(big_c, big_b) % (2 * math.pi)
+    return math.sqrt(max(big_a + amp, 0.0)), argmax_t
+
+
+def test_broadcast_domain_checks_equal_scalar_closed_forms_exactly():
+    rng = np.random.default_rng(41)
+    a = rng.uniform(-1, 1, (3, 2000))
+    c1, c2 = rng.uniform(-1, 1, (2, 2000))
+    a[0, :500] = a[2, :500] = c2[:500] = 0.0  # slice states
+    a[:, 500:510] = c1[500:510] = c2[500:510] = 0.0  # |a(t)| constant
+    sup, t_star = sup_norm_over_time(c1, c2, a)
+    verdict = in_compatibility_domain(c1, c2, a)
+    slice_verdict = compat_slice_check(a[1], c1)
+    for k in range(2000):
+        state = [float(v) for v in a[:, k]]
+        x1, x2 = float(c1[k]), float(c2[k])
+        expected = _sup_norm_scalar_reference(x1, x2, state)
+        assert (sup[k], t_star[k]) == expected == sup_norm_over_time(x1, x2, state)
+        assert verdict.margin[k] == 1.0 - expected[0]
+        assert verdict.inside[k] == in_compatibility_domain(x1, x2, state).inside
+        assert slice_verdict.margin[k] == 1.0 - math.hypot(state[1], x1)
+        assert slice_verdict.inside[k] == compat_slice_check(state[1], x1).inside
+    # a stacked (3, 40, 50) batch keeps its shape
+    stacked = sup_norm_over_time(c1.reshape(40, 50), 0.0, a.reshape(3, 40, 50))[0]
+    assert stacked.shape == (40, 50)
+
+
+def test_sup_norm_grid_batch_equals_per_state_calls():
+    # 200 seeded states plus degenerate ones where every grid point ties;
+    # the batch goes through the t grid in several chunks, one state alone
+    # in one
+    rng = np.random.default_rng(43)
+    a = rng.uniform(-1, 1, (3, 203))
+    c1, c2 = rng.uniform(-1, 1, (2, 203))
+    a[:, 200], c1[200], c2[200] = 0.0, 0.0, 0.0
+    a[:2, 201], c1[201], c2[201] = 0.0, 0.0, 0.0
+    a[:, 202], c1[202], c2[202] = (0.6, 0.0, 0.0), 0.0, 0.6
+    sup, t_best = sup_norm_grid(c1, c2, a, points=4000)
+    assert sup.shape == t_best.shape == (203,)
+    for k in range(203):
+        alone = sup_norm_grid(float(c1[k]), float(c2[k]), a[:, k], points=4000)
+        assert (sup[k], t_best[k]) == alone
+    stacked, _ = sup_norm_grid(c1[:6].reshape(2, 3), 0.0, a[:, :6].reshape(3, 2, 3),
+                               points=4000)
+    assert stacked.shape == (2, 3)
+    assert stacked.ravel().tolist() == [
+        sup_norm_grid(float(c1[k]), 0.0, a[:, k], points=4000)[0] for k in range(6)]
 
 
 @pytest.mark.parametrize("seed", range(10))
