@@ -11,7 +11,6 @@ certificate for outside.
 """
 from .conjunction import (
     ConjunctionSchedule,
-    EdgeState,
     HazardReport,
     brute_force_max,
     conjunct,
@@ -47,18 +46,16 @@ from .reduced import (
     sup_norm_grid,
     sup_norm_over_time,
 )
-from .slippage import SlippagePolicy, max_safe_repetitions, slip_state, slipped_domain_check
+from .slippage import max_safe_repetitions, slip_state, slipped_domain_check
 
 __all__ = [
     "DEFAULT_TOL",
     "ConjunctionSchedule",
     "DomainVerdict",
-    "EdgeState",
     "HazardReport",
     "MeanValueState",
     "PhysicalityVerdict",
     "ReducedMap",
-    "SlippagePolicy",
     "TwoQubitState",
     "brute_force_max",
     "compat_slice_check",

@@ -36,36 +36,24 @@ from typing import Any, Optional
 
 import numpy as np
 
+from . import checks
 from .conjunction import (
     ConjunctionSchedule,
-    brute_force_max,
     conjunct,
     first_unphysical_n,
     greedy_extremal_growth,
     sigma2_conjunction,
 )
-from .dynamics import MeanValueState, crosscheck, evolve_mean_values, rotate
-from .feasibility import dual_certificate, feasibility_search
-from .pauli import (
-    DEFAULT_TOL,
-    TwoQubitState,
-    density_from_params,
-    min_eigenvalue,
-    params_from_density,
-)
-from .reduced import (
-    ReducedMap,
-    compat_slice_check,
-    in_compatibility_domain,
-    sup_norm_grid,
-    sup_norm_over_time,
-)
+from .dynamics import MeanValueState, evolve_mean_values, rotate
+from .pauli import DEFAULT_TOL
+from .reduced import ReducedMap
 from .slippage import max_safe_repetitions, slip_state, slipped_domain_check
 
 COMMANDS = ("evolve", "conjunct", "hazard", "growth", "domain-map", "slippage", "validate")
 
-# width of the boundary strip excluded from oracle agreement verdicts
-BOUNDARY_BAND = 1e-3
+# most CSV rows one run may write; checked before any compute (the largest
+# benchmark workload writes 200,200)
+ROW_BUDGET = 10**7
 
 _PI_PATTERN = re.compile(r"^\s*([+-]?)\s*(\d+(?:\.\d+)?)?\s*\*?\s*pi\s*(?:/\s*(\d+(?:\.\d+)?))?\s*$")
 
@@ -291,6 +279,8 @@ def _validate_for_command(sc: Scenario) -> None:
             raise ScenarioError(f"{cmd}: state needs exactly one of 'a' or 'q'")
         if sc.q is not None and (sc.c1 is not None or sc.c2 is not None):
             raise ScenarioError(f"{cmd}: the q shorthand fixes c1 = sin q and c2 = 0")
+    if cmd in ("growth", "slippage") and sc.c2:
+        raise ScenarioError(f"state.c2: {cmd} runs on the slice c2 = 0")
     if cmd == "evolve":
         if len(sc.grids) != 1 or sc.grids[0].axis != "t":
             raise ScenarioError("evolve: exactly one grid with axis 't' is required")
@@ -328,11 +318,20 @@ def _validate_for_command(sc: Scenario) -> None:
             raise ScenarioError("slippage: state carries only c1 here")
         if sc.grid("a2") is None:
             raise ScenarioError("slippage: a grid with axis 'a2' is required")
-        if sc.grid("c1") is None and sc.c1 is None:
-            raise ScenarioError("slippage: give c1 as a state field or a grid axis")
+        if (sc.grid("c1") is None) == (sc.c1 is None):
+            raise ScenarioError("state.c1: slippage takes c1 from the state or a grid axis, "
+                                "exactly one")
         extra = [g.axis for g in sc.grids if g.axis not in ("a2", "c1")]
         if extra:
             raise ScenarioError(f"slippage: unsupported grid axes {extra}")
+    factors = [(f"grid[{i}].count", g.count) for i, g in enumerate(sc.grids)]
+    if cmd in ("growth", "slippage"):
+        factors.append(("scenario.n", sc.n + 1 if cmd == "growth" else sc.n))
+    rows = math.prod(count for _, count in factors)
+    if rows > ROW_BUDGET:
+        where = max(factors, key=lambda factor: factor[1])[0]
+        raise ScenarioError(f"{where}: the run would write {rows} rows, over the budget "
+                            f"of {ROW_BUDGET}")
 
 
 def _format_cell(value: Any) -> str:
@@ -501,23 +500,10 @@ def _run_growth(sc: Scenario, tol: float, seed: int) -> tuple[list, Columns, dic
     return header, rows, summary
 
 
-def _slice_verdicts(a2_values, c1_values, tol: float):
-    """Slice-check and sup-norm verdicts for the slice states of the a2 x c1
-    grid, one entry per point in row order (c1 varying fastest)."""
-    a2, c1 = (v.ravel() for v in np.meshgrid(a2_values, c1_values, indexing="ij"))
-    sl = compat_slice_check(a2, c1, tol=tol)
-    sup = in_compatibility_domain(c1, 0.0, np.stack(np.broadcast_arrays(0.0, a2, 0.0)), tol=tol)
-    return a2, c1, sl, sup
-
-
 def _run_domain_map(sc: Scenario, tol: float, seed: int) -> tuple[list, Columns, dict]:
     a2_values = sc.grid("a2").values()
     c1_values = sc.grid("c1").values()
-    a2, c1, sl, sup = _slice_verdicts(a2_values, c1_values, tol)
-    best = np.array([feasibility_search([0.0, x, 0.0], y, 0.0)[0]
-                     for x, y in zip(a2.tolist(), c1.tolist())])
-    near_boundary = (np.abs(sl.margin) <= BOUNDARY_BAND) | (np.abs(4.0 * best) <= BOUNDARY_BAND)
-    agree = (sl.inside == sup.inside) & (sup.inside == (best >= -tol))
+    sl, sup, best, near_boundary, agree = checks.three_way_agreement(a2_values, c1_values, tol)
     header = ["a2", "c1", "slice_margin", "supnorm_margin", "oracle_margin",
               "near_boundary", "agree"]
     rows = Columns(_axis(a2_values, inner=c1_values.size), _axis(c1_values, outer=a2_values.size),
@@ -551,85 +537,15 @@ def _run_slippage(sc: Scenario, tol: float, seed: int) -> tuple[list, Columns, d
     return header, rows, {"max_n": sc.n, "rows": len(rows)}
 
 
-def _oracle_answer_certified(a, c1: float, c2: float, value: float,
-                             witness: TwoQubitState, tol: float) -> bool:
-    """Audit one feasibility answer.  Inside (value >= -tol): the witness is
-    physical and carries (a, c1, c2).  Outside: the dual certificate W is PSD
-    with unit trace and no component on a free parameter, and
-    tr(W rho_witness) < -tol, which bounds every extension's min eigenvalue."""
-    rho = density_from_params(witness)
-    if value >= -tol:
-        return bool(
-            min_eigenvalue(rho) >= -1e-9
-            and np.abs(witness.a - np.asarray(a)).max() < 1e-10
-            and abs(witness.T[0, 0] - c1) < 1e-10
-            and abs(witness.T[1, 0] - c2) < 1e-10
-        )
-    w = dual_certificate(a, c1, c2)
-    if abs(np.trace(w) - 1.0) > 1e-12 or min_eigenvalue(w) < -1e-12:
-        return False
-    back = params_from_density(w)
-    free = np.concatenate((back.b, back.T[:, 1:].ravel(), back.T[2:, 0]))
-    return bool(np.abs(free).max() <= 1e-12 and np.trace(w @ rho).real < -tol)
-
-
 def _run_validate(sc: Scenario, tol: float, seed: int) -> tuple[list, list, dict]:
     """Oracle cross-check suites; any failed check flips the exit status to 2."""
-    rng = np.random.default_rng(seed)
-    checks: list[tuple[str, bool, str]] = []
-
-    # closed-form evolution vs unitary conjugation
-    worst = 0.0
-    for _ in range(1000):
-        s = TwoQubitState(a=rng.uniform(-1, 1, 3), b=rng.uniform(-1, 1, 3),
-                          T=rng.uniform(-1, 1, (3, 3)))
-        worst = max(worst, crosscheck(s, float(rng.uniform(0, 4 * math.pi))))
-    checks.append(("mean_values_vs_unitary", worst < 1e-12, f"max_discrepancy={worst:.3e}"))
-
-    # closed-form supremum vs dense grid, 500 states (a1, a2, a3, c1, c2) per row
-    a1, a2, a3, c1, c2 = rng.uniform(-1, 1, (500, 5)).T
-    sup_closed, _ = sup_norm_over_time(c1, c2, np.stack((a1, a2, a3)))
-    sup_grid, _ = sup_norm_grid(c1, c2, np.stack((a1, a2, a3)), points=20_000)
-    worst = max(0.0, float(np.max(np.abs(sup_closed - sup_grid) / np.maximum(sup_closed, 1e-12))))
-    checks.append(("sup_norm_closed_vs_grid", worst < 1e-9, f"max_rel_err={worst:.3e}"))
-
-    # greedy growth vs brute-force grid maximization
-    worst = 0.0
-    for n in range(4):
-        for _ in range(5):
-            a2, c1 = rng.uniform(-1, 1, 2)
-            mags, _ = greedy_extremal_growth(a2, c1, n)
-            worst = max(worst, abs(mags[-1] - brute_force_max(a2, c1, n, grid_points=64)))
-    checks.append(("greedy_vs_brute_force", worst < 1e-6, f"max_abs_err={worst:.3e}"))
-
-    # slice check vs sup-over-time verdicts on a dense analytic grid
-    grid = np.linspace(-1.2, 1.2, 201)
-    _, _, sl, sup = _slice_verdicts(grid, grid, tol)
-    mismatches = int(np.sum(~(np.abs(sl.margin) <= 1e-9) & (sl.inside != sup.inside)))
-    checks.append(("slice_vs_sup_norm_verdicts", mismatches == 0, f"mismatches={mismatches}"))
-
-    # feasibility oracle vs the analytic slice condition, with certificate audit
-    disagreements = 0
-    witness_bad = 0
-    values = np.linspace(-1.0, 1.0, 11)
-    a2s, c1s = (v.ravel() for v in np.meshgrid(values, values, indexing="ij"))
-    sl = compat_slice_check(a2s, c1s, tol=tol)
-    for a2, c1, margin, inside in zip(*(v.tolist() for v in (a2s, c1s, sl.margin, sl.inside))):
-        best, witness = feasibility_search([0.0, a2, 0.0], c1, 0.0)
-        if not _oracle_answer_certified([0.0, a2, 0.0], c1, 0.0, best, witness, tol):
-            witness_bad += 1
-        if abs(margin) <= BOUNDARY_BAND or abs(4.0 * best) <= BOUNDARY_BAND:
-            continue
-        if (best >= -tol) != inside:
-            disagreements += 1
-    checks.append(("oracle_vs_slice_verdicts", disagreements == 0, f"disagreements={disagreements}"))
-    checks.append(("oracle_witness_soundness", witness_bad == 0, f"bad_witnesses={witness_bad}"))
-
-    header = ["check", "passed", "detail"]
-    rows = [[name, passed, detail] for name, passed, detail in checks]
-    failed = sum(1 for _, passed, _ in checks if not passed)
-    summary = {"passed": len(checks) - failed, "failed": failed, "rows": len(rows)}
-    return header, rows, summary
+    rows = []
+    for name, metric, value, bound in checks.validate_suite(np.random.default_rng(seed), tol):
+        detail = f"{metric}={value:.3e}" if isinstance(value, float) else f"{metric}={value}"
+        rows.append([name, value < bound, detail])
+    failed = sum(1 for _, passed, _ in rows if not passed)
+    summary = {"passed": len(rows) - failed, "failed": failed, "rows": len(rows)}
+    return ["check", "passed", "detail"], rows, summary
 
 
 _RUNNERS = {

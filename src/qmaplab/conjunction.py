@@ -67,29 +67,6 @@ class HazardReport:
     trajectory: np.ndarray
 
 
-@dataclass(frozen=True)
-class EdgeState:
-    """Boundary point of the compatibility domain: a2 = cos q, c1 = sin q."""
-
-    q: float
-
-    def __post_init__(self):
-        if not 0.0 < self.q < math.pi / 2:
-            raise ValueError(f"q must lie in (0, pi/2), got {self.q!r}")
-
-    @property
-    def a2(self) -> float:
-        return math.cos(self.q)
-
-    @property
-    def c1(self) -> float:
-        return math.sin(self.q)
-
-    @property
-    def bloch(self) -> np.ndarray:
-        return np.array([0.0, math.cos(self.q), 0.0])
-
-
 def conjunct(
     c1: float,
     c2: float,

@@ -65,7 +65,7 @@ def unitary(t: float) -> np.ndarray:
     The generator squares to the identity, so the exponential series
     collapses to this two-term form.  Periodic up to sign with period 4 pi.
     """
-    return math.cos(t / 2) * ID4 - 1j * math.sin(t / 2) * kron(pauli(3), pauli(1, "env"))
+    return math.cos(t / 2) * ID4 - 1j * math.sin(t / 2) * kron(pauli(3), pauli(1))
 
 
 def evolve_density(rho: np.ndarray, t: float) -> np.ndarray:

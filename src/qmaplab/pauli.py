@@ -29,19 +29,12 @@ _PAULIS = (_SX, _SY, _SZ)
 ID2 = np.eye(2, dtype=complex)
 ID4 = np.eye(4, dtype=complex)
 
-_QUBIT_LABELS = ("sys", "env")
 
-
-def pauli(index: int, qubit: str = "sys") -> np.ndarray:
-    """Standard Pauli matrix for one qubit; `index` is 1, 2 or 3.
-
-    `qubit` must be "sys" or "env"; both qubits carry the same three
-    matrices, the label only records which tensor slot the caller intends.
-    """
+def pauli(index: int) -> np.ndarray:
+    """Standard Pauli matrix for one qubit; `index` is 1, 2 or 3.  Both
+    qubits carry the same three matrices; `kron` places them."""
     if index not in (1, 2, 3):
         raise ValueError(f"Pauli index must be 1, 2 or 3, got {index!r}")
-    if qubit not in _QUBIT_LABELS:
-        raise ValueError(f"qubit must be one of {_QUBIT_LABELS}, got {qubit!r}")
     return _PAULIS[index - 1].copy()
 
 

@@ -8,37 +8,13 @@ that boundary, the minimal change preserving the Bloch vector's direction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
 
 from .conjunction import first_unphysical_n
-from .pauli import DEFAULT_TOL, _as_bloch, _as_blochs
+from .pauli import DEFAULT_TOL, _as_blochs
 from .reduced import DomainVerdict
-
-_MODES = ("check", "radial_scale")
-
-
-@dataclass(frozen=True)
-class SlippagePolicy:
-    """How to treat an initial state that must survive `n` map reuses:
-    "check" renders a verdict, "radial_scale" projects onto the safe region."""
-
-    n: int
-    mode: str = "check"
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
-        if self.mode not in _MODES:
-            raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
-
-    def apply(self, a, c1: float) -> Union[DomainVerdict, np.ndarray]:
-        a = _as_bloch(a)
-        if self.mode == "check":
-            return slipped_domain_check(float(a[1]), c1, self.n)
-        return slip_state(a, c1, self.n)
 
 
 def slipped_domain_check(a2, c1, n, tol: float = DEFAULT_TOL) -> DomainVerdict:

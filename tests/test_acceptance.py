@@ -11,6 +11,7 @@ import time
 
 import numpy as np
 
+from qmaplab import checks
 from qmaplab.cli import run
 from qmaplab.conjunction import (
     brute_force_max,
@@ -18,10 +19,10 @@ from qmaplab.conjunction import (
     greedy_extremal_growth,
     sigma2_conjunction,
 )
-from qmaplab.dynamics import MeanValueState, crosscheck, evolve_mean_values
+from qmaplab.dynamics import MeanValueState, evolve_mean_values
 from qmaplab.feasibility import feasibility_search
-from qmaplab.pauli import TwoQubitState, density_from_params, min_eigenvalue, params_from_density
-from qmaplab.reduced import compat_slice_check, in_compatibility_domain
+from qmaplab.pauli import DEFAULT_TOL
+from qmaplab.reduced import compat_slice_check
 from qmaplab.slippage import max_safe_repetitions, slipped_domain_check
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
@@ -33,15 +34,10 @@ def report(criterion: int, ok: bool, detail: str) -> bool:
 
 
 def test_criterion_1_closed_form_vs_unitary():
-    rng = np.random.default_rng(1001)
-    worst = 0.0
-    for _ in range(1000):
-        s = TwoQubitState(
-            a=rng.uniform(-1, 1, 3), b=rng.uniform(-1, 1, 3), T=rng.uniform(-1, 1, (3, 3))
-        )
-        worst = max(worst, crosscheck(s, float(rng.uniform(0, 4 * math.pi))))
-    assert report(1, worst < 1e-12,
-                  f"mean-value evolution vs unitary conjugation, max abs error {worst:.3e} < 1e-12")
+    _, _, worst, bound = checks.mean_values_vs_unitary(np.random.default_rng(1001))
+    assert report(1, worst < bound,
+                  f"mean-value evolution vs unitary conjugation, max abs error {worst:.3e} "
+                  f"< {bound:g}")
 
 
 def test_criterion_2_edge_hazard_onset():
@@ -75,23 +71,19 @@ def test_criterion_3_exact_dynamics_stays_physical():
 
 
 def test_criterion_4_growth_law_vs_brute_force():
-    rng = np.random.default_rng(4004)
-    worst = 0.0
-    for _ in range(50):
-        a2, c1 = rng.uniform(-1, 1, 2)
-        for n in range(4):
-            mags, _ = greedy_extremal_growth(float(a2), float(c1), n)
-            worst = max(worst, abs(mags[-1] - brute_force_max(float(a2), float(c1), n, 128)))
+    pairs = np.random.default_rng(4004).uniform(-1, 1, (50, 2))
+    # every pair at every n = 0..3: the maximum does not depend on the order
+    _, _, worst, bound = checks.greedy_vs_brute_force(np.broadcast_to(pairs, (4, 50, 2)), 128)
     t0 = time.perf_counter()
     timed_err = abs(
         brute_force_max(0.37, 0.29, 3, grid_points=128)
         - math.sqrt(0.37**2 + 4 * 0.29**2)
     )
     elapsed = time.perf_counter() - t0
-    ok = worst < 1e-6 and timed_err < 1e-6 and elapsed < 60.0
+    ok = worst < bound and timed_err < bound and elapsed < 60.0
     assert report(4, ok,
-                  f"greedy vs brute force at 128-point grids, max abs error {worst:.3e} < 1e-6 "
-                  f"over 50 draws x n in 0..3; "
+                  f"greedy vs brute force at 128-point grids, max abs error {worst:.3e} "
+                  f"< {bound:g} over 50 draws x n in 0..3; "
                   f"n=3 at 128-point grids: error {timed_err:.3e}, {elapsed:.1f}s < 60s")
 
 
@@ -104,24 +96,14 @@ def test_criterion_5_first_failure_index():
 
 def test_criterion_6_three_way_slice_agreement():
     values = np.linspace(-1, 1, 41)
-    band = 1e-3
-    checked = excluded = disagreements = 0
-    for a2 in values:
-        for c1 in values:
-            a2f, c1f = float(a2), float(c1)
-            sl = compat_slice_check(a2f, c1f)
-            sup = in_compatibility_domain(c1f, 0.0, [0, a2f, 0])
-            best, _ = feasibility_search([0, a2f, 0], c1f, 0.0)
-            if abs(sl.margin) <= band or abs(4 * best) <= band:
-                excluded += 1
-                continue
-            checked += 1
-            if not (sl.inside == sup.inside == (best >= -1e-9)):
-                disagreements += 1
+    *_, near, agree = checks.three_way_agreement(values, values, DEFAULT_TOL)
+    excluded = int(near.sum())
+    disagreements = int((~near & ~agree).sum())
     ok = disagreements == 0
     assert report(6, ok,
-                  f"slice check, sup-over-time and feasibility oracle agree on {checked} grid "
-                  f"points ({excluded} boundary-excluded): {disagreements} disagreements")
+                  f"slice check, sup-over-time and feasibility oracle agree on "
+                  f"{near.size - excluded} grid points ({excluded} boundary-excluded, band {checks.BOUNDARY_BAND:g}): "
+                  f"{disagreements} disagreements")
 
 
 def test_criterion_7_predecessor_left_the_domain():
@@ -191,23 +173,13 @@ def test_criterion_9_witness_soundness():
             a = rng.uniform(-0.6, 0.6, 3)
             c1, c2 = rng.uniform(-0.6, 0.6, 2)
         best, witness = feasibility_search(a, float(c1), float(c2))
-        if best < -1e-9:
-            continue
-        inside_verdicts += 1
-        rho = density_from_params(witness)
-        back = params_from_density(rho)
-        sound = (
-            min_eigenvalue(rho) >= -1e-9
-            and np.abs(back.a - np.asarray(a, dtype=float)).max() < 1e-10
-            and abs(back.T[0, 0] - c1) < 1e-10
-            and abs(back.T[1, 0] - c2) < 1e-10
-        )
-        if not sound:
-            bad += 1
+        inside_verdicts += best >= -DEFAULT_TOL
+        bad += not checks.certified(a, float(c1), float(c2), best, witness, DEFAULT_TOL)
     ok = bad == 0 and inside_verdicts >= 20
     assert report(9, ok,
-                  f"{inside_verdicts} inside verdicts all ship reconstructible physical "
-                  f"witnesses: {bad} unsound")
+                  f"{inside_verdicts} inside verdicts ship reconstructible physical witnesses, "
+                  f"{40 - inside_verdicts} outside verdict(s) ship dual certificates: "
+                  f"{bad} unsound")
 
 
 def test_criterion_10_cli_determinism_and_join_row(tmp_path):

@@ -9,7 +9,7 @@ import os
 import numpy as np
 import pytest
 
-from qmaplab import cli
+from qmaplab import checks, cli
 from qmaplab.cli import ScenarioError, emit_csv, load_scenario, main, parse_angle, run
 from qmaplab.conjunction import sigma2_conjunction
 from qmaplab.dynamics import MeanValueState, evolve_mean_values
@@ -123,6 +123,50 @@ def test_conjunct_requires_steps_xor_grid(tmp_path):
         "grid": {"axis": "s", "start": 0, "stop": 1, "count": 5},
     }
     with pytest.raises(ScenarioError):
+        load_scenario(write_scenario(tmp_path, payload))
+
+
+@pytest.mark.parametrize("payload,field", [
+    ({"command": "growth", "state": {"a": [0, 0.5, 0], "c1": 0.2, "c2": 0.4}, "n": 3},
+     "state.c2"),
+    ({"command": "slippage", "state": {"c1": 0.2, "c2": 0.4}, "n": 3,
+      "grid": {"axis": "a2", "start": -1, "stop": 1, "count": 5}}, "state.c2"),
+    ({"command": "slippage", "state": {"c1": 0.2}, "n": 3,
+      "grid": [{"axis": "a2", "start": -1, "stop": 1, "count": 5},
+               {"axis": "c1", "start": 0, "stop": 0.5, "count": 3}]}, "state.c1"),
+], ids=["growth-c2", "slippage-c2", "slippage-c1-twice"])
+def test_ignored_state_fields_rejected(tmp_path, payload, field, capsys):
+    _assert_exit_1_nothing_written(tmp_path, payload, field, capsys)
+
+
+def test_zero_c2_still_accepted_on_the_slice(tmp_path):
+    payload = {"command": "growth", "state": {"a": [0, 0.6, 0], "c1": 0.2, "c2": 0}, "n": 3}
+    assert run(write_scenario(tmp_path, payload), out_dir=str(tmp_path / "out")) == 0
+
+
+@pytest.mark.parametrize("payload,field", [
+    ({"command": "evolve", "state": {"q": 0.5},
+      "grid": {"axis": "t", "start": 0, "stop": 1, "count": 10**12}}, "grid[0].count"),
+    ({"command": "hazard", "grid": [{"axis": "q", "start": 0, "stop": 1, "count": 3},
+                                    {"axis": "s", "start": 0, "stop": 1, "count": 10**20}]},
+     "grid[1].count"),
+    ({"command": "growth", "state": {"q": 0.5}, "n": 10**30}, "scenario.n"),
+    ({"command": "slippage", "state": {"c1": 0.2}, "n": 10**8,
+      "grid": {"axis": "a2", "start": -1, "stop": 1, "count": 5}}, "scenario.n"),
+    ({"command": "domain-map", "grid": [{"axis": "a2", "start": -1, "stop": 1, "count": 4000},
+                                        {"axis": "c1", "start": -1, "stop": 1, "count": 3000}]},
+     "grid[0].count"),
+], ids=["evolve", "hazard", "growth", "slippage", "domain-map"])
+def test_work_over_row_budget_rejected(tmp_path, payload, field, capsys):
+    _assert_exit_1_nothing_written(tmp_path, payload, field, capsys)
+
+
+def test_row_budget_admits_its_limit(tmp_path):
+    payload = {"command": "slippage", "state": {"c1": 0.2}, "n": cli.ROW_BUDGET // 2,
+               "grid": {"axis": "a2", "start": -1, "stop": 1, "count": 2}}
+    assert load_scenario(write_scenario(tmp_path, payload)).n == cli.ROW_BUDGET // 2
+    payload["n"] += 1
+    with pytest.raises(ScenarioError, match="budget"):
         load_scenario(write_scenario(tmp_path, payload))
 
 
@@ -316,6 +360,38 @@ def test_validate_scenario_passes(tmp_path):
     assert summary["passed"] >= 6
 
 
+def test_validate_check_at_its_bound_exits_2(tmp_path, monkeypatch, capsys):
+    # a check passes only strictly below its bound; a count fails at 1
+    name, metric, _, bound = checks.slice_vs_sup_norm_verdicts(1e-9)
+    monkeypatch.setattr(checks, "slice_vs_sup_norm_verdicts",
+                        lambda tol: (name, metric, bound, bound))
+    out = tmp_path / "out"
+    assert run(os.path.join(SCENARIOS, "validate.json"), out_dir=str(out)) == 2
+    assert json.loads((out / "summary.json").read_text())["failed"] == 1
+    rows = (out / "validate.csv").read_text().splitlines()
+    assert f"{name},false,{metric}={bound}" in rows
+    assert sum(row.split(",")[1] == "true" for row in rows[1:]) == 5
+    assert "1 check(s) failed" in capsys.readouterr().err
+
+
+def test_domain_map_oracle_disagreement_exits_2(tmp_path, monkeypatch, capsys):
+    original = checks.feasibility_search
+
+    def flipped(a, c1, c2):  # the oracle answers "outside" at the origin
+        value, witness = original(a, c1, c2)
+        return (-0.25 if not np.any(a) and c1 == 0.0 else value), witness
+
+    monkeypatch.setattr(checks, "feasibility_search", flipped)
+    payload = {"command": "domain-map", "grid": [
+        {"axis": "a2", "start": -1, "stop": 1, "count": 5},
+        {"axis": "c1", "start": -1, "stop": 1, "count": 5}]}
+    out = tmp_path / "out"
+    assert run(write_scenario(tmp_path, payload), out_dir=str(out)) == 2
+    assert json.loads((out / "summary.json").read_text())["disagreements"] >= 1
+    assert (out / "domain_map.csv").exists()
+    assert "disagreement" in capsys.readouterr().err
+
+
 # sha256 of every output file of every bundled scenario, run with its own
 # seed and tol; any change to a bundled output must update this table on purpose
 BUNDLED_DIGESTS = {
@@ -485,22 +561,22 @@ def test_hazard_grid_calls_each_kernel_o1_times(tmp_path, monkeypatch):
     assert calls["sigma2_conjunction"] <= 1
 
 
-def _count_calls(monkeypatch, names) -> dict:
+def _count_calls(monkeypatch, module, names) -> dict:
     calls = dict.fromkeys(names, 0)
     for name in names:
-        original = getattr(cli, name)
+        original = getattr(module, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
             calls[_name] += 1
             return _original(*args, **kwargs)
 
-        monkeypatch.setattr(cli, name, counted)
+        monkeypatch.setattr(module, name, counted)
     return calls
 
 
 def test_validate_calls_each_kernel_o1_times(tmp_path, monkeypatch):
-    calls = _count_calls(monkeypatch, ("sup_norm_grid", "sup_norm_over_time",
-                                       "in_compatibility_domain", "compat_slice_check"))
+    calls = _count_calls(monkeypatch, checks, ("sup_norm_grid", "sup_norm_over_time",
+                                               "in_compatibility_domain", "compat_slice_check"))
     payload = {"command": "validate", "seed": 5}
     assert run(write_scenario(tmp_path, payload), out_dir=str(tmp_path / "out")) == 0
     # per-point loops made 500, 500, 40,401 and 40,522 calls
@@ -510,7 +586,7 @@ def test_validate_calls_each_kernel_o1_times(tmp_path, monkeypatch):
 
 
 def test_domain_map_calls_each_kernel_o1_times(tmp_path, monkeypatch):
-    calls = _count_calls(monkeypatch, ("in_compatibility_domain", "compat_slice_check"))
+    calls = _count_calls(monkeypatch, checks, ("in_compatibility_domain", "compat_slice_check"))
     payload = {"command": "domain-map", "grid": [
         {"axis": "a2", "start": -1, "stop": 1, "count": 9},
         {"axis": "c1", "start": -1, "stop": 1, "count": 7}]}

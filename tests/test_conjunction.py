@@ -8,7 +8,6 @@ import pytest
 
 from qmaplab.conjunction import (
     ConjunctionSchedule,
-    EdgeState,
     _grid_argmax,
     _sigma2_legs,
     brute_force_max,
@@ -30,16 +29,6 @@ def test_schedule_counts():
     assert abs(sched.total_duration - 0.8) < 1e-15
 
 
-def test_edge_state_on_unit_circle():
-    e = EdgeState(q=0.7)
-    assert abs(e.a2**2 + e.c1**2 - 1.0) < 1e-15
-    assert np.array_equal(e.bloch, [0.0, math.cos(0.7), 0.0])
-    with pytest.raises(ValueError):
-        EdgeState(q=0.0)
-    with pytest.raises(ValueError):
-        EdgeState(q=math.pi / 2)
-
-
 def test_conjunct_uncorrelated_never_hazards():
     # with no correlation each leg contracts the (1, 2) plane, so magnitudes
     # never exceed the initial norm for any schedule
@@ -55,15 +44,15 @@ def test_conjunct_uncorrelated_never_hazards():
 
 @pytest.mark.parametrize("q,s", [(0.5, 0.3), (math.pi / 4, 1.0), (1.2, 0.2)])
 def test_conjunct_edge_state_formula(q, s):
-    e = EdgeState(q)
-    report = conjunct(e.c1, 0.0, e.bloch, ConjunctionSchedule(t=q, steps=(s,)))
+    report = conjunct(math.sin(q), 0.0, [0.0, math.cos(q), 0.0],
+                      ConjunctionSchedule(t=q, steps=(s,)))
     assert abs(report.trajectory[1][1] - (math.cos(s) + math.sin(q) * math.sin(s))) < 1e-12
 
 
 def test_conjunct_edge_quarter_pi_is_unphysical_at_step_one():
     q = math.pi / 4
-    e = EdgeState(q)
-    report = conjunct(e.c1, 0.0, e.bloch, ConjunctionSchedule(t=q, steps=(math.pi / 4,)))
+    report = conjunct(math.sin(q), 0.0, [0.0, math.cos(q), 0.0],
+                      ConjunctionSchedule(t=q, steps=(math.pi / 4,)))
     expected = math.cos(math.pi / 4) + math.sin(q) * math.sin(math.pi / 4)
     assert abs(report.trajectory[1][1] - expected) < 1e-12
     assert expected > 1.2  # ~1.2071
@@ -118,10 +107,8 @@ def test_sigma2_conjunction_agrees_with_conjunct_on_slice():
 @pytest.mark.parametrize("q", [0.2, math.pi / 6, math.pi / 4, math.pi / 3, 1.5])
 def test_hazard_slope_matches_finite_difference(q):
     h = 1e-6
-    e = EdgeState(q)
-    fd = (
-        sigma2_conjunction(e.a2, e.c1, q, h) - sigma2_conjunction(e.a2, e.c1, q, -h)
-    ) / (2 * h)
+    a2, c1 = math.cos(q), math.sin(q)
+    fd = (sigma2_conjunction(a2, c1, q, h) - sigma2_conjunction(a2, c1, q, -h)) / (2 * h)
     assert abs(math.sin(q) - fd) < 1e-8
     assert fd > 0
 

@@ -32,14 +32,15 @@ def random_state(seed: int) -> TwoQubitState:
 def test_pauli_standard_definitions():
     assert np.array_equal(pauli(3), np.diag([1, -1]).astype(complex))
     assert np.array_equal(pauli(1), np.array([[0, 1], [1, 0]], dtype=complex))
-    assert np.array_equal(pauli(2, "env"), np.array([[0, -1j], [1j, 0]]))
+    assert np.array_equal(pauli(2), np.array([[0, -1j], [1j, 0]]))
 
 
 @pytest.mark.parametrize("index", [1, 2, 3])
 @pytest.mark.parametrize("qubit", ["sys", "env"])
 def test_pauli_involution_and_traceless(index, qubit):
-    p = pauli(index, qubit)
-    assert np.allclose(p @ p, ID2)
+    # on either tensor slot: S_i x I and I x E_i
+    p = kron(pauli(index), ID2) if qubit == "sys" else kron(ID2, pauli(index))
+    assert np.allclose(p @ p, ID4)
     assert abs(np.trace(p)) == 0
     assert is_hermitian(p)
 
@@ -49,17 +50,15 @@ def test_pauli_argument_errors():
         pauli(0)
     with pytest.raises(ValueError):
         pauli(4)
-    with pytest.raises(ValueError):
-        pauli(1, "both")
 
 
 def test_kron_identities():
     assert np.array_equal(kron(ID2, ID2), ID4)
-    sz_ex = kron(pauli(3), pauli(1, "env"))
+    sz_ex = kron(pauli(3), pauli(1))
     assert np.allclose(sz_ex @ sz_ex, ID4)
     # mixed-product property
     assert np.allclose(
-        kron(pauli(1), ID2) @ kron(ID2, pauli(1, "env")), kron(pauli(1), pauli(1, "env"))
+        kron(pauli(1), ID2) @ kron(ID2, pauli(1)), kron(pauli(1), pauli(1))
     )
 
 
@@ -86,7 +85,7 @@ def test_density_expectations_match_parameters():
     rho = density_from_params(s)
     for i in range(3):
         for j in range(3):
-            op = kron(pauli(i + 1), pauli(j + 1, "env"))
+            op = kron(pauli(i + 1), pauli(j + 1))
             assert abs(np.trace(rho @ op).real - s.T[i, j]) < 1e-12
 
 
@@ -123,7 +122,7 @@ def test_params_from_density_rejects_malformed():
 
 def test_partial_trace_product_state():
     rho_sys = 0.5 * (ID2 + 0.3 * pauli(1) + 0.2 * pauli(3))
-    rho_env = 0.5 * (ID2 + 0.7 * pauli(2, "env"))
+    rho_env = 0.5 * (ID2 + 0.7 * pauli(2))
     assert np.allclose(partial_trace_env(kron(rho_sys, rho_env)), rho_sys, atol=1e-14)
 
 

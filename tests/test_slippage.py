@@ -119,19 +119,3 @@ def test_safety_under_worst_case_and_random_schedules(seed):
         report = conjunct(c1, 0.0, [0, a2, 0], ConjunctionSchedule(t=durations[0], steps=tuple(durations[1:])))
         assert report.magnitudes.max() <= 1 + 1e-9
 
-
-def test_slippage_policy_dispatch():
-    from qmaplab.slippage import SlippagePolicy
-
-    check = SlippagePolicy(n=2, mode="check")
-    verdict = check.apply([0, 0.9, 0], 0.3)
-    assert not verdict.inside
-
-    scale = SlippagePolicy(n=2, mode="radial_scale")
-    out = scale.apply([0, 0.9, 0], 0.3)
-    assert abs(out[1] - math.sqrt(0.73)) < 1e-12
-
-    with pytest.raises(ValueError):
-        SlippagePolicy(n=0)
-    with pytest.raises(ValueError):
-        SlippagePolicy(n=1, mode="clamp")
