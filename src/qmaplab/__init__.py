@@ -26,15 +26,11 @@ from .feasibility import (
 )
 from .pauli import (
     DEFAULT_TOL,
-    PhysicalityVerdict,
     TwoQubitState,
     density_from_params,
     embed_mean_values,
-    is_physical,
-    kron,
     min_eigenvalue,
     params_from_density,
-    partial_trace_env,
     pauli,
 )
 from .reduced import (
@@ -42,7 +38,6 @@ from .reduced import (
     ReducedMap,
     compat_slice_check,
     in_compatibility_domain,
-    in_positivity_domain,
     sup_norm_grid,
     sup_norm_over_time,
 )
@@ -54,7 +49,6 @@ __all__ = [
     "DomainVerdict",
     "HazardReport",
     "MeanValueState",
-    "PhysicalityVerdict",
     "ReducedMap",
     "TwoQubitState",
     "brute_force_max",
@@ -70,14 +64,10 @@ __all__ = [
     "first_unphysical_n",
     "greedy_extremal_growth",
     "in_compatibility_domain",
-    "in_positivity_domain",
     "is_compatible_oracle",
-    "is_physical",
-    "kron",
     "max_safe_repetitions",
     "min_eigenvalue",
     "params_from_density",
-    "partial_trace_env",
     "pauli",
     "sigma2_conjunction",
     "slip_state",

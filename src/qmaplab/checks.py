@@ -36,10 +36,10 @@ def slice_answers(a2, c1):
     return (feasibility_search([0.0, x, 0.0], y, 0.0) for x, y in zip(a2.tolist(), c1.tolist()))
 
 
-def near_boundary(slice_margin, oracle_value) -> np.ndarray:
-    """Within BOUNDARY_BAND of the boundary by the slice margin or by
-    4 x oracle value (= 1 - sup_t |a(t)|, the same scale)."""
-    return (np.abs(slice_margin) <= BOUNDARY_BAND) | (np.abs(4.0 * oracle_value) <= BOUNDARY_BAND)
+def near_boundary(slice_margin) -> np.ndarray:
+    """Within BOUNDARY_BAND of the boundary by the slice margin.  The oracle's
+    own value is not consulted, so a wrong oracle answer is never excluded."""
+    return np.abs(slice_margin) <= BOUNDARY_BAND
 
 
 def three_way_agreement(a2_values, c1_values, tol: float):
@@ -48,7 +48,7 @@ def three_way_agreement(a2_values, c1_values, tol: float):
     a2, c1, sl, sup = slice_verdicts(a2_values, c1_values, tol)
     values = np.array([value for value, _ in slice_answers(a2, c1)])
     agree = (sl.inside == sup.inside) & (sup.inside == (values >= -tol))
-    return sl, sup, values, near_boundary(sl.margin, values), agree
+    return sl, sup, values, near_boundary(sl.margin), agree
 
 
 def certified(a, c1: float, c2: float, value: float, witness: TwoQubitState, tol: float) -> bool:
@@ -124,7 +124,7 @@ def validate_suite(rng, tol: float):
     values, witnesses = zip(*slice_answers(a2, c1))
     values = np.array(values)
     sl = compat_slice_check(a2, c1, tol=tol)
-    disagree = ~near_boundary(sl.margin, values) & ((values >= -tol) != sl.inside)
+    disagree = ~near_boundary(sl.margin) & ((values >= -tol) != sl.inside)
     yield "oracle_vs_slice_verdicts", "disagreements", int(disagree.sum()), 1
     bad = sum(not certified([0.0, x, 0.0], y, 0.0, value, witness, tol)
               for x, y, value, witness in zip(a2.tolist(), c1.tolist(), values.tolist(), witnesses))

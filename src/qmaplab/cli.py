@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -44,7 +45,8 @@ from .conjunction import (
     greedy_extremal_growth,
     sigma2_conjunction,
 )
-from .dynamics import MeanValueState, evolve_mean_values, rotate
+from .dynamics import MeanValueState, rotate
+from .dynamics import evolve_mean_values  # noqa: F401  no longer called; perfbench traces this binding
 from .pauli import DEFAULT_TOL
 from .reduced import ReducedMap
 from .slippage import max_safe_repetitions, slip_state, slipped_domain_check
@@ -104,6 +106,13 @@ def _require_int(value: Any, where: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ScenarioError(f"{where}: expected an integer, got {type(value).__name__}")
     return value
+
+
+def _require_seed(value: Any, where: str) -> int:
+    seed = _require_int(value, where)
+    if seed < 0:
+        raise ScenarioError(f"{where}: must be >= 0")
+    return seed
 
 
 def _check_keys(obj: dict, allowed: tuple[str, ...], where: str) -> None:
@@ -254,10 +263,7 @@ def load_scenario(path: str) -> Scenario:
     if "tol" in raw:
         sc.tol = _require_tol(raw["tol"], "scenario.tol")
     if "seed" in raw:
-        seed = _require_int(raw["seed"], "scenario.seed")
-        if seed < 0:
-            raise ScenarioError("scenario.seed: must be >= 0")
-        sc.seed = seed
+        sc.seed = _require_seed(raw["seed"], "scenario.seed")
 
     _validate_for_command(sc)
     return sc
@@ -334,21 +340,9 @@ def _validate_for_command(sc: Scenario) -> None:
                             f"of {ROW_BUDGET}")
 
 
-def _format_cell(value: Any) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))  # shortest round-trip representation
-    return str(value)
-
-
 class Columns:
     """Column-major CSV body: per column a float or bool ndarray, or a list of
-    formatted cells (`_axis`).  len() is the row count, as for a row list."""
+    formatted cells (`_axis`, or text).  len() is the row count."""
 
     def __init__(self, *columns):
         self.columns = columns
@@ -358,9 +352,10 @@ class Columns:
 
 
 def _axis(values, inner: int = 1, outer: int = 1) -> list[str]:
-    """Cells of a grid axis in row order: each value formatted once, repeated
-    `inner` times, and the whole block repeated `outer` times."""
-    cells = np.array([_format_cell(v) for v in values], dtype=object)
+    """Cells of a grid axis in row order: each value formatted once (str of
+    an int, repr of a float), repeated `inner` times, and the whole block
+    repeated `outer` times."""
+    cells = np.array(list(map(repr, np.asarray(values).tolist())), dtype=object)
     return np.repeat(cells, inner).tolist() * outer
 
 
@@ -376,15 +371,13 @@ def _cells(column) -> list[str]:
 _CHUNK_ROWS = 1 << 15
 
 
-def emit_csv(header: list[str], rows, path: str) -> None:
-    """Stream `rows` (a list of rows or `Columns`) to `path` as UTF-8,
-    LF-terminated CSV; floats keep their exact round-trip form."""
-    columns = rows.columns if isinstance(rows, Columns) else [
-        [_format_cell(v) for v in column] for column in zip(*rows)]
+def emit_csv(header: list[str], rows: Columns, path: str) -> None:
+    """Stream `rows` to `path` as UTF-8, LF-terminated CSV, column by column;
+    floats keep their exact round-trip form."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for lo in range(0, len(rows), _CHUNK_ROWS):
-            chunk = [_cells(column[lo:lo + _CHUNK_ROWS]) for column in columns]
+            chunk = [_cells(column[lo:lo + _CHUNK_ROWS]) for column in rows.columns]
             fh.write("\n".join(map(",".join, zip(*chunk))) + "\n")
 
 
@@ -410,7 +403,7 @@ def _run_evolve(sc: Scenario, tol: float, seed: int) -> tuple[list, Columns, dic
     return header, rows, {"rows": len(rows)}
 
 
-def _run_conjunct(sc: Scenario, tol: float, seed: int) -> tuple[list, Any, dict]:
+def _run_conjunct(sc: Scenario, tol: float, seed: int) -> tuple[list, Columns, dict]:
     m0 = _initial_mean_state(sc)
     c1, c2 = m0.c1, m0.c2
     s_grid = sc.grid("s")
@@ -423,17 +416,14 @@ def _run_conjunct(sc: Scenario, tol: float, seed: int) -> tuple[list, Any, dict]
             "conj_a1", "conj_a2", "conj_a3", "conj_norm",
             "exact_a1", "exact_a2", "exact_a3", "exact_norm",
         ]
-        rows = []
-        cumulative = 0.0
-        for k, duration in enumerate(sched.durations):
-            cumulative += duration
-            exact = evolve_mean_values(m0, cumulative)
-            conj_a = report.trajectory[k]
-            rows.append([
-                k, duration, cumulative,
-                conj_a[0], conj_a[1], conj_a[2], report.magnitudes[k],
-                exact.a[0], exact.a[1], exact.a[2], float(np.linalg.norm(exact.a)),
-            ])
+        # the exact state after leg k: one rotation by the durations summed left to right
+        cumulative = np.array(list(itertools.accumulate(sched.durations)))
+        exact = rotate(m0.a, c1, c2, cumulative)[:3]
+        conj = report.trajectory.T
+        rows = Columns(_axis(range(cumulative.size)), np.array(sched.durations), cumulative,
+                       *conj, report.magnitudes,
+                       exact[0], exact[1], _axis([exact[2]], inner=cumulative.size),
+                       _norms(*exact))
         summary = {
             "first_unphysical_step": report.first_unphysical_step,
             "worst_margin": report.worst_margin,
@@ -537,13 +527,15 @@ def _run_slippage(sc: Scenario, tol: float, seed: int) -> tuple[list, Columns, d
     return header, rows, {"max_n": sc.n, "rows": len(rows)}
 
 
-def _run_validate(sc: Scenario, tol: float, seed: int) -> tuple[list, list, dict]:
+def _run_validate(sc: Scenario, tol: float, seed: int) -> tuple[list, Columns, dict]:
     """Oracle cross-check suites; any failed check flips the exit status to 2."""
-    rows = []
-    for name, metric, value, bound in checks.validate_suite(np.random.default_rng(seed), tol):
-        detail = f"{metric}={value:.3e}" if isinstance(value, float) else f"{metric}={value}"
-        rows.append([name, value < bound, detail])
-    failed = sum(1 for _, passed, _ in rows if not passed)
+    names, metrics, values, bounds = zip(*checks.validate_suite(np.random.default_rng(seed), tol))
+    # compared as Python numbers: an integer count stays exact
+    passed = [value < bound for value, bound in zip(values, bounds)]
+    details = [f"{metric}={value:.3e}" if isinstance(value, float) else f"{metric}={value}"
+               for metric, value in zip(metrics, values)]
+    rows = Columns(list(names), np.array(passed), details)
+    failed = passed.count(False)
     summary = {"passed": len(rows) - failed, "failed": failed, "rows": len(rows)}
     return ["check", "passed", "detail"], rows, summary
 
@@ -575,7 +567,8 @@ def run(scenario_path: str, out_dir: str = ".", seed: Optional[int] = None,
                                 f"{command!r} subcommand was invoked")
         effective_tol = _require_tol(tol, "--tol") if tol is not None else (
             sc.tol if sc.tol is not None else DEFAULT_TOL)
-        effective_seed = seed if seed is not None else (sc.seed if sc.seed is not None else 0)
+        effective_seed = _require_seed(seed, "--seed") if seed is not None else (
+            sc.seed if sc.seed is not None else 0)
         header, rows, summary = _RUNNERS[sc.command](sc, effective_tol, effective_seed)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -44,10 +44,6 @@ class ConjunctionSchedule:
         return len(self.steps)
 
     @property
-    def total_duration(self) -> float:
-        return self.t + sum(self.steps)
-
-    @property
     def durations(self) -> tuple[float, ...]:
         return (self.t,) + self.steps
 

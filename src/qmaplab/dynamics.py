@@ -17,7 +17,6 @@ from .pauli import (
     TwoQubitState,
     _as_bloch,
     density_from_params,
-    kron,
     params_from_density,
     pauli,
 )
@@ -65,7 +64,7 @@ def unitary(t: float) -> np.ndarray:
     The generator squares to the identity, so the exponential series
     collapses to this two-term form.  Periodic up to sign with period 4 pi.
     """
-    return math.cos(t / 2) * ID4 - 1j * math.sin(t / 2) * kron(pauli(3), pauli(1))
+    return math.cos(t / 2) * ID4 - 1j * math.sin(t / 2) * np.kron(pauli(3), pauli(1))
 
 
 def evolve_density(rho: np.ndarray, t: float) -> np.ndarray:

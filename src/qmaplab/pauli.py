@@ -9,7 +9,8 @@ two-qubit state is carried either as a 4x4 complex density matrix or as the
 
 where S_i and E_j are the Pauli matrices acting on the system and environment
 qubit.  Unphysical parameter sets are representable on purpose; physicality
-is a verdict (`is_physical`), never a constructor precondition.
+is a verdict (the minimum eigenvalue of the reconstructed matrix), never a
+constructor precondition.
 """
 from __future__ import annotations
 
@@ -32,15 +33,11 @@ ID4 = np.eye(4, dtype=complex)
 
 def pauli(index: int) -> np.ndarray:
     """Standard Pauli matrix for one qubit; `index` is 1, 2 or 3.  Both
-    qubits carry the same three matrices; `kron` places them."""
+    qubits carry the same three matrices; np.kron places them, the system
+    qubit's factor first."""
     if index not in (1, 2, 3):
         raise ValueError(f"Pauli index must be 1, 2 or 3, got {index!r}")
     return _PAULIS[index - 1].copy()
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Tensor product with the system-qubit factor first."""
-    return np.kron(a, b)
 
 
 def is_hermitian(m: np.ndarray, tol: float = 1e-12) -> bool:
@@ -92,12 +89,6 @@ class TwoQubitState:
     def c2(self) -> float:
         """Correlation <S_2 x E_1>."""
         return float(self.T[1, 0])
-
-
-@dataclass(frozen=True)
-class PhysicalityVerdict:
-    physical: bool
-    margin: float  # smallest eigenvalue of the reconstructed density matrix
 
 
 def _basis_16() -> np.ndarray:
@@ -155,23 +146,9 @@ def embed_mean_values(a, c1: float, c2: float) -> TwoQubitState:
     return TwoQubitState(a=_as_bloch(a), b=np.zeros(3), T=T)
 
 
-def partial_trace_env(rho: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Trace out the environment qubit, leaving the system qubit's 2x2 matrix."""
-    rho = _validate_density(rho, tol)
-    return np.einsum("ijkj->ik", rho.reshape(2, 2, 2, 2))
-
-
 def min_eigenvalue(m: np.ndarray, tol: float = 1e-10) -> float:
     """Smallest eigenvalue of a Hermitian 4x4 (or 2x2) matrix."""
     m = np.asarray(m, dtype=complex)
     if not is_hermitian(m, tol):
         raise ValueError("matrix is not Hermitian within tolerance")
     return float(np.linalg.eigvalsh(m)[0])
-
-
-def is_physical(s: TwoQubitState, tol: float = DEFAULT_TOL) -> PhysicalityVerdict:
-    """Physical iff the reconstructed density matrix has min eigenvalue >= -tol."""
-    if tol < 0:
-        raise ValueError("tol must be >= 0")
-    margin = min_eigenvalue(density_from_params(s))
-    return PhysicalityVerdict(physical=margin >= -tol, margin=margin)

@@ -2,7 +2,8 @@
 
 A reduced map is fixed by the frozen correlations (c1, c2) and a duration t.
 Two domains matter: the positivity domain at a given t (images stay inside
-the Bloch ball) and the compatibility domain (the intersection of the
+the Bloch ball; its margin 1 - |image| is what the conjunction outputs
+report) and the compatibility domain (the intersection of the
 positivity domains over all t, equal here to the set of Bloch vectors jointly
 realizable with the frozen correlations in some physical two-qubit state —
 `feasibility` certifies that identity independently instead of assuming it).
@@ -42,14 +43,6 @@ class ReducedMap:
         be an array; the result then has shape (3,) + t.shape."""
         a1, a2, a3, _, _ = rotate(_as_bloch(a), self.c1, self.c2, self.t)
         return np.array(np.broadcast_arrays(a1, a2, a3))
-
-
-def in_positivity_domain(m: ReducedMap, a, tol: float = DEFAULT_TOL) -> DomainVerdict:
-    """Inside iff the image Bloch vector has norm <= 1 + tol."""
-    if tol < 0:
-        raise ValueError("tol must be >= 0")
-    margin = 1.0 - float(np.linalg.norm(m.apply(a)))
-    return DomainVerdict(inside=margin >= -tol, margin=margin)
 
 
 def _sq(x):

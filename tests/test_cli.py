@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from qmaplab import checks, cli
-from qmaplab.cli import ScenarioError, emit_csv, load_scenario, main, parse_angle, run
-from qmaplab.conjunction import sigma2_conjunction
+from qmaplab.cli import Columns, ScenarioError, emit_csv, load_scenario, main, parse_angle, run
+from qmaplab.conjunction import ConjunctionSchedule, conjunct, sigma2_conjunction
 from qmaplab.dynamics import MeanValueState, evolve_mean_values
 from qmaplab.reduced import ReducedMap
 from qmaplab.slippage import slip_state, slipped_domain_check
@@ -180,14 +180,14 @@ def test_growth_rejects_off_slice_state(tmp_path):
 
 def test_emit_csv_header_only(tmp_path):
     path = tmp_path / "empty.csv"
-    emit_csv(["alpha", "beta"], [], str(path))
+    emit_csv(["alpha", "beta"], Columns(np.array([]), np.array([])), str(path))
     assert path.read_bytes() == b"alpha,beta\n"
 
 
 def test_emit_csv_float_round_trip(tmp_path):
     path = tmp_path / "floats.csv"
     values = [0.1 + 0.2, 1 / 3, math.pi, -0.0, 1e-17]
-    emit_csv(["x"], [[v] for v in values], str(path))
+    emit_csv(["x"], Columns(np.array(values)), str(path))
     lines = path.read_text(encoding="utf-8").strip().split("\n")[1:]
     for text, value in zip(lines, values):
         assert float(text) == value
@@ -195,8 +195,9 @@ def test_emit_csv_float_round_trip(tmp_path):
 
 def test_emit_csv_cell_types(tmp_path):
     path = tmp_path / "cells.csv"
-    emit_csv(["a", "b", "c", "d"], [[1, True, None, "x"]], str(path))
-    assert path.read_text(encoding="utf-8").split("\n")[1] == "1,true,,x"
+    emit_csv(["a", "b", "c", "d"], Columns(cli._axis([1]), np.array([True]), np.array([0.5]),
+                                           ["x"]), str(path))
+    assert path.read_text(encoding="utf-8").split("\n")[1] == "1,true,0.5,x"
 
 
 # ---------------------------------------------------------------- commands
@@ -376,20 +377,22 @@ def test_validate_check_at_its_bound_exits_2(tmp_path, monkeypatch, capsys):
 
 def test_domain_map_oracle_disagreement_exits_2(tmp_path, monkeypatch, capsys):
     original = checks.feasibility_search
-
-    def flipped(a, c1, c2):  # the oracle answers "outside" at the origin
-        value, witness = original(a, c1, c2)
-        return (-0.25 if not np.any(a) and c1 == 0.0 else value), witness
-
-    monkeypatch.setattr(checks, "feasibility_search", flipped)
     payload = {"command": "domain-map", "grid": [
         {"axis": "a2", "start": -1, "stop": 1, "count": 5},
         {"axis": "c1", "start": -1, "stop": 1, "count": 5}]}
-    out = tmp_path / "out"
-    assert run(write_scenario(tmp_path, payload), out_dir=str(out)) == 2
-    assert json.loads((out / "summary.json").read_text())["disagreements"] >= 1
-    assert (out / "domain_map.csv").exists()
-    assert "disagreement" in capsys.readouterr().err
+    # a wrong answer is caught even where 4 x it lies in the boundary band:
+    # the origin's slice margin is 1
+    for answer in (-0.25, -1e-4):
+        def flipped(a, c1, c2, answer=answer):  # the oracle answers "outside" at the origin
+            value, witness = original(a, c1, c2)
+            return (answer if not np.any(a) and c1 == 0.0 else value), witness
+
+        monkeypatch.setattr(checks, "feasibility_search", flipped)
+        out = tmp_path / f"out{answer}"
+        assert run(write_scenario(tmp_path, payload), out_dir=str(out)) == 2
+        assert json.loads((out / "summary.json").read_text())["disagreements"] >= 1
+        assert (out / "domain_map.csv").exists()
+        assert "disagreement" in capsys.readouterr().err
 
 
 # sha256 of every output file of every bundled scenario, run with its own
@@ -528,6 +531,35 @@ def test_conjunct_sweep_matches_row_by_row(tmp_path):
         (row[0] for row in rows if row[4] > 1.0 + 1e-9), None)
 
 
+@pytest.mark.parametrize("seed", [41, 43])
+def test_conjunct_trajectory_matches_row_by_row(tmp_path, seed):
+    rng = np.random.default_rng(seed)
+    a, (c1, c2) = rng.uniform(-0.6, 0.6, 3).tolist(), rng.uniform(-0.6, 0.6, 2).tolist()
+    t, steps = float(rng.uniform(-1, 2)), rng.uniform(-2, 3, 200).tolist()
+    payload = {"command": "conjunct", "state": {"a": a, "c1": c1, "c2": c2},
+               "schedule": {"t": t, "steps": steps}}
+    got, summary = _run_and_read(tmp_path, payload, "conjunct.csv")
+    # the per-step loop the trajectory mode ran before it became one rotate call
+    m0 = MeanValueState(a=a, c1=c1, c2=c2)
+    sched = ConjunctionSchedule(t=t, steps=steps)
+    report = conjunct(c1, c2, m0.a, sched, tol=1e-9)
+    rows = []
+    cumulative = 0.0
+    for k, duration in enumerate(sched.durations):
+        cumulative += duration
+        exact = evolve_mean_values(m0, cumulative)
+        conj_a = report.trajectory[k]
+        rows.append([k, duration, cumulative, conj_a[0], conj_a[1], conj_a[2], report.magnitudes[k],
+                     exact.a[0], exact.a[1], exact.a[2], float(np.linalg.norm(exact.a))])
+    header = ["step", "duration", "cumulative_time", "conj_a1", "conj_a2", "conj_a3", "conj_norm",
+              "exact_a1", "exact_a2", "exact_a3", "exact_norm"]
+    assert got == _reference_csv(header, rows)
+    assert summary["first_unphysical_step"] == report.first_unphysical_step
+    assert summary["worst_margin"] == report.worst_margin
+    assert summary["max_magnitude"] == float(report.magnitudes.max())
+    assert summary["rows"] == 201
+
+
 def test_slippage_grid_matches_row_by_row(tmp_path):
     payload = {"command": "slippage", "n": 4, "grid": [
         {"axis": "a2", "start": -1.05, "stop": 1.05, "count": 31},
@@ -629,6 +661,16 @@ def test_bad_tol_flag_exits_1_without_output(tmp_path, tol, capsys):
     assert run(os.path.join(SCENARIOS, "hazard.json"), out_dir=str(out), tol=tol) == 1
     assert not out.exists()
     assert "--tol" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,seed", [("validate", "-1"), ("hazard", "-5")])
+def test_negative_seed_flag_exits_1_without_output(tmp_path, command, seed, capsys):
+    out = tmp_path / "out"
+    argv = [command, "--scenario", os.path.join(SCENARIOS, f"{command}.json"),
+            "--out", str(out), "--seed", seed]
+    assert main(argv) == 1
+    assert not out.exists()
+    assert "--seed" in capsys.readouterr().err
 
 
 def test_write_failure_leaves_nothing(tmp_path, capsys):

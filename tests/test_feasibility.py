@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from qmaplab import checks
 from qmaplab.feasibility import (
     dual_certificate,
     feasibility_search,
@@ -92,6 +93,21 @@ def test_near_boundary_general_point_is_inside():
     analytic = in_compatibility_domain(c1, c2, a)
     assert analytic.margin > 1e-3
     assert abs(4.0 * verdict.margin - analytic.margin) < 1e-14
+
+
+@pytest.mark.parametrize("field", ["a", "c2"])
+def test_certified_rejects_an_off_read_back(field):
+    a, c1, c2 = [0.1, 0.2, -0.1], 0.2, 0.3  # well inside: the shift keeps the witness physical
+    value, witness = feasibility_search(a, c1, c2)
+    assert checks.certified(a, c1, c2, value, witness, 1e-9)
+    shifted_a, T = witness.a.copy(), witness.T.copy()
+    if field == "a":
+        shifted_a[0] += 1e-6
+    else:
+        T[1, 0] += 1e-6
+    off = TwoQubitState(a=shifted_a, b=witness.b, T=T)
+    assert min_eigenvalue(density_from_params(off)) > 0.1
+    assert not checks.certified(a, c1, c2, value, off, 1e-9)
 
 
 def test_maximally_mixed_point():

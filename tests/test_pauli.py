@@ -1,4 +1,4 @@
-"""Pauli algebra, parameterization round-trips, and physicality verdicts."""
+"""Pauli algebra, parameterization round-trips, and minimum eigenvalues."""
 from __future__ import annotations
 
 import math
@@ -13,13 +13,15 @@ from qmaplab.pauli import (
     density_from_params,
     embed_mean_values,
     is_hermitian,
-    is_physical,
-    kron,
     min_eigenvalue,
     params_from_density,
-    partial_trace_env,
     pauli,
 )
+
+
+def trace_env(rho: np.ndarray) -> np.ndarray:
+    """Reference partial trace over the environment (second) qubit."""
+    return np.einsum("ijkj->ik", rho.reshape(2, 2, 2, 2))
 
 
 def random_state(seed: int) -> TwoQubitState:
@@ -39,7 +41,7 @@ def test_pauli_standard_definitions():
 @pytest.mark.parametrize("qubit", ["sys", "env"])
 def test_pauli_involution_and_traceless(index, qubit):
     # on either tensor slot: S_i x I and I x E_i
-    p = kron(pauli(index), ID2) if qubit == "sys" else kron(ID2, pauli(index))
+    p = np.kron(pauli(index), ID2) if qubit == "sys" else np.kron(ID2, pauli(index))
     assert np.allclose(p @ p, ID4)
     assert abs(np.trace(p)) == 0
     assert is_hermitian(p)
@@ -53,12 +55,12 @@ def test_pauli_argument_errors():
 
 
 def test_kron_identities():
-    assert np.array_equal(kron(ID2, ID2), ID4)
-    sz_ex = kron(pauli(3), pauli(1))
+    assert np.array_equal(np.kron(ID2, ID2), ID4)
+    sz_ex = np.kron(pauli(3), pauli(1))
     assert np.allclose(sz_ex @ sz_ex, ID4)
     # mixed-product property
     assert np.allclose(
-        kron(pauli(1), ID2) @ kron(ID2, pauli(1)), kron(pauli(1), pauli(1))
+        np.kron(pauli(1), ID2) @ np.kron(ID2, pauli(1)), np.kron(pauli(1), pauli(1))
     )
 
 
@@ -85,7 +87,7 @@ def test_density_expectations_match_parameters():
     rho = density_from_params(s)
     for i in range(3):
         for j in range(3):
-            op = kron(pauli(i + 1), pauli(j + 1))
+            op = np.kron(pauli(i + 1), pauli(j + 1))
             assert abs(np.trace(rho @ op).real - s.T[i, j]) < 1e-12
 
 
@@ -104,7 +106,7 @@ def test_roundtrip_random_parameter_sets(seed):
 
 
 def test_params_from_density_read_off():
-    rho = 0.25 * (ID4 + kron(pauli(2), ID2))
+    rho = 0.25 * (ID4 + np.kron(pauli(2), ID2))
     s = params_from_density(rho)
     assert np.allclose(s.a, [0, 1, 0], atol=1e-15)
     assert np.allclose(s.b, 0, atol=1e-15)
@@ -120,26 +122,16 @@ def test_params_from_density_rejects_malformed():
         params_from_density(np.eye(4, dtype=complex))  # trace 4
 
 
-def test_partial_trace_product_state():
-    rho_sys = 0.5 * (ID2 + 0.3 * pauli(1) + 0.2 * pauli(3))
-    rho_env = 0.5 * (ID2 + 0.7 * pauli(2))
-    assert np.allclose(partial_trace_env(kron(rho_sys, rho_env)), rho_sys, atol=1e-14)
-
-
-def test_partial_trace_maximally_mixed():
-    assert np.allclose(partial_trace_env(ID4 / 4), ID2 / 2)
-
-
 def test_partial_trace_correlations_drop_out():
     s = embed_mean_values([0, 0.5, 0], 0.5, 0.0)
     expected = 0.5 * (ID2 + 0.5 * pauli(2))
-    assert np.allclose(partial_trace_env(density_from_params(s)), expected, atol=1e-14)
+    assert np.allclose(trace_env(density_from_params(s)), expected, atol=1e-14)
 
 
 @pytest.mark.parametrize("seed", range(20))
 def test_partial_trace_bloch_vector_matches_a(seed):
     s = random_state(seed)
-    reduced = partial_trace_env(density_from_params(s))
+    reduced = trace_env(density_from_params(s))
     bloch = np.array([np.trace(reduced @ pauli(i)).real for i in (1, 2, 3)])
     assert np.abs(bloch - s.a).max() < 1e-12
 
@@ -147,7 +139,7 @@ def test_partial_trace_bloch_vector_matches_a(seed):
 def test_min_eigenvalue_basic():
     assert abs(min_eigenvalue(ID4 / 4) - 0.25) < 1e-14
     assert abs(min_eigenvalue(np.diag([0.5, 0.5, 0, 0]).astype(complex))) < 1e-14
-    rho = 0.25 * (ID4 + 1.2 * kron(pauli(2), ID2))
+    rho = 0.25 * (ID4 + 1.2 * np.kron(pauli(2), ID2))
     assert abs(min_eigenvalue(rho) - (-0.05)) < 1e-12
 
 
@@ -166,26 +158,6 @@ def test_min_eigenvalue_against_characteristic_polynomial(seed):
     m = (g + g.conj().T) / 2
     roots = np.roots(np.poly(m))
     assert abs(min_eigenvalue(m) - min(roots.real)) < 1e-10
-
-
-def test_is_physical_examples():
-    mixed = TwoQubitState(a=np.zeros(3), b=np.zeros(3), T=np.zeros((3, 3)))
-    v = is_physical(mixed)
-    assert v.physical and abs(v.margin - 0.25) < 1e-14
-
-    v = is_physical(embed_mean_values([0, 1.05, 0], 0.0, 0.0))
-    assert not v.physical
-    assert abs(v.margin - (1 - 1.05) / 4) < 1e-12
-
-    q = 0.7
-    v = is_physical(embed_mean_values([0, math.cos(q), 0], math.sin(q), 0.0))
-    assert v.physical and abs(v.margin) < 1e-12
-
-
-def test_is_physical_rejects_negative_tol():
-    mixed = TwoQubitState(a=np.zeros(3), b=np.zeros(3), T=np.zeros((3, 3)))
-    with pytest.raises(ValueError):
-        is_physical(mixed, tol=-1.0)
 
 
 def test_slice_min_eig_closed_form_on_boundary():

@@ -10,7 +10,6 @@ from qmaplab.reduced import (
     ReducedMap,
     compat_slice_check,
     in_compatibility_domain,
-    in_positivity_domain,
     sup_norm_grid,
     sup_norm_over_time,
 )
@@ -54,23 +53,19 @@ def test_apply_is_affine(seed):
     assert np.abs(mixed - combo).max() < 1e-12
 
 
+def positivity_margin(m: ReducedMap, a) -> float:
+    """1 - |image|: the margin of the positivity domain at the map's t."""
+    return 1.0 - float(np.linalg.norm(m.apply(a)))
+
+
 def test_positivity_domain_examples():
     # a = 0 maps to (-c2 sin t, c1 sin t, 0)
-    v = in_positivity_domain(ReducedMap(0.3, 0.4, 1.1), [0, 0, 0])
-    expected = 1 - math.hypot(-0.4 * math.sin(1.1), 0.3 * math.sin(1.1))
-    assert v.inside and abs(v.margin - expected) < 1e-12
-
-    v = in_positivity_domain(ReducedMap(0.5, 0.0, math.pi / 2), [0, 1, 0])
-    assert v.inside and abs(v.margin - 0.5) < 1e-12
-
-    v = in_positivity_domain(ReducedMap(1.0, 0.0, math.pi / 4), [0, 1, 0])
-    assert not v.inside
-    assert abs(v.margin - (1 - 2 / math.sqrt(2))) < 1e-12
-
-
-def test_positivity_domain_rejects_negative_tol():
-    with pytest.raises(ValueError):
-        in_positivity_domain(ReducedMap(0, 0, 0), [0, 0, 0], tol=-1e-3)
+    margin = positivity_margin(ReducedMap(0.3, 0.4, 1.1), [0, 0, 0])
+    assert abs(margin - (1 - math.hypot(-0.4 * math.sin(1.1), 0.3 * math.sin(1.1)))) < 1e-12
+    assert abs(positivity_margin(ReducedMap(0.5, 0.0, math.pi / 2), [0, 1, 0]) - 0.5) < 1e-12
+    # outside: the image leaves the Bloch ball
+    margin = positivity_margin(ReducedMap(1.0, 0.0, math.pi / 4), [0, 1, 0])
+    assert abs(margin - (1 - 2 / math.sqrt(2))) < 1e-12
 
 
 def test_sup_norm_slice_matches_quadrature_sum():
@@ -218,4 +213,4 @@ def test_compatibility_implies_positivity_at_sampled_times(seed):
         if in_compatibility_domain(c1, c2, a).inside:
             break
     for t in np.linspace(0, 2 * math.pi, 50):
-        assert in_positivity_domain(ReducedMap(c1, c2, float(t)), a).inside
+        assert np.linalg.norm(ReducedMap(c1, c2, float(t)).apply(a)) <= 1.0 + 1e-9
