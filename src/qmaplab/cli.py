@@ -47,7 +47,7 @@ from .conjunction import (
 )
 from .dynamics import MeanValueState, rotate
 from .dynamics import evolve_mean_values  # noqa: F401  no longer called; perfbench traces this binding
-from .pauli import DEFAULT_TOL
+from .pauli import DEFAULT_TOL, _norms
 from .reduced import ReducedMap
 from .slippage import max_safe_repetitions, slip_state, slipped_domain_check
 
@@ -56,6 +56,11 @@ COMMANDS = ("evolve", "conjunct", "hazard", "growth", "domain-map", "slippage", 
 # most CSV rows one run may write; checked before any compute (the largest
 # benchmark workload writes 200,200)
 ROW_BUDGET = 10**7
+
+# largest |value| of a Bloch component, a correlation or an a2/c1 grid bound:
+# every square and norm the commands take (up to (n + 1) c1^2 within the row
+# budget) stays finite, so no run writes inf or nan
+MAX_MAGNITUDE = 1e150
 
 _PI_PATTERN = re.compile(r"^\s*([+-]?)\s*(\d+(?:\.\d+)?)?\s*\*?\s*pi\s*(?:/\s*(\d+(?:\.\d+)?))?\s*$")
 
@@ -92,6 +97,13 @@ def _require_number(value: Any, where: str) -> float:
         value = math.inf
     if not math.isfinite(value):
         raise ScenarioError(f"{where}: expected a finite number")
+    return value
+
+
+def _require_bounded(value: Any, where: str) -> float:
+    value = _require_number(value, where)
+    if abs(value) > MAX_MAGNITUDE:
+        raise ScenarioError(f"{where}: magnitude above {MAX_MAGNITUDE:g}")
     return value
 
 
@@ -160,13 +172,13 @@ def _parse_state(raw: Any) -> dict:
         a = raw["a"]
         if not isinstance(a, list) or len(a) != 3:
             raise ScenarioError("state.a: expected a list of three numbers")
-        out["a"] = np.array([_require_number(x, f"state.a[{i}]") for i, x in enumerate(a)])
+        out["a"] = np.array([_require_bounded(x, f"state.a[{i}]") for i, x in enumerate(a)])
     if raw.get("q") is not None:
         out["q"] = parse_angle(raw["q"], "state.q")
     if "c1" in raw:
-        out["c1"] = _require_number(raw["c1"], "state.c1")
+        out["c1"] = _require_bounded(raw["c1"], "state.c1")
     if "c2" in raw:
-        out["c2"] = _require_number(raw["c2"], "state.c2")
+        out["c2"] = _require_bounded(raw["c2"], "state.c2")
     return out
 
 
@@ -201,6 +213,9 @@ def _parse_grids(raw: Any) -> tuple[Grid, ...]:
             raise ScenarioError(f"{where}.axis: expected one of t, s, q, a2, c1")
         start = parse_angle(g["start"], f"{where}.start")
         stop = parse_angle(g["stop"], f"{where}.stop")
+        if axis in ("a2", "c1"):  # state values, not angles
+            start = _require_bounded(start, f"{where}.start")
+            stop = _require_bounded(stop, f"{where}.stop")
         count = _require_int(g["count"], f"{where}.count")
         if count < 2:
             raise ScenarioError(f"{where}.count: must be >= 2, got {count}")
@@ -379,13 +394,6 @@ def emit_csv(header: list[str], rows: Columns, path: str) -> None:
         for lo in range(0, len(rows), _CHUNK_ROWS):
             chunk = [_cells(column[lo:lo + _CHUNK_ROWS]) for column in rows.columns]
             fh.write("\n".join(map(",".join, zip(*chunk))) + "\n")
-
-
-def _norms(a1, a2, a3) -> np.ndarray:
-    """|a| per row, bit for bit np.linalg.norm of each row: a stacked (1x3)(3x1)
-    matmul takes the same dot product; norm(axis=1) rounds differently."""
-    a = np.stack(np.broadcast_arrays(a1, a2, a3), axis=-1)
-    return np.sqrt((a[:, None, :] @ a[:, :, None])[:, 0, 0])
 
 
 def _initial_mean_state(sc: Scenario) -> MeanValueState:

@@ -30,6 +30,12 @@ but the oracle never evaluates that supremum: both certificates are built
 from (a, c1, c2) alone and each is checked by one eigvalsh.  A witness with
 minimum eigenvalue >= -tol proves "inside" (check it by reconstruction); W
 with tr(W rho) < -tol proves "outside".
+
+Every function broadcasts over stacks: `a` of shape (3, ...) against c1 and
+c2.  `feasibility_search` flattens the stack and takes it
+`pauli._CHUNK_POINTS` points at a time: each chunk is one stacked product
+with the operator basis and one stacked eigvalsh, so besides the flattened
+inputs and the outputs no array grows with the stack.
 """
 from __future__ import annotations
 
@@ -39,7 +45,9 @@ from .optimize import nelder_mead_max  # noqa: F401  no longer called; perfbench
 from .pauli import (
     DEFAULT_TOL,
     TwoQubitState,
-    _as_bloch,
+    _as_blochs,
+    _chunks,
+    _norms,
     density_from_params,
     embed_mean_values,
     min_eigenvalue,
@@ -47,35 +55,50 @@ from .pauli import (
 from .reduced import DomainVerdict
 
 
-def _block_vectors(a: np.ndarray, c1: float, c2: float) -> tuple[np.ndarray, np.ndarray]:
+def _flat_points(a, c1, c2) -> tuple[tuple, np.ndarray, np.ndarray, np.ndarray]:
+    """(stack shape, a as (3, N), c1 as (N,), c2 as (N,)) after broadcasting."""
+    a = _as_blochs(a)
+    shape = np.broadcast_shapes(a.shape[1:], np.shape(c1), np.shape(c2))
+    return (shape, np.broadcast_to(a, (3,) + shape).reshape(3, -1),
+            np.broadcast_to(c1, shape).ravel(), np.broadcast_to(c2, shape).ravel())
+
+
+def _block_vectors(a: np.ndarray, c1, c2) -> tuple[np.ndarray, np.ndarray]:
     """(x_+, x_-) = (a_xy + c, z_+), (a_xy - c, z_-) with z_+ + z_- = 2 a3
-    split in proportion to |a_xy + c| : |a_xy - c| (equally when both are 0)."""
-    p = np.array([a[0] + c1, a[1] + c2])
-    m = np.array([a[0] - c1, a[1] - c2])
-    norm_p, norm_m = np.linalg.norm(p), np.linalg.norm(m)
+    split in proportion to |a_xy + c| : |a_xy - c| (equally when both are 0),
+    each of shape (3, ...)."""
+    p = (a[0] + c1, a[1] + c2)
+    m = (a[0] - c1, a[1] - c2)
+    norm_p, norm_m = _norms(*p), _norms(*m)
     total = norm_p + norm_m
-    share = 0.5 if total == 0.0 else norm_p / total
-    return np.append(p, 2.0 * a[2] * share), np.append(m, 2.0 * a[2] * (1.0 - share))
+    share = np.divide(norm_p, total, out=np.full(total.shape, 0.5), where=total != 0.0)
+    return np.stack((*p, 2.0 * a[2] * share)), np.stack((*m, 2.0 * a[2] * (1.0 - share)))
 
 
-def feasibility_search(a, c1: float, c2: float) -> tuple[float, TwoQubitState]:
+def feasibility_search(a, c1, c2) -> tuple[np.ndarray, TwoQubitState]:
     """Optimal extension of (a, c1, c2): the largest minimum eigenvalue any
-    two-qubit state carrying these values can have, and a state attaining it.
+    two-qubit state carrying these values can have, and a state attaining it,
+    for every point of the broadcast stack (a float for a single point).
 
     The witness carries a, c1 and c2 exactly; the value is the minimum
     eigenvalue of its reconstructed density matrix.
     """
-    a = _as_bloch(a)
-    x_plus, x_minus = _block_vectors(a, c1, c2)
-    T = np.zeros((3, 3))
-    T[:, 0] = (c1, c2, 0.5 * (x_plus[2] - x_minus[2]))
-    b1 = 0.5 * (np.linalg.norm(x_plus) - np.linalg.norm(x_minus))  # w_+ - w_-
-    witness = TwoQubitState(a=a, b=[b1, 0.0, 0.0], T=T)
-    return min_eigenvalue(density_from_params(witness)), witness
+    shape, a, c1, c2 = _flat_points(a, c1, c2)
+    b, T, values = np.zeros(a.shape), np.zeros((3,) + a.shape), np.empty(c1.shape)
+    for chunk in _chunks(c1.size):
+        x_plus, x_minus = _block_vectors(a[:, chunk], c1[chunk], c2[chunk])
+        T[:, 0, chunk] = c1[chunk], c2[chunk], 0.5 * (x_plus[2] - x_minus[2])
+        b[0, chunk] = 0.5 * (_norms(*x_plus) - _norms(*x_minus))  # w_+ - w_-
+        values[chunk] = min_eigenvalue(density_from_params(
+            TwoQubitState(a=a[:, chunk], b=b[:, chunk], T=T[..., chunk])))
+    witness = TwoQubitState(a=a.reshape((3,) + shape), b=b.reshape((3,) + shape),
+                            T=T.reshape((3, 3) + shape))
+    return values.reshape(shape)[()], witness
 
 
-def dual_certificate(a, c1: float, c2: float) -> np.ndarray:
-    """The dual matrix W (4x4, PSD, unit trace) for (a, c1, c2).
+def dual_certificate(a, c1, c2) -> np.ndarray:
+    """The dual matrix W (4x4, PSD, unit trace) for (a, c1, c2), stacked as
+    (..., 4, 4) over the broadcast points.
 
     W only has components on the identity, S_i x I, S1 x E1 and S2 x E1, so
     tr(W rho) = (1 + u.a + v1 c1 + v2 c2)/4 for every extension rho, and that
@@ -83,25 +106,23 @@ def dual_certificate(a, c1: float, c2: float) -> np.ndarray:
     vanishes the other's direction is used for both; when both vanish,
     W = I/4.
     """
-    a = _as_bloch(a)
+    shape, a, c1, c2 = _flat_points(a, c1, c2)
 
     def down(x: np.ndarray) -> np.ndarray:
-        norm = np.linalg.norm(x)
-        return -x / norm if norm > 0.0 else np.zeros(3)
+        norm = _norms(*x)
+        return np.divide(-x, norm, out=np.zeros(x.shape), where=norm > 0.0)
 
     x_plus, x_minus = _block_vectors(a, c1, c2)
     p_hat, m_hat = down(x_plus), down(x_minus)
-    if not p_hat.any():
-        p_hat = m_hat
-    if not m_hat.any():
-        m_hat = p_hat
+    p_hat = np.where(p_hat.any(axis=0), p_hat, m_hat)
+    m_hat = np.where(m_hat.any(axis=0), m_hat, p_hat)
     # the proportional split of a3 gives p^ and m^ the same third component,
     # so v3 = 0 and W has no S3 x E1 (free T31) component
     u, v = 0.5 * (p_hat + m_hat), 0.5 * (p_hat - m_hat)
-    return density_from_params(embed_mean_values(u, v[0], v[1]))
+    return density_from_params(embed_mean_values(u, v[0], v[1])).reshape(shape + (4, 4))
 
 
-def is_compatible_oracle(a, c1: float, c2: float, tol: float = DEFAULT_TOL) -> DomainVerdict:
+def is_compatible_oracle(a, c1, c2, tol: float = DEFAULT_TOL) -> DomainVerdict:
     """Inside iff the optimal extension has min eigenvalue >= -tol."""
     if tol < 0:
         raise ValueError("tol must be >= 0")

@@ -41,8 +41,9 @@ def pauli(index: int) -> np.ndarray:
 
 
 def is_hermitian(m: np.ndarray, tol: float = 1e-12) -> bool:
-    """Entrywise Hermiticity check: max |M - M^dagger| <= tol."""
-    return bool(np.max(np.abs(m - m.conj().T)) <= tol)
+    """Entrywise Hermiticity check of a matrix or a stack (..., k, k):
+    max |M - M^dagger| <= tol."""
+    return bool(np.max(np.abs(m - np.swapaxes(m.conj(), -1, -2))) <= tol)
 
 
 def _as_bloch(a) -> np.ndarray:
@@ -60,10 +61,28 @@ def _as_blochs(a) -> np.ndarray:
     return a
 
 
+def _norms(*components) -> np.ndarray:
+    """|v| of the vectors with these components, bit for bit np.linalg.norm of
+    each: a stacked (1xk)(kx1) matmul takes the same dot product; norm(axis=...)
+    rounds differently."""
+    v = np.stack(np.broadcast_arrays(*components), axis=-1)
+    return np.sqrt((v[..., None, :] @ v[..., :, None])[..., 0, 0])
+
+
+# states per stacked eigvalsh: 2^16 4x4 complex matrices are 16 MB
+_CHUNK_POINTS = 1 << 16
+
+
+def _chunks(size: int):
+    """Slices of range(size), _CHUNK_POINTS long (the last one shorter)."""
+    return (slice(lo, lo + _CHUNK_POINTS) for lo in range(0, size, _CHUNK_POINTS))
+
+
 @dataclass(frozen=True)
 class TwoQubitState:
-    """15-parameter two-qubit state: Bloch vectors `a`, `b` and correlation
-    matrix `T` with T[i, j] = <S_{i+1} x E_{j+1}>.
+    """15-parameter two-qubit state, or a stack of them: Bloch vectors `a`,
+    `b` of shape (3, ...) and correlation matrices `T` of shape (3, 3, ...)
+    with T[i, j] = <S_{i+1} x E_{j+1}>.
 
     All parameters are dimensionless; physical states have each in [-1, 1].
     """
@@ -73,22 +92,21 @@ class TwoQubitState:
     T: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "a", _as_bloch(self.a))
-        object.__setattr__(self, "b", _as_bloch(self.b))
+        a, b = _as_blochs(self.a), _as_blochs(self.b)
         T = np.asarray(self.T, dtype=float)
-        if T.shape != (3, 3):
-            raise ValueError(f"T must have shape (3, 3), got {T.shape}")
+        if b.shape != a.shape:
+            raise ValueError(f"b must have the shape of a, {a.shape}, got {b.shape}")
+        if T.shape != (3,) + a.shape:
+            raise ValueError(f"T must have shape {(3,) + a.shape}, got {T.shape}")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
         object.__setattr__(self, "T", T)
 
-    @property
-    def c1(self) -> float:
-        """Correlation <S_1 x E_1>."""
-        return float(self.T[0, 0])
-
-    @property
-    def c2(self) -> float:
-        """Correlation <S_2 x E_1>."""
-        return float(self.T[1, 0])
+    def __getitem__(self, index) -> "TwoQubitState":
+        """The states at `index` of the stack axes."""
+        index = index if isinstance(index, tuple) else (index,)
+        return TwoQubitState(a=self.a[(slice(None),) + index], b=self.b[(slice(None),) + index],
+                             T=self.T[(slice(None), slice(None)) + index])
 
 
 def _basis_16() -> np.ndarray:
@@ -104,12 +122,17 @@ _BASIS = _basis_16()
 
 
 def _coeffs(s: TwoQubitState) -> np.ndarray:
-    return np.concatenate(([1.0], s.a, s.b, s.T.ravel()))
+    """The 16 basis coefficients of each state, stacked as (..., 16)."""
+    stack = s.a.shape[1:]
+    c = np.empty((16,) + stack)
+    c[0], c[1:4], c[4:7], c[7:] = 1.0, s.a, s.b, s.T.reshape((9,) + stack)
+    return c.transpose((*range(1, c.ndim), 0))
 
 
 def density_from_params(s: TwoQubitState) -> np.ndarray:
     """Reconstruct the 4x4 matrix (1/4)(I + sum a_i S_i x I + sum b_j I x E_j
-    + sum T_ij S_i x E_j).
+    + sum T_ij S_i x E_j) of each state: shape (..., 4, 4), one product of
+    the (..., 16) coefficients with the basis.
 
     Hermitian with unit trace by construction; not necessarily positive.
     """
@@ -137,18 +160,23 @@ def params_from_density(rho: np.ndarray, tol: float = 1e-12) -> TwoQubitState:
     return TwoQubitState(a=p[1:4], b=p[4:7], T=p[7:16].reshape(3, 3))
 
 
-def embed_mean_values(a, c1: float, c2: float) -> TwoQubitState:
+def embed_mean_values(a, c1, c2) -> TwoQubitState:
     """Minimal state carrying Bloch vector `a` and correlations c1 = <S1 E1>,
-    c2 = <S2 E1>; every other parameter zero."""
-    T = np.zeros((3, 3))
+    c2 = <S2 E1>; every other parameter zero.  Broadcasts over stacks of
+    `a` (shape (3, ...)), c1 and c2."""
+    a = _as_blochs(a)
+    stack = np.broadcast_shapes(a.shape[1:], np.shape(c1), np.shape(c2))
+    a = np.broadcast_to(a, (3,) + stack)
+    T = np.zeros((3, 3) + stack)
     T[0, 0] = c1
     T[1, 0] = c2
-    return TwoQubitState(a=_as_bloch(a), b=np.zeros(3), T=T)
+    return TwoQubitState(a=a, b=np.zeros(a.shape), T=T)
 
 
-def min_eigenvalue(m: np.ndarray, tol: float = 1e-10) -> float:
-    """Smallest eigenvalue of a Hermitian 4x4 (or 2x2) matrix."""
+def min_eigenvalue(m: np.ndarray, tol: float = 1e-10):
+    """Smallest eigenvalue of each Hermitian 4x4 (or 2x2) matrix of a stack
+    (..., k, k), by one stacked eigvalsh; a float for a single matrix."""
     m = np.asarray(m, dtype=complex)
     if not is_hermitian(m, tol):
         raise ValueError("matrix is not Hermitian within tolerance")
-    return float(np.linalg.eigvalsh(m)[0])
+    return np.linalg.eigvalsh(m)[..., 0]

@@ -161,20 +161,19 @@ def test_criterion_8_slippage_sufficiency_and_sharpness():
 
 def test_criterion_9_witness_soundness():
     rng = np.random.default_rng(9009)
-    inside_verdicts = 0
-    bad = 0
+    points = []
     for i in range(40):
         if i % 2 == 0:  # slice points, mostly feasible
             r = math.sqrt(rng.uniform(0, 1.1))
             theta = rng.uniform(0, 2 * math.pi)
-            a = [0.0, r * math.cos(theta), 0.0]
-            c1, c2 = r * math.sin(theta), 0.0
+            points.append((0.0, r * math.cos(theta), 0.0, r * math.sin(theta), 0.0))
         else:  # general points
-            a = rng.uniform(-0.6, 0.6, 3)
-            c1, c2 = rng.uniform(-0.6, 0.6, 2)
-        best, witness = feasibility_search(a, float(c1), float(c2))
-        inside_verdicts += best >= -DEFAULT_TOL
-        bad += not checks.certified(a, float(c1), float(c2), best, witness, DEFAULT_TOL)
+            points.append((*rng.uniform(-0.6, 0.6, 3), *rng.uniform(-0.6, 0.6, 2)))
+    a1, a2, a3, c1, c2 = np.array(points).T
+    a = np.stack((a1, a2, a3))
+    best, witnesses = feasibility_search(a, c1, c2)
+    inside_verdicts = int((best >= -DEFAULT_TOL).sum())
+    bad = int((~checks.certified(a, c1, c2, best, witnesses, DEFAULT_TOL)).sum())
     ok = bad == 0 and inside_verdicts >= 20
     assert report(9, ok,
                   f"{inside_verdicts} inside verdicts ship reconstructible physical witnesses, "

@@ -384,8 +384,10 @@ def test_domain_map_oracle_disagreement_exits_2(tmp_path, monkeypatch, capsys):
     # the origin's slice margin is 1
     for answer in (-0.25, -1e-4):
         def flipped(a, c1, c2, answer=answer):  # the oracle answers "outside" at the origin
-            value, witness = original(a, c1, c2)
-            return (answer if not np.any(a) and c1 == 0.0 else value), witness
+            values, witness = original(a, c1, c2)
+            origin = ~np.any(a, axis=0) & (c1 == 0.0)
+            assert origin.sum() == 1  # one batched call covers the whole grid
+            return np.where(origin, answer, values), witness
 
         monkeypatch.setattr(checks, "feasibility_search", flipped)
         out = tmp_path / f"out{answer}"
@@ -608,22 +610,27 @@ def _count_calls(monkeypatch, module, names) -> dict:
 
 def test_validate_calls_each_kernel_o1_times(tmp_path, monkeypatch):
     calls = _count_calls(monkeypatch, checks, ("sup_norm_grid", "sup_norm_over_time",
-                                               "in_compatibility_domain", "compat_slice_check"))
+                                               "in_compatibility_domain", "compat_slice_check",
+                                               "feasibility_search", "certified"))
     payload = {"command": "validate", "seed": 5}
     assert run(write_scenario(tmp_path, payload), out_dir=str(tmp_path / "out")) == 0
-    # per-point loops made 500, 500, 40,401 and 40,522 calls
+    # per-point loops made 500, 500, 40,401, 40,522, 121 and 121 calls
     assert calls["sup_norm_grid"] == calls["sup_norm_over_time"] == 1
     assert calls["in_compatibility_domain"] == 1
     assert calls["compat_slice_check"] <= 2
+    assert calls["feasibility_search"] == calls["certified"] == 1
 
 
 def test_domain_map_calls_each_kernel_o1_times(tmp_path, monkeypatch):
-    calls = _count_calls(monkeypatch, checks, ("in_compatibility_domain", "compat_slice_check"))
+    calls = _count_calls(monkeypatch, checks, ("in_compatibility_domain", "compat_slice_check",
+                                               "feasibility_search"))
     payload = {"command": "domain-map", "grid": [
         {"axis": "a2", "start": -1, "stop": 1, "count": 9},
         {"axis": "c1", "start": -1, "stop": 1, "count": 7}]}
     assert run(write_scenario(tmp_path, payload), out_dir=str(tmp_path / "out")) == 0
-    assert calls == {"in_compatibility_domain": 1, "compat_slice_check": 1}
+    # the oracle's per-point loop made 63 calls
+    assert calls == {"in_compatibility_domain": 1, "compat_slice_check": 1,
+                     "feasibility_search": 1}
 
 
 # ---------------------------------------------------------------- input boundary
@@ -646,6 +653,43 @@ def test_nan_bloch_component_rejected_with_field_path(tmp_path, capsys):
     payload = {"command": "growth", "state": {"a": [0, math.nan, 0], "c1": 0.2}, "n": 3}
     assert "NaN" in json.dumps(payload)
     _assert_exit_1_nothing_written(tmp_path, payload, "state.a[1]", capsys)
+
+
+@pytest.mark.parametrize("payload,field", [
+    ({"command": "evolve", "state": {"a": [1e308, 1e308, 0], "c1": 0, "c2": 0},
+      "grid": {"axis": "t", "start": 0, "stop": 1, "count": 5}}, "state.a[0]"),
+    ({"command": "slippage", "state": {"c1": 1e200}, "n": 2,
+      "grid": {"axis": "a2", "start": -1, "stop": 1, "count": 5}}, "state.c1"),
+    ({"command": "evolve", "state": {"a": [0, 0.5, 0], "c1": 0, "c2": -1.0000001e150},
+      "grid": {"axis": "t", "start": 0, "stop": 1, "count": 5}}, "state.c2"),
+    ({"command": "domain-map", "grid": [{"axis": "a2", "start": -1e155, "stop": 1, "count": 3},
+                                        {"axis": "c1", "start": -1, "stop": 1, "count": 3}]},
+     "grid[0].start"),
+    ({"command": "domain-map", "grid": [{"axis": "a2", "start": -1, "stop": 1, "count": 3},
+                                        {"axis": "c1", "start": -1, "stop": 1e155, "count": 3}]},
+     "grid[1].stop"),
+], ids=["a", "c1", "c2", "a2-start", "c1-stop"])
+def test_overflowing_values_rejected_with_field_path(tmp_path, payload, field, capsys):
+    # past the limit a square or norm overflows: a traceback, or inf/nan rows
+    _assert_exit_1_nothing_written(tmp_path, payload, field, capsys)
+
+
+def test_values_at_the_magnitude_limit_run_clean(tmp_path):
+    big = cli.MAX_MAGNITUDE
+    payloads = {
+        "domain_map.csv": {"command": "domain-map", "grid": [
+            {"axis": "a2", "start": -big, "stop": big, "count": 3},
+            {"axis": "c1", "start": -big, "stop": big, "count": 3}]},
+        "slippage.csv": {"command": "slippage", "state": {"c1": -big}, "n": 3,
+                         "grid": {"axis": "a2", "start": -big, "stop": big, "count": 3}},
+        "evolve.csv": {"command": "evolve", "state": {"a": [big, -big, big], "c1": big, "c2": big},
+                       "grid": {"axis": "t", "start": 0, "stop": 1, "count": 3}},
+    }
+    for name, payload in payloads.items():
+        out = tmp_path / name
+        assert run(write_scenario(tmp_path, payload), out_dir=str(out)) == 0
+        text = (out / name).read_text()
+        assert "inf" not in text and "nan" not in text
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, 10**400, "9" * 400 + "pi"],

@@ -1,6 +1,7 @@
 """Feasibility oracle: closed-form witness, dual certificate, verdicts."""
 from __future__ import annotations
 
+import importlib
 import math
 
 import numpy as np
@@ -14,6 +15,165 @@ from qmaplab.feasibility import (
 )
 from qmaplab.pauli import TwoQubitState, density_from_params, min_eigenvalue, params_from_density
 from qmaplab.reduced import in_compatibility_domain, sup_norm_over_time
+
+pauli = importlib.import_module("qmaplab.pauli")  # the module; the package binds the function
+
+# (a, c1, c2, inside) where a block vector, a weight or the a3 split degenerates
+DEGENERATE_POINTS = [
+    ([0.0, 0.0, 0.0], 0.0, 0.0, True),  # a = c = 0
+    ([0.3, -0.4, 0.2], 0.3, -0.4, True),  # a_xy = c: x_- = 0
+    ([0.3, -0.4, 0.2], -0.3, 0.4, True),  # a_xy = -c: x_+ = 0
+    ([0.0, 0.0, 0.6], 0.0, 0.0, True),  # a_xy = c = 0, a3 != 0: equal split
+    ([0.0, 0.0, 1.0], 1.0, 0.0, False),  # pure marginal admits no correlation
+    ([0.9, 0.9, 0.0], 0.9, 0.9, False),  # w_+ = 1.14 leaves [0, 1]
+]
+
+
+# ------------------------------------------------ per-point reference oracle
+# The oracle as it was written before it broadcast: one point per call, the
+# density matrix from 16 coefficients, one eigvalsh per matrix.  The batch
+# oracle must reproduce it bit for bit.
+
+def _reference_density(a, b, T) -> np.ndarray:
+    return 0.25 * np.tensordot(np.concatenate(([1.0], a, b, T.ravel())), pauli._BASIS, axes=1)
+
+
+def _reference_block_vectors(a, c1, c2):
+    p = np.array([a[0] + c1, a[1] + c2])
+    m = np.array([a[0] - c1, a[1] - c2])
+    norm_p, norm_m = np.linalg.norm(p), np.linalg.norm(m)
+    total = norm_p + norm_m
+    share = 0.5 if total == 0.0 else norm_p / total
+    return np.append(p, 2.0 * a[2] * share), np.append(m, 2.0 * a[2] * (1.0 - share))
+
+
+def _reference_search(a, c1, c2):
+    """(value, b, T) of the witness at one point."""
+    a = np.asarray(a, dtype=float)
+    x_plus, x_minus = _reference_block_vectors(a, c1, c2)
+    T = np.zeros((3, 3))
+    T[:, 0] = (c1, c2, 0.5 * (x_plus[2] - x_minus[2]))
+    b = np.array([0.5 * (np.linalg.norm(x_plus) - np.linalg.norm(x_minus)), 0.0, 0.0])
+    return float(np.linalg.eigvalsh(_reference_density(a, b, T))[0]), b, T
+
+
+def _reference_dual(a, c1, c2) -> np.ndarray:
+    def down(x):
+        norm = np.linalg.norm(x)
+        return -x / norm if norm > 0.0 else np.zeros(3)
+
+    x_plus, x_minus = _reference_block_vectors(np.asarray(a, dtype=float), c1, c2)
+    p_hat, m_hat = down(x_plus), down(x_minus)
+    if not p_hat.any():
+        p_hat = m_hat
+    if not m_hat.any():
+        m_hat = p_hat
+    u, v = 0.5 * (p_hat + m_hat), 0.5 * (p_hat - m_hat)
+    T = np.zeros((3, 3))
+    T[0, 0], T[1, 0] = v[0], v[1]
+    return _reference_density(u, np.zeros(3), T)
+
+
+def _reference_certified(a, c1, c2, value, witness: TwoQubitState, tol: float) -> bool:
+    rho = _reference_density(witness.a, witness.b, witness.T)
+    if value >= -tol:
+        back = params_from_density(rho)
+        return bool(
+            np.linalg.eigvalsh(rho)[0] >= -1e-9
+            and np.abs(back.a - np.asarray(a, dtype=float)).max() < 1e-10
+            and abs(back.T[0, 0] - c1) < 1e-10
+            and abs(back.T[1, 0] - c2) < 1e-10
+        )
+    w = _reference_dual(a, c1, c2)
+    if abs(np.trace(w) - 1.0) > 1e-12 or np.linalg.eigvalsh(w)[0] < -1e-12:
+        return False
+    back = params_from_density(w)
+    free = np.concatenate((back.b, back.T[:, 1:].ravel(), back.T[2:, 0]))
+    return bool(np.abs(free).max() <= 1e-12 and np.trace(w @ rho).real < -tol)
+
+
+def _batch_points():
+    """300 random general points, 100 slice points and the degenerate ones,
+    as a (3, N) stack and two (N,) arrays."""
+    rng = np.random.default_rng(77)
+    a = rng.uniform(-1, 1, (3, 300))
+    c1, c2 = rng.uniform(-1, 1, (2, 300))
+    slice_a2, slice_c1 = rng.uniform(-1.1, 1.1, (2, 100))
+    degenerate = list(zip(*DEGENERATE_POINTS))
+    a = np.concatenate((a, np.stack(np.broadcast_arrays(0.0, slice_a2, 0.0)),
+                        np.array(degenerate[0]).T), axis=1)
+    c1 = np.concatenate((c1, slice_c1, degenerate[1]))
+    c2 = np.concatenate((c2, np.zeros(100), degenerate[2]))
+    return a, c1, c2
+
+
+def test_batch_oracle_equals_per_point_reference_exactly():
+    a, c1, c2 = _batch_points()
+    values, witness = feasibility_search(a, c1, c2)
+    w = dual_certificate(a, c1, c2)
+    assert values.shape == (a.shape[1],) and w.shape == (a.shape[1], 4, 4)
+    assert np.array_equal(witness.a, a)
+    for i in range(a.shape[1]):
+        value, b, T = _reference_search(a[:, i], c1[i], c2[i])
+        assert values[i] == value
+        assert np.array_equal(witness.b[:, i], b) and np.array_equal(witness.T[..., i], T)
+        assert np.array_equal(w[i], _reference_dual(a[:, i], c1[i], c2[i]))
+    # a scalar point gives a float, as the per-point oracle did
+    value, witness = feasibility_search(a[:, 0], c1[0], c2[0])
+    assert isinstance(value, float) and value == values[0]
+    assert witness.b.shape == (3,) and witness.T.shape == (3, 3)
+
+
+def test_batch_oracle_broadcasts_over_stack_shapes():
+    a, c1, c2 = _batch_points()
+    a, c1 = a[:, :24].reshape(3, 4, 6), c1[:6]  # c1 along the last axis, c2 a scalar
+    values, witness = feasibility_search(a, c1, 0.25)
+    assert values.shape == (4, 6) and witness.T.shape == (3, 3, 4, 6)
+    w = dual_certificate(a, c1, 0.25)
+    assert w.shape == (4, 6, 4, 4)
+    for i, j in np.ndindex(4, 6):
+        assert values[i, j] == _reference_search(a[:, i, j], c1[j], 0.25)[0]
+        assert np.array_equal(w[i, j], _reference_dual(a[:, i, j], c1[j], 0.25))
+
+
+def test_batch_audit_equals_per_point_reference():
+    a, c1, c2 = _batch_points()
+    a, c1, c2 = a[:, 250:], c1[250:], c2[250:]  # general, slice and degenerate points
+    values, witness = feasibility_search(a, c1, c2)
+    # shifted read-backs of a1 and c2: the inside answers there no longer certify
+    shifted_a, T = witness.a.copy(), witness.T.copy()
+    shifted_a[0, ::3] += 1e-6
+    T[1, 0, 1::5] += 1e-6
+    # an "outside" answer at an inside point: its own dual bound refutes it
+    lying = np.where(values >= 0.0, -0.25, values)
+    for answer, tested, sound in ((values, witness, True),
+                                  (values, TwoQubitState(a=shifted_a, b=witness.b, T=T), False),
+                                  (lying, witness, False)):
+        batch = checks.certified(a, c1, c2, answer, tested, 1e-9)
+        reference = [_reference_certified(a[:, i], c1[i], c2[i], answer[i], tested[i], 1e-9)
+                     for i in range(answer.size)]
+        assert batch.tolist() == reference
+        assert batch.all() == sound
+    assert not checks.certified(a, c1, c2, lying, witness, 1e-9)[values >= 0.0].any()
+
+
+def test_chunked_oracle_and_audit_equal_one_chunk(monkeypatch):
+    a, c1, c2 = _batch_points()
+    a, c1, c2 = a[:, 380:], c1[380:], c2[380:]  # 26 points: 3 chunks of 7 and one of 5
+    values, witness = feasibility_search(a, c1, c2)
+    verdicts = checks.certified(a, c1, c2, values, witness, 1e-9)
+    sizes = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: sizes.append(len(m)) or eigvalsh(m))
+    monkeypatch.setattr(pauli, "_CHUNK_POINTS", 7)
+    chunked, chunked_witness = feasibility_search(a, c1, c2)
+    assert sizes == [7, 7, 7, 5]
+    assert np.array_equal(chunked, values)
+    assert np.array_equal(chunked_witness.b, witness.b)
+    assert np.array_equal(chunked_witness.T, witness.T)
+    sizes.clear()
+    assert np.array_equal(checks.certified(a, c1, c2, values, witness, 1e-9), verdicts)
+    assert max(sizes) == 7 and sum(sizes) == 2 * values.size  # rho and W per chunk
 
 
 def _free_components(state: TwoQubitState) -> np.ndarray:
@@ -67,17 +227,7 @@ def test_certificates_on_random_points():
     assert weights_outside > 0  # the property also ran where the weights leave [0, 1]
 
 
-@pytest.mark.parametrize(
-    "a,c1,c2,inside",
-    [
-        ([0.0, 0.0, 0.0], 0.0, 0.0, True),  # a = c = 0
-        ([0.3, -0.4, 0.2], 0.3, -0.4, True),  # a_xy = c: x_- = 0
-        ([0.3, -0.4, 0.2], -0.3, 0.4, True),  # a_xy = -c: x_+ = 0
-        ([0.0, 0.0, 0.6], 0.0, 0.0, True),  # a_xy = c = 0, a3 != 0: equal split
-        ([0.0, 0.0, 1.0], 1.0, 0.0, False),  # pure marginal admits no correlation
-        ([0.9, 0.9, 0.0], 0.9, 0.9, False),  # w_+ = 1.14 leaves [0, 1]
-    ],
-)
+@pytest.mark.parametrize("a,c1,c2,inside", DEGENERATE_POINTS)
 def test_certificates_on_degenerate_points(a, c1, c2, inside):
     value, _ = _check_certificates(a, c1, c2, np.random.default_rng(0))
     assert (value >= 0.0) == inside

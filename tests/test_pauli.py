@@ -182,3 +182,25 @@ def test_two_qubit_state_shape_validation():
         TwoQubitState(a=[0, 0], b=[0, 0, 0], T=np.zeros((3, 3)))
     with pytest.raises(ValueError):
         TwoQubitState(a=[0, 0, 0], b=[0, 0, 0], T=np.zeros((2, 3)))
+    with pytest.raises(ValueError):  # a stack: b and T must follow a's stack shape
+        TwoQubitState(a=np.zeros((3, 4)), b=np.zeros((3, 5)), T=np.zeros((3, 3, 4)))
+    with pytest.raises(ValueError):
+        TwoQubitState(a=np.zeros((3, 4)), b=np.zeros((3, 4)), T=np.zeros((3, 3)))
+
+
+def test_stacked_density_and_min_eigenvalue_equal_per_state_calls():
+    states = [random_state(seed) for seed in range(6)]
+    stack = TwoQubitState(a=np.stack([s.a for s in states], axis=1),
+                          b=np.stack([s.b for s in states], axis=1),
+                          T=np.stack([s.T for s in states], axis=2))
+    rho = density_from_params(stack)
+    assert rho.shape == (6, 4, 4)
+    values = min_eigenvalue(rho)
+    for i, s in enumerate(states):
+        assert np.array_equal(rho[i], density_from_params(s))
+        assert np.array_equal(density_from_params(stack[i]), rho[i])
+        assert values[i] == min_eigenvalue(density_from_params(s))
+    bad = rho.copy()
+    bad[3, 0, 1] += 1e-6
+    with pytest.raises(ValueError):
+        min_eigenvalue(bad)
