@@ -5,7 +5,9 @@
 with its own seeds.  A check returns (name, metric, value, bound) and
 passes when value < bound; a count passes at bound 1, i.e. when it is zero.
 
-Every check is an array program: the feasibility oracle is one
+Every check is an array program: the unitary cross-check is one
+`crosscheck` call over all its states, the growth check one
+`brute_force_max` call per number of reuses, the feasibility oracle one
 `feasibility_search` call over the whole grid, and `certified` audits all
 of its answers as one batch (a stacked eigvalsh of the witnesses and of the
 dual certificates, chunked as the oracle is), so `validate` and
@@ -106,13 +108,18 @@ def certified(a, c1, c2, value, witness: TwoQubitState, tol: float):
     return ok.reshape(shape)[()]
 
 
+# per state: a, b and T.ravel() in [-1, 1], then t in [0, 4 pi]
+_STATE_LO = np.r_[np.full(15, -1.0), 0.0]
+_STATE_HI = np.r_[np.full(15, 1.0), 4 * math.pi]
+
+
 def mean_values_vs_unitary(rng):
-    """Closed-form evolution vs unitary conjugation, 1000 random states and times."""
-    worst = 0.0
-    for _ in range(1000):
-        s = TwoQubitState(a=rng.uniform(-1, 1, 3), b=rng.uniform(-1, 1, 3),
-                          T=rng.uniform(-1, 1, (3, 3)))
-        worst = max(worst, crosscheck(s, float(rng.uniform(0, 4 * math.pi))))
+    """Closed-form evolution vs unitary conjugation, 1000 random states and
+    times: one block of draws, in the order and with the values of drawing
+    a, b, T and t state by state, and one `crosscheck` call."""
+    draws = rng.uniform(_STATE_LO, _STATE_HI, (1000, 16)).T
+    s = TwoQubitState(a=draws[0:3], b=draws[3:6], T=draws[6:15].reshape(3, 3, -1))
+    worst = max([0.0, *crosscheck(s, draws[15]).tolist()])
     return "mean_values_vs_unitary", "max_discrepancy", worst, 1e-12
 
 
@@ -127,12 +134,13 @@ def sup_norm_closed_vs_grid(rng):
 
 def greedy_vs_brute_force(pairs, grid_points: int):
     """Greedy growth vs brute-force grid maximization; pairs[n] are the
-    (a2, c1) pairs tried with n reuses."""
+    (a2, c1) pairs tried with n reuses, one `brute_force_max` call per n."""
     worst = 0.0
-    for n, draws in enumerate(np.asarray(pairs).tolist()):
-        for a2, c1 in draws:
-            mags, _ = greedy_extremal_growth(a2, c1, n)
-            worst = max(worst, float(abs(mags[-1] - brute_force_max(a2, c1, n, grid_points))))
+    for n, draws in enumerate(np.asarray(pairs, dtype=float)):
+        a2, c1 = draws.T
+        greedy = [greedy_extremal_growth(a, c, n)[0][-1] for a, c in zip(a2.tolist(), c1.tolist())]
+        errors = np.abs(np.array(greedy) - brute_force_max(a2, c1, n, grid_points))
+        worst = max([worst, *errors.tolist()])
     return "greedy_vs_brute_force", "max_abs_err", worst, 1e-6
 
 

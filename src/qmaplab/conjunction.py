@@ -94,8 +94,9 @@ def sigma2_conjunction(a2, c1, t, s):
     return a2 * np.cos(t) * np.cos(s) + c1 * (np.sin(t) * np.cos(s) + np.sin(s))
 
 
-def _sigma2_legs(a2: float, c1: float, durations: Sequence[float]) -> float:
-    """Fold the frozen-map update v -> v cos s + c1 sin s over the legs."""
+def _sigma2_legs(a2, c1, durations: Sequence):
+    """Fold the frozen-map update v -> v cos s + c1 sin s over the legs;
+    broadcasts over arrays of a2, c1 and durations."""
     v = a2
     for s in durations:
         v = rotate((0.0, v, 0.0), c1, 0.0, s)[1]
@@ -169,12 +170,17 @@ def _grid_argmax(a2: float, c1: float, n: int, grid_points: int) -> tuple[float,
     return best_val, tuple(idx)
 
 
-def brute_force_max(a2: float, c1: float, n: int, grid_points: int = 128) -> float:
+def brute_force_max(a2, c1, n: int, grid_points: int = 128):
     """Independent oracle for the growth law: the exact maximum of |<S_2>|
     over a uniform grid on [0, 2 pi)^(n+1) (`_grid_argmax`, an envelope
     that costs O(n^2 G^2) rather than G^(n+1)), then one cyclic pass of
     golden-section searches (one bracketed 1-D solve per leg).  n is capped
     at 3.
+
+    Broadcasts over a2 and c1: the grid maximum is found point by point,
+    and each leg's refinement is one `golden_section_max` call over the
+    whole batch, with the bits of the per-point calls.  Returns the
+    broadcast shape (a numpy scalar for a single point).
     """
     if n > 3:
         raise ValueError("brute_force_max supports n <= 3; use greedy_extremal_growth")
@@ -182,21 +188,25 @@ def brute_force_max(a2: float, c1: float, n: int, grid_points: int = 128) -> flo
         raise ValueError(f"n must be >= 0, got {n}")
     if grid_points < 64:
         raise ValueError(f"grid_points must be >= 64, got {grid_points}")
-    _require_finite(a2, c1)
+    a2, c1 = np.broadcast_arrays(np.asarray(a2, dtype=float), np.asarray(c1, dtype=float))
+    shape, a2, c1 = a2.shape, a2.ravel(), c1.ravel()
+    points = list(zip(a2.tolist(), c1.tolist()))
+    for a, c in points:
+        _require_finite(a, c)
 
-    _, idx = _grid_argmax(a2, c1, n, grid_points)
+    idx = np.array([_grid_argmax(a, c, n, grid_points)[1] for a, c in points], dtype=int)
     h = _TWO_PI / grid_points
-    legs = [j * h for j in idx]
+    legs = list(idx.reshape(-1, n + 1).T * h)
     # one cyclic refinement pass: golden-section each leg on +/- one spacing
     for i in range(len(legs)):
 
-        def objective(x: float, i: int = i) -> float:
+        def objective(x, i: int = i):
             trial = legs.copy()
             trial[i] = x
             return abs(_sigma2_legs(a2, c1, trial))
 
         legs[i], best_val = golden_section_max(objective, legs[i] - h, legs[i] + h)
-    return best_val
+    return best_val.reshape(shape)[()]
 
 
 def first_unphysical_n(a2: float, c1: float) -> Optional[int]:

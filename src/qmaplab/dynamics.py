@@ -4,10 +4,15 @@ The interaction Hamiltonian is (1/2) S_3 x E_1 with the coupling set to 1,
 so time is measured in radians.  The same dynamics is carried both as a
 closed-form rotation of five mean values and as conjugation by the 4x4
 unitary; each form is an oracle for the other (`crosscheck`).
+
+Both forms broadcast: `rotate` over arrays of mean values and times,
+`unitary` over times, `evolve_density` over stacks (..., 4, 4) of density
+matrices and times, and `crosscheck` over a `TwoQubitState` stack, so a
+whole batch of states is checked in one call, with the bits the per-state
+calls give.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +25,9 @@ from .pauli import (
     params_from_density,
     pauli,
 )
+
+# S_3 x E_1, twice the interaction Hamiltonian
+_S3_E1 = np.kron(pauli(3), pauli(1))
 
 
 @dataclass(frozen=True)
@@ -58,37 +66,41 @@ def evolve_mean_values(m: MeanValueState, t: float) -> MeanValueState:
     return MeanValueState(a=[a1, a2, a3], c1=c1, c2=c2)
 
 
-def unitary(t: float) -> np.ndarray:
-    """U(t) = cos(t/2) I - i sin(t/2) (S_3 x E_1).
+def unitary(t) -> np.ndarray:
+    """U(t) = cos(t/2) I - i sin(t/2) (S_3 x E_1), shape (..., 4, 4) for t
+    of shape (...).
 
     The generator squares to the identity, so the exponential series
     collapses to this two-term form.  Periodic up to sign with period 4 pi.
+    A non-finite t anywhere in the array raises ValueError.
     """
-    return math.cos(t / 2) * ID4 - 1j * math.sin(t / 2) * np.kron(pauli(3), pauli(1))
+    t = np.asarray(t, dtype=float)
+    if not np.isfinite(t).all():
+        raise ValueError(f"t must be finite, got t={t[~np.isfinite(t)].flat[0].item()!r}")
+    half = t[..., None, None] / 2
+    return np.cos(half) * ID4 - 1j * np.sin(half) * _S3_E1
 
 
-def evolve_density(rho: np.ndarray, t: float) -> np.ndarray:
-    """Conjugate a 4x4 density matrix by U(t); trace and spectrum preserved."""
+def evolve_density(rho: np.ndarray, t) -> np.ndarray:
+    """Conjugate each 4x4 density matrix of `rho` (shape (..., 4, 4)) by
+    U(t), broadcasting t against the stack; trace and spectrum preserved."""
     rho = np.asarray(rho, dtype=complex)
     # reuse the parameter extractor's validation (Hermitian, unit trace)
     params_from_density(rho)
     u = unitary(t)
-    return u @ rho @ u.conj().T
+    return u @ rho @ np.swapaxes(u.conj(), -1, -2)
 
 
-def crosscheck(s: TwoQubitState, t: float) -> float:
-    """Max absolute discrepancy between the two evolution forms.
+def crosscheck(s: TwoQubitState, t):
+    """Max absolute discrepancy between the two evolution forms, one per
+    state of the stack `s` (a float for a single state); t broadcasts
+    against the stack.
 
-    Evolves (s.a, T11, T21) with the closed form and compares against the
-    same five numbers extracted from the conjugated density matrix.
+    Rotates (s.a, T11, T21) in closed form and compares against the same
+    five numbers read back from the conjugated density matrix.
     """
-    closed = evolve_mean_values(MeanValueState(a=s.a, c1=s.T[0, 0], c2=s.T[1, 0]), t)
     evolved = params_from_density(evolve_density(density_from_params(s), t))
-    diffs = np.abs(closed.a - evolved.a)
-    return float(
-        max(
-            diffs.max(),
-            abs(closed.c1 - evolved.T[0, 0]),
-            abs(closed.c2 - evolved.T[1, 0]),
-        )
-    )
+    closed = rotate(s.a, s.T[0, 0], s.T[1, 0], t)
+    read_back = (*evolved.a, evolved.T[0, 0], evolved.T[1, 0])
+    worst = np.max([np.abs(x - y) for x, y in zip(closed, read_back)], axis=0)
+    return float(worst) if worst.ndim == 0 else worst

@@ -42,8 +42,8 @@ def pauli(index: int) -> np.ndarray:
 
 def is_hermitian(m: np.ndarray, tol: float = 1e-12) -> bool:
     """Entrywise Hermiticity check of a matrix or a stack (..., k, k):
-    max |M - M^dagger| <= tol."""
-    return bool(np.max(np.abs(m - np.swapaxes(m.conj(), -1, -2))) <= tol)
+    max |M - M^dagger| <= tol.  An empty stack is vacuously Hermitian."""
+    return bool(np.max(np.abs(m - np.swapaxes(m.conj(), -1, -2)), initial=0.0) <= tol)
 
 
 def _as_bloch(a) -> np.ndarray:
@@ -140,24 +140,29 @@ def density_from_params(s: TwoQubitState) -> np.ndarray:
 
 
 def _validate_density(rho: np.ndarray, tol: float) -> np.ndarray:
+    """rho as a complex 4x4 matrix or stack (..., 4, 4), each Hermitian with
+    unit trace within tol."""
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
+    if rho.shape[-2:] != (4, 4):
         raise ValueError(f"density matrix must be 4x4, got shape {rho.shape}")
     if not is_hermitian(rho, tol):
         raise ValueError("density matrix is not Hermitian within tolerance")
-    if abs(np.trace(rho).real - 1.0) > tol or abs(np.trace(rho).imag) > tol:
+    trace = np.trace(rho, axis1=-2, axis2=-1)
+    if np.any(np.abs(trace.real - 1.0) > tol) or np.any(np.abs(trace.imag) > tol):
         raise ValueError("density matrix trace differs from 1 beyond tolerance")
     return rho
 
 
 def params_from_density(rho: np.ndarray, tol: float = 1e-12) -> TwoQubitState:
-    """Read the 15 parameters back out of a Hermitian unit-trace 4x4 matrix.
+    """Read the 15 parameters back out of a Hermitian unit-trace 4x4 matrix,
+    or out of each matrix of a stack (..., 4, 4) into a `TwoQubitState`
+    stack.
 
     Inverse of `density_from_params` (round-trips to 1e-12 entrywise).
     """
     rho = _validate_density(rho, tol)
-    p = np.einsum("kij,ji->k", _BASIS, rho).real
-    return TwoQubitState(a=p[1:4], b=p[4:7], T=p[7:16].reshape(3, 3))
+    p = np.einsum("kij,...ji->k...", _BASIS, rho).real
+    return TwoQubitState(a=p[1:4], b=p[4:7], T=p[7:16].reshape((3, 3) + p.shape[1:]))
 
 
 def embed_mean_values(a, c1, c2) -> TwoQubitState:

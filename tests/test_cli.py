@@ -611,14 +611,17 @@ def _count_calls(monkeypatch, module, names) -> dict:
 def test_validate_calls_each_kernel_o1_times(tmp_path, monkeypatch):
     calls = _count_calls(monkeypatch, checks, ("sup_norm_grid", "sup_norm_over_time",
                                                "in_compatibility_domain", "compat_slice_check",
-                                               "feasibility_search", "certified"))
+                                               "feasibility_search", "certified", "crosscheck",
+                                               "brute_force_max"))
     payload = {"command": "validate", "seed": 5}
     assert run(write_scenario(tmp_path, payload), out_dir=str(tmp_path / "out")) == 0
-    # per-point loops made 500, 500, 40,401, 40,522, 121 and 121 calls
+    # per-point loops made 500, 500, 40,401, 40,522, 121, 121, 1000 and 20 calls
     assert calls["sup_norm_grid"] == calls["sup_norm_over_time"] == 1
     assert calls["in_compatibility_domain"] == 1
     assert calls["compat_slice_check"] <= 2
     assert calls["feasibility_search"] == calls["certified"] == 1
+    assert calls["crosscheck"] == 1
+    assert calls["brute_force_max"] == 4  # one per number of reuses, n = 0..3
 
 
 def test_domain_map_calls_each_kernel_o1_times(tmp_path, monkeypatch):

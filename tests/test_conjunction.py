@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from qmaplab import checks
 from qmaplab.conjunction import (
     ConjunctionSchedule,
     _grid_argmax,
@@ -237,6 +238,59 @@ def test_envelope_equals_enumeration_exactly(n, grid_points):
         if k < 12:
             value = brute_force_max(a2, c1, n, grid_points)
             assert value == _refined(a2, c1, expected[1], grid_points), (a2, c1)
+
+
+@pytest.mark.parametrize("grid_points", [64, 128])
+def test_batch_brute_force_equals_per_point_calls(grid_points):
+    # the edge pairs (c1 = 0, a2 = 0, |a2| = 1) and 10 seeded pairs
+    a2, c1 = np.array(_PAIRS[:16]).T
+    for n in range(4):
+        batch = brute_force_max(a2, c1, n, grid_points)  # one call for every pair
+        assert batch.shape == a2.shape
+        for k, (a, c) in enumerate(_PAIRS[:16]):
+            expected = _refined(a, c, _grid_argmax(a, c, n, grid_points)[1], grid_points)
+            assert batch[k] == expected, (n, a, c)
+            if k % 4 == 0:
+                assert brute_force_max(a, c, n, grid_points) == expected
+    # a2 and c1 broadcast: a (2, 1) column against a row of three
+    grid = brute_force_max(a2[:2, None], c1[None, 3:6], 1, grid_points)
+    assert grid.shape == (2, 3)
+    assert grid[1, 2] == brute_force_max(a2[1], c1[5], 1, grid_points)
+
+
+def test_empty_batches_give_empty_results():
+    assert brute_force_max(np.zeros(0), np.zeros(0), 2, grid_points=64).shape == (0,)
+    _, _, worst, _ = checks.greedy_vs_brute_force(np.zeros((4, 0, 2)), grid_points=64)
+    assert worst == 0.0
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_growth_check_counts_every_draw(monkeypatch, n):
+    # a brute-force answer off by 1e-3 at the last draw for n reuses
+    calls = []
+
+    def off_at_last(a2, c1, m, grid_points):
+        calls.append((a2, c1, m))
+        values = brute_force_max(a2, c1, m, grid_points)
+        return values + np.where(np.arange(values.size) == values.size - 1, 1e-3 * (m == n), 0.0)
+
+    monkeypatch.setattr(checks, "brute_force_max", off_at_last)
+    pairs = np.random.default_rng(5).uniform(-1, 1, (4, 3, 2))
+    _, _, worst, bound = checks.greedy_vs_brute_force(pairs, grid_points=64)
+    assert abs(worst - 1e-3) < 1e-9 and worst > bound
+    # one call per n, with that n's (a2, c1) pairs
+    assert [m for *_, m in calls] == [0, 1, 2, 3]
+    for (a2, c1, m) in calls:
+        assert np.array_equal(a2, pairs[m, :, 0]) and np.array_equal(c1, pairs[m, :, 1])
+
+
+def test_batched_brute_force_checks_every_element():
+    a2 = np.array([0.1, 0.2, 0.3, 0.4])
+    c1 = np.array([0.5, 0.5, math.inf, 0.5])
+    with pytest.raises(ValueError, match=r"a2 and c1 must be finite, got a2=0\.3, c1=inf"):
+        brute_force_max(a2, c1, 1, grid_points=64)
+    with pytest.raises(ValueError, match="a2=nan"):
+        brute_force_max([0.1, math.nan], 0.2, 0, grid_points=64)
 
 
 @pytest.mark.parametrize("a2,c1", [(math.nan, 0.5), (0.5, math.nan), (math.inf, 0.1),

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from qmaplab import checks
 from qmaplab.dynamics import (
     MeanValueState,
     crosscheck,
@@ -15,6 +16,7 @@ from qmaplab.dynamics import (
     unitary,
 )
 from qmaplab.pauli import (
+    _BASIS,
     ID4,
     TwoQubitState,
     density_from_params,
@@ -163,3 +165,106 @@ def test_rotate_equals_scalar_closed_form_exactly():
         if k < 100:
             m = evolve_mean_values(MeanValueState(a=a[:, k], c1=c1[k], c2=c2[k]), float(t[k]))
             assert tuple(as_five(m).tolist()) == expected
+
+
+def _unitary_reference(t: float) -> np.ndarray:
+    """U(t) as it was built state by state: math trig and np.kron."""
+    return math.cos(t / 2) * ID4 - 1j * math.sin(t / 2) * np.kron(pauli(3), pauli(1))
+
+
+def _crosscheck_reference(s: TwoQubitState, t: float) -> float:
+    """The per-state crosscheck the batched one replaced: one U(t), one 4x4
+    conjugation, the read-back of one matrix, the five-value closed form."""
+    u = _unitary_reference(t)
+    p = np.einsum("kij,ji->k", _BASIS, u @ density_from_params(s) @ u.conj().T).real
+    closed = evolve_mean_values(MeanValueState(a=s.a, c1=s.T[0, 0], c2=s.T[1, 0]), t)
+    return float(max(np.abs(closed.a - p[1:4]).max(), abs(closed.c1 - p[7]),
+                     abs(closed.c2 - p[10])))
+
+
+def _stack(states) -> TwoQubitState:
+    return TwoQubitState(a=np.stack([s.a for s in states], axis=-1),
+                         b=np.stack([s.b for s in states], axis=-1),
+                         T=np.stack([s.T for s in states], axis=-1))
+
+
+def test_batch_crosscheck_equals_per_state_reference_exactly():
+    rng = np.random.default_rng(31)
+    states = [random_state(rng) for _ in range(1000)]
+    times = rng.uniform(0, 4 * math.pi, 1000).tolist()
+    # the edge states (0, cos q, 0; sin q) at t = q, and two degenerate ones
+    for q in (0.4, math.pi / 6, math.pi / 4, math.pi / 3, math.pi / 2):
+        states.append(embed_mean_values([0, math.cos(q), 0], math.sin(q), 0.0))
+        times.append(q)
+    states += [embed_mean_values([0, 0, 0], 0.0, 0.0), embed_mean_values([0, 0, 1], 0.0, 0.0)]
+    times += [2.5, 1.0]
+    stack = _stack(states)
+    batch = crosscheck(stack, np.array(times))
+    zero = crosscheck(stack, 0.0)  # t broadcasts against the stack
+    assert batch.shape == zero.shape == (len(states),)
+    for k, (s, t) in enumerate(zip(states, times)):
+        expected = _crosscheck_reference(s, t)
+        assert batch[k] == expected
+        assert zero[k] == _crosscheck_reference(s, 0.0)
+        if k % 10 == 0 or k >= 1000:  # one state at a time returns a float
+            single = crosscheck(s, t)
+            assert isinstance(single, float) and single == expected
+    assert batch.max() < 1e-12
+
+
+def test_block_draw_replays_per_state_draws(monkeypatch):
+    seen = []
+
+    def spy(s, t):
+        seen.append((s, t))
+        return crosscheck(s, t)
+
+    monkeypatch.setattr(checks, "crosscheck", spy)
+    per_state, block = np.random.default_rng(1001), np.random.default_rng(1001)
+    _, _, worst, _ = checks.mean_values_vs_unitary(block)
+    ((stack, times),) = seen  # one call for every state
+    expected = []
+    for k in range(1000):
+        s = TwoQubitState(a=per_state.uniform(-1, 1, 3), b=per_state.uniform(-1, 1, 3),
+                          T=per_state.uniform(-1, 1, (3, 3)))
+        t = float(per_state.uniform(0, 4 * math.pi))
+        for name in ("a", "b", "T"):
+            assert np.array_equal(getattr(stack[k], name), getattr(s, name))
+        assert times[k] == t
+        expected.append(_crosscheck_reference(s, t))
+    assert worst == max([0.0, *expected])
+    assert block.uniform() == per_state.uniform()  # both streams stand at the same draw
+
+
+def test_stacked_unitary_and_evolve_density_equal_per_item_calls():
+    rng = np.random.default_rng(12)
+    times = rng.uniform(-7, 7, (4, 5))
+    u = unitary(times)
+    rho = density_from_params(_stack([random_state(rng) for _ in range(20)])).reshape(4, 5, 4, 4)
+    evolved = evolve_density(rho, times)
+    assert u.shape == evolved.shape == (4, 5, 4, 4)
+    for i in range(4):
+        for j in range(5):
+            t = float(times[i, j])
+            assert np.array_equal(u[i, j], _unitary_reference(t))
+            assert np.array_equal(u[i, j], unitary(t))
+            assert np.array_equal(evolved[i, j], evolve_density(rho[i, j], t))
+    bad = rho.copy()
+    bad[2, 3] = np.eye(4)  # trace 4
+    with pytest.raises(ValueError, match="trace differs from 1"):
+        evolve_density(bad, times)
+
+
+def test_empty_stacks_give_empty_results():
+    empty = TwoQubitState(a=np.zeros((3, 0)), b=np.zeros((3, 0)), T=np.zeros((3, 3, 0)))
+    assert crosscheck(empty, np.zeros(0)).shape == (0,)
+    assert evolve_density(np.zeros((0, 4, 4)), 1.0).shape == (0, 4, 4)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, [0.5, math.inf, 1.0]])
+def test_non_finite_time_rejected_naming_t(t):
+    s = _stack([random_state(np.random.default_rng(k)) for k in range(3)])
+    with pytest.raises(ValueError, match="t must be finite"):
+        crosscheck(s, t)
+    with pytest.raises(ValueError, match="t must be finite"):
+        unitary(t)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from qmaplab.pauli import (
+    _BASIS,
     ID2,
     ID4,
     TwoQubitState,
@@ -204,3 +205,49 @@ def test_stacked_density_and_min_eigenvalue_equal_per_state_calls():
     bad[3, 0, 1] += 1e-6
     with pytest.raises(ValueError):
         min_eigenvalue(bad)
+
+
+def test_stacked_params_from_density_equal_per_item_calls():
+    rng = np.random.default_rng(21)
+    rho = density_from_params(TwoQubitState(a=rng.uniform(-1, 1, (3, 6, 7)),
+                                            b=rng.uniform(-1, 1, (3, 6, 7)),
+                                            T=rng.uniform(-1, 1, (3, 3, 6, 7))))
+    # a unitary mix of the basis, so the read-back sums round
+    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    q, _ = np.linalg.qr(g)
+    rho = q @ rho @ q.conj().T
+    stack = params_from_density(rho)
+    assert stack.a.shape == (3, 6, 7) and stack.T.shape == (3, 3, 6, 7)
+    for i in range(6):
+        for j in range(7):
+            one = params_from_density(rho[i, j])
+            assert one.a.shape == (3,) and one.T.shape == (3, 3)
+            # the single-matrix read-back as it was written before stacks
+            p = np.einsum("kij,ji->k", _BASIS, rho[i, j]).real
+            assert np.array_equal(np.concatenate([one.a, one.b, one.T.ravel()]), p[1:])
+            for name in ("a", "b", "T"):
+                assert np.array_equal(getattr(stack[i, j], name), getattr(one, name))
+
+
+@pytest.mark.parametrize("defect,message", [
+    (lambda m: m.__setitem__((0, 1), m[0, 1] + 1e-6), "not Hermitian within tolerance"),
+    (lambda m: m.__setitem__((2, 2), m[2, 2] + 1e-6), "trace differs from 1 beyond tolerance"),
+])
+def test_stack_with_one_bad_matrix_raises_the_single_matrix_message(defect, message):
+    rho = density_from_params(TwoQubitState(a=np.zeros((3, 5)), b=np.zeros((3, 5)),
+                                            T=np.zeros((3, 3, 5))))
+    defect(rho[3])
+    with pytest.raises(ValueError, match=message):
+        params_from_density(rho[3])
+    with pytest.raises(ValueError, match=message):
+        params_from_density(rho)
+    with pytest.raises(ValueError, match="must be 4x4"):
+        params_from_density(rho[..., :3])
+
+
+def test_empty_stack_is_vacuously_hermitian():
+    empty = np.zeros((0, 4, 4), dtype=complex)
+    assert is_hermitian(empty)
+    assert min_eigenvalue(empty).shape == (0,)
+    s = params_from_density(empty)
+    assert s.a.shape == s.b.shape == (3, 0) and s.T.shape == (3, 3, 0)
