@@ -13,6 +13,7 @@ calls give.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +45,30 @@ class MeanValueState:
         object.__setattr__(self, "c2", float(self.c2))
 
 
+# `_turn`'s arithmetic.  Fresh results take the operators: numpy reuses
+# their temporaries (a Python wrapper around them would defeat that), and a
+# scalar skips the ufunc call overhead.  Writes into buffers take the ufuncs,
+# each given its output array as a third argument.
+_OPERATORS = (operator.mul, operator.sub, operator.add)
+_UFUNCS = (np.multiply, np.subtract, np.add)
+
+
+def _turn(x1, x2, y1, y2, ct, st, out=None):
+    """(x1 ct - y2 st, x2 ct + y1 st): a1' and a2' of `rotate` for
+    (x, y) = (a, c), and c1' and c2' for (x, y) = (c, a).
+
+    With `out` = (o1, o2, spare), arrays of the broadcast shape, the two
+    components are written into o1 and o2 and no temporary is allocated;
+    either way every product, difference and sum rounds as written.
+    """
+    if out is None:
+        (mul, sub, add), (o1, o2, spare) = _OPERATORS, ((), (), ())
+    else:
+        (mul, sub, add), (o1, o2, spare) = _UFUNCS, [(b,) for b in out]
+    return (sub(mul(x1, ct, *o1), mul(y2, st, *spare), *o1),
+            add(mul(x2, ct, *o2), mul(y1, st, *spare), *o2))
+
+
 def rotate(a, c1, c2, t):
     """The closed-form rotation behind every evolution and reduced map here;
     returns (a1', a2', a3, c1', c2') for a = (a1, a2, a3):
@@ -51,11 +76,12 @@ def rotate(a, c1, c2, t):
         a1' = a1 cos t - c2 sin t        c1' = c1 cos t - a2 sin t
         a2' = a2 cos t + c1 sin t        c2' = c2 cos t + a1 sin t
 
-    Every argument broadcasts, so one call covers a whole grid.
+    Every argument broadcasts, so one call covers a whole grid.  `_turn`
+    writes the two pairs.
     """
     ct, st = np.cos(t), np.sin(t)
     a1, a2, a3 = a
-    return a1 * ct - c2 * st, a2 * ct + c1 * st, a3, c1 * ct - a2 * st, c2 * ct + a1 * st
+    return (*_turn(a1, a2, c1, c2, ct, st), a3, *_turn(c1, c2, a1, a2, ct, st))
 
 
 def evolve_mean_values(m: MeanValueState, t: float) -> MeanValueState:

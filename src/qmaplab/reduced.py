@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import rotate
+from .dynamics import _turn, rotate
 from .optimize import golden_section_max
 from .pauli import DEFAULT_TOL, _as_bloch, _as_blochs
 
@@ -100,12 +100,20 @@ def sup_norm_grid(c1, c2, a, points: int = 100_000):
     plus one golden-section refinement around the best grid point.
 
     Broadcasts like `sup_norm_over_time`.  The t grid goes through in
-    chunks against every state at once, so each cos/sin is taken once and
-    memory stays bounded; the refinement runs once for the whole batch.
+    chunks against every state at once, so each cos/sin is taken once; each
+    chunk's a1(t), a2(t) and |a(t)|^2 are written into three buffers
+    allocated once per call, so memory stays bounded.  The refinement runs
+    once for the whole batch.  `points` must be >= 1 and every input finite.
     """
+    if points < 1:
+        raise ValueError(f"points must be >= 1, got points={points!r}")
     a1, a2, a3, c1, c2 = np.broadcast_arrays(*_as_blochs(a), c1, c2)
     shape = a1.shape
     a, c1, c2 = np.stack((a1.ravel(), a2.ravel(), a3.ravel())), c1.ravel(), c2.ravel()
+    for name, v in (("a", a), ("c1", c1), ("c2", c2)):
+        bad = v[~np.isfinite(v)]
+        if bad.size:
+            raise ValueError(f"{name} must be finite, got {name}={bad[0].item()!r}")
     ts = np.linspace(0.0, 2 * math.pi, points, endpoint=False)
     h = 2 * math.pi / points
     # running first argmax over the chunks: a later chunk wins only if larger
@@ -113,17 +121,23 @@ def sup_norm_grid(c1, c2, a, points: int = 100_000):
     best = np.full(c1.size, -np.inf)
     step = max(1, _GRID_CHUNK // max(c1.size, 1))
     a3_sq = _sq(a[2, :, None])
+    columns = a[0, :, None], a[1, :, None], c1[:, None], c2[:, None]
+    buffers = [np.empty(c1.size * min(step, points)) for _ in range(3)]
     for lo in range(0, points, step):
-        a1t, a2t, _, _, _ = rotate(a[:, :, None], c1[:, None], c2[:, None], ts[lo:lo + step])
-        norm_sq = a1t * a1t + a2t * a2t + a3_sq
+        t = ts[lo:lo + step]
+        out = [b[:c1.size * t.size].reshape(c1.size, t.size) for b in buffers]
+        a1t, a2t = _turn(*columns, np.cos(t), np.sin(t), out)
+        # a1t^2 + a2t^2 + a3^2, summed in that order, into a1t's buffer
+        norm_sq = np.add(np.add(np.multiply(a1t, a1t, out=a1t), np.multiply(a2t, a2t, out=a2t),
+                                out=a1t), a3_sq, out=a1t)
         j = np.argmax(norm_sq, axis=1)
         top = np.take_along_axis(norm_sq, j[:, None], axis=1)[:, 0]
         k = np.where(top > best, lo + j, k)
         best = np.maximum(top, best)
 
     def norm_sq_at(t: np.ndarray) -> np.ndarray:
-        a1t, a2t, a3t, _, _ = rotate(a, c1, c2, t)
-        return _sq(a1t) + _sq(a2t) + _sq(a3t)
+        a1t, a2t = _turn(a[0], a[1], c1, c2, np.cos(t), np.sin(t))
+        return _sq(a1t) + _sq(a2t) + a3_sq[:, 0]
 
     t_best, f_best = golden_section_max(norm_sq_at, ts[k] - h, ts[k] + h)
     sup = np.sqrt(np.maximum(f_best, 0.0)).reshape(shape)
@@ -145,5 +159,7 @@ def compat_slice_check(a2, c1, tol: float = DEFAULT_TOL) -> DomainVerdict:
     """Analytic compatibility check on the slice a = (0, a2, 0), c2 = 0:
     inside iff a2^2 + c1^2 <= 1.  Agrees with `in_compatibility_domain`
     restricted to the slice.  Broadcasts over arrays of a2 and c1."""
+    if tol < 0:
+        raise ValueError("tol must be >= 0")
     margin = (1.0 - _math2(math.hypot, a2, c1))[()]
     return DomainVerdict(inside=margin >= -tol, margin=margin)

@@ -375,6 +375,31 @@ def test_validate_check_at_its_bound_exits_2(tmp_path, monkeypatch, capsys):
     assert "1 check(s) failed" in capsys.readouterr().err
 
 
+def _nan_first(kernel):
+    """The kernel with its first discrepancy-bearing value replaced by NaN."""
+    def spy(*args, **kwargs):
+        out = kernel(*args, **kwargs)
+        if isinstance(out, tuple):  # sup_norm_grid: (sup, t_best)
+            return (np.r_[np.nan, out[0][1:]], *out[1:])
+        return np.r_[np.nan, out[1:]]
+    return spy
+
+
+@pytest.mark.parametrize("kernel,check,spy", [
+    ("crosscheck", "mean_values_vs_unitary,false,max_discrepancy", _nan_first),
+    ("sup_norm_grid", "sup_norm_closed_vs_grid,false,max_rel_err", _nan_first),
+    ("brute_force_max", "greedy_vs_brute_force,false,max_abs_err",
+     lambda kernel: lambda a2, c1, n, grid_points: np.full(np.shape(a2), np.nan)),
+])
+def test_validate_nan_discrepancy_fails_its_check(tmp_path, monkeypatch, kernel, check, spy):
+    # Python's max drops NaN, so a NaN discrepancy once read as a pass
+    monkeypatch.setattr(checks, kernel, spy(getattr(checks, kernel)))
+    out = tmp_path / "out"
+    assert run(os.path.join(SCENARIOS, "validate.json"), out_dir=str(out)) == 2
+    assert json.loads((out / "summary.json").read_text())["failed"] == 1
+    assert f"{check}=nan" in (out / "validate.csv").read_text().splitlines()
+
+
 def test_domain_map_oracle_disagreement_exits_2(tmp_path, monkeypatch, capsys):
     original = checks.feasibility_search
     payload = {"command": "domain-map", "grid": [

@@ -2,12 +2,18 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from qmaplab import reduced
+from qmaplab.checks import sup_norm_closed_vs_grid
+from qmaplab.dynamics import rotate
+from qmaplab.optimize import golden_section_max
 from qmaplab.reduced import (
     ReducedMap,
+    _sq,
     compat_slice_check,
     in_compatibility_domain,
     sup_norm_grid,
@@ -202,6 +208,106 @@ def test_sup_norm_grid_batch_equals_per_state_calls():
     assert stacked.shape == (2, 3)
     assert stacked.ravel().tolist() == [
         sup_norm_grid(float(c1[k]), 0.0, a[:, k], points=4000)[0] for k in range(6)]
+
+
+def _sup_norm_grid_reference(c1, c2, a, points: int):
+    """The grid pass as it was before its buffers: all five components of
+    `rotate` per chunk, a1(t) and a2(t) kept, then the same refinement."""
+    a1, a2, a3, c1, c2 = np.broadcast_arrays(*np.asarray(a, dtype=float), c1, c2)
+    shape = a1.shape
+    a, c1, c2 = np.stack((a1.ravel(), a2.ravel(), a3.ravel())), c1.ravel(), c2.ravel()
+    ts = np.linspace(0.0, 2 * math.pi, points, endpoint=False)
+    h = 2 * math.pi / points
+    k = np.zeros(c1.size, dtype=int)
+    best = np.full(c1.size, -np.inf)
+    step = max(1, reduced._GRID_CHUNK // max(c1.size, 1))
+    a3_sq = _sq(a[2, :, None])
+    for lo in range(0, points, step):
+        a1t, a2t, _, _, _ = rotate(a[:, :, None], c1[:, None], c2[:, None], ts[lo:lo + step])
+        norm_sq = a1t * a1t + a2t * a2t + a3_sq
+        j = np.argmax(norm_sq, axis=1)
+        top = np.take_along_axis(norm_sq, j[:, None], axis=1)[:, 0]
+        k = np.where(top > best, lo + j, k)
+        best = np.maximum(top, best)
+
+    def norm_sq_at(t):
+        a1t, a2t, a3t, _, _ = rotate(a, c1, c2, t)
+        return _sq(a1t) + _sq(a2t) + _sq(a3t)
+
+    t_best, f_best = golden_section_max(norm_sq_at, ts[k] - h, ts[k] + h)
+    sup = np.sqrt(np.maximum(f_best, 0.0)).reshape(shape)
+    return sup[()], (t_best % (2 * math.pi)).reshape(shape)[()]
+
+
+def _assert_grid_pass_unchanged(c1, c2, a, points):
+    sup, t_best = sup_norm_grid(c1, c2, a, points=points)
+    ref_sup, ref_t = _sup_norm_grid_reference(c1, c2, a, points)
+    assert np.shape(sup) == np.shape(ref_sup)
+    assert np.array_equal(sup, ref_sup) and np.array_equal(t_best, ref_t)
+    return ref_sup
+
+
+def test_sup_norm_grid_equals_five_component_pass_at_validate_shape():
+    # validate's check: 500 states, 20,000 points, 77 chunks of 262 (the
+    # last one 88 wide)
+    a1, a2, a3, c1, c2 = np.random.default_rng(7).uniform(-1, 1, (500, 5)).T
+    a = np.stack((a1, a2, a3))
+    ref_sup = _assert_grid_pass_unchanged(c1, c2, a, 20_000)
+    sup_closed, _ = sup_norm_over_time(c1, c2, a)
+    worst = max(0.0, float(np.max(np.abs(sup_closed - ref_sup) / np.maximum(sup_closed, 1e-12))))
+    assert sup_norm_closed_vs_grid(np.random.default_rng(7)) == (
+        "sup_norm_closed_vs_grid", "max_rel_err", worst, 1e-9)
+
+
+@pytest.mark.parametrize("case", ["ties", "step-1", "one-wide-chunk", "ragged"])
+def test_sup_norm_grid_equals_five_component_pass(case, monkeypatch):
+    rng = np.random.default_rng(44)
+    if case == "ties":  # |a(t)| constant: every grid point ties, the last two up to rounding
+        a = np.array([[0.0, 0.0, 0.6, 0.0], [0.0, 0.0, 0.0, 0.6], [0.0, 0.7, 0.0, 0.0]])
+        c1, c2, points = np.array([0.0, 0.0, 0.6, 0.0]), np.array([0.0, 0.0, 0.0, 0.6]), 4000
+    elif case == "step-1":  # more states than a chunk holds values: one column each
+        # (a 64-value chunk stands in for 2^17, whose 131,073 refinements take seconds)
+        monkeypatch.setattr(reduced, "_GRID_CHUNK", 64)
+        a, (c1, c2), points = rng.uniform(-1, 1, (3, 65)), rng.uniform(-1, 1, (2, 65)), 7
+    elif case == "one-wide-chunk":  # one state: its single chunk is wider than the grid
+        a, c1, c2, points = rng.uniform(-1, 1, 3), 0.3, -0.4, 4001
+    else:  # 300 states: steps of 436 and a 129-wide last chunk
+        a, (c1, c2), points = rng.uniform(-1, 1, (3, 300)), rng.uniform(-1, 1, (2, 300)), 1001
+    _assert_grid_pass_unchanged(c1, c2, a, points)
+
+
+def test_sup_norm_grid_buffers_bound_its_memory():
+    a1, a2, a3, c1, c2 = np.random.default_rng(8).uniform(-1, 1, (500, 5)).T
+    a = np.stack((a1, a2, a3))
+    tracemalloc.start()
+    try:
+        sup_norm_grid(c1, c2, a, points=20_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # three 1 MB buffers; five fresh components per chunk peaked at 9.8 MB
+    assert peak < 5e6
+
+
+@pytest.mark.parametrize("points", [0, -3])
+def test_sup_norm_grid_rejects_empty_grid(points):
+    with pytest.raises(ValueError, match=f"points must be >= 1, got points={points}"):
+        sup_norm_grid(0.1, 0.2, [0.3, 0.4, 0.5], points=points)
+
+
+@pytest.mark.parametrize("field,bad", [("a", math.nan), ("c1", math.inf), ("c2", -math.inf)])
+def test_sup_norm_grid_rejects_non_finite_input(field, bad):
+    values = {"a": np.array([[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]]), "c1": np.array([0.2, 0.1]),
+              "c2": np.array([0.0, 0.3])}
+    values[field].flat[1] = bad
+    with pytest.raises(ValueError, match=f"{field} must be finite, got {field}={bad!r}"):
+        sup_norm_grid(values["c1"], values["c2"], values["a"], points=10)
+
+
+def test_compat_slice_check_rejects_negative_tol():
+    with pytest.raises(ValueError, match="tol must be >= 0"):
+        compat_slice_check(0.6, 0.8, tol=-1e-9)
+    assert compat_slice_check(0.6, 0.8, tol=0.0).inside
 
 
 @pytest.mark.parametrize("seed", range(10))
