@@ -13,13 +13,13 @@ A scenario file selects exactly one command and supplies its parameters::
 
 "grid" may be one object or a list of them.  Angle-valued fields (q, t,
 steps, grid start/stop) accept rational multiples of pi as strings such as
-"pi/4", "2pi/3" or "-pi/6"; all angles are radians.  Every command uses a
-fixed subset of the fields; supplying a field a command does not use is an
-error, as is any unknown field name or wrongly typed value (exit status 1,
-no output written).  Exit status 2 flags an internal validation failure
-(oracle disagreement above tolerance) after the report files are written.
+"pi/4", "2pi/3" or "-pi/6"; all angles are radians.  `COMMANDS` is the one
+statement of what each command accepts.  Anything else -- an unknown field
+or one the command does not use, a wrongly typed or out-of-range value --
+exits with status 1 and writes nothing; the message starts with the field
+path.  Exit status 2 flags an internal validation failure (oracle
+disagreement above tolerance) after the report files are written.
 
-Commands: evolve, conjunct, hazard, growth, domain-map, slippage, validate.
 Columns of each CSV are documented in the README.
 """
 from __future__ import annotations
@@ -33,7 +33,7 @@ import math
 import os
 import re
 import sys
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 import numpy as np
 
@@ -51,15 +51,13 @@ from .pauli import DEFAULT_TOL, _norms
 from .reduced import ReducedMap
 from .slippage import max_safe_repetitions, slip_state, slipped_domain_check
 
-COMMANDS = ("evolve", "conjunct", "hazard", "growth", "domain-map", "slippage", "validate")
-
 # most CSV rows one run may write; checked before any compute (the largest
 # benchmark workload writes 200,200)
 ROW_BUDGET = 10**7
 
-# largest |value| of a Bloch component, a correlation or an a2/c1 grid bound:
-# every square and norm the commands take (up to (n + 1) c1^2 within the row
-# budget) stays finite, so no run writes inf or nan
+# largest |value| of any number in a scenario: every square and norm the
+# commands take (up to (n + 1) c1^2 within the row budget) and every angle
+# sum stays finite, so no run writes inf or nan
 MAX_MAGNITUDE = 1e150
 
 _PI_PATTERN = re.compile(r"^\s*([+-]?)\s*(\d+(?:\.\d+)?)?\s*\*?\s*pi\s*(?:/\s*(\d+(?:\.\d+)?))?\s*$")
@@ -70,7 +68,7 @@ class ScenarioError(Exception):
 
 
 def parse_angle(value: Any, where: str) -> float:
-    """Accept a finite number or a rational-multiple-of-pi string."""
+    """Accept a bounded finite number or a rational-multiple-of-pi string."""
     if isinstance(value, bool):
         raise ScenarioError(f"{where}: expected a number or pi-string, got {value!r}")
     if isinstance(value, (int, float)):
@@ -97,11 +95,6 @@ def _require_number(value: Any, where: str) -> float:
         value = math.inf
     if not math.isfinite(value):
         raise ScenarioError(f"{where}: expected a finite number")
-    return value
-
-
-def _require_bounded(value: Any, where: str) -> float:
-    value = _require_number(value, where)
     if abs(value) > MAX_MAGNITUDE:
         raise ScenarioError(f"{where}: magnitude above {MAX_MAGNITUDE:g}")
     return value
@@ -130,7 +123,7 @@ def _require_seed(value: Any, where: str) -> int:
 def _check_keys(obj: dict, allowed: tuple[str, ...], where: str) -> None:
     for key in obj:
         if key not in allowed:
-            raise ScenarioError(f"{where}: unknown field {key!r} (allowed: {', '.join(allowed)})")
+            raise ScenarioError(f"{where}.{key}: not accepted here (allowed: {', '.join(allowed)})")
 
 
 @dataclasses.dataclass
@@ -152,7 +145,7 @@ class Scenario:
     c1: Optional[float] = None
     c2: Optional[float] = None
     t: Optional[float] = None
-    steps: tuple[float, ...] = ()
+    steps: Optional[tuple[float, ...]] = None
     grids: tuple[Grid, ...] = ()
     n: Optional[int] = None
     tol: Optional[float] = None
@@ -163,22 +156,21 @@ class Scenario:
         return hits[0] if hits else None
 
 
-def _parse_state(raw: Any) -> dict:
+def _parse_state(raw: Any, keys: tuple[str, ...]) -> dict:
     if not isinstance(raw, dict):
         raise ScenarioError("state: expected an object")
-    _check_keys(raw, ("a", "q", "c1", "c2"), "state")
+    _check_keys(raw, keys, "state")
     out: dict = {}
     if raw.get("a") is not None:
         a = raw["a"]
         if not isinstance(a, list) or len(a) != 3:
             raise ScenarioError("state.a: expected a list of three numbers")
-        out["a"] = np.array([_require_bounded(x, f"state.a[{i}]") for i, x in enumerate(a)])
+        out["a"] = np.array([_require_number(x, f"state.a[{i}]") for i, x in enumerate(a)])
     if raw.get("q") is not None:
         out["q"] = parse_angle(raw["q"], "state.q")
-    if "c1" in raw:
-        out["c1"] = _require_bounded(raw["c1"], "state.c1")
-    if "c2" in raw:
-        out["c2"] = _require_bounded(raw["c2"], "state.c2")
+    for key in ("c1", "c2"):
+        if key in raw:
+            out[key] = _require_number(raw[key], f"state.{key}")
     return out
 
 
@@ -190,8 +182,8 @@ def _parse_schedule(raw: Any) -> dict:
     if "t" in raw:
         out["t"] = parse_angle(raw["t"], "schedule.t")
     if "steps" in raw:
-        if not isinstance(raw["steps"], list):
-            raise ScenarioError("schedule.steps: expected a list")
+        if not isinstance(raw["steps"], list) or not raw["steps"]:
+            raise ScenarioError("schedule.steps: expected a non-empty list")
         out["steps"] = tuple(parse_angle(s, f"schedule.steps[{i}]")
                              for i, s in enumerate(raw["steps"]))
     return out
@@ -199,7 +191,7 @@ def _parse_schedule(raw: Any) -> dict:
 
 def _parse_grids(raw: Any) -> tuple[Grid, ...]:
     entries = raw if isinstance(raw, list) else [raw]
-    grids = []
+    grids: list[Grid] = []
     for i, g in enumerate(entries):
         where = f"grid[{i}]"
         if not isinstance(g, dict):
@@ -207,80 +199,94 @@ def _parse_grids(raw: Any) -> tuple[Grid, ...]:
         _check_keys(g, ("axis", "start", "stop", "count"), where)
         for key in ("axis", "start", "stop", "count"):
             if key not in g:
-                raise ScenarioError(f"{where}: missing field {key!r}")
+                raise ScenarioError(f"{where}.{key}: required")
         axis = g["axis"]
         if not isinstance(axis, str) or axis not in ("t", "s", "q", "a2", "c1"):
             raise ScenarioError(f"{where}.axis: expected one of t, s, q, a2, c1")
+        if any(prev.axis == axis for prev in grids):
+            raise ScenarioError(f"{where}.axis: duplicate axis {axis!r}")
         start = parse_angle(g["start"], f"{where}.start")
         stop = parse_angle(g["stop"], f"{where}.stop")
-        if axis in ("a2", "c1"):  # state values, not angles
-            start = _require_bounded(start, f"{where}.start")
-            stop = _require_bounded(stop, f"{where}.stop")
         count = _require_int(g["count"], f"{where}.count")
         if count < 2:
             raise ScenarioError(f"{where}.count: must be >= 2, got {count}")
         if not start < stop:
             raise ScenarioError(f"{where}: start must be < stop")
         grids.append(Grid(axis=axis, start=start, stop=stop, count=count))
-    axes = [g.axis for g in grids]
-    if len(set(axes)) != len(axes):
-        raise ScenarioError("grid: duplicate axis")
     return tuple(grids)
 
 
-# fields each command accepts beyond "command"
-_FIELDS_BY_COMMAND = {
-    "evolve": ("state", "grid", "tol", "seed"),
-    "conjunct": ("state", "schedule", "grid", "tol", "seed"),
-    "hazard": ("state", "grid", "tol", "seed"),
-    "growth": ("state", "n", "tol", "seed"),
-    "domain-map": ("grid", "tol", "seed"),
-    "slippage": ("state", "grid", "n", "tol", "seed"),
-    "validate": ("tol", "seed"),
-}
+def _given(sc: Scenario, path: str) -> bool:
+    return getattr(sc, path.rpartition(".")[2]) is not None
 
 
 def load_scenario(path: str) -> Scenario:
-    """Parse and strictly validate a scenario file."""
+    """Parse a scenario file and check it against its command's spec in `COMMANDS`."""
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
     except OSError as exc:
-        raise ScenarioError(f"cannot read scenario file: {exc}") from exc
+        raise ScenarioError(f"scenario: cannot read file: {exc}") from exc
     except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
-        raise ScenarioError(f"scenario is not valid JSON: {exc}") from exc
+        raise ScenarioError(f"scenario: not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ScenarioError("scenario: expected a JSON object")
-    if "command" not in raw:
-        raise ScenarioError("scenario: missing required field 'command'")
-    command = raw["command"]
+    command = raw.get("command")
     if not isinstance(command, str) or command not in COMMANDS:
         raise ScenarioError(f"scenario.command: expected one of {', '.join(COMMANDS)}")
+    spec = COMMANDS[command]
+    _check_keys(raw, ("command",) + spec.fields, "scenario")
 
-    allowed = _FIELDS_BY_COMMAND[command] + ("command",)
-    _check_keys(raw, allowed, f"scenario ({command})")
-
-    sc = Scenario(command=command)
+    values: dict = {}
     if "state" in raw:
-        state = _parse_state(raw["state"])
-        sc.a = state.get("a")
-        sc.q = state.get("q")
-        sc.c1 = state.get("c1")
-        sc.c2 = state.get("c2")
+        values.update(_parse_state(raw["state"], spec.state))
     if "schedule" in raw:
-        sched = _parse_schedule(raw["schedule"])
-        sc.t = sched.get("t")
-        sc.steps = sched.get("steps", ())
+        values.update(_parse_schedule(raw["schedule"]))
     if "grid" in raw:
-        sc.grids = _parse_grids(raw["grid"])
-    if "n" in raw:
-        sc.n = _require_int(raw["n"], "scenario.n")
-    if "tol" in raw:
-        sc.tol = _require_tol(raw["tol"], "scenario.tol")
-    if "seed" in raw:
-        sc.seed = _require_seed(raw["seed"], "scenario.seed")
+        values["grids"] = _parse_grids(raw["grid"])
+    for field, parse in (("n", _require_int), ("tol", _require_tol), ("seed", _require_seed)):
+        if field in raw:
+            values[field] = parse(raw[field], f"scenario.{field}")
+    sc = Scenario(command=command, **values)
 
-    _validate_for_command(sc)
+    if "a" in spec.state:  # the state in full, or as the edge-state shorthand q
+        if (sc.a is None) == (sc.q is None):
+            raise ScenarioError("state: give exactly one of 'a' or 'q'")
+        for key in ("c1", "c2"):
+            if sc.q is not None and _given(sc, key):
+                raise ScenarioError(f"state.{key}: the q shorthand fixes c1 = sin q and c2 = 0")
+    for field in spec.required:
+        if not _given(sc, field):
+            raise ScenarioError(f"{field}: required")
+    if spec.either:
+        field, axis = spec.either
+        if _given(sc, field) == (sc.grid(axis) is not None):
+            raise ScenarioError(f"{field}: give exactly one of {field} or a grid with axis "
+                                f"{axis!r}")
+    for axis in spec.axes:
+        if sc.grid(axis) is None:
+            raise ScenarioError(f"grid: axis {axis!r} is required")
+    for i, g in enumerate(sc.grids):
+        if g.axis not in spec.axes + spec.either[1:]:
+            raise ScenarioError(f"grid[{i}].axis: {command} takes no {g.axis!r} axis")
+    if spec.n_min is not None and (sc.n is None or sc.n < spec.n_min):
+        raise ScenarioError(f"scenario.n: {command} requires an integer n >= {spec.n_min}")
+    if spec.on_slice:
+        if sc.c2:
+            raise ScenarioError(f"state.c2: {command} runs on the slice c2 = 0")
+        if sc.a is not None and (sc.a[0] != 0.0 or sc.a[2] != 0.0):
+            raise ScenarioError(f"state.a: {command} runs on the slice a = [0, a2, 0]")
+
+    factors = [(f"grid[{i}].count", g.count) for i, g in enumerate(sc.grids)]
+    if spec.n_min is not None:
+        factors.append(("scenario.n", sc.n - spec.n_min + 1))
+    if sc.steps is not None:  # a trajectory: one row per leg
+        factors.append(("schedule.steps", len(sc.steps) + 1))
+    rows = math.prod(count for _, count in factors)
+    if rows > ROW_BUDGET:
+        where = max(factors, key=lambda factor: factor[1])[0]
+        raise ScenarioError(f"{where}: the run would write {rows} rows, over the budget "
+                            f"of {ROW_BUDGET}")
     return sc
 
 
@@ -288,71 +294,7 @@ def _slice_params(sc: Scenario) -> tuple[float, float]:
     """(a2, c1) for commands restricted to the slice a = (0, a2, 0), c2 = 0."""
     if sc.q is not None:
         return math.cos(sc.q), math.sin(sc.q)
-    if sc.a[0] != 0.0 or sc.a[2] != 0.0:
-        raise ScenarioError("state.a: this command needs the slice form [0, a2, 0]")
     return float(sc.a[1]), float(sc.c1 if sc.c1 is not None else 0.0)
-
-
-def _validate_for_command(sc: Scenario) -> None:
-    cmd = sc.command
-    if cmd in ("evolve", "conjunct", "growth"):
-        if (sc.a is None) == (sc.q is None):
-            raise ScenarioError(f"{cmd}: state needs exactly one of 'a' or 'q'")
-        if sc.q is not None and (sc.c1 is not None or sc.c2 is not None):
-            raise ScenarioError(f"{cmd}: the q shorthand fixes c1 = sin q and c2 = 0")
-    if cmd in ("growth", "slippage") and sc.c2:
-        raise ScenarioError(f"state.c2: {cmd} runs on the slice c2 = 0")
-    if cmd == "evolve":
-        if len(sc.grids) != 1 or sc.grids[0].axis != "t":
-            raise ScenarioError("evolve: exactly one grid with axis 't' is required")
-    elif cmd == "conjunct":
-        if sc.t is None:
-            raise ScenarioError("conjunct: schedule.t is required")
-        has_steps = len(sc.steps) > 0
-        s_grid = sc.grid("s")
-        if has_steps == (s_grid is not None):
-            raise ScenarioError("conjunct: give either schedule.steps or a grid with axis 's'")
-        if s_grid is not None and len(sc.grids) != 1:
-            raise ScenarioError("conjunct: only the 's' grid is allowed")
-    elif cmd == "hazard":
-        if sc.a is not None or sc.c1 is not None or sc.c2 is not None:
-            raise ScenarioError("hazard: runs on edge states; give q (scalar or grid), not a/c1/c2")
-        q_grid = sc.grid("q")
-        if (sc.q is None) == (q_grid is None):
-            raise ScenarioError("hazard: give exactly one of state.q or a grid with axis 'q'")
-        if sc.grid("s") is None:
-            raise ScenarioError("hazard: a grid with axis 's' is required")
-        if len(sc.grids) != (1 if q_grid is None else 2):
-            raise ScenarioError("hazard: only the 'q' and 's' grid axes are allowed")
-    elif cmd == "growth":
-        if sc.n is None or sc.n < 0:
-            raise ScenarioError("growth: n >= 0 is required")
-        if sc.a is not None:
-            _slice_params(sc)  # rejects off-slice a
-    elif cmd == "domain-map":
-        if sc.grid("a2") is None or sc.grid("c1") is None or len(sc.grids) != 2:
-            raise ScenarioError("domain-map: grids with axes 'a2' and 'c1' are required")
-    elif cmd == "slippage":
-        if sc.n is None or sc.n < 1:
-            raise ScenarioError("slippage: n >= 1 is required")
-        if sc.a is not None or sc.q is not None:
-            raise ScenarioError("slippage: state carries only c1 here")
-        if sc.grid("a2") is None:
-            raise ScenarioError("slippage: a grid with axis 'a2' is required")
-        if (sc.grid("c1") is None) == (sc.c1 is None):
-            raise ScenarioError("state.c1: slippage takes c1 from the state or a grid axis, "
-                                "exactly one")
-        extra = [g.axis for g in sc.grids if g.axis not in ("a2", "c1")]
-        if extra:
-            raise ScenarioError(f"slippage: unsupported grid axes {extra}")
-    factors = [(f"grid[{i}].count", g.count) for i, g in enumerate(sc.grids)]
-    if cmd in ("growth", "slippage"):
-        factors.append(("scenario.n", sc.n + 1 if cmd == "growth" else sc.n))
-    rows = math.prod(count for _, count in factors)
-    if rows > ROW_BUDGET:
-        where = max(factors, key=lambda factor: factor[1])[0]
-        raise ScenarioError(f"{where}: the run would write {rows} rows, over the budget "
-                            f"of {ROW_BUDGET}")
 
 
 class Columns:
@@ -548,14 +490,43 @@ def _run_validate(sc: Scenario, tol: float, seed: int) -> tuple[list, Columns, d
     return ["check", "passed", "detail"], rows, summary
 
 
-_RUNNERS = {
-    "evolve": _run_evolve,
-    "conjunct": _run_conjunct,
-    "hazard": _run_hazard,
-    "growth": _run_growth,
-    "domain-map": _run_domain_map,
-    "slippage": _run_slippage,
-    "validate": _run_validate,
+@dataclasses.dataclass(frozen=True)
+class _Spec:
+    """What one command accepts; `load_scenario` checks each scenario against it.
+
+    A spec reading state key "a" takes the state in full (a, c1, c2) or as
+    the edge-state shorthand q, exactly one.  `either` is (field path, grid
+    axis): one value given at the path or as the axis, exactly one.  With
+    `n_min`, n is required, at least n_min, and the run writes n - n_min + 1
+    rows per grid point.  `on_slice` restricts the state to c2 = 0 and
+    a = [0, a2, 0].
+    """
+
+    runner: Callable[[Scenario, float, int], tuple[list, Columns, dict]]
+    fields: tuple[str, ...]  # top-level fields besides "command"
+    state: tuple[str, ...] = ()  # the state keys it reads
+    axes: tuple[str, ...] = ()  # the grid axes it requires
+    either: tuple[str, ...] = ()
+    required: tuple[str, ...] = ()  # field paths that must be given
+    n_min: Optional[int] = None
+    on_slice: bool = False
+
+
+_FULL_STATE = ("a", "q", "c1", "c2")
+
+# the one statement of what each command accepts
+COMMANDS = {
+    "evolve": _Spec(_run_evolve, ("state", "grid", "tol", "seed"), _FULL_STATE, axes=("t",)),
+    "conjunct": _Spec(_run_conjunct, ("state", "schedule", "grid", "tol", "seed"), _FULL_STATE,
+                      either=("schedule.steps", "s"), required=("schedule.t",)),
+    "hazard": _Spec(_run_hazard, ("state", "grid", "tol", "seed"), ("q",), axes=("s",),
+                    either=("state.q", "q")),
+    "growth": _Spec(_run_growth, ("state", "n", "tol", "seed"), _FULL_STATE, n_min=0,
+                    on_slice=True),
+    "domain-map": _Spec(_run_domain_map, ("grid", "tol", "seed"), axes=("a2", "c1")),
+    "slippage": _Spec(_run_slippage, ("state", "grid", "n", "tol", "seed"), ("c1", "c2"),
+                      axes=("a2",), either=("state.c1", "c1"), n_min=1, on_slice=True),
+    "validate": _Spec(_run_validate, ("tol", "seed")),
 }
 
 
@@ -571,13 +542,13 @@ def run(scenario_path: str, out_dir: str = ".", seed: Optional[int] = None,
     try:
         sc = load_scenario(scenario_path)
         if command is not None and sc.command != command:
-            raise ScenarioError(f"scenario file has command {sc.command!r} but the "
-                                f"{command!r} subcommand was invoked")
+            raise ScenarioError(f"scenario.command: {sc.command!r}, but the {command!r} "
+                                f"subcommand was invoked")
         effective_tol = _require_tol(tol, "--tol") if tol is not None else (
             sc.tol if sc.tol is not None else DEFAULT_TOL)
         effective_seed = _require_seed(seed, "--seed") if seed is not None else (
             sc.seed if sc.seed is not None else 0)
-        header, rows, summary = _RUNNERS[sc.command](sc, effective_tol, effective_seed)
+        header, rows, summary = COMMANDS[sc.command].runner(sc, effective_tol, effective_seed)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

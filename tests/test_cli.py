@@ -1,13 +1,19 @@
 """Scenario runner: schema validation, CSV output, determinism."""
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import math
 import os
+import pathlib
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from qmaplab import checks, cli
 from qmaplab.cli import Columns, ScenarioError, emit_csv, load_scenario, main, parse_angle, run
@@ -168,6 +174,59 @@ def test_row_budget_admits_its_limit(tmp_path):
     payload["n"] += 1
     with pytest.raises(ScenarioError, match="budget"):
         load_scenario(write_scenario(tmp_path, payload))
+
+
+def test_trajectory_rows_count_against_the_budget(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "ROW_BUDGET", 3)
+    payload = {"command": "conjunct", "state": {"q": 0.5},
+               "schedule": {"t": 0.5, "steps": [0.1, 0.2]}}
+    assert run(write_scenario(tmp_path, payload), out_dir=str(tmp_path / "at-limit")) == 0
+    payload["schedule"]["steps"].append(0.3)  # four legs, four rows
+    _assert_exit_1_nothing_written(tmp_path, payload, "error: schedule.steps:", capsys)
+
+
+_S_GRID = {"axis": "s", "start": 0, "stop": 1, "count": 5}
+
+
+def _grid(axis: str) -> dict:
+    return {**_S_GRID, "axis": axis}
+
+
+# one malformed payload per rule of a command's spec, with the path its message starts with
+@pytest.mark.parametrize("payload,path", [
+    ({"state": {"q": 0.5}}, "scenario.command"),
+    ({**_hazard_payload(), "n": 3}, "scenario.n"),
+    ({**_hazard_payload(), "state": {"a": [0, 1, 0]}}, "state.a"),
+    ({"command": "slippage", "state": {"q": 0.5}, "n": 2, "grid": _grid("a2")}, "state.q"),
+    ({"command": "evolve", "grid": _grid("t")}, "state"),
+    ({"command": "evolve", "state": {"a": [0, 1, 0], "q": 0.5}, "grid": _grid("t")}, "state"),
+    ({"command": "conjunct", "state": {"q": 0.5, "c2": 0}, "schedule": {"t": 1, "steps": [1]}},
+     "state.c2"),
+    ({"command": "conjunct", "state": {"q": 0.5}, "grid": _S_GRID}, "schedule.t"),
+    ({"command": "conjunct", "state": {"q": 0.5}, "schedule": {"t": 1}}, "schedule.steps"),
+    ({"command": "conjunct", "state": {"q": 0.5}, "schedule": {"t": 1, "steps": []},
+      "grid": _S_GRID}, "schedule.steps"),
+    ({"command": "hazard", "state": {"q": 0.5}, "grid": [_S_GRID, _grid("q")]}, "state.q"),
+    ({"command": "slippage", "n": 2, "grid": _grid("a2")}, "state.c1"),
+    ({"command": "evolve", "state": {"q": 0.5}}, "grid"),
+    ({"command": "domain-map", "grid": _grid("a2")}, "grid"),
+    ({"command": "hazard", "state": {"q": 0.5}, "grid": [_S_GRID, _grid("t")]}, "grid[1].axis"),
+    ({"command": "conjunct", "state": {"q": 0.5}, "schedule": {"t": 1, "steps": [1]},
+      "grid": _grid("t")}, "grid[0].axis"),
+    ({"command": "hazard", "state": {"q": 0.5}, "grid": [_S_GRID, _S_GRID]}, "grid[1].axis"),
+    ({"command": "hazard", "state": {"q": 0.5}, "grid": {"axis": "s", "start": 0, "stop": 1}},
+     "grid[0].count"),
+    ({"command": "growth", "state": {"q": 0.5}}, "scenario.n"),
+    ({"command": "slippage", "state": {"c1": 0.2}, "n": 0, "grid": _grid("a2")}, "scenario.n"),
+    ({"command": "growth", "state": {"a": [0, 0.5, 0.1]}, "n": 2}, "state.a"),
+    ({"command": "slippage", "state": {"c1": 0.2, "c2": 0.1}, "n": 2, "grid": _grid("a2")},
+     "state.c2"),
+], ids=["command", "unused-field", "unread-state-key", "unread-q", "no-state", "a-and-q",
+        "q-and-c2", "required", "either-neither", "empty-steps", "either-both", "either-c1",
+        "axis-t", "axis-c1", "extra-axis", "extra-axis-conjunct", "duplicate-axis",
+        "grid-field", "n-missing", "n-min", "slice-a", "slice-c2"])
+def test_each_spec_rule_names_its_field_path(tmp_path, payload, path, capsys):
+    _assert_exit_1_nothing_written(tmp_path, payload, f"error: {path}:", capsys)
 
 
 def test_growth_rejects_off_slice_state(tmp_path):
@@ -696,7 +755,19 @@ def test_nan_bloch_component_rejected_with_field_path(tmp_path, capsys):
     ({"command": "domain-map", "grid": [{"axis": "a2", "start": -1, "stop": 1, "count": 3},
                                         {"axis": "c1", "start": -1, "stop": 1e155, "count": 3}]},
      "grid[1].stop"),
-], ids=["a", "c1", "c2", "a2-start", "c1-stop"])
+    ({"command": "hazard", "state": {"q": 0.5},
+      "grid": {"axis": "s", "start": -1e308, "stop": 1e308, "count": 5}}, "grid[0].start"),
+    ({"command": "hazard", "grid": [{"axis": "q", "start": 0, "stop": 2e150, "count": 3},
+                                    {"axis": "s", "start": 0, "stop": 1, "count": 3}]},
+     "grid[0].stop"),
+    ({"command": "growth", "state": {"q": -1e200}, "n": 3}, "state.q"),
+    ({"command": "conjunct", "state": {"q": 0.5}, "schedule": {"t": 1e151, "steps": [1]}},
+     "schedule.t"),
+    ({"command": "conjunct", "state": {"q": 0.5}, "schedule": {"t": 1, "steps": [1, 1e308]}},
+     "schedule.steps[1]"),
+    ({"command": "evolve", "state": {"q": 0.5},
+      "grid": {"axis": "t", "start": 0, "stop": 1e300, "count": 3}}, "grid[0].stop"),
+], ids=["a", "c1", "c2", "a2-start", "c1-stop", "s-start", "q-stop", "q", "t", "steps", "t-stop"])
 def test_overflowing_values_rejected_with_field_path(tmp_path, payload, field, capsys):
     # past the limit a square or norm overflows: a traceback, or inf/nan rows
     _assert_exit_1_nothing_written(tmp_path, payload, field, capsys)
@@ -704,17 +775,30 @@ def test_overflowing_values_rejected_with_field_path(tmp_path, payload, field, c
 
 def test_values_at_the_magnitude_limit_run_clean(tmp_path):
     big = cli.MAX_MAGNITUDE
-    payloads = {
-        "domain_map.csv": {"command": "domain-map", "grid": [
+    payloads = [
+        ("domain_map.csv", {"command": "domain-map", "grid": [
             {"axis": "a2", "start": -big, "stop": big, "count": 3},
-            {"axis": "c1", "start": -big, "stop": big, "count": 3}]},
-        "slippage.csv": {"command": "slippage", "state": {"c1": -big}, "n": 3,
-                         "grid": {"axis": "a2", "start": -big, "stop": big, "count": 3}},
-        "evolve.csv": {"command": "evolve", "state": {"a": [big, -big, big], "c1": big, "c2": big},
-                       "grid": {"axis": "t", "start": 0, "stop": 1, "count": 3}},
-    }
-    for name, payload in payloads.items():
-        out = tmp_path / name
+            {"axis": "c1", "start": -big, "stop": big, "count": 3}]}),
+        ("slippage.csv", {"command": "slippage", "state": {"c1": -big}, "n": 3,
+                          "grid": {"axis": "a2", "start": -big, "stop": big, "count": 3}}),
+        ("evolve.csv", {"command": "evolve", "state": {"a": [big, -big, big], "c1": big, "c2": big},
+                        "grid": {"axis": "t", "start": 0, "stop": 1, "count": 3}}),
+        # every angle at the limit
+        ("evolve.csv", {"command": "evolve", "state": {"q": -big},
+                        "grid": {"axis": "t", "start": -big, "stop": big, "count": 3}}),
+        ("hazard.csv", {"command": "hazard", "grid": [
+            {"axis": "q", "start": -big, "stop": big, "count": 3},
+            {"axis": "s", "start": -big, "stop": big, "count": 3}]}),
+        ("conjunct.csv", {"command": "conjunct", "state": {"q": big},
+                          "schedule": {"t": -big, "steps": [big, big, -big]}}),
+        ("conjunct.csv", {"command": "conjunct", "state": {"a": [big, big, -big], "c1": big,
+                                                           "c2": -big},
+                          "schedule": {"t": big},
+                          "grid": {"axis": "s", "start": -big, "stop": big, "count": 3}}),
+        ("growth.csv", {"command": "growth", "state": {"q": big}, "n": 3}),
+    ]
+    for i, (name, payload) in enumerate(payloads):
+        out = tmp_path / str(i)
         assert run(write_scenario(tmp_path, payload), out_dir=str(out)) == 0
         text = (out / name).read_text()
         assert "inf" not in text and "nan" not in text
@@ -761,3 +845,83 @@ def test_main_parses_the_scenario_once(tmp_path, monkeypatch):
     path = os.path.join(SCENARIOS, "hazard.json")
     assert main(["hazard", "--scenario", path, "--out", str(tmp_path / "out")]) == 0
     assert loads == [path]
+
+
+# ---------------------------------------------------------------- property test
+
+_KEYS = st.sampled_from(["command", "state", "schedule", "grid", "a", "q", "c1", "c2", "t",
+                         "steps", "axis", "start", "stop", "count", "n", "tol", "seed", "x"])
+_ATOMS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 1.7e308, -1.7e308, 10**30, 1e150, -0.0,
+                     "pi", "-2pi/3", "9" * 160 + "pi", "pi/0", "s", "hazard", None, True]),
+    st.integers(-1000, 1000),  # small, so that no example writes many rows
+    st.floats(-10, 10),
+)
+_JSON = st.recursive(_ATOMS, lambda inner: st.lists(inner, max_size=3)
+                     | st.dictionaries(_KEYS, inner, max_size=3), max_leaves=6)
+
+
+# validate reads only seed and tol, and one pass takes about 0.3 s
+_BUNDLED = [json.loads(pathlib.Path(SCENARIOS, name).read_text(encoding="utf-8"))
+            for name in sorted(set(os.listdir(SCENARIOS)) - {"validate.json"})]
+
+
+def _paths(node, prefix=()):
+    """Every key path into a JSON value, below its root."""
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield prefix + (key,)
+            yield from _paths(child, prefix + (key,))
+
+
+@st.composite
+def _mutated_scenarios(draw):
+    """A bundled scenario with one or two values replaced or keys deleted."""
+    payload = copy.deepcopy(draw(st.sampled_from(_BUNDLED)))
+    for _ in range(draw(st.integers(1, 2))):
+        paths = list(_paths(payload))
+        if not paths:
+            break
+        path = draw(st.sampled_from(paths))
+        parent = payload
+        for key in path[:-1]:
+            parent = parent[key]
+        if isinstance(parent, dict) and draw(st.integers(0, 3)) == 0:
+            del parent[path[-1]]
+        else:  # a leaf becomes an atom, an object or list any JSON value
+            parent[path[-1]] = draw(_JSON if isinstance(parent[path[-1]], (dict, list))
+                                    else _ATOMS)
+    return payload
+
+
+def _no_constant(name):
+    raise AssertionError(f"summary.json holds {name}")
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.one_of(_mutated_scenarios(), st.dictionaries(_KEYS, _JSON, max_size=4)))
+def _run_is_total(payload):
+    # tempfile, not tmp_path: a function-scoped fixture is shared by every example
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_scenario(pathlib.Path(tmp), payload)
+        out = pathlib.Path(tmp, "out")
+        code = run(path, out_dir=str(out))
+        assert code in (0, 1, 2)
+        if code == 1:
+            assert not out.exists()
+        if code == 0:
+            summary = (out / "summary.json").read_text(encoding="utf-8")
+            csv = (out / json.loads(summary)["csv"]).read_text(encoding="utf-8")
+            json.loads(summary, parse_constant=_no_constant)
+            assert not {"nan", "inf", "-inf"} & set(csv.replace("\n", ",").split(","))
+
+
+def test_run_never_raises_and_exit_1_writes_nothing():
+    # Hypothesis caches the constants it mines from source files under its
+    # home directory, ./.hypothesis by default: keep that out of the checkout
+    with tempfile.TemporaryDirectory() as home:
+        set_hypothesis_home_dir(home)
+        try:
+            _run_is_total()
+        finally:
+            set_hypothesis_home_dir(None)
