@@ -22,7 +22,7 @@ import numpy as np
 from .conjunction import brute_force_max, greedy_extremal_growth
 from .dynamics import crosscheck
 from .feasibility import _flat_points, dual_certificate, feasibility_search
-from .pauli import _BASIS, TwoQubitState, _chunks, density_from_params, min_eigenvalue
+from .pauli import _BASIS, TwoQubitState, _chunks, density_from_params
 from .reduced import compat_slice_check, in_compatibility_domain, sup_norm_grid, sup_norm_over_time
 
 # width of the boundary strip excluded from oracle agreement verdicts
@@ -88,15 +88,17 @@ def certified(a, c1, c2, value, witness: TwoQubitState, tol: float):
         w = dual_certificate(a[:, chunk], c1[chunk], c2[chunk])
         # parameters read back from rho and W: tr(B_k M) for each basis element
         back_rho, back_w = np.einsum("kij,mnji->mkn", _BASIS, np.stack((rho, w))).real
+        # both come from density_from_params, Hermitian by construction, so
+        # eigvalsh takes them without min_eigenvalue's check
         inside = (
-            (min_eigenvalue(rho) >= -WITNESS_EIG_TOL)
+            (np.linalg.eigvalsh(rho)[..., 0] >= -WITNESS_EIG_TOL)
             & (np.abs(back_rho[_A] - a[:, chunk]).max(axis=0) < READ_BACK_TOL)
             & (np.abs(back_rho[_C1] - c1[chunk]) < READ_BACK_TOL)
             & (np.abs(back_rho[_C2] - c2[chunk]) < READ_BACK_TOL)
         )
         outside = (
             (np.abs(np.trace(w, axis1=-2, axis2=-1) - 1.0) <= DUAL_TOL)
-            & (min_eigenvalue(w) >= -DUAL_TOL)
+            & (np.linalg.eigvalsh(w)[..., 0] >= -DUAL_TOL)
             & (np.abs(back_w[_FREE]).max(axis=0) <= DUAL_TOL)
         )
         # tr(W rho) last and compared as Python numbers, as the per-point

@@ -32,6 +32,8 @@ import json
 import math
 import os
 import re
+import shutil
+import signal
 import sys
 from typing import Any, Callable, Optional
 
@@ -324,18 +326,87 @@ def _cells(column) -> list[str]:
     return list(map(float.__repr__, column.tolist()))  # exactly repr(float)
 
 
-# rows formatted and written per chunk, so no whole-file text is held in memory
+# rows formatted and written per chunk, so no whole-file text is held in
+# memory; a longer body is formatted half in a forked child
 _CHUNK_ROWS = 1 << 15
+
+
+def _write_rows(fh, rows: Columns, lo: int, hi: int) -> None:
+    for start in range(lo, hi, _CHUNK_ROWS):
+        stop = min(start + _CHUNK_ROWS, hi)
+        chunk = [_cells(column[start:stop]) for column in rows.columns]
+        fh.write("\n".join(map(",".join, zip(*chunk))) + "\n")
+
+
+def _fork_is_quiet() -> bool:
+    """os.fork exists and does not warn: from Python 3.12 on it warns
+    (DeprecationWarning) in a process with more than one OS thread, counted
+    here as the kernel counts them, in the task list of /proc."""
+    if not hasattr(os, "fork"):
+        return False
+    if sys.version_info < (3, 12):
+        return True
+    try:
+        return len(os.listdir("/proc/self/task")) == 1
+    except OSError:  # no procfs: the thread count is unknown
+        return False
 
 
 def emit_csv(header: list[str], rows: Columns, path: str) -> None:
     """Stream `rows` to `path` as UTF-8, LF-terminated CSV, column by column;
-    floats keep their exact round-trip form."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for lo in range(0, len(rows), _CHUNK_ROWS):
-            chunk = [_cells(column[lo:lo + _CHUNK_ROWS]) for column in rows.columns]
-            fh.write("\n".join(map(",".join, zip(*chunk))) + "\n")
+    floats keep their exact round-trip form.
+
+    A body of more than `_CHUNK_ROWS` rows is formatted on two cores: one
+    forked child writes rows [n//2, n) to `<path>.part` while this process
+    writes the header and rows [0, n//2), then the part is appended.  The
+    child leaves through os._exit, so no atexit handler or inherited buffer
+    runs twice, with status 0 only once its file is closed; any other status
+    raises OSError here.  An interrupt kills and reaps the child, and the
+    part file never outlives the call.  The split is taken only where
+    `os.fork` exists and does not warn: Python 3.12 and later warn when the
+    process runs other OS threads (an OpenBLAS pool, say), so there it needs
+    a single-threaded process.  Before 3.12 it forks beside such threads,
+    which is safe here because the child only slices arrays, formats cells
+    and writes one file: it calls no BLAS routine and takes no lock another
+    thread could hold.  Otherwise, or if the fork fails, one process writes
+    every row.
+    """
+    n = len(rows)
+    mid = n // 2 if n > _CHUNK_ROWS and _fork_is_quiet() else n
+    part = f"{path}.part"
+    pid = None
+    if mid < n:
+        try:
+            pid = os.fork()
+        except OSError:
+            mid = n
+    if pid == 0:
+        status = 1
+        try:
+            with open(part, "w", encoding="utf-8", newline="\n") as fh:
+                _write_rows(fh, rows, mid, n)
+            status = 0
+        finally:
+            os._exit(status)
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(",".join(header) + "\n")
+            _write_rows(fh, rows, 0, mid)
+        if pid is not None:
+            _, status = os.waitpid(pid, 0)
+            pid = None
+            if status:
+                raise OSError(f"the child formatting rows {mid} to {n} exited with status "
+                              f"{os.waitstatus_to_exitcode(status)}")
+            with open(part, "rb") as src, open(path, "ab") as dst:
+                shutil.copyfileobj(src, dst)
+    finally:
+        if pid is not None:  # interrupted before the child was reaped
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        if mid < n:
+            with contextlib.suppress(OSError):
+                os.remove(part)
 
 
 def _initial_mean_state(sc: Scenario) -> MeanValueState:

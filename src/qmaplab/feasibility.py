@@ -50,7 +50,6 @@ from .pauli import (
     _norms,
     density_from_params,
     embed_mean_values,
-    min_eigenvalue,
 )
 from .reduced import DomainVerdict
 
@@ -89,8 +88,9 @@ def feasibility_search(a, c1, c2) -> tuple[np.ndarray, TwoQubitState]:
         x_plus, x_minus = _block_vectors(a[:, chunk], c1[chunk], c2[chunk])
         T[:, 0, chunk] = c1[chunk], c2[chunk], 0.5 * (x_plus[2] - x_minus[2])
         b[0, chunk] = 0.5 * (_norms(*x_plus) - _norms(*x_minus))  # w_+ - w_-
-        values[chunk] = min_eigenvalue(density_from_params(
-            TwoQubitState(a=a[:, chunk], b=b[:, chunk], T=T[..., chunk])))
+        # Hermitian by construction: eigvalsh without min_eigenvalue's check
+        values[chunk] = np.linalg.eigvalsh(density_from_params(
+            TwoQubitState(a=a[:, chunk], b=b[:, chunk], T=T[..., chunk])))[..., 0]
     witness = TwoQubitState(a=a.reshape((3,) + shape), b=b.reshape((3,) + shape),
                             T=T.reshape((3, 3) + shape))
     return values.reshape(shape)[()], witness

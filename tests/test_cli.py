@@ -7,7 +7,10 @@ import json
 import math
 import os
 import pathlib
+import sys
 import tempfile
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -836,6 +839,135 @@ def test_write_failure_leaves_nothing(tmp_path, capsys):
     assert [p.name for p in out.iterdir()] == ["summary.json"]
     assert (out / "summary.json").is_dir()
     assert "cannot write output" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------- split emit
+
+def _fork_spy(monkeypatch) -> list:
+    """Count os.fork calls in this process; the fork itself still happens."""
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    return forks
+
+
+def _serial_csv(header, columns) -> bytes:
+    """The reference: one row at a time, each cell formatted on its own."""
+    def cell(value):
+        if isinstance(value, str):
+            return value
+        if isinstance(value, (bool, np.bool_)):
+            return "true" if value else "false"
+        return repr(float(value))
+    lines = [",".join(header)] + [",".join(map(cell, row)) for row in zip(*columns)]
+    return ("\n".join(lines) + "\n").encode()
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# from Python 3.12 on, a process with other OS threads writes serially
+_needs_split = pytest.mark.skipif(not cli._fork_is_quiet(), reason="os.fork would warn here")
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 9, 10, 13])
+def test_split_emit_equals_serial(tmp_path, monkeypatch, n):
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", 3)
+    forks = _fork_spy(monkeypatch)
+    rng = np.random.default_rng(n)
+    floats = rng.normal(size=n) * 10.0 ** rng.integers(-20, 20, size=n)
+    floats[0] = -0.0
+    columns = (floats, floats > 0, cli._axis(range(n)), [f"text{i}" for i in range(n)],
+               cli._axis(floats[1:2], inner=n))
+    header = ["x", "positive", "k", "label", "axis"]
+    path = tmp_path / "split.csv"
+    emit_csv(header, Columns(*columns), str(path))
+    assert len(forks) == cli._fork_is_quiet()
+    assert path.read_bytes() == _serial_csv(header, columns)
+    assert [p.name for p in tmp_path.iterdir()] == ["split.csv"]
+    _no_child_left()
+
+
+def test_bundled_scenarios_split_give_the_goldens(tmp_path, monkeypatch):
+    """Each bundled body is below `_CHUNK_ROWS`; a small constant sends
+    every one of them through the forked half."""
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", 3)
+    forks = _fork_spy(monkeypatch)
+    for name, expected in BUNDLED_DIGESTS.items():
+        out = tmp_path / name
+        assert run(os.path.join(SCENARIOS, name), out_dir=str(out)) == 0, name
+        digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in out.iterdir()}
+        assert digests == expected, name
+    assert len(forks) == len(BUNDLED_DIGESTS) * cli._fork_is_quiet()
+    _no_child_left()
+
+
+def test_serial_where_fork_is_missing_or_would_warn(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", 3)
+    columns = (np.linspace(0.0, 1.0, 11), cli._axis(range(11)))
+    expected = _serial_csv(["x", "k"], columns)
+    # before 3.12 the fork never warns; from 3.12 on it warns in a process
+    # running other OS threads
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        with monkeypatch.context() as m:
+            m.setattr(sys, "version_info", (3, 11, 9, "final", 0))
+            assert cli._fork_is_quiet()
+            m.setattr(sys, "version_info", (3, 12, 0, "final", 0))
+            m.setattr(os, "fork", lambda: pytest.fail("forked"))
+            assert not cli._fork_is_quiet()
+            emit_csv(["x", "k"], Columns(*columns), str(tmp_path / "threads.csv"))
+    finally:
+        release.set()
+        thread.join(timeout=10)
+    monkeypatch.delattr(os, "fork")
+    emit_csv(["x", "k"], Columns(*columns), str(tmp_path / "no_fork.csv"))
+    for name in ("threads.csv", "no_fork.csv"):
+        assert (tmp_path / name).read_bytes() == expected
+
+
+@_needs_split
+@pytest.mark.parametrize("how", ["format", "open"])
+def test_child_failure_exits_1_and_leaves_nothing(tmp_path, monkeypatch, capsys, how):
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", 3)
+    out = tmp_path / "out"
+    out.mkdir()
+    part = out / f"hazard.csv.{os.getpid()}.tmp.part"
+    if how == "open":  # the child cannot create its file
+        part.mkdir()
+    else:  # the child's formatting fails; this process's does not
+        parent, cells = os.getpid(), cli._cells
+        monkeypatch.setattr(cli, "_cells", lambda column: cells(column) if os.getpid() == parent
+                            else 1 / 0)
+    assert run(os.path.join(SCENARIOS, "hazard.json"), out_dir=str(out)) == 1
+    assert "error: cannot write output" in capsys.readouterr().err
+    # only the directory the test made in the part file's place
+    assert [p.name for p in out.iterdir()] == ([part.name] if how == "open" else [])
+    _no_child_left()
+
+
+@_needs_split
+def test_interrupt_before_waitpid_kills_and_reaps_the_child(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", 3)
+    parent = os.getpid()
+
+    def cells(column):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        time.sleep(20)  # the child would outlive the run unless killed
+        raise RuntimeError("not killed")
+
+    monkeypatch.setattr(cli, "_cells", cells)
+    out = tmp_path / "out"
+    t0 = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        run(os.path.join(SCENARIOS, "hazard.json"), out_dir=str(out))
+    assert time.monotonic() - t0 < 10
+    assert list(out.iterdir()) == []
+    _no_child_left()
 
 
 def test_main_parses_the_scenario_once(tmp_path, monkeypatch):
