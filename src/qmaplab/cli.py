@@ -47,7 +47,7 @@ from .conjunction import (
     greedy_extremal_growth,
     sigma2_conjunction,
 )
-from .dynamics import MeanValueState, rotate
+from .dynamics import rotate
 from .dynamics import evolve_mean_values  # noqa: F401  no longer called; perfbench traces this binding
 from .pauli import DEFAULT_TOL, _norms
 from .reduced import ReducedMap
@@ -257,6 +257,10 @@ def load_scenario(path: str) -> Scenario:
         for key in ("c1", "c2"):
             if sc.q is not None and _given(sc, key):
                 raise ScenarioError(f"state.{key}: the q shorthand fixes c1 = sin q and c2 = 0")
+        if sc.q is None:
+            sc.c1, sc.c2 = sc.c1 or 0.0, sc.c2 or 0.0
+        else:
+            sc.a, sc.c1, sc.c2 = np.array([0.0, math.cos(sc.q), 0.0]), math.sin(sc.q), 0.0
     for field in spec.required:
         if not _given(sc, field):
             raise ScenarioError(f"{field}: required")
@@ -290,13 +294,6 @@ def load_scenario(path: str) -> Scenario:
         raise ScenarioError(f"{where}: the run would write {rows} rows, over the budget "
                             f"of {ROW_BUDGET}")
     return sc
-
-
-def _slice_params(sc: Scenario) -> tuple[float, float]:
-    """(a2, c1) for commands restricted to the slice a = (0, a2, 0), c2 = 0."""
-    if sc.q is not None:
-        return math.cos(sc.q), math.sin(sc.q)
-    return float(sc.a[1]), float(sc.c1 if sc.c1 is not None else 0.0)
 
 
 class Columns:
@@ -409,29 +406,21 @@ def emit_csv(header: list[str], rows: Columns, path: str) -> None:
                 os.remove(part)
 
 
-def _initial_mean_state(sc: Scenario) -> MeanValueState:
-    if sc.q is not None:
-        return MeanValueState(a=[0.0, math.cos(sc.q), 0.0], c1=math.sin(sc.q), c2=0.0)
-    return MeanValueState(a=sc.a, c1=sc.c1 or 0.0, c2=sc.c2 or 0.0)
-
-
 def _run_evolve(sc: Scenario, tol: float, seed: int) -> tuple[list, Columns, dict]:
-    m0 = _initial_mean_state(sc)
     t = sc.grids[0].values()
-    a1, a2, a3, c1, c2 = rotate(m0.a, m0.c1, m0.c2, t)
+    a1, a2, a3, c1, c2 = rotate(sc.a, sc.c1, sc.c2, t)
     header = ["t", "a1", "a2", "a3", "c1", "c2", "norm_a"]
     rows = Columns(t, a1, a2, _axis([a3], inner=t.size), c1, c2, _norms(a1, a2, a3))
     return header, rows, {"rows": len(rows)}
 
 
 def _run_conjunct(sc: Scenario, tol: float, seed: int) -> tuple[list, Columns, dict]:
-    m0 = _initial_mean_state(sc)
-    c1, c2 = m0.c1, m0.c2
+    a, c1, c2 = sc.a, sc.c1, sc.c2
     s_grid = sc.grid("s")
     if s_grid is None:
         # trajectory mode: explicit schedule, frozen-map vs exact side by side
         sched = ConjunctionSchedule(t=sc.t, steps=sc.steps)
-        report = conjunct(c1, c2, m0.a, sched, tol=tol)
+        report = conjunct(c1, c2, a, sched, tol=tol)
         header = [
             "step", "duration", "cumulative_time",
             "conj_a1", "conj_a2", "conj_a3", "conj_norm",
@@ -439,7 +428,7 @@ def _run_conjunct(sc: Scenario, tol: float, seed: int) -> tuple[list, Columns, d
         ]
         # the exact state after leg k: one rotation by the durations summed left to right
         cumulative = np.array(list(itertools.accumulate(sched.durations)))
-        exact = rotate(m0.a, c1, c2, cumulative)[:3]
+        exact = rotate(a, c1, c2, cumulative)[:3]
         conj = report.trajectory.T
         rows = Columns(_axis(range(cumulative.size)), np.array(sched.durations), cumulative,
                        *conj, report.magnitudes,
@@ -455,9 +444,9 @@ def _run_conjunct(sc: Scenario, tol: float, seed: int) -> tuple[list, Columns, d
 
     # sweep mode: one reuse of duration s over a grid
     s = s_grid.values()
-    first_leg = ReducedMap(c1, c2, sc.t).apply(m0.a)
+    first_leg = ReducedMap(c1, c2, sc.t).apply(a)
     conj = ReducedMap(c1, c2, s).apply(first_leg)
-    exact = rotate(m0.a, c1, c2, sc.t + s)[:3]
+    exact = rotate(a, c1, c2, sc.t + s)[:3]
     norm_conj, norm_exact = _norms(*conj), _norms(*exact)
     header = ["s", "sigma2_exact", "sigma2_conjunction",
               "norm_exact", "norm_conjunction", "margin_exact", "margin_conjunction"]
@@ -495,7 +484,7 @@ def _run_hazard(sc: Scenario, tol: float, seed: int) -> tuple[list, Columns, dic
 
 
 def _run_growth(sc: Scenario, tol: float, seed: int) -> tuple[list, Columns, dict]:
-    a2, c1 = _slice_params(sc)
+    a2, c1 = float(sc.a[1]), sc.c1
     magnitudes, sched = greedy_extremal_growth(a2, c1, sc.n)
     header = ["k", "duration", "magnitude", "exceeds_unit"]
     rows = Columns(_axis(range(sc.n + 1)), np.array(sched.durations), magnitudes,
@@ -566,7 +555,9 @@ class _Spec:
     """What one command accepts; `load_scenario` checks each scenario against it.
 
     A spec reading state key "a" takes the state in full (a, c1, c2) or as
-    the edge-state shorthand q, exactly one.  `either` is (field path, grid
+    the edge-state shorthand q, exactly one; `load_scenario` expands q to
+    a = [0, cos q, 0], c1 = sin q, c2 = 0 and defaults c1 and c2 to 0, so
+    its runner reads a, c1 and c2 only.  `either` is (field path, grid
     axis): one value given at the path or as the axis, exactly one.  With
     `n_min`, n is required, at least n_min, and the run writes n - n_min + 1
     rows per grid point.  `on_slice` restricts the state to c2 = 0 and

@@ -18,7 +18,7 @@ import numpy as np
 
 from .dynamics import rotate
 from .optimize import golden_section_max
-from .pauli import DEFAULT_TOL
+from .pauli import DEFAULT_TOL, _norms
 from .reduced import ReducedMap
 
 _TWO_PI = 2 * math.pi
@@ -76,13 +76,14 @@ def conjunct(
     for duration in sched.durations:
         a = ReducedMap(c1, c2, duration).apply(a)
         trajectory.append(a)
-    magnitudes = np.array([float(np.linalg.norm(v)) for v in trajectory])
+    trajectory = np.array(trajectory)
+    magnitudes = _norms(*trajectory.T)
     exceed = np.nonzero(magnitudes > 1.0 + tol)[0]
     return HazardReport(
         magnitudes=magnitudes,
         first_unphysical_step=int(exceed[0]) if exceed.size else None,
-        worst_margin=1.0 - float(magnitudes.max()) if magnitudes.size else 1.0,
-        trajectory=np.array(trajectory),
+        worst_margin=1.0 - float(magnitudes.max()),
+        trajectory=trajectory,
     )
 
 

@@ -45,20 +45,6 @@ class ReducedMap:
         return np.array(np.broadcast_arrays(a1, a2, a3))
 
 
-def _sq(x):
-    """x**2 rounded as Python's scalar power rounds it (libm pow).  That
-    differs from x*x, which array ** 2 computes, in about 0.1% of doubles;
-    the domain-map and validate outputs carry the scalar rounding."""
-    return np.float_power(x, 2)
-
-
-def _math2(fn, x, y) -> np.ndarray:
-    """The `math` function fn(x, y) element by element over broadcast x, y.
-    np.hypot and np.arctan2 round differently from math.hypot and
-    math.atan2 (about 0.6% and 8% of random pairs)."""
-    return np.asarray(np.frompyfunc(fn, 2, 1)(x, y), dtype=float)
-
-
 def _norm_sq_coeffs(c1, c2, a: np.ndarray) -> tuple:
     """|a(t)|^2 = A + B cos 2t + C sin 2t.
 
@@ -67,9 +53,9 @@ def _norm_sq_coeffs(c1, c2, a: np.ndarray) -> tuple:
     double-angle identities give A = a3^2 + (r^2 + k^2)/2,
     B = (r^2 - k^2)/2, C = a2 c1 - a1 c2.
     """
-    r_sq = _sq(a[0]) + _sq(a[1])
-    k_sq = _sq(c1) + _sq(c2)
-    big_a = _sq(a[2]) + 0.5 * (r_sq + k_sq)
+    r_sq = a[0] * a[0] + a[1] * a[1]
+    k_sq = c1 * c1 + c2 * c2
+    big_a = a[2] * a[2] + 0.5 * (r_sq + k_sq)
     big_b = 0.5 * (r_sq - k_sq)
     big_c = a[1] * c1 - a[0] * c2
     return big_a, big_b, big_c
@@ -81,13 +67,14 @@ def sup_norm_over_time(c1, c2, a):
     Closed form: max |a(t)|^2 = A + sqrt(B^2 + C^2) with the coefficients of
     `_norm_sq_coeffs`, attained at 2t = atan2(C, B).  Broadcasts: `a` may
     stack Bloch vectors along trailing axes, shape (3, ...), against arrays
-    of c1 and c2.
+    of c1 and c2.  Squares are x * x, the root np.hypot and the angle
+    np.arctan2, so a scalar call gives the bits of the same state in a batch.
     """
     big_a, big_b, big_c = _norm_sq_coeffs(c1, c2, _as_blochs(a))
-    amp = _math2(math.hypot, big_b, big_c)
+    amp = np.hypot(big_b, big_c)
     sup = np.sqrt(np.maximum(big_a + amp, 0.0))
     # amp == 0: |a(t)| is constant and every t maximizes; report t = 0
-    argmax_t = np.where(amp == 0.0, 0.0, 0.5 * _math2(math.atan2, big_c, big_b) % (2 * math.pi))
+    argmax_t = np.where(amp == 0.0, 0.0, 0.5 * np.arctan2(big_c, big_b) % (2 * math.pi))
     return sup[()], argmax_t[()]
 
 
@@ -120,7 +107,7 @@ def sup_norm_grid(c1, c2, a, points: int = 100_000):
     k = np.zeros(c1.size, dtype=int)
     best = np.full(c1.size, -np.inf)
     step = max(1, _GRID_CHUNK // max(c1.size, 1))
-    a3_sq = _sq(a[2, :, None])
+    a3_sq = a[2, :, None] * a[2, :, None]
     columns = a[0, :, None], a[1, :, None], c1[:, None], c2[:, None]
     buffers = [np.empty(c1.size * min(step, points)) for _ in range(3)]
     for lo in range(0, points, step):
@@ -137,7 +124,7 @@ def sup_norm_grid(c1, c2, a, points: int = 100_000):
 
     def norm_sq_at(t: np.ndarray) -> np.ndarray:
         a1t, a2t = _turn(a[0], a[1], c1, c2, np.cos(t), np.sin(t))
-        return _sq(a1t) + _sq(a2t) + a3_sq[:, 0]
+        return a1t * a1t + a2t * a2t + a3_sq[:, 0]
 
     t_best, f_best = golden_section_max(norm_sq_at, ts[k] - h, ts[k] + h)
     sup = np.sqrt(np.maximum(f_best, 0.0)).reshape(shape)
@@ -158,8 +145,9 @@ def in_compatibility_domain(c1, c2, a, tol: float = DEFAULT_TOL) -> DomainVerdic
 def compat_slice_check(a2, c1, tol: float = DEFAULT_TOL) -> DomainVerdict:
     """Analytic compatibility check on the slice a = (0, a2, 0), c2 = 0:
     inside iff a2^2 + c1^2 <= 1.  Agrees with `in_compatibility_domain`
-    restricted to the slice.  Broadcasts over arrays of a2 and c1."""
+    restricted to the slice.  Broadcasts over arrays of a2 and c1; the
+    margin is 1 - np.hypot(a2, c1) for scalars and arrays alike."""
     if tol < 0:
         raise ValueError("tol must be >= 0")
-    margin = (1.0 - _math2(math.hypot, a2, c1))[()]
+    margin = (1.0 - np.hypot(a2, c1))[()]
     return DomainVerdict(inside=margin >= -tol, margin=margin)

@@ -74,6 +74,18 @@ def test_load_scenario_roundtrip(tmp_path):
     assert sc.command == "hazard"
     assert abs(sc.q - math.pi / 4) < 1e-15
     assert sc.grids[0].count == 11
+    assert sc.a is None and sc.c1 is None  # hazard reads q itself
+
+
+def test_load_scenario_expands_the_state(tmp_path):
+    q = parse_angle("pi/5", "q")
+    sc = load_scenario(write_scenario(tmp_path, {"command": "growth", "state": {"q": "pi/5"},
+                                                 "n": 3}))
+    assert (sc.a.tolist(), sc.c1, sc.c2) == ([0.0, math.cos(q), 0.0], math.sin(q), 0.0)
+    sc = load_scenario(write_scenario(tmp_path, {"command": "evolve", "state": {"a": [0, 1, 0]},
+                                                 "grid": {"axis": "t", "start": 0, "stop": 1,
+                                                          "count": 2}}))
+    assert (sc.c1, sc.c2) == (0.0, 0.0)
 
 
 @pytest.mark.parametrize(
@@ -496,7 +508,7 @@ BUNDLED_DIGESTS = {
         "summary.json": "3da23d8f3ecbe18912cb93a64861100e348164c1b6f211cae066453c1d5a8be4",
     },
     "domain_map.json": {
-        "domain_map.csv": "dc7dac0f228280d118917e149b792a7655571a1e3018d2741565d190f1163fdd",
+        "domain_map.csv": "f0862ccca642cd88760798b560ba528624010cf0b5a3eeaaecd070ad631ac19c",
         "summary.json": "4dd043188b2348e89daf321540b457c8fe6caeb198652e14b8e2b4e5c977a5ec",
     },
     "evolve.json": {
