@@ -1,17 +1,18 @@
 """Oracle cross-checks, each written once with its bound and the boundary band.
 
 `validate` reports `validate_suite`, `domain-map` rasterizes
-`three_way_agreement`, and the acceptance suite calls the same functions
-with its own seeds.  A check returns (name, metric, value, bound) and
-passes when value < bound; a count passes at bound 1, i.e. when it is zero.
+`three_way_agreement` one chunk of points at a time, and the acceptance
+suite calls the same functions with its own seeds.  A check returns (name,
+metric, value, bound) and passes when value < bound; a count passes at
+bound 1, i.e. when it is zero.
 
 Every check is an array program: the unitary cross-check is one
 `crosscheck` call over all its states, the growth check one
 `brute_force_max` call per number of reuses, the feasibility oracle one
-`feasibility_search` call over the whole grid, and `certified` audits all
-of its answers as one batch (a stacked eigvalsh of the witnesses and of the
-dual certificates, chunked as the oracle is), so `validate` and
-`domain-map` make one oracle call each.
+`feasibility_search` call over the whole grid (per chunk of a `domain-map`),
+and `certified` audits all of its answers as one batch (a stacked eigvalsh
+of the witnesses and of the dual certificates, chunked as the oracle is),
+so `validate` makes one oracle call and `domain-map` one per chunk.
 """
 from __future__ import annotations
 
@@ -47,13 +48,11 @@ def _on_slice(a2) -> np.ndarray:
     return np.stack(np.broadcast_arrays(0.0, a2, 0.0))
 
 
-def slice_verdicts(a2_values, c1_values, tol: float):
-    """Slice-check and sup-norm verdicts for the slice states of the a2 x c1
-    grid, one entry per point in row order (c1 varying fastest)."""
-    a2, c1 = (v.ravel() for v in np.meshgrid(a2_values, c1_values, indexing="ij"))
+def slice_verdicts(a2, c1, tol: float):
+    """Slice-check and sup-norm verdicts for the slice states (a2, c1), one
+    entry per point of a2 and c1 broadcast against each other."""
     sl = compat_slice_check(a2, c1, tol=tol)
-    sup = in_compatibility_domain(c1, 0.0, _on_slice(a2), tol=tol)
-    return a2, c1, sl, sup
+    return sl, in_compatibility_domain(c1, 0.0, _on_slice(a2), tol=tol)
 
 
 def near_boundary(slice_margin) -> np.ndarray:
@@ -62,10 +61,11 @@ def near_boundary(slice_margin) -> np.ndarray:
     return np.abs(slice_margin) <= BOUNDARY_BAND
 
 
-def three_way_agreement(a2_values, c1_values, tol: float):
-    """Slice check, sup over time and oracle on the a2 x c1 grid: (slice
-    verdict, sup-norm verdict, oracle values, near-boundary mask, agree mask)."""
-    a2, c1, sl, sup = slice_verdicts(a2_values, c1_values, tol)
+def three_way_agreement(a2, c1, tol: float):
+    """Slice check, sup over time and oracle at the slice points (a2, c1),
+    broadcast against each other: (slice verdict, sup-norm verdict, oracle
+    values, near-boundary mask, agree mask)."""
+    sl, sup = slice_verdicts(a2, c1, tol)
     values, _ = feasibility_search(_on_slice(a2), c1, 0.0)
     agree = (sl.inside == sup.inside) & (sup.inside == (values >= -tol))
     return sl, sup, values, near_boundary(sl.margin), agree
@@ -156,7 +156,7 @@ def greedy_vs_brute_force(pairs, grid_points: int):
 def slice_vs_sup_norm_verdicts(tol: float):
     """Slice check vs sup-over-time verdicts on a dense analytic grid."""
     grid = np.linspace(-1.2, 1.2, 201)
-    _, _, sl, sup = slice_verdicts(grid, grid, tol)
+    sl, sup = slice_verdicts(grid[:, None], grid, tol)
     mismatches = int(np.sum(~(np.abs(sl.margin) <= 1e-9) & (sl.inside != sup.inside)))
     return "slice_vs_sup_norm_verdicts", "mismatches", mismatches, 1
 

@@ -30,7 +30,9 @@ import dataclasses
 import itertools
 import json
 import math
+import operator
 import os
+import pickle
 import re
 import shutil
 import signal
@@ -135,8 +137,20 @@ class Grid:
     stop: float
     count: int
 
-    def values(self) -> np.ndarray:
-        return np.linspace(self.start, self.stop, self.count)
+    def at(self, index) -> np.ndarray:
+        """np.linspace(start, stop, count)[index], bit for bit, from the
+        indices alone; a grid of count 1 is the one value `start`."""
+        y = np.asarray(index, dtype=float)
+        if self.count == 1:
+            return np.full(y.shape, self.start)
+        div = self.count - 1
+        delta = self.stop - self.start
+        step = delta / div
+        # as linspace: a step that underflows to 0 scales by delta after dividing
+        y = y / div * delta if step == 0 else y * step
+        y += self.start
+        y[np.asarray(index) == div] = self.stop
+        return y
 
 
 @dataclasses.dataclass
@@ -297,8 +311,10 @@ def load_scenario(path: str) -> Scenario:
 
 
 class Columns:
-    """Column-major CSV body: per column a float or bool ndarray, or a list of
-    formatted cells (`_axis`, or text).  len() is the row count."""
+    """Column-major CSV rows: per column a float or bool ndarray, or a list of
+    formatted cells.  len() is the row count.  Rows computed up front are a
+    body in their own right: `chunk` slices them and carries no partial
+    summary."""
 
     def __init__(self, *columns):
         self.columns = columns
@@ -306,13 +322,52 @@ class Columns:
     def __len__(self) -> int:
         return len(self.columns[0])
 
+    def chunk(self, lo: int, hi: int) -> tuple["Columns", None]:
+        return Columns(*(column[lo:hi] for column in self.columns)), None
 
-def _axis(values, inner: int = 1, outer: int = 1) -> list[str]:
-    """Cells of a grid axis in row order: each value formatted once (str of
-    an int, repr of a float), repeated `inner` times, and the whole block
-    repeated `outer` times."""
-    cells = np.array(list(map(repr, np.asarray(values).tolist())), dtype=object)
-    return np.repeat(cells, inner).tolist() * outer
+    @staticmethod
+    def fold(left, right) -> None:
+        return None
+
+
+@dataclasses.dataclass(frozen=True)
+class Body:
+    """A CSV body of `rows` rows computed on demand: `chunk(lo, hi)` returns
+    rows [lo, hi) as `Columns` and that range's partial summary, and
+    `fold(left, right)` merges the partials of two adjacent ranges, the left
+    one first, so the partials fold in row order."""
+
+    rows: int
+    chunk: Callable[[int, int], tuple[Columns, Any]]
+    fold: Callable[[Any, Any], Any] = Columns.fold
+
+    def __len__(self) -> int:
+        return self.rows
+
+
+# rows computed, formatted and written per chunk, so no run holds more than
+# one chunk of its body; a longer body is computed half in a forked child
+_CHUNK_ROWS = 1 << 12
+
+
+def _text(values) -> np.ndarray:
+    """repr of each value's Python int or float, as an object array."""
+    return np.array(list(map(repr, np.asarray(values).tolist())), dtype=object)
+
+
+def _axis(at: Callable[[np.ndarray], np.ndarray], count: int) -> Callable[[np.ndarray], list]:
+    """The cells of a grid axis of `count` values, `at(indices)`, looked up by
+    index.  An axis that fits in one chunk is formatted once per run; a
+    longer one once per chunk, each distinct value once."""
+    if count <= _CHUNK_ROWS:
+        text = _text(at(np.arange(count)))
+        return lambda index: text[index].tolist()
+
+    def cells(index: np.ndarray) -> list:
+        distinct, inverse = np.unique(index, return_inverse=True)
+        return _text(at(distinct))[inverse].tolist()
+
+    return cells
 
 
 def _cells(column) -> list[str]:
@@ -323,16 +378,16 @@ def _cells(column) -> list[str]:
     return list(map(float.__repr__, column.tolist()))  # exactly repr(float)
 
 
-# rows formatted and written per chunk, so no whole-file text is held in
-# memory; a longer body is formatted half in a forked child
-_CHUNK_ROWS = 1 << 15
-
-
-def _write_rows(fh, rows: Columns, lo: int, hi: int) -> None:
+def _write_rows(fh, rows, lo: int, hi: int):
+    """Compute and write rows [lo, hi) one chunk at a time; returns their
+    partial summary folded in row order (None for no rows)."""
+    partial = None
     for start in range(lo, hi, _CHUNK_ROWS):
-        stop = min(start + _CHUNK_ROWS, hi)
-        chunk = [_cells(column[start:stop]) for column in rows.columns]
-        fh.write("\n".join(map(",".join, zip(*chunk))) + "\n")
+        columns, part = rows.chunk(start, min(start + _CHUNK_ROWS, hi))
+        cells = [_cells(column) for column in columns.columns]
+        fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+        partial = part if start == lo else rows.fold(partial, part)
+    return partial
 
 
 def _fork_is_quiet() -> bool:
@@ -349,72 +404,120 @@ def _fork_is_quiet() -> bool:
         return False
 
 
-def emit_csv(header: list[str], rows: Columns, path: str) -> None:
-    """Stream `rows` to `path` as UTF-8, LF-terminated CSV, column by column;
-    floats keep their exact round-trip form.
+def _child(rows, lo: int, hi: int, part: str, pipe: int) -> None:
+    """The forked child: rows [lo, hi) into `part`, then (partial summary,
+    None) or (None, the exception that stopped it) pickled into `pipe`.
+    Leaves through os._exit, status 0 only once both are written."""
+    status = 1
+    try:
+        try:
+            with open(part, "w", encoding="utf-8", newline="\n") as fh:
+                result = _write_rows(fh, rows, lo, hi), None
+        except Exception as exc:  # raised again in the parent
+            result = None, exc
+        try:
+            blob = pickle.dumps(result)
+        except Exception:  # an exception that does not pickle
+            blob = pickle.dumps((None, RuntimeError(repr(result[1]))))
+        with os.fdopen(pipe, "wb") as fh:
+            fh.write(blob)
+        status = 0
+    finally:
+        os._exit(status)
 
-    A body of more than `_CHUNK_ROWS` rows is formatted on two cores: one
-    forked child writes rows [n//2, n) to `<path>.part` while this process
-    writes the header and rows [0, n//2), then the part is appended.  The
-    child leaves through os._exit, so no atexit handler or inherited buffer
-    runs twice, with status 0 only once its file is closed; any other status
-    raises OSError here.  An interrupt kills and reaps the child, and the
-    part file never outlives the call.  The split is taken only where
-    `os.fork` exists and does not warn: Python 3.12 and later warn when the
-    process runs other OS threads (an OpenBLAS pool, say), so there it needs
-    a single-threaded process.  Before 3.12 it forks beside such threads,
-    which is safe here because the child only slices arrays, formats cells
-    and writes one file: it calls no BLAS routine and takes no lock another
-    thread could hold.  Otherwise, or if the fork fails, one process writes
-    every row.
+
+def emit_csv(header: list[str], rows, path: str):
+    """Compute `rows` (a `Body`, or `Columns`) and stream them to `path` as
+    UTF-8, LF-terminated CSV, `_CHUNK_ROWS` rows at a time; floats keep
+    their exact round-trip form.  Returns the rows' partial summary, folded
+    in row order.
+
+    A body of more than one chunk is computed and formatted on two cores:
+    one forked child computes rows [n//2, n) into `<path>.part` and hands
+    its partial summary back through a pipe, while this process writes the
+    header and rows [0, n//2); then the part is appended and the child's
+    partial folded after this process's own.  An exception in the child is
+    raised again here, so an OSError still means the output could not be
+    written and a compute error stays what it was.  The child leaves through
+    os._exit, so no atexit handler or inherited buffer runs twice; a child
+    that dies without a result raises ChildProcessError.  An interrupt kills
+    and reaps the child, and the part file never outlives the call.
+
+    The split is taken only where `os.fork` exists and does not warn:
+    Python 3.12 and later warn when the process runs other OS threads, so
+    there it needs a single-threaded process.  Before 3.12 it forks beside
+    an OpenBLAS thread pool, and the child calls numpy kernels that reach
+    BLAS and LAPACK (`pauli._norms`' matmul, and `eigvalsh` on `domain-map`).
+    That relies on OpenBLAS's own fork handler: it registers
+    `blas_thread_shutdown` with pthread_atfork, so the pool is stopped
+    before the fork and restarted on the next call in either process, and
+    the child inherits no pool lock (OpenBLAS's pthreads build, which numpy
+    ships).  Otherwise, or if the fork fails, one process writes every row.
     """
     n = len(rows)
     mid = n // 2 if n > _CHUNK_ROWS and _fork_is_quiet() else n
     part = f"{path}.part"
-    pid = None
+    pid = pipe = None
     if mid < n:
+        read_end, write_end = os.pipe()
         try:
             pid = os.fork()
         except OSError:
             mid = n
-    if pid == 0:
-        status = 1
-        try:
-            with open(part, "w", encoding="utf-8", newline="\n") as fh:
-                _write_rows(fh, rows, mid, n)
-            status = 0
-        finally:
-            os._exit(status)
+        if pid == 0:
+            os.close(read_end)
+            _child(rows, mid, n, part, write_end)
+        os.close(write_end)
+        pipe = os.fdopen(read_end, "rb")
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(",".join(header) + "\n")
-            _write_rows(fh, rows, 0, mid)
+            partial = _write_rows(fh, rows, 0, mid)
         if pid is not None:
+            blob = pipe.read()
             _, status = os.waitpid(pid, 0)
             pid = None
-            if status:
-                raise OSError(f"the child formatting rows {mid} to {n} exited with status "
-                              f"{os.waitstatus_to_exitcode(status)}")
+            if status or not blob:
+                raise ChildProcessError(f"the child computing rows {mid} to {n} exited with "
+                                        f"status {os.waitstatus_to_exitcode(status)}")
+            right, exc = pickle.loads(blob)
+            if exc is not None:
+                raise exc
+            partial = rows.fold(partial, right)
             with open(part, "rb") as src, open(path, "ab") as dst:
                 shutil.copyfileobj(src, dst)
     finally:
         if pid is not None:  # interrupted before the child was reaped
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
+        if pipe is not None:
+            pipe.close()
         if mid < n:
             with contextlib.suppress(OSError):
                 os.remove(part)
+    return partial
 
 
-def _run_evolve(sc: Scenario, tol: float, seed: int) -> tuple[list, Columns, dict]:
-    t = sc.grids[0].values()
-    a1, a2, a3, c1, c2 = rotate(sc.a, sc.c1, sc.c2, t)
+def _run_evolve(sc: Scenario, tol: float, seed: int) -> tuple[list, Body, Callable]:
+    t_grid = sc.grids[0]
+
+    def chunk(lo: int, hi: int) -> tuple[Columns, None]:
+        t = t_grid.at(np.arange(lo, hi))
+        a1, a2, a3, c1, c2 = rotate(sc.a, sc.c1, sc.c2, t)
+        return Columns(t, a1, a2, [repr(float(a3))] * t.size, c1, c2, _norms(a1, a2, a3)), None
+
     header = ["t", "a1", "a2", "a3", "c1", "c2", "norm_a"]
-    rows = Columns(t, a1, a2, _axis([a3], inner=t.size), c1, c2, _norms(a1, a2, a3))
-    return header, rows, {"rows": len(rows)}
+    return header, Body(t_grid.count, chunk), lambda _: {}
 
 
-def _run_conjunct(sc: Scenario, tol: float, seed: int) -> tuple[list, Columns, dict]:
+def _first_maximum(left: tuple, right: tuple) -> tuple:
+    """Fold of (maximum, its s, first hazard s): the left maximum wins a
+    tie, so the first maximiser stays; the first hazard is the left one."""
+    best = left if left[0] >= right[0] else right
+    return best[0], best[1], right[2] if left[2] is None else left[2]
+
+
+def _run_conjunct(sc: Scenario, tol: float, seed: int) -> tuple[list, Any, Callable]:
     a, c1, c2 = sc.a, sc.c1, sc.c2
     s_grid = sc.grid("s")
     if s_grid is None:
@@ -430,64 +533,75 @@ def _run_conjunct(sc: Scenario, tol: float, seed: int) -> tuple[list, Columns, d
         cumulative = np.array(list(itertools.accumulate(sched.durations)))
         exact = rotate(a, c1, c2, cumulative)[:3]
         conj = report.trajectory.T
-        rows = Columns(_axis(range(cumulative.size)), np.array(sched.durations), cumulative,
-                       *conj, report.magnitudes,
-                       exact[0], exact[1], _axis([exact[2]], inner=cumulative.size),
+        rows = Columns(list(map(repr, range(cumulative.size))), np.array(sched.durations),
+                       cumulative, *conj, report.magnitudes,
+                       exact[0], exact[1], [repr(float(exact[2]))] * cumulative.size,
                        _norms(*exact))
         summary = {
             "first_unphysical_step": report.first_unphysical_step,
             "worst_margin": report.worst_margin,
             "max_magnitude": float(report.magnitudes.max()),
-            "rows": len(rows),
         }
-        return header, rows, summary
+        return header, rows, lambda _: summary
 
     # sweep mode: one reuse of duration s over a grid
-    s = s_grid.values()
     first_leg = ReducedMap(c1, c2, sc.t).apply(a)
-    conj = ReducedMap(c1, c2, s).apply(first_leg)
-    exact = rotate(a, c1, c2, sc.t + s)[:3]
-    norm_conj, norm_exact = _norms(*conj), _norms(*exact)
+
+    def chunk(lo: int, hi: int) -> tuple[Columns, tuple]:
+        s = s_grid.at(np.arange(lo, hi))
+        conj = ReducedMap(c1, c2, s).apply(first_leg)
+        exact = rotate(a, c1, c2, sc.t + s)[:3]
+        norm_conj, norm_exact = _norms(*conj), _norms(*exact)
+        rows = Columns(s, exact[1], conj[1], norm_exact, norm_conj,
+                       1.0 - norm_exact, 1.0 - norm_conj)
+        argmax = int(np.argmax(conj[1]))
+        hazards = np.flatnonzero(norm_conj > 1.0 + tol)
+        return rows, (float(conj[1][argmax]), float(s[argmax]),
+                      float(s[hazards[0]]) if hazards.size else None)
+
     header = ["s", "sigma2_exact", "sigma2_conjunction",
               "norm_exact", "norm_conjunction", "margin_exact", "margin_conjunction"]
-    rows = Columns(s, exact[1], conj[1], norm_exact, norm_conj, 1.0 - norm_exact, 1.0 - norm_conj)
-    argmax = int(np.argmax(conj[1]))
-    hazards = np.flatnonzero(norm_conj > 1.0 + tol)
-    summary = {
-        "max_sigma2_conjunction": float(conj[1][argmax]),
-        "argmax_s": float(s[argmax]),
-        "first_hazard_s": float(s[hazards[0]]) if hazards.size else None,
-        "rows": len(rows),
-    }
-    return header, rows, summary
+    keys = ("max_sigma2_conjunction", "argmax_s", "first_hazard_s")
+    return header, Body(s_grid.count, chunk, _first_maximum), lambda p: dict(zip(keys, p))
 
 
-def _run_hazard(sc: Scenario, tol: float, seed: int) -> tuple[list, Columns, dict]:
-    q_grid = sc.grid("q")
-    q = np.array([sc.q]) if q_grid is None else q_grid.values()
-    s = sc.grid("s").values()
-    # rows run over s within each q: q down the first axis, s along the second
-    qq, ss = q[:, None], s[None, :]
-    a2, c1 = np.cos(qq), np.sin(qq)
-    exact = rotate((0.0, a2, 0.0), c1, 0.0, qq + ss)[1].ravel()
-    conj = sigma2_conjunction(a2, c1, qq, ss).ravel()
+def _max_each(left: tuple, right: tuple) -> tuple:
+    return tuple(map(max, left, right))
+
+
+def _sum_each(left: tuple, right: tuple) -> tuple:
+    return tuple(map(operator.add, left, right))
+
+
+def _run_hazard(sc: Scenario, tol: float, seed: int) -> tuple[list, Body, Callable]:
+    q_grid = sc.grid("q") or Grid("q", sc.q, sc.q, 1)
+    s_grid = sc.grid("s")
+    q_cells, s_cells = _axis(q_grid.at, q_grid.count), _axis(s_grid.at, s_grid.count)
+
+    def chunk(lo: int, hi: int) -> tuple[Columns, tuple]:
+        # rows run over s within each q
+        qi, si = np.unravel_index(np.arange(lo, hi), (q_grid.count, s_grid.count))
+        q, s = q_grid.at(qi), s_grid.at(si)
+        a2, c1 = np.cos(q), np.sin(q)
+        exact = rotate((0.0, a2, 0.0), c1, 0.0, q + s)[1]
+        conj = sigma2_conjunction(a2, c1, q, s)
+        size = np.abs(conj)
+        rows = Columns(q_cells(qi), s_cells(si), exact, conj, 1.0 - np.abs(exact), 1.0 - size)
+        return rows, (float(conj.max()), float(size.max()))
+
+    def summary(partial: tuple) -> dict:
+        # |sigma2| past 1 + tol either way leaves the Bloch ball on this slice
+        return {"max_sigma2_conjunction": partial[0], "hazard": partial[1] > 1.0 + tol}
+
     header = ["q", "s", "sigma2_exact", "sigma2_conjunction", "margin_exact", "margin_conjunction"]
-    rows = Columns(_axis(q, inner=s.size), _axis(s, outer=q.size),
-                   exact, conj, 1.0 - np.abs(exact), 1.0 - np.abs(conj))
-    max_conj = float(conj.max())
-    summary = {
-        "max_sigma2_conjunction": max_conj,
-        "hazard": bool(max_conj > 1.0 + tol),
-        "rows": len(rows),
-    }
-    return header, rows, summary
+    return header, Body(q_grid.count * s_grid.count, chunk, _max_each), summary
 
 
-def _run_growth(sc: Scenario, tol: float, seed: int) -> tuple[list, Columns, dict]:
+def _run_growth(sc: Scenario, tol: float, seed: int) -> tuple[list, Columns, Callable]:
     a2, c1 = float(sc.a[1]), sc.c1
     magnitudes, sched = greedy_extremal_growth(a2, c1, sc.n)
     header = ["k", "duration", "magnitude", "exceeds_unit"]
-    rows = Columns(_axis(range(sc.n + 1)), np.array(sched.durations), magnitudes,
+    rows = Columns(list(map(repr, range(sc.n + 1))), np.array(sched.durations), magnitudes,
                    magnitudes > 1.0 + tol)
     first = first_unphysical_n(a2, c1)
     safe = max_safe_repetitions(a2, c1)
@@ -495,49 +609,52 @@ def _run_growth(sc: Scenario, tol: float, seed: int) -> tuple[list, Columns, dic
         "first_unphysical_n": first,
         "max_safe_repetitions": None if safe is None else (str(safe) if safe == math.inf else safe),
         "final_magnitude": float(magnitudes[-1]),
-        "rows": len(rows),
     }
-    return header, rows, summary
+    return header, rows, lambda _: summary
 
 
-def _run_domain_map(sc: Scenario, tol: float, seed: int) -> tuple[list, Columns, dict]:
-    a2_values = sc.grid("a2").values()
-    c1_values = sc.grid("c1").values()
-    sl, sup, best, near_boundary, agree = checks.three_way_agreement(a2_values, c1_values, tol)
+def _run_domain_map(sc: Scenario, tol: float, seed: int) -> tuple[list, Body, Callable]:
+    a2_grid, c1_grid = sc.grid("a2"), sc.grid("c1")
+    a2_cells, c1_cells = _axis(a2_grid.at, a2_grid.count), _axis(c1_grid.at, c1_grid.count)
+    points = a2_grid.count * c1_grid.count
+
+    def chunk(lo: int, hi: int) -> tuple[Columns, tuple]:
+        # rows run over c1 within each a2
+        ai, ci = np.unravel_index(np.arange(lo, hi), (a2_grid.count, c1_grid.count))
+        sl, sup, best, near, agree = checks.three_way_agreement(a2_grid.at(ai), c1_grid.at(ci),
+                                                                tol)
+        rows = Columns(a2_cells(ai), c1_cells(ci), sl.margin, sup.margin, best, near, agree)
+        return rows, (int(near.sum()), int((~near & ~agree).sum()))
+
+    def summary(partial: tuple) -> dict:
+        return {"points": points, "near_boundary": partial[0], "disagreements": partial[1]}
+
     header = ["a2", "c1", "slice_margin", "supnorm_margin", "oracle_margin",
               "near_boundary", "agree"]
-    rows = Columns(_axis(a2_values, inner=c1_values.size), _axis(c1_values, outer=a2_values.size),
-                   sl.margin, sup.margin, best, near_boundary, agree)
-    summary = {
-        "points": len(rows),
-        "near_boundary": int(near_boundary.sum()),
-        "disagreements": int((~near_boundary & ~agree).sum()),
-        "rows": len(rows),
-    }
-    return header, rows, summary
+    return header, Body(points, chunk, _sum_each), summary
 
 
-def _run_slippage(sc: Scenario, tol: float, seed: int) -> tuple[list, Columns, dict]:
-    a2_values = sc.grid("a2").values()
-    c1_grid = sc.grid("c1")
-    c1_values = np.array([sc.c1]) if c1_grid is None else c1_grid.values()
-    n_values = range(1, sc.n + 1)
-    # rows run over c1 within a2 within n: one array axis each
-    n = np.array(n_values)[:, None, None]
-    a2, c1 = a2_values[None, :, None], c1_values[None, None, :]
-    verdict = slipped_domain_check(a2, c1, n, tol=tol)
-    slipped = slip_state(np.stack(np.broadcast_arrays(0.0, a2, 0.0)), c1, n)
+def _run_slippage(sc: Scenario, tol: float, seed: int) -> tuple[list, Body, Callable]:
+    a2_grid = sc.grid("a2")
+    c1_grid = sc.grid("c1") or Grid("c1", sc.c1, sc.c1, 1)
+    shape = (sc.n, a2_grid.count, c1_grid.count)
+    n_cells = _axis(lambda index: index + 1, sc.n)
+    a2_cells, c1_cells = _axis(a2_grid.at, a2_grid.count), _axis(c1_grid.at, c1_grid.count)
+
+    def chunk(lo: int, hi: int) -> tuple[Columns, None]:
+        # rows run over c1 within a2 within n = 1 .. sc.n
+        ni, ai, ci = np.unravel_index(np.arange(lo, hi), shape)
+        n, a2, c1 = ni + 1, a2_grid.at(ai), c1_grid.at(ci)
+        verdict = slipped_domain_check(a2, c1, n, tol=tol)
+        slipped = slip_state(np.stack(np.broadcast_arrays(0.0, a2, 0.0)), c1, n)
+        return Columns(n_cells(ni), a2_cells(ai), c1_cells(ci),
+                       verdict.inside, verdict.margin, slipped[1]), None
+
     header = ["n", "a2", "c1", "inside", "margin", "a2_slipped"]
-    rows = Columns(
-        _axis(n_values, inner=a2.size * c1.size),
-        _axis(a2_values, inner=c1.size, outer=len(n_values)),
-        _axis(c1_values, outer=len(n_values) * a2.size),
-        verdict.inside.ravel(), verdict.margin.ravel(), slipped[1].ravel(),
-    )
-    return header, rows, {"max_n": sc.n, "rows": len(rows)}
+    return header, Body(math.prod(shape), chunk), lambda _: {"max_n": sc.n}
 
 
-def _run_validate(sc: Scenario, tol: float, seed: int) -> tuple[list, Columns, dict]:
+def _run_validate(sc: Scenario, tol: float, seed: int) -> tuple[list, Columns, Callable]:
     """Oracle cross-check suites; any failed check flips the exit status to 2."""
     names, metrics, values, bounds = zip(*checks.validate_suite(np.random.default_rng(seed), tol))
     # compared as Python numbers: an integer count stays exact
@@ -546,8 +663,8 @@ def _run_validate(sc: Scenario, tol: float, seed: int) -> tuple[list, Columns, d
                for metric, value in zip(metrics, values)]
     rows = Columns(list(names), np.array(passed), details)
     failed = passed.count(False)
-    summary = {"passed": len(rows) - failed, "failed": failed, "rows": len(rows)}
-    return ["check", "passed", "detail"], rows, summary
+    summary = {"passed": len(rows) - failed, "failed": failed}
+    return ["check", "passed", "detail"], rows, lambda _: summary
 
 
 @dataclasses.dataclass(frozen=True)
@@ -564,7 +681,8 @@ class _Spec:
     a = [0, a2, 0].
     """
 
-    runner: Callable[[Scenario, float, int], tuple[list, Columns, dict]]
+    # (header, rows: a `Body` or `Columns`, summary from the folded partial)
+    runner: Callable[[Scenario, float, int], tuple[list, Any, Callable[[Any], dict]]]
     fields: tuple[str, ...]  # top-level fields besides "command"
     state: tuple[str, ...] = ()  # the state keys it reads
     axes: tuple[str, ...] = ()  # the grid axes it requires
@@ -610,26 +728,26 @@ def run(scenario_path: str, out_dir: str = ".", seed: Optional[int] = None,
             sc.tol if sc.tol is not None else DEFAULT_TOL)
         effective_seed = _require_seed(seed, "--seed") if seed is not None else (
             sc.seed if sc.seed is not None else 0)
-        header, rows, summary = COMMANDS[sc.command].runner(sc, effective_tol, effective_seed)
+        header, rows, finish = COMMANDS[sc.command].runner(sc, effective_tol, effective_seed)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
     csv_name = sc.command.replace("-", "_") + ".csv"
-    summary = {
-        "command": sc.command,
-        "csv": csv_name,
-        "seed": effective_seed,
-        "tol": effective_tol,
-        **summary,
-    }
     # the summary moves last: once it is in place, the CSV is complete
     targets = [os.path.join(out_dir, name) for name in (csv_name, "summary.json")]
     temps = [f"{path}.{os.getpid()}.tmp" for path in targets]
     moved = []
     try:
         os.makedirs(out_dir, exist_ok=True)
-        emit_csv(header, rows, temps[0])
+        summary = {
+            "command": sc.command,
+            "csv": csv_name,
+            "seed": effective_seed,
+            "tol": effective_tol,
+            "rows": len(rows),
+            **finish(emit_csv(header, rows, temps[0])),
+        }
         with open(temps[1], "w", encoding="utf-8", newline="\n") as fh:
             json.dump(summary, fh, indent=2, sort_keys=True)
             fh.write("\n")

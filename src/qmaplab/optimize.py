@@ -37,25 +37,27 @@ def golden_section_max(
     h = b - a
     c = a + _INVPHI_SQ * h
     d = a + _INVPHI * h
-    fc, fd = values(c), values(d)
+    # each probe as its (abscissa, value) pair stacked (2, n), so that one
+    # masked move carries both
+    probe_c, probe_d = np.stack((c, values(c))), np.stack((d, values(d)))
     for _ in range(max_iter):
         live = h > tol
         if not live.any():
             break
-        gt = fc > fd
+        gt = probe_c[1] > probe_d[1]
         left, right = live & gt, live & ~gt
         # left keeps [a, d]: the old c becomes d and c is probed anew;
         # right keeps [c, b]: the old d becomes c and d is probed anew
-        np.copyto(a, c, where=right)
-        np.copyto(b, d, where=left)
+        np.copyto(a, probe_c[0], where=right)
+        np.copyto(b, probe_d[0], where=left)
         h = b - a
         x = a + np.where(left, _INVPHI_SQ, _INVPHI) * h
-        fx = values(x)
-        for p, q, new in ((c, d, x), (fc, fd, fx)):
-            np.copyto(q, p, where=left)
-            np.copyto(p, q, where=right)
-            np.copyto(p, new, where=left)
-            np.copyto(q, new, where=right)
+        probe_x = np.stack((x, values(x)))
+        np.copyto(probe_d, probe_c, where=left)
+        np.copyto(probe_c, probe_d, where=right)
+        np.copyto(probe_c, probe_x, where=left)
+        np.copyto(probe_d, probe_x, where=right)
+    (c, fc), (d, fd) = probe_c, probe_d
     x = np.where(fc > fd, c, d)
     # the larger value as Python's max picks it: fc unless fd is larger
     fx = np.where(fd > fc, fd, fc)

@@ -96,7 +96,7 @@ def test_criterion_5_first_failure_index():
 
 def test_criterion_6_three_way_slice_agreement():
     values = np.linspace(-1, 1, 41)
-    *_, near, agree = checks.three_way_agreement(values, values, DEFAULT_TOL)
+    *_, near, agree = checks.three_way_agreement(values[:, None], values, DEFAULT_TOL)
     excluded = int(near.sum())
     disagreements = int((~near & ~agree).sum())
     ok = disagreements == 0

@@ -2,15 +2,18 @@
 from __future__ import annotations
 
 import copy
+import errno
 import hashlib
 import json
 import math
 import os
 import pathlib
+import subprocess
 import sys
 import tempfile
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -269,7 +272,7 @@ def test_emit_csv_float_round_trip(tmp_path):
 
 def test_emit_csv_cell_types(tmp_path):
     path = tmp_path / "cells.csv"
-    emit_csv(["a", "b", "c", "d"], Columns(cli._axis([1]), np.array([True]), np.array([0.5]),
+    emit_csv(["a", "b", "c", "d"], Columns(["1"], np.array([True]), np.array([0.5]),
                                            ["x"]), str(path))
     assert path.read_text(encoding="utf-8").split("\n")[1] == "1,true,0.5,x"
 
@@ -391,6 +394,21 @@ def test_hazard_q_grid(tmp_path):
     rows = np.genfromtxt(out / "hazard.csv", delimiter=",", names=True)
     assert len(rows) == 15
     assert len(set(rows["q"])) == 3
+
+
+def test_hazard_flags_a_negative_excursion(tmp_path):
+    # on the slice |a| = |sigma2|: sigma2 below -1 - tol leaves the ball too
+    payload = {"command": "hazard", "state": {"q": "pi/4"},
+               "grid": {"axis": "s", "start": "pi/2", "stop": 3.8, "count": 101}}
+    out = tmp_path / "out"
+    assert run(write_scenario(tmp_path, payload), out_dir=str(out)) == 0
+    rows = np.genfromtxt(out / "hazard.csv", delimiter=",", names=True)
+    summary = json.loads((out / "summary.json").read_text())
+    assert rows["sigma2_conjunction"].max() <= 1.0  # never above 1 + tol
+    assert (rows["margin_conjunction"] < -1e-9).sum() == 30
+    assert rows["sigma2_conjunction"].min() < -1.2247
+    assert summary["max_sigma2_conjunction"] == rows["sigma2_conjunction"].max()
+    assert summary["hazard"] is True
 
 
 def test_slippage_rows(tmp_path):
@@ -724,6 +742,9 @@ def test_validate_calls_each_kernel_o1_times(tmp_path, monkeypatch):
 
 
 def test_domain_map_calls_each_kernel_o1_times(tmp_path, monkeypatch):
+    # one call of each per chunk of rows: 63 rows in chunks of 10
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", 10)
+    monkeypatch.setattr(cli, "_fork_is_quiet", lambda: False)  # count every chunk here
     calls = _count_calls(monkeypatch, checks, ("in_compatibility_domain", "compat_slice_check",
                                                "feasibility_search"))
     payload = {"command": "domain-map", "grid": [
@@ -731,8 +752,8 @@ def test_domain_map_calls_each_kernel_o1_times(tmp_path, monkeypatch):
         {"axis": "c1", "start": -1, "stop": 1, "count": 7}]}
     assert run(write_scenario(tmp_path, payload), out_dir=str(tmp_path / "out")) == 0
     # the oracle's per-point loop made 63 calls
-    assert calls == {"in_compatibility_domain": 1, "compat_slice_check": 1,
-                     "feasibility_search": 1}
+    assert calls == {"in_compatibility_domain": 7, "compat_slice_check": 7,
+                     "feasibility_search": 7}
 
 
 # ---------------------------------------------------------------- input boundary
@@ -890,34 +911,137 @@ def test_split_emit_equals_serial(tmp_path, monkeypatch, n):
     rng = np.random.default_rng(n)
     floats = rng.normal(size=n) * 10.0 ** rng.integers(-20, 20, size=n)
     floats[0] = -0.0
-    columns = (floats, floats > 0, cli._axis(range(n)), [f"text{i}" for i in range(n)],
-               cli._axis(floats[1:2], inner=n))
+    columns = (floats, floats > 0, list(map(str, range(n))), [f"text{i}" for i in range(n)],
+               [repr(floats[1])] * n)
     header = ["x", "positive", "k", "label", "axis"]
     path = tmp_path / "split.csv"
-    emit_csv(header, Columns(*columns), str(path))
-    assert len(forks) == cli._fork_is_quiet()
+    assert emit_csv(header, Columns(*columns), str(path)) is None
     assert path.read_bytes() == _serial_csv(header, columns)
-    assert [p.name for p in tmp_path.iterdir()] == ["split.csv"]
+    # the same rows as a body whose partial summary is the row ranges it was
+    # computed in: they come back folded in row order, across the fork too
+    whole = Columns(*columns)
+    body = cli.Body(n, lambda lo, hi: (whole.chunk(lo, hi)[0], [(lo, hi)]),
+                    lambda left, right: left + right)
+    ranges = emit_csv(header, body, str(tmp_path / "body.csv"))
+    assert (tmp_path / "body.csv").read_bytes() == _serial_csv(header, columns)
+    assert [lo for lo, _ in ranges] == [0] + [hi for _, hi in ranges[:-1]]
+    assert ranges[-1][1] == n and all(hi - lo <= 3 for lo, hi in ranges)
+    assert len(forks) == 2 * cli._fork_is_quiet()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["body.csv", "split.csv"]
     _no_child_left()
+
+
+# one payload per grid command, each a few chunks of 7 rows and a ragged last one
+_GRID_PAYLOADS = {
+    "evolve": {"command": "evolve", "state": {"a": [0.3, -0.5, 0.2], "c1": 0.4, "c2": -0.1},
+               "grid": {"axis": "t", "start": -1, "stop": 7, "count": 53}},
+    # sigma2 = a2' cos s with cos s rounding to 1 on the whole grid: every row
+    # ties for the maximum, across every chunk and both halves
+    "conjunct-tie": {"command": "conjunct", "state": {"a": [0.1, 0.6, 0.2], "c1": 0, "c2": 0},
+                     "schedule": {"t": 0.3},
+                     "grid": {"axis": "s", "start": -1e-9, "stop": 1e-9, "count": 40}},
+    # the first hazard lies past the first chunk
+    "conjunct-hazard": {"command": "conjunct", "state": {"q": "pi/4"}, "schedule": {"t": 0.6},
+                        "grid": {"axis": "s", "start": -1.8, "stop": 3, "count": 61}},
+    "hazard": {"command": "hazard", "grid": [
+        {"axis": "q", "start": 0.1, "stop": 1.4, "count": 3},
+        {"axis": "s", "start": 0, "stop": 3.8, "count": 17}]},
+    "domain-map": {"command": "domain-map", "grid": [
+        {"axis": "a2", "start": -1.1, "stop": 1.1, "count": 8},
+        {"axis": "c1", "start": -1.1, "stop": 1.1, "count": 9}]},
+    "slippage": {"command": "slippage", "n": 3, "grid": [
+        {"axis": "a2", "start": -1.05, "stop": 1.05, "count": 11},
+        {"axis": "c1", "start": -0.6, "stop": 0.6, "count": 3}]},
+}
+
+
+def _outputs(tmp_path, name: str, payload: dict) -> dict:
+    out = tmp_path / name
+    assert run(write_scenario(tmp_path, payload, f"{name}.json"), out_dir=str(out)) == 0
+    return {f.name: f.read_bytes() for f in out.iterdir()}
+
+
+@pytest.mark.parametrize("forked", [False, True], ids=["serial", "forked"])
+@pytest.mark.parametrize("command", list(_GRID_PAYLOADS))
+def test_chunked_grid_commands_equal_one_chunk(tmp_path, monkeypatch, command, forked):
+    if forked and not cli._fork_is_quiet():
+        pytest.skip("os.fork would warn here")
+    payload = _GRID_PAYLOADS[command]
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", 10**9)
+    whole = _outputs(tmp_path, "whole", payload)
+    summary = json.loads(whole["summary.json"])
+    assert summary["rows"] % 7 and summary["rows"] > 14
+    if command == "conjunct-tie":
+        conj = np.genfromtxt(tmp_path / "whole" / "conjunct.csv", delimiter=",", names=True)
+        assert len(set(conj["sigma2_conjunction"])) == 1
+        assert summary["argmax_s"] == -1e-9
+    if command == "conjunct-hazard":
+        assert summary["first_hazard_s"] > np.linspace(-1.8, 3, 61)[7]
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", 7)
+    if not forked:
+        monkeypatch.setattr(cli, "_fork_is_quiet", lambda: False)
+    forks = _fork_spy(monkeypatch)
+    assert _outputs(tmp_path, "chunked", payload) == whole
+    assert len(forks) == forked
+    _no_child_left()
+
+
+@pytest.mark.parametrize("start,stop,count", [
+    (0.0, 1.0, 2), (-1e150, 1e150, 2), (-1e150, 1e150, 1001), (-0.3, 2.9, 4097),
+    (0.0, 5e-324, 7), (-5e-324, 1e-323, 1000), (0.0, 1e-310, 3), (1.0, 1.0 + 2**-52, 5),
+    (-math.pi, 2 * math.pi, 200_001),
+])
+def test_grid_values_from_indices_equal_linspace(start, stop, count):
+    grid = cli.Grid("t", start, stop, count)
+    expected = np.linspace(start, stop, count)
+    got = grid.at(np.arange(count))
+    assert np.array_equal(got, expected)
+    assert np.array_equal(np.signbit(got), np.signbit(expected))
+    index = np.random.default_rng(count).integers(0, count, 50)
+    assert np.array_equal(grid.at(index), expected[index])
 
 
 def test_bundled_scenarios_split_give_the_goldens(tmp_path, monkeypatch):
-    """Each bundled body is below `_CHUNK_ROWS`; a small constant sends
-    every one of them through the forked half."""
+    """Each bundled body is below `_CHUNK_ROWS`; a small constant computes
+    every grid command in chunks of 3 rows and sends every body through the
+    forked half, then through one process."""
     monkeypatch.setattr(cli, "_CHUNK_ROWS", 3)
-    forks = _fork_spy(monkeypatch)
-    for name, expected in BUNDLED_DIGESTS.items():
-        out = tmp_path / name
-        assert run(os.path.join(SCENARIOS, name), out_dir=str(out)) == 0, name
-        digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in out.iterdir()}
-        assert digests == expected, name
-    assert len(forks) == len(BUNDLED_DIGESTS) * cli._fork_is_quiet()
+    forks, quiet = _fork_spy(monkeypatch), cli._fork_is_quiet()
+    for forked in (True, False):
+        if not forked:
+            monkeypatch.setattr(cli, "_fork_is_quiet", lambda: False)
+        for name, expected in BUNDLED_DIGESTS.items():
+            out = tmp_path / f"{name}-{forked}"
+            assert run(os.path.join(SCENARIOS, name), out_dir=str(out)) == 0, name
+            digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+                       for f in out.iterdir()}
+            assert digests == expected, name
+    assert len(forks) == len(BUNDLED_DIGESTS) * quiet
     _no_child_left()
+
+
+def test_memory_stays_bounded_as_the_grid_grows(tmp_path, monkeypatch):
+    """Peak traced memory of a one-process hazard run at 20k and at 200k
+    rows: one chunk of rows at a time, so the two peaks stay within 1 MB."""
+    monkeypatch.setattr(cli, "_fork_is_quiet", lambda: False)
+    peaks = []
+    for q_count in (20, 200):
+        payload = {"command": "hazard", "grid": [
+            {"axis": "q", "start": 0.02, "stop": 1.55, "count": q_count},
+            {"axis": "s", "start": 0, "stop": 2.0, "count": 1001}]}
+        path = write_scenario(tmp_path, payload, f"{q_count}.json")
+        tracemalloc.start()
+        try:
+            assert run(path, out_dir=str(tmp_path / str(q_count))) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < 1 << 20, peaks
 
 
 def test_serial_where_fork_is_missing_or_would_warn(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "_CHUNK_ROWS", 3)
-    columns = (np.linspace(0.0, 1.0, 11), cli._axis(range(11)))
+    columns = (np.linspace(0.0, 1.0, 11), list(map(str, range(11))))
     expected = _serial_csv(["x", "k"], columns)
     # before 3.12 the fork never warns; from 3.12 on it warns in a process
     # running other OS threads
@@ -950,14 +1074,35 @@ def test_child_failure_exits_1_and_leaves_nothing(tmp_path, monkeypatch, capsys,
     part = out / f"hazard.csv.{os.getpid()}.tmp.part"
     if how == "open":  # the child cannot create its file
         part.mkdir()
-    else:  # the child's formatting fails; this process's does not
+    else:  # the disk fills while the child formats; this process's half is written
         parent, cells = os.getpid(), cli._cells
-        monkeypatch.setattr(cli, "_cells", lambda column: cells(column) if os.getpid() == parent
-                            else 1 / 0)
+
+        def full_disk(column):
+            if os.getpid() != parent:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return cells(column)
+
+        monkeypatch.setattr(cli, "_cells", full_disk)
     assert run(os.path.join(SCENARIOS, "hazard.json"), out_dir=str(out)) == 1
     assert "error: cannot write output" in capsys.readouterr().err
     # only the directory the test made in the part file's place
     assert [p.name for p in out.iterdir()] == ([part.name] if how == "open" else [])
+    _no_child_left()
+
+
+@_needs_split
+def test_child_compute_error_is_raised_not_a_write_failure(tmp_path, monkeypatch, capsys):
+    """A compute error in the child's half is raised here as it would be in
+    one process, not reported as output that cannot be written."""
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", 3)
+    parent, kernel = os.getpid(), cli.sigma2_conjunction
+    monkeypatch.setattr(cli, "sigma2_conjunction", lambda *args: kernel(*args)
+                        if os.getpid() == parent else 1 / 0)
+    out = tmp_path / "out"
+    with pytest.raises(ZeroDivisionError):
+        run(os.path.join(SCENARIOS, "hazard.json"), out_dir=str(out))
+    assert "cannot write output" not in capsys.readouterr().err
+    assert list(out.iterdir()) == []
     _no_child_left()
 
 
@@ -980,6 +1125,45 @@ def test_interrupt_before_waitpid_kills_and_reaps_the_child(tmp_path, monkeypatc
     assert time.monotonic() - t0 < 10
     assert list(out.iterdir()) == []
     _no_child_left()
+
+
+_FORK_BESIDE_BLAS = """
+import os, sys
+import numpy as np
+from qmaplab import cli
+np.linalg.eigvalsh(np.eye(200) + 1.0)  # the BLAS and LAPACK pools are up
+scenario, out = sys.argv[1:]
+cli._CHUNK_ROWS = 10**9
+assert cli.run(scenario, os.path.join(out, "whole")) == 0
+cli._CHUNK_ROWS = 64
+forks, fork = [], os.fork
+os.fork = lambda: forks.append(1) or fork()
+quiet = cli._fork_is_quiet()
+assert cli.run(scenario, os.path.join(out, "chunked")) == 0
+print(len(forks), int(quiet))
+"""
+
+
+def test_streamed_domain_map_forks_beside_an_unpinned_openblas(tmp_path):
+    """The child of a streamed domain-map calls matmul and eigvalsh.  In a
+    fresh interpreter with OpenBLAS's thread count left to its default, the
+    run must finish, fork once where the fork is quiet, and write what one
+    chunk writes."""
+    payload = {"command": "domain-map", "grid": [
+        {"axis": "a2", "start": -1.1, "stop": 1.1, "count": 41},
+        {"axis": "c1", "start": -1.1, "stop": 1.1, "count": 39}]}
+    env = {key: value for key, value in os.environ.items()
+           if key not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", _FORK_BESIDE_BLAS,
+                           write_scenario(tmp_path, payload), str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    forks, quiet = map(int, done.stdout.split())
+    assert forks == quiet
+    for name in ("domain_map.csv", "summary.json"):
+        assert (tmp_path / "chunked" / name).read_bytes() == (tmp_path / "whole" / name).read_bytes()
 
 
 def test_main_parses_the_scenario_once(tmp_path, monkeypatch):
