@@ -577,16 +577,18 @@ def _run_hazard(sc: Scenario, tol: float, seed: int) -> tuple[list, Body, Callab
     q_grid = sc.grid("q") or Grid("q", sc.q, sc.q, 1)
     s_grid = sc.grid("s")
     q_cells, s_cells = _axis(q_grid.at, q_grid.count), _axis(s_grid.at, s_grid.count)
+    # the exact edge state turns rigidly to sigma2 = cos s for every q: cells by s alone
+    exact_cells = _axis(lambda si: np.cos(s_grid.at(si)), s_grid.count)
+    margin_cells = _axis(lambda si: 1.0 - np.abs(np.cos(s_grid.at(si))), s_grid.count)
 
     def chunk(lo: int, hi: int) -> tuple[Columns, tuple]:
         # rows run over s within each q
         qi, si = np.unravel_index(np.arange(lo, hi), (q_grid.count, s_grid.count))
         q, s = q_grid.at(qi), s_grid.at(si)
-        a2, c1 = np.cos(q), np.sin(q)
-        exact = rotate((0.0, a2, 0.0), c1, 0.0, q + s)[1]
-        conj = sigma2_conjunction(a2, c1, q, s)
+        conj = sigma2_conjunction(np.cos(q), np.sin(q), q, s)
         size = np.abs(conj)
-        rows = Columns(q_cells(qi), s_cells(si), exact, conj, 1.0 - np.abs(exact), 1.0 - size)
+        rows = Columns(q_cells(qi), s_cells(si), exact_cells(si), conj,
+                       margin_cells(si), 1.0 - size)
         return rows, (float(conj.max()), float(size.max()))
 
     def summary(partial: tuple) -> dict:

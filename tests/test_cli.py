@@ -411,6 +411,22 @@ def test_hazard_flags_a_negative_excursion(tmp_path):
     assert summary["hazard"] is True
 
 
+def test_hazard_exact_columns_stay_in_the_ball(tmp_path):
+    # sigma2_exact = cos s for every q: no rounding of q + s pushes it past 1
+    payload = {"command": "hazard", "grid": [
+        {"axis": "q", "start": 0.01, "stop": 1.56, "count": 400},
+        {"axis": "s", "start": 0, "stop": "pi", "count": 101}]}
+    got, _ = _run_and_read(tmp_path, payload, "hazard.csv")
+    rows = [line.split(",") for line in got.decode().splitlines()[1:]]
+    assert len(rows) == 400 * 101
+    assert all(abs(float(row[2])) <= 1.0 and float(row[4]) >= 0.0 for row in rows)
+    at_zero = [row for row in rows if row[1] == "0.0"]
+    assert len(at_zero) == 400
+    assert all(row[2] == "1.0" and row[4] == "0.0" for row in at_zero)
+    # the frozen map's own arithmetic keeps its rounding past 1
+    assert any(row[3] == "1.0000000000000002" for row in at_zero)
+
+
 def test_slippage_rows(tmp_path):
     payload = {
         "command": "slippage",
@@ -538,7 +554,7 @@ BUNDLED_DIGESTS = {
         "summary.json": "9f6df0b5c60f89c1045fa6b22a12aa7b97cdd129e28cdb8d63ca644bbe6ed544",
     },
     "hazard.json": {
-        "hazard.csv": "f381d89b33f766e21bb8682a17e8e90cc3a62ba2973a0ca87c207b9b7c89f2d3",
+        "hazard.csv": "3a08f85d278370a2c98e07c21c6da0960c6a8b8a21b81420a6b062b37c467402",
         "summary.json": "a8c5260fd872226cd9e36dad210a751279c2c13ab29bb3a75e6412d5d8e31ac5",
     },
     "slippage.json": {
@@ -596,11 +612,13 @@ def test_hazard_grid_matches_row_by_row(tmp_path):
         {"axis": "q", "start": 0.05, "stop": 1.5, "count": 7},
         {"axis": "s", "start": -0.4, "stop": "3pi/2", "count": 501}]}
     got, summary = _run_and_read(tmp_path, payload, "hazard.csv")
+    s_grid = np.linspace(-0.4, 3 * math.pi / 2, 501)
+    assert np.cos(s_grid).tolist() == list(map(math.cos, s_grid.tolist()))
     rows = []
     for q in np.linspace(0.05, 1.5, 7).tolist():
-        m0 = MeanValueState(a=[0.0, math.cos(q), 0.0], c1=math.sin(q), c2=0.0)
-        for s in np.linspace(-0.4, 3 * math.pi / 2, 501).tolist():
-            exact = evolve_mean_values(m0, q + s).a[1]
+        for s in s_grid.tolist():
+            # the exact edge state turns rigidly on its circle
+            exact = math.cos(s)
             conj = sigma2_conjunction(math.cos(q), math.sin(q), q, s)
             rows.append([q, s, exact, conj, 1.0 - abs(exact), 1.0 - abs(conj)])
     header = ["q", "s", "sigma2_exact", "sigma2_conjunction", "margin_exact", "margin_conjunction"]
@@ -943,6 +961,7 @@ _GRID_PAYLOADS = {
     # the first hazard lies past the first chunk
     "conjunct-hazard": {"command": "conjunct", "state": {"q": "pi/4"}, "schedule": {"t": 0.6},
                         "grid": {"axis": "s", "start": -1.8, "stop": 3, "count": 61}},
+    # an s axis longer than a chunk: its columns are formatted chunk by chunk
     "hazard": {"command": "hazard", "grid": [
         {"axis": "q", "start": 0.1, "stop": 1.4, "count": 3},
         {"axis": "s", "start": 0, "stop": 3.8, "count": 17}]},
@@ -981,9 +1000,18 @@ def test_chunked_grid_commands_equal_one_chunk(tmp_path, monkeypatch, command, f
     if not forked:
         monkeypatch.setattr(cli, "_fork_is_quiet", lambda: False)
     forks = _fork_spy(monkeypatch)
-    assert _outputs(tmp_path, "chunked", payload) == whole
+    chunked = _outputs(tmp_path, "chunked", payload)
+    assert chunked == whole
     assert len(forks) == forked
     _no_child_left()
+    if command == "hazard":
+        # the exact columns depend on s alone: each q block repeats one
+        # block of cells, cos s and 1 - |cos s|
+        lines = chunked["hazard.csv"].decode().splitlines()[1:]
+        blocks = [[line.split(",")[2::2] for line in lines[i:i + 17]]
+                  for i in range(0, len(lines), 17)]
+        cos = [float(np.cos(s)) for s in np.linspace(0, 3.8, 17)]
+        assert blocks == [[[repr(c), repr(1.0 - abs(c))] for c in cos]] * 3
 
 
 @pytest.mark.parametrize("start,stop,count", [
