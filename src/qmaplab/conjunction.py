@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dynamics import rotate
+from .dynamics import _turn
 from .optimize import golden_section_max
 from .pauli import DEFAULT_TOL, _norms
 from .reduced import ReducedMap
@@ -96,11 +96,12 @@ def sigma2_conjunction(a2, c1, t, s):
 
 
 def _sigma2_legs(a2, c1, durations: Sequence):
-    """Fold the frozen-map update v -> v cos s + c1 sin s over the legs;
-    broadcasts over arrays of a2, c1 and durations."""
+    """Fold the frozen-map update v -> v cos s + c1 sin s over the legs, one
+    `_turn` each (the a2' component of `rotate` on the slice); broadcasts
+    over arrays of a2, c1 and durations."""
     v = a2
     for s in durations:
-        v = rotate((0.0, v, 0.0), c1, 0.0, s)[1]
+        v = _turn(0.0, v, c1, 0.0, np.cos(s), np.sin(s))[1]
     return v
 
 

@@ -78,19 +78,25 @@ def sup_norm_over_time(c1, c2, a):
     return sup[()], argmax_t[()]
 
 
-# grid values per chunk in `sup_norm_grid`, bounding its memory
-_GRID_CHUNK = 1 << 17
+# grid values per state block in `sup_norm_grid`: its three block buffers
+# hold this many values each (a longer t row is not split, one state a
+# block), beside the two `points`-long cos/sin rows
+_GRID_CHUNK = 1 << 15
 
 
 def sup_norm_grid(c1, c2, a, points: int = 100_000):
     """Validation path for `sup_norm_over_time`: dense grid over [0, 2 pi)
     plus one golden-section refinement around the best grid point.
 
-    Broadcasts like `sup_norm_over_time`.  The t grid goes through in
-    chunks against every state at once, so each cos/sin is taken once; each
-    chunk's a1(t), a2(t) and |a(t)|^2 are written into three buffers
-    allocated once per call, so memory stays bounded.  The refinement runs
-    once for the whole batch.  `points` must be >= 1 and every input finite.
+    Broadcasts like `sup_norm_over_time`.  cos and sin of the t grid are
+    taken once, two arrays of `points` values.  The states then go through
+    in blocks of `_GRID_CHUNK // points`, each state a whole t row, so its
+    first maximizer is one argmax along the row; a row longer than
+    `_GRID_CHUNK` is not split, and its block holds one state.  A block's
+    a1(t), a2(t) and |a(t)|^2 are written into three buffers allocated once
+    per call, so the call holds the two rows and three blocks of at most
+    max(`_GRID_CHUNK`, `points`) values.  The refinement runs once for the
+    whole batch.  `points` must be >= 1 and every input finite.
     """
     if points < 1:
         raise ValueError(f"points must be >= 1, got points={points!r}")
@@ -103,24 +109,20 @@ def sup_norm_grid(c1, c2, a, points: int = 100_000):
             raise ValueError(f"{name} must be finite, got {name}={bad[0].item()!r}")
     ts = np.linspace(0.0, 2 * math.pi, points, endpoint=False)
     h = 2 * math.pi / points
-    # running first argmax over the chunks: a later chunk wins only if larger
-    k = np.zeros(c1.size, dtype=int)
-    best = np.full(c1.size, -np.inf)
-    step = max(1, _GRID_CHUNK // max(c1.size, 1))
+    cos_t, sin_t = np.cos(ts), np.sin(ts)
+    k = np.empty(c1.size, dtype=int)
+    step = max(1, _GRID_CHUNK // points)
     a3_sq = a[2, :, None] * a[2, :, None]
-    columns = a[0, :, None], a[1, :, None], c1[:, None], c2[:, None]
-    buffers = [np.empty(c1.size * min(step, points)) for _ in range(3)]
-    for lo in range(0, points, step):
-        t = ts[lo:lo + step]
-        out = [b[:c1.size * t.size].reshape(c1.size, t.size) for b in buffers]
-        a1t, a2t = _turn(*columns, np.cos(t), np.sin(t), out)
+    buffers = [np.empty((min(step, c1.size), points)) for _ in range(3)]
+    for lo in range(0, c1.size, step):
+        rows = slice(lo, lo + step)
+        out = [b[:len(a3_sq[rows])] for b in buffers]
+        a1t, a2t = _turn(a[0, rows, None], a[1, rows, None], c1[rows, None], c2[rows, None],
+                         cos_t, sin_t, out)
         # a1t^2 + a2t^2 + a3^2, summed in that order, into a1t's buffer
         norm_sq = np.add(np.add(np.multiply(a1t, a1t, out=a1t), np.multiply(a2t, a2t, out=a2t),
-                                out=a1t), a3_sq, out=a1t)
-        j = np.argmax(norm_sq, axis=1)
-        top = np.take_along_axis(norm_sq, j[:, None], axis=1)[:, 0]
-        k = np.where(top > best, lo + j, k)
-        best = np.maximum(top, best)
+                                out=a1t), a3_sq[rows], out=a1t)
+        k[rows] = np.argmax(norm_sq, axis=1)
 
     def norm_sq_at(t: np.ndarray) -> np.ndarray:
         a1t, a2t = _turn(a[0], a[1], c1, c2, np.cos(t), np.sin(t))

@@ -1,6 +1,7 @@
 """Frozen-map conjunctions: hazard onset, extremal growth, failure indices."""
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -17,7 +18,7 @@ from qmaplab.conjunction import (
     greedy_extremal_growth,
     sigma2_conjunction,
 )
-from qmaplab.dynamics import MeanValueState, evolve_mean_values
+from qmaplab.dynamics import MeanValueState, evolve_mean_values, rotate
 from qmaplab.optimize import golden_section_max
 from qmaplab.reduced import ReducedMap, compat_slice_check
 from qmaplab.slippage import max_safe_repetitions
@@ -345,6 +346,15 @@ def test_predecessor_left_domain_before_hazard(seed):
             assert compat_slice_check(float(mags[k - 1]), c1).margin < 0
 
 
+def _rotate_fold(a2, c1, durations):
+    """`_sigma2_legs` as it was: all five components of `rotate` per leg,
+    the second one kept."""
+    v = a2
+    for s in durations:
+        v = rotate((0.0, v, 0.0), c1, 0.0, s)[1]
+    return v
+
+
 def test_broadcast_forms_equal_scalar_closed_forms_exactly():
     rng = np.random.default_rng(23)
     a2, c1 = rng.uniform(-1, 1, (2, 300))
@@ -362,3 +372,14 @@ def test_broadcast_forms_equal_scalar_closed_forms_exactly():
         assert applied[:, k].tolist() == ReducedMap(frozen_c1, frozen_c2, sk).apply(a).tolist()
         assert applied[:, k].tolist() == [a[0] * math.cos(sk) - frozen_c2 * math.sin(sk),
                                           a[1] * math.cos(sk) + frozen_c1 * math.sin(sk), a[2]]
+    # the leg fold, bit for bit with signed zeros: seeded values, then every
+    # edge of v = +-0, c1 = +-0 and s in {0, -0, pi}, then a broadcast grid
+    edges = np.array(list(itertools.product(
+        (0.0, -0.0, 0.7), (0.0, -0.0, -0.4), (0.0, -0.0, math.pi), (0.0, -0.0, math.pi)))).T
+    x2, y1, tk, sk = (np.concatenate(pair) for pair in zip((a2, c1, t, s), edges))
+    for args in ((x2, y1, [tk, sk]), (x2, y1, [sk, tk, sk]),
+                 (a2[:, None], c1[:7], [t[:7], s[:, None]]), (-0.0, -0.0, [0.0, -0.0])):
+        folded, reference = _sigma2_legs(*args), _rotate_fold(*args)
+        assert np.shape(folded) == np.shape(reference)
+        assert np.asarray(folded).tobytes() == np.asarray(reference).tobytes()
+    assert np.signbit(_sigma2_legs(x2, y1, [tk, sk])).sum() > 0

@@ -196,8 +196,8 @@ def test_broadcast_domain_checks_equal_scalar_closed_forms_exactly():
 
 def test_sup_norm_grid_batch_equals_per_state_calls():
     # 200 seeded states plus degenerate ones where every grid point ties;
-    # the batch goes through the t grid in several chunks, one state alone
-    # in one
+    # the batch goes through in blocks of 8 states (the last one ragged, 3
+    # wide, holding the degenerate states), one state alone in one
     rng = np.random.default_rng(43)
     a = rng.uniform(-1, 1, (3, 203))
     c1, c2 = rng.uniform(-1, 1, (2, 203))
@@ -216,9 +216,16 @@ def test_sup_norm_grid_batch_equals_per_state_calls():
         sup_norm_grid(float(c1[k]), 0.0, a[:, k], points=4000)[0] for k in range(6)]
 
 
+# the reference's own t chunk, independent of `reduced._GRID_CHUNK`, so the
+# old layout stays the reference whatever block size is under test
+_REFERENCE_CHUNK = 1 << 17
+
+
 def _sup_norm_grid_reference(c1, c2, a, points: int):
-    """The grid pass as it was before its buffers: all five components of
-    `rotate` per chunk, a1(t) and a2(t) kept, then the same refinement."""
+    """The grid pass as it was before its buffers and its state blocks: t
+    in chunks against every state at once, all five components of `rotate`
+    per chunk, a1(t) and a2(t) kept, a first argmax carried across the
+    chunks, then the same refinement."""
     a1, a2, a3, c1, c2 = np.broadcast_arrays(*np.asarray(a, dtype=float), c1, c2)
     shape = a1.shape
     a, c1, c2 = np.stack((a1.ravel(), a2.ravel(), a3.ravel())), c1.ravel(), c2.ravel()
@@ -226,7 +233,7 @@ def _sup_norm_grid_reference(c1, c2, a, points: int):
     h = 2 * math.pi / points
     k = np.zeros(c1.size, dtype=int)
     best = np.full(c1.size, -np.inf)
-    step = max(1, reduced._GRID_CHUNK // max(c1.size, 1))
+    step = max(1, _REFERENCE_CHUNK // max(c1.size, 1))
     a3_sq = a[2, :, None] * a[2, :, None]
     for lo in range(0, points, step):
         a1t, a2t, _, _, _ = rotate(a[:, :, None], c1[:, None], c2[:, None], ts[lo:lo + step])
@@ -254,8 +261,8 @@ def _assert_grid_pass_unchanged(c1, c2, a, points):
 
 
 def test_sup_norm_grid_equals_five_component_pass_at_validate_shape():
-    # validate's check: 500 states, 20,000 points, 77 chunks of 262 (the
-    # last one 88 wide)
+    # validate's check: 500 states, 20,000 points, one state per block;
+    # the reference walks t in 77 chunks of 262 (the last one 88 wide)
     a1, a2, a3, c1, c2 = np.random.default_rng(7).uniform(-1, 1, (500, 5)).T
     a = np.stack((a1, a2, a3))
     ref_sup = _assert_grid_pass_unchanged(c1, c2, a, 20_000)
@@ -265,20 +272,23 @@ def test_sup_norm_grid_equals_five_component_pass_at_validate_shape():
         "sup_norm_closed_vs_grid", "max_rel_err", worst, 1e-9)
 
 
-@pytest.mark.parametrize("case", ["ties", "step-1", "one-wide-chunk", "ragged"])
-def test_sup_norm_grid_equals_five_component_pass(case, monkeypatch):
+@pytest.mark.parametrize("case", ["ties", "step-1", "single-state", "ragged"])
+def test_sup_norm_grid_equals_five_component_pass(case):
     rng = np.random.default_rng(44)
     if case == "ties":  # |a(t)| constant: every grid point ties, the last two up to rounding
-        a = np.array([[0.0, 0.0, 0.6, 0.0], [0.0, 0.0, 0.0, 0.6], [0.0, 0.7, 0.0, 0.0]])
-        c1, c2, points = np.array([0.0, 0.0, 0.6, 0.0]), np.array([0.0, 0.0, 0.0, 0.6]), 4000
-    elif case == "step-1":  # more states than a chunk holds values: one column each
-        # (a 64-value chunk stands in for 2^17, whose 131,073 refinements take seconds)
-        monkeypatch.setattr(reduced, "_GRID_CHUNK", 64)
-        a, (c1, c2), points = rng.uniform(-1, 1, (3, 65)), rng.uniform(-1, 1, (2, 65)), 7
-    elif case == "one-wide-chunk":  # one state: its single chunk is wider than the grid
+        # states 6-9 of 12; 4000 points make blocks of 8, so the ties straddle a boundary
+        a, (c1, c2), points = rng.uniform(-1, 1, (3, 12)), rng.uniform(-1, 1, (2, 12)), 4000
+        a[:, 6:10] = [[0.0, 0.0, 0.6, 0.0], [0.0, 0.0, 0.0, 0.6], [0.0, 0.7, 0.0, 0.0]]
+        c1[6:10], c2[6:10] = [0.0, 0.0, 0.6, 0.0], [0.0, 0.0, 0.0, 0.6]
+        assert reduced._GRID_CHUNK // points == 8
+    elif case == "step-1":  # a t row longer than a block holds: one state per block
+        a, (c1, c2), points = rng.uniform(-1, 1, (3, 3)), rng.uniform(-1, 1, (2, 3)), 40_000
+        assert points > reduced._GRID_CHUNK
+    elif case == "single-state":  # one state, one block
         a, c1, c2, points = rng.uniform(-1, 1, 3), 0.3, -0.4, 4001
-    else:  # 300 states: steps of 436 and a 129-wide last chunk
+    else:  # 300 states at 1001 points: blocks of 32 and a 12-wide last block
         a, (c1, c2), points = rng.uniform(-1, 1, (3, 300)), rng.uniform(-1, 1, (2, 300)), 1001
+        assert reduced._GRID_CHUNK // points == 32
     _assert_grid_pass_unchanged(c1, c2, a, points)
 
 
@@ -291,8 +301,10 @@ def test_sup_norm_grid_buffers_bound_its_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # three 1 MB buffers; five fresh components per chunk peaked at 9.8 MB
-    assert peak < 5e6
+    # two 160 kB cos/sin rows and three one-state blocks of 160 kB (1.09 MB);
+    # t chunks against every state peaked at 3.5 MB, five fresh components
+    # per chunk at 9.8 MB
+    assert peak < 2e6
 
 
 @pytest.mark.parametrize("points", [0, -3])
