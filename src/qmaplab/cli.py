@@ -20,7 +20,7 @@ exits with status 1 and writes nothing; the message starts with the field
 path.  Exit status 2 flags an internal validation failure (oracle
 disagreement above tolerance) after the report files are written.
 
-Columns of each CSV are documented in the README.
+Each CSV's columns are documented in the README.
 """
 from __future__ import annotations
 
@@ -44,9 +44,9 @@ import numpy as np
 from . import checks
 from .conjunction import (
     ConjunctionSchedule,
+    _greedy_legs,
     conjunct,
     first_unphysical_n,
-    greedy_extremal_growth,
     sigma2_conjunction,
 )
 from .dynamics import rotate
@@ -272,7 +272,7 @@ def load_scenario(path: str) -> Scenario:
             if sc.q is not None and _given(sc, key):
                 raise ScenarioError(f"state.{key}: the q shorthand fixes c1 = sin q and c2 = 0")
         if sc.q is None:
-            sc.c1, sc.c2 = sc.c1 or 0.0, sc.c2 or 0.0
+            sc.c1, sc.c2 = (0.0 if c is None else c for c in (sc.c1, sc.c2))
         else:
             sc.a, sc.c1, sc.c2 = np.array([0.0, math.cos(sc.q), 0.0]), math.sin(sc.q), 0.0
     for field in spec.required:
@@ -310,39 +310,28 @@ def load_scenario(path: str) -> Scenario:
     return sc
 
 
-class Columns:
-    """Column-major CSV rows: per column a float or bool ndarray, or a list of
-    formatted cells.  len() is the row count.  Rows computed up front are a
-    body in their own right: `chunk` slices them and carries no partial
-    summary."""
-
-    def __init__(self, *columns):
-        self.columns = columns
-
-    def __len__(self) -> int:
-        return len(self.columns[0])
-
-    def chunk(self, lo: int, hi: int) -> tuple["Columns", None]:
-        return Columns(*(column[lo:hi] for column in self.columns)), None
-
-    @staticmethod
-    def fold(left, right) -> None:
-        return None
-
-
 @dataclasses.dataclass(frozen=True)
 class Body:
     """A CSV body of `rows` rows computed on demand: `chunk(lo, hi)` returns
-    rows [lo, hi) as `Columns` and that range's partial summary, and
+    rows [lo, hi) as a tuple of columns (per column a float or bool ndarray,
+    or a list of formatted cells) and that range's partial summary, and
     `fold(left, right)` merges the partials of two adjacent ranges, the left
     one first, so the partials fold in row order."""
 
     rows: int
-    chunk: Callable[[int, int], tuple[Columns, Any]]
-    fold: Callable[[Any, Any], Any] = Columns.fold
+    chunk: Callable[[int, int], tuple[tuple, Any]]
+    fold: Callable[[Any, Any], Any] = lambda left, right: None
 
     def __len__(self) -> int:
         return self.rows
+
+    @classmethod
+    def up_front(cls, *columns) -> "Body":
+        """Rows computed before the emit, served by slicing, with no partial
+        summary: for bodies no longer than what the scenario itself holds,
+        the `conjunct` trajectory (one row per leg of its `steps` list) and
+        `validate` (one row per check), which streaming would not bound."""
+        return cls(len(columns[0]), lambda lo, hi: (tuple(c[lo:hi] for c in columns), None))
 
 
 # rows computed, formatted and written per chunk, so no run holds more than
@@ -384,7 +373,7 @@ def _write_rows(fh, rows, lo: int, hi: int):
     partial = None
     for start in range(lo, hi, _CHUNK_ROWS):
         columns, part = rows.chunk(start, min(start + _CHUNK_ROWS, hi))
-        cells = [_cells(column) for column in columns.columns]
+        cells = [_cells(column) for column in columns]
         fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
         partial = part if start == lo else rows.fold(partial, part)
     return partial
@@ -426,11 +415,11 @@ def _child(rows, lo: int, hi: int, part: str, pipe: int) -> None:
         os._exit(status)
 
 
-def emit_csv(header: list[str], rows, path: str):
-    """Compute `rows` (a `Body`, or `Columns`) and stream them to `path` as
-    UTF-8, LF-terminated CSV, `_CHUNK_ROWS` rows at a time; floats keep
-    their exact round-trip form.  Returns the rows' partial summary, folded
-    in row order.
+def emit_csv(header: list[str], rows: Body, path: str):
+    """Compute the body `rows` and stream it to `path` as UTF-8,
+    LF-terminated CSV, `_CHUNK_ROWS` rows at a time; floats keep their exact
+    round-trip form.  Returns the rows' partial summary, folded in row
+    order.
 
     A body of more than one chunk is computed and formatted on two cores:
     one forked child computes rows [n//2, n) into `<path>.part` and hands
@@ -501,10 +490,10 @@ def emit_csv(header: list[str], rows, path: str):
 def _run_evolve(sc: Scenario, tol: float, seed: int) -> tuple[list, Body, Callable]:
     t_grid = sc.grids[0]
 
-    def chunk(lo: int, hi: int) -> tuple[Columns, None]:
+    def chunk(lo: int, hi: int) -> tuple[tuple, None]:
         t = t_grid.at(np.arange(lo, hi))
         a1, a2, a3, c1, c2 = rotate(sc.a, sc.c1, sc.c2, t)
-        return Columns(t, a1, a2, [repr(float(a3))] * t.size, c1, c2, _norms(a1, a2, a3)), None
+        return (t, a1, a2, [repr(float(a3))] * t.size, c1, c2, _norms(a1, a2, a3)), None
 
     header = ["t", "a1", "a2", "a3", "c1", "c2", "norm_a"]
     return header, Body(t_grid.count, chunk), lambda _: {}
@@ -517,7 +506,7 @@ def _first_maximum(left: tuple, right: tuple) -> tuple:
     return best[0], best[1], right[2] if left[2] is None else left[2]
 
 
-def _run_conjunct(sc: Scenario, tol: float, seed: int) -> tuple[list, Any, Callable]:
+def _run_conjunct(sc: Scenario, tol: float, seed: int) -> tuple[list, Body, Callable]:
     a, c1, c2 = sc.a, sc.c1, sc.c2
     s_grid = sc.grid("s")
     if s_grid is None:
@@ -533,10 +522,10 @@ def _run_conjunct(sc: Scenario, tol: float, seed: int) -> tuple[list, Any, Calla
         cumulative = np.array(list(itertools.accumulate(sched.durations)))
         exact = rotate(a, c1, c2, cumulative)[:3]
         conj = report.trajectory.T
-        rows = Columns(list(map(repr, range(cumulative.size))), np.array(sched.durations),
-                       cumulative, *conj, report.magnitudes,
-                       exact[0], exact[1], [repr(float(exact[2]))] * cumulative.size,
-                       _norms(*exact))
+        rows = Body.up_front(list(map(repr, range(cumulative.size))), np.array(sched.durations),
+                             cumulative, *conj, report.magnitudes,
+                             exact[0], exact[1], [repr(float(exact[2]))] * cumulative.size,
+                             _norms(*exact))
         summary = {
             "first_unphysical_step": report.first_unphysical_step,
             "worst_margin": report.worst_margin,
@@ -547,13 +536,12 @@ def _run_conjunct(sc: Scenario, tol: float, seed: int) -> tuple[list, Any, Calla
     # sweep mode: one reuse of duration s over a grid
     first_leg = ReducedMap(c1, c2, sc.t).apply(a)
 
-    def chunk(lo: int, hi: int) -> tuple[Columns, tuple]:
+    def chunk(lo: int, hi: int) -> tuple[tuple, tuple]:
         s = s_grid.at(np.arange(lo, hi))
         conj = ReducedMap(c1, c2, s).apply(first_leg)
         exact = rotate(a, c1, c2, sc.t + s)[:3]
         norm_conj, norm_exact = _norms(*conj), _norms(*exact)
-        rows = Columns(s, exact[1], conj[1], norm_exact, norm_conj,
-                       1.0 - norm_exact, 1.0 - norm_conj)
+        rows = (s, exact[1], conj[1], norm_exact, norm_conj, 1.0 - norm_exact, 1.0 - norm_conj)
         argmax = int(np.argmax(conj[1]))
         hazards = np.flatnonzero(norm_conj > 1.0 + tol)
         return rows, (float(conj[1][argmax]), float(s[argmax]),
@@ -581,14 +569,13 @@ def _run_hazard(sc: Scenario, tol: float, seed: int) -> tuple[list, Body, Callab
     exact_cells = _axis(lambda si: np.cos(s_grid.at(si)), s_grid.count)
     margin_cells = _axis(lambda si: 1.0 - np.abs(np.cos(s_grid.at(si))), s_grid.count)
 
-    def chunk(lo: int, hi: int) -> tuple[Columns, tuple]:
+    def chunk(lo: int, hi: int) -> tuple[tuple, tuple]:
         # rows run over s within each q
         qi, si = np.unravel_index(np.arange(lo, hi), (q_grid.count, s_grid.count))
         q, s = q_grid.at(qi), s_grid.at(si)
         conj = sigma2_conjunction(np.cos(q), np.sin(q), q, s)
         size = np.abs(conj)
-        rows = Columns(q_cells(qi), s_cells(si), exact_cells(si), conj,
-                       margin_cells(si), 1.0 - size)
+        rows = (q_cells(qi), s_cells(si), exact_cells(si), conj, margin_cells(si), 1.0 - size)
         return rows, (float(conj.max()), float(size.max()))
 
     def summary(partial: tuple) -> dict:
@@ -599,20 +586,32 @@ def _run_hazard(sc: Scenario, tol: float, seed: int) -> tuple[list, Body, Callab
     return header, Body(q_grid.count * s_grid.count, chunk, _max_each), summary
 
 
-def _run_growth(sc: Scenario, tol: float, seed: int) -> tuple[list, Columns, Callable]:
+def _run_growth(sc: Scenario, tol: float, seed: int) -> tuple[list, Body, Callable]:
     a2, c1 = float(sc.a[1]), sc.c1
-    magnitudes, sched = greedy_extremal_growth(a2, c1, sc.n)
+    # the next row and the greedy legs from it on; an earlier row replays
+    # from row 0, as the forked child does up to its first row
+    row, legs = 0, _greedy_legs(a2, c1)
+
+    def chunk(lo: int, hi: int) -> tuple[tuple, float]:
+        nonlocal row, legs
+        if lo < row:
+            row, legs = 0, _greedy_legs(a2, c1)
+        durations, magnitudes = map(np.array, zip(*itertools.islice(legs, lo - row, hi - row)))
+        row = hi
+        rows = (list(map(repr, range(lo, hi))), durations, magnitudes, magnitudes > 1.0 + tol)
+        return rows, float(magnitudes[-1])  # a range's partial: its last magnitude
+
+    def summary(final: float) -> dict:
+        safe = max_safe_repetitions(a2, c1)
+        return {
+            "first_unphysical_n": first_unphysical_n(a2, c1),
+            "max_safe_repetitions": str(safe) if safe == math.inf else safe,  # JSON has no inf
+            "final_magnitude": final,
+        }
+
     header = ["k", "duration", "magnitude", "exceeds_unit"]
-    rows = Columns(list(map(repr, range(sc.n + 1))), np.array(sched.durations), magnitudes,
-                   magnitudes > 1.0 + tol)
-    first = first_unphysical_n(a2, c1)
-    safe = max_safe_repetitions(a2, c1)
-    summary = {
-        "first_unphysical_n": first,
-        "max_safe_repetitions": None if safe is None else (str(safe) if safe == math.inf else safe),
-        "final_magnitude": float(magnitudes[-1]),
-    }
-    return header, rows, lambda _: summary
+    # the right partial wins the fold: the body's is its final magnitude
+    return header, Body(sc.n + 1, chunk, lambda left, right: right), summary
 
 
 def _run_domain_map(sc: Scenario, tol: float, seed: int) -> tuple[list, Body, Callable]:
@@ -620,12 +619,12 @@ def _run_domain_map(sc: Scenario, tol: float, seed: int) -> tuple[list, Body, Ca
     a2_cells, c1_cells = _axis(a2_grid.at, a2_grid.count), _axis(c1_grid.at, c1_grid.count)
     points = a2_grid.count * c1_grid.count
 
-    def chunk(lo: int, hi: int) -> tuple[Columns, tuple]:
+    def chunk(lo: int, hi: int) -> tuple[tuple, tuple]:
         # rows run over c1 within each a2
         ai, ci = np.unravel_index(np.arange(lo, hi), (a2_grid.count, c1_grid.count))
         sl, sup, best, near, agree = checks.three_way_agreement(a2_grid.at(ai), c1_grid.at(ci),
                                                                 tol)
-        rows = Columns(a2_cells(ai), c1_cells(ci), sl.margin, sup.margin, best, near, agree)
+        rows = (a2_cells(ai), c1_cells(ci), sl.margin, sup.margin, best, near, agree)
         return rows, (int(near.sum()), int((~near & ~agree).sum()))
 
     def summary(partial: tuple) -> dict:
@@ -643,27 +642,27 @@ def _run_slippage(sc: Scenario, tol: float, seed: int) -> tuple[list, Body, Call
     n_cells = _axis(lambda index: index + 1, sc.n)
     a2_cells, c1_cells = _axis(a2_grid.at, a2_grid.count), _axis(c1_grid.at, c1_grid.count)
 
-    def chunk(lo: int, hi: int) -> tuple[Columns, None]:
+    def chunk(lo: int, hi: int) -> tuple[tuple, None]:
         # rows run over c1 within a2 within n = 1 .. sc.n
         ni, ai, ci = np.unravel_index(np.arange(lo, hi), shape)
         n, a2, c1 = ni + 1, a2_grid.at(ai), c1_grid.at(ci)
         verdict = slipped_domain_check(a2, c1, n, tol=tol)
         slipped = slip_state(np.stack(np.broadcast_arrays(0.0, a2, 0.0)), c1, n)
-        return Columns(n_cells(ni), a2_cells(ai), c1_cells(ci),
-                       verdict.inside, verdict.margin, slipped[1]), None
+        return (n_cells(ni), a2_cells(ai), c1_cells(ci),
+                verdict.inside, verdict.margin, slipped[1]), None
 
     header = ["n", "a2", "c1", "inside", "margin", "a2_slipped"]
     return header, Body(math.prod(shape), chunk), lambda _: {"max_n": sc.n}
 
 
-def _run_validate(sc: Scenario, tol: float, seed: int) -> tuple[list, Columns, Callable]:
+def _run_validate(sc: Scenario, tol: float, seed: int) -> tuple[list, Body, Callable]:
     """Oracle cross-check suites; any failed check flips the exit status to 2."""
     names, metrics, values, bounds = zip(*checks.validate_suite(np.random.default_rng(seed), tol))
     # compared as Python numbers: an integer count stays exact
     passed = [value < bound for value, bound in zip(values, bounds)]
     details = [f"{metric}={value:.3e}" if isinstance(value, float) else f"{metric}={value}"
                for metric, value in zip(metrics, values)]
-    rows = Columns(list(names), np.array(passed), details)
+    rows = Body.up_front(list(names), np.array(passed), details)
     failed = passed.count(False)
     summary = {"passed": len(rows) - failed, "failed": failed}
     return ["check", "passed", "detail"], rows, lambda _: summary
@@ -683,8 +682,8 @@ class _Spec:
     a = [0, a2, 0].
     """
 
-    # (header, rows: a `Body` or `Columns`, summary from the folded partial)
-    runner: Callable[[Scenario, float, int], tuple[list, Any, Callable[[Any], dict]]]
+    # (header, the rows as a `Body`, summary from the folded partial)
+    runner: Callable[[Scenario, float, int], tuple[list, Body, Callable[[Any], dict]]]
     fields: tuple[str, ...]  # top-level fields besides "command"
     state: tuple[str, ...] = ()  # the state keys it reads
     axes: tuple[str, ...] = ()  # the grid axes it requires

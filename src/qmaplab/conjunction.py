@@ -10,9 +10,10 @@ hazards are reported, not rejected.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -105,29 +106,27 @@ def _sigma2_legs(a2, c1, durations: Sequence):
     return v
 
 
-def greedy_extremal_growth(
-    a2: float, c1: float, n: int
-) -> tuple[np.ndarray, ConjunctionSchedule]:
-    """Worst-case growth under n reuses: per leg, the duration maximizing the
-    next magnitude.
+def _greedy_legs(a2: float, c1: float) -> Iterator[tuple[float, float]]:
+    """The greedy schedule leg by leg, without end: (duration, magnitude
+    after the leg).  The running value v obeys v' = v cos s + c1 sin s,
+    maximized at s = atan2(c1, v), folded into [0, 2 pi) (the map is
+    2 pi-periodic per leg), with value hypot(v, c1)."""
+    v = float(a2)
+    while True:
+        step, v = math.atan2(c1, v) % _TWO_PI, math.hypot(v, c1)
+        yield step, v
 
-    The running value v obeys v' = v cos s + c1 sin s, maximized at
-    s = atan2(c1, v) with value sqrt(v^2 + c1^2), so the magnitudes satisfy
+
+def greedy_extremal_growth(a2: float, c1: float, n: int) -> tuple[np.ndarray, ConjunctionSchedule]:
+    """Worst-case growth under n reuses: per leg, the duration maximizing the
+    next magnitude (`_greedy_legs`), so the magnitudes satisfy
     M_k^2 = M_{k-1}^2 + c1^2 and M_n^2 = a2^2 + (n+1) c1^2.  Returns the
-    n+1 magnitudes and the maximizing schedule (durations folded into
-    [0, 2 pi); the map is 2 pi-periodic per leg).
+    n+1 magnitudes and the maximizing schedule.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    durations = []
-    magnitudes = []
-    v = float(a2)
-    for _ in range(n + 1):
-        step = math.atan2(c1, v) % _TWO_PI
-        v = math.hypot(v, c1)
-        durations.append(step)
-        magnitudes.append(v)
-    return np.array(magnitudes), ConjunctionSchedule(t=durations[0], steps=tuple(durations[1:]))
+    durations, magnitudes = zip(*itertools.islice(_greedy_legs(a2, c1), n + 1))
+    return np.array(magnitudes), ConjunctionSchedule(t=durations[0], steps=durations[1:])
 
 
 def _require_finite(a2: float, c1: float) -> None:

@@ -22,9 +22,14 @@ from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from qmaplab import checks, cli
-from qmaplab.cli import Columns, ScenarioError, emit_csv, load_scenario, main, parse_angle, run
-from qmaplab.conjunction import ConjunctionSchedule, conjunct, sigma2_conjunction
-from qmaplab.dynamics import MeanValueState, evolve_mean_values
+from qmaplab.cli import Body, ScenarioError, emit_csv, load_scenario, main, parse_angle, run
+from qmaplab.conjunction import (
+    ConjunctionSchedule,
+    conjunct,
+    greedy_extremal_growth,
+    sigma2_conjunction,
+)
+from qmaplab.dynamics import MeanValueState, evolve_mean_values, rotate
 from qmaplab.reduced import ReducedMap
 from qmaplab.slippage import slip_state, slipped_domain_check
 
@@ -257,14 +262,14 @@ def test_growth_rejects_off_slice_state(tmp_path):
 
 def test_emit_csv_header_only(tmp_path):
     path = tmp_path / "empty.csv"
-    emit_csv(["alpha", "beta"], Columns(np.array([]), np.array([])), str(path))
+    emit_csv(["alpha", "beta"], Body.up_front(np.array([]), np.array([])), str(path))
     assert path.read_bytes() == b"alpha,beta\n"
 
 
 def test_emit_csv_float_round_trip(tmp_path):
     path = tmp_path / "floats.csv"
     values = [0.1 + 0.2, 1 / 3, math.pi, -0.0, 1e-17]
-    emit_csv(["x"], Columns(np.array(values)), str(path))
+    emit_csv(["x"], Body.up_front(np.array(values)), str(path))
     lines = path.read_text(encoding="utf-8").strip().split("\n")[1:]
     for text, value in zip(lines, values):
         assert float(text) == value
@@ -272,8 +277,8 @@ def test_emit_csv_float_round_trip(tmp_path):
 
 def test_emit_csv_cell_types(tmp_path):
     path = tmp_path / "cells.csv"
-    emit_csv(["a", "b", "c", "d"], Columns(["1"], np.array([True]), np.array([0.5]),
-                                           ["x"]), str(path))
+    emit_csv(["a", "b", "c", "d"], Body.up_front(["1"], np.array([True]), np.array([0.5]),
+                                                 ["x"]), str(path))
     assert path.read_text(encoding="utf-8").split("\n")[1] == "1,true,0.5,x"
 
 
@@ -316,6 +321,19 @@ def test_evolve_echoes_initial_values_at_t_zero(tmp_path):
     assert run(write_scenario(tmp_path, payload), out_dir=str(out)) == 0
     first = (out / "evolve.csv").read_text().split("\n")[1].split(",")
     assert first[:6] == ["0.0", "0.125", "-0.75", "0.5", "0.25", "-0.5"]
+
+
+def test_evolve_keeps_the_sign_of_a_given_zero_correlation(tmp_path):
+    # at t = 0, c1' = c1 - a2 sin 0 and c2' = c2 + a1 sin 0 keep the sign
+    # of a zero c1 or c2 for a2 >= 0 and a1 <= 0
+    a = [-0.125, 0.75, 0.5]
+    payload = {"command": "evolve", "state": {"a": a, "c1": -0.0, "c2": -0.0},
+               "grid": {"axis": "t", "start": 0, "stop": 1, "count": 2}}
+    out = tmp_path / "out"
+    assert run(write_scenario(tmp_path, payload), out_dir=str(out)) == 0
+    first = (out / "evolve.csv").read_text().split("\n")[1].split(",")
+    expected = rotate(np.array(a), -0.0, -0.0, 0.0)
+    assert first[4:6] == list(map(repr, map(float, expected[3:]))) == ["-0.0", "-0.0"]
 
 
 def test_conjunct_sweep_matches_stated_maximum(tmp_path):
@@ -933,11 +951,11 @@ def test_split_emit_equals_serial(tmp_path, monkeypatch, n):
                [repr(floats[1])] * n)
     header = ["x", "positive", "k", "label", "axis"]
     path = tmp_path / "split.csv"
-    assert emit_csv(header, Columns(*columns), str(path)) is None
+    assert emit_csv(header, Body.up_front(*columns), str(path)) is None
     assert path.read_bytes() == _serial_csv(header, columns)
     # the same rows as a body whose partial summary is the row ranges it was
     # computed in: they come back folded in row order, across the fork too
-    whole = Columns(*columns)
+    whole = Body.up_front(*columns)
     body = cli.Body(n, lambda lo, hi: (whole.chunk(lo, hi)[0], [(lo, hi)]),
                     lambda left, right: left + right)
     ranges = emit_csv(header, body, str(tmp_path / "body.csv"))
@@ -949,7 +967,7 @@ def test_split_emit_equals_serial(tmp_path, monkeypatch, n):
     _no_child_left()
 
 
-# one payload per grid command, each a few chunks of 7 rows and a ragged last one
+# one payload per streamed command, each a few chunks of 7 rows and a ragged last one
 _GRID_PAYLOADS = {
     "evolve": {"command": "evolve", "state": {"a": [0.3, -0.5, 0.2], "c1": 0.4, "c2": -0.1},
                "grid": {"axis": "t", "start": -1, "stop": 7, "count": 53}},
@@ -971,6 +989,9 @@ _GRID_PAYLOADS = {
     "slippage": {"command": "slippage", "n": 3, "grid": [
         {"axis": "a2", "start": -1.05, "stop": 1.05, "count": 11},
         {"axis": "c1", "start": -0.6, "stop": 0.6, "count": 3}]},
+    # the recurrence runs on across chunks; the forked child replays the rows
+    # before its first
+    "growth": {"command": "growth", "state": {"a": [0, 0.6, 0], "c1": 0.2}, "n": 40},
 }
 
 
@@ -1048,23 +1069,75 @@ def test_bundled_scenarios_split_give_the_goldens(tmp_path, monkeypatch):
     _no_child_left()
 
 
-def test_memory_stays_bounded_as_the_grid_grows(tmp_path, monkeypatch):
-    """Peak traced memory of a one-process hazard run at 20k and at 200k
-    rows: one chunk of rows at a time, so the two peaks stay within 1 MB."""
+def _traced_peaks(tmp_path, monkeypatch, payloads: list) -> list:
+    """Peak traced memory of a one-process run of each payload."""
     monkeypatch.setattr(cli, "_fork_is_quiet", lambda: False)
     peaks = []
-    for q_count in (20, 200):
-        payload = {"command": "hazard", "grid": [
-            {"axis": "q", "start": 0.02, "stop": 1.55, "count": q_count},
-            {"axis": "s", "start": 0, "stop": 2.0, "count": 1001}]}
-        path = write_scenario(tmp_path, payload, f"{q_count}.json")
+    for i, payload in enumerate(payloads):
+        path = write_scenario(tmp_path, payload, f"{i}.json")
         tracemalloc.start()
         try:
-            assert run(path, out_dir=str(tmp_path / str(q_count))) == 0
+            assert run(path, out_dir=str(tmp_path / str(i))) == 0
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
+    return peaks
+
+
+def test_memory_stays_bounded_as_the_grid_grows(tmp_path, monkeypatch):
+    """Peak traced memory of a one-process hazard run at 20k and at 200k
+    rows: one chunk of rows at a time, so the two peaks stay within 1 MB."""
+    peaks = _traced_peaks(tmp_path, monkeypatch, [
+        {"command": "hazard", "grid": [
+            {"axis": "q", "start": 0.02, "stop": 1.55, "count": q_count},
+            {"axis": "s", "start": 0, "stop": 2.0, "count": 1001}]}
+        for q_count in (20, 200)])
     assert abs(peaks[1] - peaks[0]) < 1 << 20, peaks
+
+
+def test_growth_memory_stays_bounded_as_n_grows(tmp_path, monkeypatch):
+    """Peak traced memory of a one-process growth run at n = 20k and at
+    200k: the recurrence streams one chunk of rows at a time, so the two
+    peaks stay within 1 MB."""
+    peaks = _traced_peaks(tmp_path, monkeypatch, [
+        {"command": "growth", "state": {"a": [0, 0.6, 0], "c1": 0.2}, "n": n}
+        for n in (20_000, 200_000)])
+    assert abs(peaks[1] - peaks[0]) < 1 << 20, peaks
+
+
+def test_growth_chunks_out_of_row_order_give_the_same_rows(tmp_path):
+    """The growth body runs the greedy recurrence on from its last row; a
+    chunk before it replays from row 0, so any order gives the same rows,
+    those of `greedy_extremal_growth`."""
+    sc = load_scenario(write_scenario(tmp_path, _GRID_PAYLOADS["growth"]))
+    ranges = [(0, 7), (7, 14), (14, 30), (30, 41)]
+    body = cli.COMMANDS["growth"].runner(sc, 1e-9, 0)[1]
+    in_order = [body.chunk(lo, hi) for lo, hi in ranges]
+    body = cli.COMMANDS["growth"].runner(sc, 1e-9, 0)[1]
+    for i in (3, 1, 0, 2, 2, 1, 3):  # forward past rows, back, and the same chunk again
+        columns, partial = body.chunk(*ranges[i])
+        assert columns[0] == in_order[i][0][0]
+        for got, expected in zip(columns[1:], in_order[i][0][1:]):
+            assert np.array_equal(got, expected) and got.dtype == expected.dtype
+        assert partial == in_order[i][1] == columns[2][-1]
+    magnitudes, sched = greedy_extremal_growth(0.6, 0.2, 40)
+    assert np.array_equal(np.concatenate([columns[1] for columns, _ in in_order]),
+                          sched.durations)
+    assert np.array_equal(np.concatenate([columns[2] for columns, _ in in_order]), magnitudes)
+
+
+def test_every_runner_returns_a_body():
+    """One row protocol: on its bundled scenario each command's runner
+    returns a `Body`, whose chunk gives one column per header name."""
+    commands = set()
+    for name in sorted(BUNDLED_DIGESTS):
+        sc = load_scenario(os.path.join(SCENARIOS, name))
+        header, rows, _ = cli.COMMANDS[sc.command].runner(sc, 1e-9, 0)
+        assert type(rows) is Body, name
+        columns, _ = rows.chunk(0, len(rows))
+        assert type(columns) is tuple and len(columns) == len(header), name
+        commands.add(sc.command)
+    assert commands == set(cli.COMMANDS)
 
 
 def test_serial_where_fork_is_missing_or_would_warn(tmp_path, monkeypatch):
@@ -1083,12 +1156,12 @@ def test_serial_where_fork_is_missing_or_would_warn(tmp_path, monkeypatch):
             m.setattr(sys, "version_info", (3, 12, 0, "final", 0))
             m.setattr(os, "fork", lambda: pytest.fail("forked"))
             assert not cli._fork_is_quiet()
-            emit_csv(["x", "k"], Columns(*columns), str(tmp_path / "threads.csv"))
+            emit_csv(["x", "k"], Body.up_front(*columns), str(tmp_path / "threads.csv"))
     finally:
         release.set()
         thread.join(timeout=10)
     monkeypatch.delattr(os, "fork")
-    emit_csv(["x", "k"], Columns(*columns), str(tmp_path / "no_fork.csv"))
+    emit_csv(["x", "k"], Body.up_front(*columns), str(tmp_path / "no_fork.csv"))
     for name in ("threads.csv", "no_fork.csv"):
         assert (tmp_path / name).read_bytes() == expected
 
