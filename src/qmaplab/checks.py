@@ -8,7 +8,7 @@ bound 1, i.e. when it is zero.
 
 Every check is an array program: the unitary cross-check is one
 `crosscheck` call over all its states, the growth check one
-`brute_force_max` call per number of reuses, the feasibility oracle one
+`brute_force_max` call over every number of reuses, the feasibility oracle one
 `feasibility_search` call over the whole grid (per chunk of a `domain-map`),
 and `certified` audits all of its answers as one batch (a stacked eigvalsh
 of the witnesses and of the dual certificates, chunked as the oracle is),
@@ -144,12 +144,14 @@ def sup_norm_closed_vs_grid(rng):
 
 def greedy_vs_brute_force(pairs, grid_points: int):
     """Greedy growth vs brute-force grid maximization; pairs[n] are the
-    (a2, c1) pairs tried with n reuses, one `brute_force_max` call per n."""
-    errors = []
-    for n, draws in enumerate(np.asarray(pairs, dtype=float)):
-        a2, c1 = draws.T
-        greedy = [greedy_extremal_growth(a, c, n)[0][-1] for a, c in zip(a2.tolist(), c1.tolist())]
-        errors += np.abs(np.array(greedy) - brute_force_max(a2, c1, n, grid_points)).tolist()
+    (a2, c1) pairs tried with n reuses, one `brute_force_max` call for all."""
+    pairs = np.asarray(pairs, dtype=float)
+    a2, c1 = pairs[..., 0], pairs[..., 1]
+    greedy = [greedy_extremal_growth(a, c, n)[0][-1]
+              for n, draws in enumerate(pairs.tolist()) for a, c in draws]
+    brute = brute_force_max(a2, c1, len(pairs) - 1, grid_points,
+                            reuses=np.arange(len(pairs))[:, None])
+    errors = np.abs(np.array(greedy) - brute.ravel()).tolist()
     return "greedy_vs_brute_force", "max_abs_err", _worst(errors), 1e-6
 
 

@@ -359,11 +359,17 @@ def _axis(at: Callable[[np.ndarray], np.ndarray], count: int) -> Callable[[np.nd
     return cells
 
 
+# a bool column's cells, looked up by index: no str is built per cell.  The
+# index is intp, numpy's own index type; a uint8 index is as fast but is
+# cast through numpy's buffers, which raises the peak RSS
+_BOOL_TEXT = np.array(["false", "true"], dtype=object)
+
+
 def _cells(column) -> list[str]:
     if not isinstance(column, np.ndarray):
         return column
     if column.dtype == bool:
-        return np.where(column, "true", "false").tolist()
+        return _BOOL_TEXT[column.astype(np.intp)].tolist()
     return list(map(float.__repr__, column.tolist()))  # exactly repr(float)
 
 

@@ -117,14 +117,24 @@ def _greedy_legs(a2: float, c1: float) -> Iterator[tuple[float, float]]:
         yield step, v
 
 
+def _reuses(n) -> int:
+    """n as a Python int >= 0.  A bool, a float, a str or an array raises
+    ValueError naming n."""
+    count = np.asarray(n)
+    if count.ndim or count.dtype.kind not in "iu":  # a bool's kind is "b"
+        raise ValueError(f"n must be an integer, got n={n!r}")
+    if count < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    return int(count)
+
+
 def greedy_extremal_growth(a2: float, c1: float, n: int) -> tuple[np.ndarray, ConjunctionSchedule]:
     """Worst-case growth under n reuses: per leg, the duration maximizing the
     next magnitude (`_greedy_legs`), so the magnitudes satisfy
     M_k^2 = M_{k-1}^2 + c1^2 and M_n^2 = a2^2 + (n+1) c1^2.  Returns the
     n+1 magnitudes and the maximizing schedule.
     """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    n = _reuses(n)
     durations, magnitudes = zip(*itertools.islice(_greedy_legs(a2, c1), n + 1))
     return np.array(magnitudes), ConjunctionSchedule(t=durations[0], steps=durations[1:])
 
@@ -171,43 +181,54 @@ def _grid_argmax(a2: float, c1: float, n: int, grid_points: int) -> tuple[float,
     return best_val, tuple(idx)
 
 
-def brute_force_max(a2, c1, n: int, grid_points: int = 128):
+def brute_force_max(a2, c1, n: int, grid_points: int = 128, *, reuses=None):
     """Independent oracle for the growth law: the exact maximum of |<S_2>|
     over a uniform grid on [0, 2 pi)^(n+1) (`_grid_argmax`, an envelope
     that costs O(n^2 G^2) rather than G^(n+1)), then one cyclic pass of
     golden-section searches (one bracketed 1-D solve per leg).  n is capped
     at 3.
 
-    Broadcasts over a2 and c1: the grid maximum is found point by point,
-    and each leg's refinement is one `golden_section_max` call over the
-    whole batch, with the bits of the per-point calls.  Returns the
-    broadcast shape (a numpy scalar for a single point).
+    Broadcasts over a2 and c1 and, when given, over `reuses`: each point's
+    own number of reuses, integers 0..n (n for every point by default).  The
+    grid maximum is found point by point, and the refinement of leg i is one
+    `golden_section_max` call over the points with reuses >= i, with the bits
+    of the per-point calls.  The legs are stored as (n + 1, points), and a
+    point's legs past its own count stay 0.0: such a leg maps v to
+    fl(v * 1.0) + fl(c1 * 0.0) = v up to the sign of a zero, which the
+    absolute value drops.  Returns the broadcast shape (a numpy scalar for a
+    single point).
     """
+    n = _reuses(n)
     if n > 3:
         raise ValueError("brute_force_max supports n <= 3; use greedy_extremal_growth")
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
     if grid_points < 64:
         raise ValueError(f"grid_points must be >= 64, got {grid_points}")
-    a2, c1 = np.broadcast_arrays(np.asarray(a2, dtype=float), np.asarray(c1, dtype=float))
-    shape, a2, c1 = a2.shape, a2.ravel(), c1.ravel()
-    points = list(zip(a2.tolist(), c1.tolist()))
-    for a, c in points:
-        _require_finite(a, c)
-
-    idx = np.array([_grid_argmax(a, c, n, grid_points)[1] for a, c in points], dtype=int)
+    counts = np.asarray(n if reuses is None else reuses)
+    if counts.dtype.kind not in "iu":
+        raise ValueError(f"reuses must be integers, got reuses={reuses!r}")
+    outside = (counts < 0) | (counts > n)
+    if outside.any():
+        raise ValueError(f"reuses must lie in 0..n = {n}, got {counts[outside].flat[0]}")
+    a2, c1, counts = np.broadcast_arrays(np.asarray(a2, dtype=float),
+                                         np.asarray(c1, dtype=float), counts)
+    shape, a2, c1, counts = a2.shape, a2.ravel(), c1.ravel(), counts.ravel()
     h = _TWO_PI / grid_points
-    legs = list(idx.reshape(-1, n + 1).T * h)
-    # one cyclic refinement pass: golden-section each leg on +/- one spacing
-    for i in range(len(legs)):
-
-        def objective(x, i: int = i):
-            trial = legs.copy()
-            trial[i] = x
-            return abs(_sigma2_legs(a2, c1, trial))
-
-        legs[i], best_val = golden_section_max(objective, legs[i] - h, legs[i] + h)
-    return best_val.reshape(shape)[()]
+    legs = np.zeros((n + 1, counts.size))
+    for p, (a, c, m) in enumerate(zip(a2.tolist(), c1.tolist(), counts.tolist())):
+        _require_finite(a, c)
+        legs[:m + 1, p] = np.array(_grid_argmax(a, c, m, grid_points)[1]) * h
+    best = np.empty(counts.size)
+    # one cyclic refinement pass: golden-section each leg on +/- one spacing;
+    # the other legs stay put, so those before leg i are folded once
+    for i in range(n + 1):
+        live = counts >= i
+        a, c, own = a2[live], c1[live], legs[:, live]
+        head = _sigma2_legs(a, c, own[:i])
+        tail = own[i + 1:]
+        # a point's value is the one from its own last leg, i = reuses
+        legs[i, live], best[live] = golden_section_max(
+            lambda x: abs(_sigma2_legs(head, c, [x, *tail])), own[i] - h, own[i] + h)
+    return best.reshape(shape)[()]
 
 
 def first_unphysical_n(a2: float, c1: float) -> Optional[int]:

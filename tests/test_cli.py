@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from qmaplab import checks, cli
+from qmaplab import checks, cli, conjunction, reduced
 from qmaplab.cli import Body, ScenarioError, emit_csv, load_scenario, main, parse_angle, run
 from qmaplab.conjunction import (
     ConjunctionSchedule,
@@ -515,7 +515,7 @@ def _nan_first(kernel):
     ("crosscheck", "mean_values_vs_unitary,false,max_discrepancy", _nan_first),
     ("sup_norm_grid", "sup_norm_closed_vs_grid,false,max_rel_err", _nan_first),
     ("brute_force_max", "greedy_vs_brute_force,false,max_abs_err",
-     lambda kernel: lambda a2, c1, n, grid_points: np.full(np.shape(a2), np.nan)),
+     lambda kernel: lambda a2, c1, n, grid_points, reuses: np.full(np.shape(a2), np.nan)),
 ])
 def test_validate_nan_discrepancy_fails_its_check(tmp_path, monkeypatch, kernel, check, spy):
     # Python's max drops NaN, so a NaN discrepancy once read as a pass
@@ -593,6 +593,29 @@ def test_bundled_scenarios_byte_identical(tmp_path):
         assert run(os.path.join(SCENARIOS, name), out_dir=str(out)) == 0, name
         digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in out.iterdir()}
         assert digests == expected, name
+
+
+# sha256 of validate.csv and summary.json of `validate` at seeds 0-3, tol 1e-9
+VALIDATE_SEED_DIGESTS = {
+    0: ("e239369be4f1e31d3cb33e4eceebe6dfa4ce8cc29eecb7821ab7fdbbc64abfe9",
+        "5aaadf245ae0034821fd48bd5c5e3a6b677300790efec567780a589743c1f729"),
+    1: ("972ec1deb220e9059ed453d9e53039de58886f0e3333cec130c912f98dff59fe",
+        "e091b93fc6e70b3a320311fb068f09192d40414dea109596ab74212780a521f3"),
+    2: ("17538ebbb38b877d94dde0468cb38463196d73f194de154a6b2039ff69c57e19",
+        "56ed0bea74fbd2a6b2641af22e569b7ab6f8cecb92d244d3d741097a9d7871ca"),
+    3: ("fcb2542ea8ed3ef92ad622c73c4ee43e1a36019795a0dc7eebf5a6eabef8a8ba",
+        "08a9c3168b7b74bbeb732c5ad323c22ebf48a80a28cda3a5732da37829beb3e9"),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(VALIDATE_SEED_DIGESTS))
+def test_validate_seeds_byte_identical(tmp_path, seed):
+    out = tmp_path / "out"
+    payload = {"command": "validate", "seed": seed, "tol": 1e-9}
+    assert run(write_scenario(tmp_path, payload), out_dir=str(out)) == 0
+    digests = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
+                    for name in ("validate.csv", "summary.json"))
+    assert digests == VALIDATE_SEED_DIGESTS[seed]
 
 
 def test_main_runs_hazard(tmp_path, capsys):
@@ -766,6 +789,8 @@ def test_validate_calls_each_kernel_o1_times(tmp_path, monkeypatch):
                                                "in_compatibility_domain", "compat_slice_check",
                                                "feasibility_search", "certified", "crosscheck",
                                                "brute_force_max"))
+    golden = [_count_calls(monkeypatch, module, ("golden_section_max",))
+              for module in (conjunction, reduced)]
     payload = {"command": "validate", "seed": 5}
     assert run(write_scenario(tmp_path, payload), out_dir=str(tmp_path / "out")) == 0
     # per-point loops made 500, 500, 40,401, 40,522, 121, 121, 1000 and 20 calls
@@ -774,7 +799,9 @@ def test_validate_calls_each_kernel_o1_times(tmp_path, monkeypatch):
     assert calls["compat_slice_check"] <= 2
     assert calls["feasibility_search"] == calls["certified"] == 1
     assert calls["crosscheck"] == 1
-    assert calls["brute_force_max"] == 4  # one per number of reuses, n = 0..3
+    assert calls["brute_force_max"] == 1  # every number of reuses, n = 0..3, at once
+    # one per brute-force leg index and one for the sup-norm grid; per-n calls made 11
+    assert sum(c["golden_section_max"] for c in golden) <= 5
 
 
 def test_domain_map_calls_each_kernel_o1_times(tmp_path, monkeypatch):

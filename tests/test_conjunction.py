@@ -166,6 +166,25 @@ def test_brute_force_argument_errors():
         brute_force_max(0.5, 0.1, -1)
     with pytest.raises(ValueError):
         brute_force_max(0.5, 0.1, 1, grid_points=32)
+    # per-point reuse counts are checked element by element against 0..n
+    with pytest.raises(ValueError, match=r"reuses must lie in 0\.\.n = 3, got 4"):
+        brute_force_max([0.5, 0.4], 0.1, 3, reuses=[1, 4])
+    with pytest.raises(ValueError, match=r"reuses must lie in 0\.\.n = 1, got 2"):
+        brute_force_max([0.5, 0.4], 0.1, 1, reuses=[1, 2])
+    with pytest.raises(ValueError, match="got -2"):
+        brute_force_max([0.5, 0.4], 0.1, 2, reuses=np.array([0, -2]))
+    with pytest.raises(ValueError, match="reuses must be integers, got reuses="):
+        brute_force_max([0.5, 0.4], 0.1, 2, reuses=[1.0, 2.0])
+
+
+@pytest.mark.parametrize("n", [1.5, 2.0, True, np.True_, np.array([1.0, 2.0]),
+                               np.array([True, False]), np.array([1, 2]), "2"])
+def test_non_integer_n_raises(n):
+    # n is one integer per call; per-point counts go in brute_force_max's `reuses`
+    with pytest.raises(ValueError, match="n must be an integer, got n="):
+        brute_force_max(0.5, 0.1, n, grid_points=64)
+    with pytest.raises(ValueError, match="n must be an integer, got n="):
+        greedy_extremal_growth(0.5, 0.1, n)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
@@ -259,6 +278,34 @@ def test_batch_brute_force_equals_per_point_calls(grid_points):
     assert grid[1, 2] == brute_force_max(a2[1], c1[5], 1, grid_points)
 
 
+def test_mixed_n_brute_force_equals_per_n_calls():
+    # the edge pairs (c1 = 0 and -0.0, a2 = +-0.0, |a2| = 1) with every n,
+    # then 300 seeded pairs with seeded n
+    edges = [(0.0, 0.5), (-0.0, 0.4), (0.6, 0.0), (0.6, -0.0), (0.0, 0.0), (-0.0, -0.0),
+             (1.0, 0.3), (-1.0, -0.7), (1.0, 0.0), (-1.0, -0.0)]
+    a2, c1 = np.array(edges * 4 + _PAIRS[6:]).T
+    n = np.r_[np.repeat(np.arange(4), len(edges)),
+              np.random.default_rng(31).integers(0, 4, len(_PAIRS) - 6)]
+    mixed = brute_force_max(a2, c1, 3, grid_points=64, reuses=n)  # one call for every pair
+    assert mixed.shape == a2.shape
+    for m in range(4):
+        per_n = brute_force_max(a2[n == m], c1[n == m], m, grid_points=64)
+        assert np.array_equal(mixed[n == m].view(np.int64), per_n.view(np.int64)), m
+        if m < 3:  # a bound above every count pads the same way
+            padded = brute_force_max(a2[n == m], c1[n == m], m + 1, 64, reuses=m)
+            assert np.array_equal(padded.view(np.int64), per_n.view(np.int64)), m
+    # reuses = n everywhere is the default, and an array of reuses broadcasts
+    # against scalar a2 and c1
+    scalar_n = brute_force_max(a2[:12], c1[:12], 2, grid_points=64)
+    assert np.array_equal(scalar_n.view(np.int64),
+                          brute_force_max(a2[:12], c1[:12], 2, 64, reuses=np.full(12, 2)).view(np.int64))
+    per_point = [brute_force_max(a2[7], c1[7], m, grid_points=64) for m in range(4)]
+    assert np.array_equal(brute_force_max(a2[7], c1[7], 3, 64, reuses=np.arange(4)).view(np.int64),
+                          np.array(per_point).view(np.int64))
+    empty = brute_force_max(np.zeros(0), np.zeros(0), 3, 64, reuses=np.zeros(0, dtype=int))
+    assert empty.shape == (0,)
+
+
 def test_empty_batches_give_empty_results():
     assert brute_force_max(np.zeros(0), np.zeros(0), 2, grid_points=64).shape == (0,)
     _, _, worst, _ = checks.greedy_vs_brute_force(np.zeros((4, 0, 2)), grid_points=64)
@@ -270,19 +317,22 @@ def test_growth_check_counts_every_draw(monkeypatch, n):
     # a brute-force answer off by 1e-3 at the last draw for n reuses
     calls = []
 
-    def off_at_last(a2, c1, m, grid_points):
-        calls.append((a2, c1, m))
-        values = brute_force_max(a2, c1, m, grid_points)
-        return values + np.where(np.arange(values.size) == values.size - 1, 1e-3 * (m == n), 0.0)
+    def off_at_last(a2, c1, m, grid_points, reuses):
+        calls.append((a2, c1, m, reuses))
+        values = brute_force_max(a2, c1, m, grid_points, reuses=reuses)
+        off = np.zeros(values.shape)
+        off[n, -1] = 1e-3
+        return values + off
 
     monkeypatch.setattr(checks, "brute_force_max", off_at_last)
     pairs = np.random.default_rng(5).uniform(-1, 1, (4, 3, 2))
     _, _, worst, bound = checks.greedy_vs_brute_force(pairs, grid_points=64)
     assert abs(worst - 1e-3) < 1e-9 and worst > bound
-    # one call per n, with that n's (a2, c1) pairs
-    assert [m for *_, m in calls] == [0, 1, 2, 3]
-    for (a2, c1, m) in calls:
-        assert np.array_equal(a2, pairs[m, :, 0]) and np.array_equal(c1, pairs[m, :, 1])
+    # one call for every pair, row m of the pairs with m reuses
+    [(a2, c1, m, reuses)] = calls
+    assert np.array_equal(a2, pairs[..., 0]) and np.array_equal(c1, pairs[..., 1])
+    assert m == 3 and type(m) is int
+    assert np.array_equal(np.broadcast_to(reuses, a2.shape), np.arange(4)[:, None].repeat(3, axis=1))
 
 
 def test_batched_brute_force_checks_every_element():
