@@ -11,8 +11,8 @@ Every check is an array program: the unitary cross-check is one
 `brute_force_max` call over every number of reuses, the feasibility oracle one
 `feasibility_search` call over the whole grid (per chunk of a `domain-map`),
 and `certified` audits all of its answers as one batch (a stacked eigvalsh
-of the witnesses and of the dual certificates, chunked as the oracle is),
-so `validate` makes one oracle call and `domain-map` one per chunk.
+of the witnesses and of the dual certificates over the whole stack), so
+`validate` makes one oracle call and `domain-map` one per chunk.
 """
 from __future__ import annotations
 
@@ -22,8 +22,8 @@ import numpy as np
 
 from .conjunction import brute_force_max, greedy_extremal_growth
 from .dynamics import crosscheck
-from .feasibility import _flat_points, dual_certificate, feasibility_search
-from .pauli import _BASIS, TwoQubitState, _chunks, density_from_params
+from .feasibility import dual_certificate, feasibility_search
+from .pauli import _BASIS, TwoQubitState, _broadcast, density_from_params
 from .reduced import compat_slice_check, in_compatibility_domain, sup_norm_grid, sup_norm_over_time
 
 # width of the boundary strip excluded from oracle agreement verdicts
@@ -78,36 +78,32 @@ def certified(a, c1, c2, value, witness: TwoQubitState, tol: float):
     certificate W is PSD with unit trace and no component on a free
     parameter, and tr(W rho_witness) < -tol, which bounds every extension's
     min eigenvalue."""
-    shape, a, c1, c2 = _flat_points(a, c1, c2)
-    answers = np.broadcast_to(value, shape).ravel() >= -tol
-    witness = TwoQubitState(a=witness.a.reshape(3, -1), b=witness.b.reshape(3, -1),
-                            T=witness.T.reshape(3, 3, -1))
-    ok = np.empty(answers.shape, dtype=bool)
-    for chunk in _chunks(answers.size):
-        rho = density_from_params(witness[chunk])
-        w = dual_certificate(a[:, chunk], c1[chunk], c2[chunk])
-        # parameters read back from rho and W: tr(B_k M) for each basis element
-        back_rho, back_w = np.einsum("kij,mnji->mkn", _BASIS, np.stack((rho, w))).real
-        # both come from density_from_params, Hermitian by construction, so
-        # eigvalsh takes them without min_eigenvalue's check
-        inside = (
-            (np.linalg.eigvalsh(rho)[..., 0] >= -WITNESS_EIG_TOL)
-            & (np.abs(back_rho[_A] - a[:, chunk]).max(axis=0) < READ_BACK_TOL)
-            & (np.abs(back_rho[_C1] - c1[chunk]) < READ_BACK_TOL)
-            & (np.abs(back_rho[_C2] - c2[chunk]) < READ_BACK_TOL)
-        )
-        outside = (
-            (np.abs(np.trace(w, axis1=-2, axis2=-1) - 1.0) <= DUAL_TOL)
-            & (np.linalg.eigvalsh(w)[..., 0] >= -DUAL_TOL)
-            & (np.abs(back_w[_FREE]).max(axis=0) <= DUAL_TOL)
-        )
-        # tr(W rho) last and compared as Python numbers, as the per-point
-        # audit did: perfbench's calibration kernel runs slower after a
-        # complex matmul until a float-array operation follows it, so the
-        # operation a `validate` pass ends with moves its calibrated run_s
-        tight = [bound < -tol for bound in np.trace(w @ rho, axis1=-2, axis2=-1).real.tolist()]
-        ok[chunk] = np.where(answers[chunk], inside, np.where(outside, tight, False))
-    return ok.reshape(shape)[()]
+    a, c1, c2 = _broadcast(a, c1, c2)
+    answers = np.broadcast_to(value, c1.shape) >= -tol
+    rho = density_from_params(witness)
+    w = dual_certificate(a, c1, c2)
+    # parameters read back from rho and W: tr(B_k M) for each basis element
+    back_rho, back_w = np.einsum("kij,m...ji->mk...", _BASIS, np.stack((rho, w))).real
+    # both come from density_from_params, Hermitian by construction, so
+    # eigvalsh takes them without min_eigenvalue's check
+    inside = (
+        (np.linalg.eigvalsh(rho)[..., 0] >= -WITNESS_EIG_TOL)
+        & (np.abs(back_rho[_A] - a).max(axis=0) < READ_BACK_TOL)
+        & (np.abs(back_rho[_C1] - c1) < READ_BACK_TOL)
+        & (np.abs(back_rho[_C2] - c2) < READ_BACK_TOL)
+    )
+    outside = (
+        (np.abs(np.trace(w, axis1=-2, axis2=-1) - 1.0) <= DUAL_TOL)
+        & (np.linalg.eigvalsh(w)[..., 0] >= -DUAL_TOL)
+        & (np.abs(back_w[_FREE]).max(axis=0) <= DUAL_TOL)
+    )
+    # tr(W rho) last and compared as Python numbers, as the per-point
+    # audit did: perfbench's calibration kernel runs slower after a
+    # complex matmul until a float-array operation follows it, so the
+    # operation a `validate` pass ends with moves its calibrated run_s
+    bounds = np.trace(w @ rho, axis1=-2, axis2=-1).real
+    tight = np.array([bound < -tol for bound in bounds.ravel().tolist()], dtype=bool)
+    return np.where(answers, inside, np.where(outside, tight.reshape(bounds.shape), False))[()]
 
 
 def _worst(errors) -> float:

@@ -22,6 +22,7 @@ from .pauli import (
     ID4,
     TwoQubitState,
     _as_bloch,
+    _validate_density,
     density_from_params,
     params_from_density,
     pauli,
@@ -110,9 +111,7 @@ def unitary(t) -> np.ndarray:
 def evolve_density(rho: np.ndarray, t) -> np.ndarray:
     """Conjugate each 4x4 density matrix of `rho` (shape (..., 4, 4)) by
     U(t), broadcasting t against the stack; trace and spectrum preserved."""
-    rho = np.asarray(rho, dtype=complex)
-    # reuse the parameter extractor's validation (Hermitian, unit trace)
-    params_from_density(rho)
+    rho = _validate_density(rho, 1e-12)
     u = unitary(t)
     return u @ rho @ np.swapaxes(u.conj(), -1, -2)
 

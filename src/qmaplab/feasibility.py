@@ -32,10 +32,10 @@ minimum eigenvalue >= -tol proves "inside" (check it by reconstruction); W
 with tr(W rho) < -tol proves "outside".
 
 Every function broadcasts over stacks: `a` of shape (3, ...) against c1 and
-c2.  `feasibility_search` flattens the stack and takes it
-`pauli._CHUNK_POINTS` points at a time: each chunk is one stacked product
-with the operator basis and one stacked eigvalsh, so besides the flattened
-inputs and the outputs no array grows with the stack.
+c2.  `feasibility_search` is one stacked product with the operator basis and
+one stacked eigvalsh over the whole stack, so its memory grows with its
+input, as `rotate`'s does: a caller bounds it by the stack it hands over
+(`domain-map` hands over one 4,096-row chunk at a time).
 """
 from __future__ import annotations
 
@@ -45,21 +45,12 @@ from .optimize import nelder_mead_max  # noqa: F401  no longer called; perfbench
 from .pauli import (
     DEFAULT_TOL,
     TwoQubitState,
-    _as_blochs,
-    _chunks,
+    _broadcast,
     _norms,
     density_from_params,
     embed_mean_values,
 )
 from .reduced import DomainVerdict
-
-
-def _flat_points(a, c1, c2) -> tuple[tuple, np.ndarray, np.ndarray, np.ndarray]:
-    """(stack shape, a as (3, N), c1 as (N,), c2 as (N,)) after broadcasting."""
-    a = _as_blochs(a)
-    shape = np.broadcast_shapes(a.shape[1:], np.shape(c1), np.shape(c2))
-    return (shape, np.broadcast_to(a, (3,) + shape).reshape(3, -1),
-            np.broadcast_to(c1, shape).ravel(), np.broadcast_to(c2, shape).ravel())
 
 
 def _block_vectors(a: np.ndarray, c1, c2) -> tuple[np.ndarray, np.ndarray]:
@@ -82,18 +73,14 @@ def feasibility_search(a, c1, c2) -> tuple[np.ndarray, TwoQubitState]:
     The witness carries a, c1 and c2 exactly; the value is the minimum
     eigenvalue of its reconstructed density matrix.
     """
-    shape, a, c1, c2 = _flat_points(a, c1, c2)
-    b, T, values = np.zeros(a.shape), np.zeros((3,) + a.shape), np.empty(c1.shape)
-    for chunk in _chunks(c1.size):
-        x_plus, x_minus = _block_vectors(a[:, chunk], c1[chunk], c2[chunk])
-        T[:, 0, chunk] = c1[chunk], c2[chunk], 0.5 * (x_plus[2] - x_minus[2])
-        b[0, chunk] = 0.5 * (_norms(*x_plus) - _norms(*x_minus))  # w_+ - w_-
-        # Hermitian by construction: eigvalsh without min_eigenvalue's check
-        values[chunk] = np.linalg.eigvalsh(density_from_params(
-            TwoQubitState(a=a[:, chunk], b=b[:, chunk], T=T[..., chunk])))[..., 0]
-    witness = TwoQubitState(a=a.reshape((3,) + shape), b=b.reshape((3,) + shape),
-                            T=T.reshape((3, 3) + shape))
-    return values.reshape(shape)[()], witness
+    a, c1, c2 = _broadcast(a, c1, c2)
+    b, T = np.zeros(a.shape), np.zeros((3,) + a.shape)
+    x_plus, x_minus = _block_vectors(a, c1, c2)
+    T[:, 0] = c1, c2, 0.5 * (x_plus[2] - x_minus[2])
+    b[0] = 0.5 * (_norms(*x_plus) - _norms(*x_minus))  # w_+ - w_-
+    witness = TwoQubitState(a=a, b=b, T=T)
+    # Hermitian by construction: eigvalsh without min_eigenvalue's check
+    return np.linalg.eigvalsh(density_from_params(witness))[..., 0][()], witness
 
 
 def dual_certificate(a, c1, c2) -> np.ndarray:
@@ -106,7 +93,7 @@ def dual_certificate(a, c1, c2) -> np.ndarray:
     vanishes the other's direction is used for both; when both vanish,
     W = I/4.
     """
-    shape, a, c1, c2 = _flat_points(a, c1, c2)
+    a, c1, c2 = _broadcast(a, c1, c2)
 
     def down(x: np.ndarray) -> np.ndarray:
         norm = _norms(*x)
@@ -119,7 +106,7 @@ def dual_certificate(a, c1, c2) -> np.ndarray:
     # the proportional split of a3 gives p^ and m^ the same third component,
     # so v3 = 0 and W has no S3 x E1 (free T31) component
     u, v = 0.5 * (p_hat + m_hat), 0.5 * (p_hat - m_hat)
-    return density_from_params(embed_mean_values(u, v[0], v[1])).reshape(shape + (4, 4))
+    return density_from_params(embed_mean_values(u, v[0], v[1]))
 
 
 def is_compatible_oracle(a, c1, c2, tol: float = DEFAULT_TOL) -> DomainVerdict:

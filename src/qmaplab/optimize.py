@@ -10,23 +10,21 @@ import numpy as np
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
 _INVPHI_SQ = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
+# `golden_section_max` stops a bracket once it is no wider than this, and
+# every bracket after this many iterations
+_GOLDEN_TOL = 1e-12
+_GOLDEN_MAX_ITER = 200
 
 
-def golden_section_max(
-    f: Callable,
-    lo,
-    hi,
-    tol: float = 1e-12,
-    max_iter: int = 200,
-):
+def golden_section_max(f: Callable, lo, hi):
     """Maximize a unimodal function on [lo, hi] by golden-section search.
 
     Broadcasts over brackets: `lo` and `hi` may be arrays, and `f` maps an
     array of abscissae of their broadcast shape to the array of values,
     element by element.  Each element stops on its own once its bracket is
-    no wider than `tol`; widths differ by a few ulps between elements, so
-    iteration counts can differ.  Returns (argmax, max), numpy scalars for
-    scalar brackets.
+    no wider than `_GOLDEN_TOL`; widths differ by a few ulps between
+    elements, so iteration counts can differ.  Returns (argmax, max), numpy
+    scalars for scalar brackets.
     """
     shape = np.broadcast(lo, hi).shape
     a, b = (np.array(np.broadcast_to(v, shape), dtype=float).ravel() for v in (lo, hi))
@@ -40,8 +38,8 @@ def golden_section_max(
     # each probe as its (abscissa, value) pair stacked (2, n), so that one
     # masked move carries both
     probe_c, probe_d = np.stack((c, values(c))), np.stack((d, values(d)))
-    for _ in range(max_iter):
-        live = h > tol
+    for _ in range(_GOLDEN_MAX_ITER):
+        live = h > _GOLDEN_TOL
         if not live.any():
             break
         gt = probe_c[1] > probe_d[1]

@@ -61,21 +61,20 @@ def _as_blochs(a) -> np.ndarray:
     return a
 
 
+def _broadcast(a, c1, c2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bloch vectors `a` (3, ...) and correlations c1, c2 broadcast to one
+    stack shape: (a as (3,) + shape, c1 and c2 as shape), read-only views."""
+    a = _as_blochs(a)
+    shape = np.broadcast_shapes(a.shape[1:], np.shape(c1), np.shape(c2))
+    return np.broadcast_to(a, (3,) + shape), np.broadcast_to(c1, shape), np.broadcast_to(c2, shape)
+
+
 def _norms(*components) -> np.ndarray:
     """|v| of the vectors with these components, bit for bit np.linalg.norm of
     each: a stacked (1xk)(kx1) matmul takes the same dot product; norm(axis=...)
     rounds differently."""
     v = np.stack(np.broadcast_arrays(*components), axis=-1)
     return np.sqrt((v[..., None, :] @ v[..., :, None])[..., 0, 0])
-
-
-# states per stacked eigvalsh: 2^16 4x4 complex matrices are 16 MB
-_CHUNK_POINTS = 1 << 16
-
-
-def _chunks(size: int):
-    """Slices of range(size), _CHUNK_POINTS long (the last one shorter)."""
-    return (slice(lo, lo + _CHUNK_POINTS) for lo in range(0, size, _CHUNK_POINTS))
 
 
 @dataclass(frozen=True)
@@ -169,10 +168,8 @@ def embed_mean_values(a, c1, c2) -> TwoQubitState:
     """Minimal state carrying Bloch vector `a` and correlations c1 = <S1 E1>,
     c2 = <S2 E1>; every other parameter zero.  Broadcasts over stacks of
     `a` (shape (3, ...)), c1 and c2."""
-    a = _as_blochs(a)
-    stack = np.broadcast_shapes(a.shape[1:], np.shape(c1), np.shape(c2))
-    a = np.broadcast_to(a, (3,) + stack)
-    T = np.zeros((3, 3) + stack)
+    a, c1, c2 = _broadcast(a, c1, c2)
+    T = np.zeros((3, 3) + c1.shape)
     T[0, 0] = c1
     T[1, 0] = c2
     return TwoQubitState(a=a, b=np.zeros(a.shape), T=T)

@@ -78,25 +78,18 @@ def sup_norm_over_time(c1, c2, a):
     return sup[()], argmax_t[()]
 
 
-# grid values per state block in `sup_norm_grid`: its three block buffers
-# hold this many values each (a longer t row is not split, one state a
-# block), beside the two `points`-long cos/sin rows
-_GRID_CHUNK = 1 << 15
-
-
 def sup_norm_grid(c1, c2, a, points: int = 100_000):
     """Validation path for `sup_norm_over_time`: dense grid over [0, 2 pi)
     plus one golden-section refinement around the best grid point.
 
     Broadcasts like `sup_norm_over_time`.  cos and sin of the t grid are
     taken once, two arrays of `points` values.  The states then go through
-    in blocks of `_GRID_CHUNK // points`, each state a whole t row, so its
-    first maximizer is one argmax along the row; a row longer than
-    `_GRID_CHUNK` is not split, and its block holds one state.  A block's
-    a1(t), a2(t) and |a(t)|^2 are written into three buffers allocated once
-    per call, so the call holds the two rows and three blocks of at most
-    max(`_GRID_CHUNK`, `points`) values.  The refinement runs once for the
-    whole batch.  `points` must be >= 1 and every input finite.
+    one at a time, each a whole t row, so its first maximizer is one argmax
+    along the row.  A state's a1(t), a2(t) and |a(t)|^2 are written into
+    three `points`-long buffers allocated once per call, so the call holds
+    five arrays of `points` values however many states it takes.  The
+    refinement runs once for the whole batch.  `points` must be >= 1 and
+    every input finite.
     """
     if points < 1:
         raise ValueError(f"points must be >= 1, got points={points!r}")
@@ -111,22 +104,18 @@ def sup_norm_grid(c1, c2, a, points: int = 100_000):
     h = 2 * math.pi / points
     cos_t, sin_t = np.cos(ts), np.sin(ts)
     k = np.empty(c1.size, dtype=int)
-    step = max(1, _GRID_CHUNK // points)
-    a3_sq = a[2, :, None] * a[2, :, None]
-    buffers = [np.empty((min(step, c1.size), points)) for _ in range(3)]
-    for lo in range(0, c1.size, step):
-        rows = slice(lo, lo + step)
-        out = [b[:len(a3_sq[rows])] for b in buffers]
-        a1t, a2t = _turn(a[0, rows, None], a[1, rows, None], c1[rows, None], c2[rows, None],
-                         cos_t, sin_t, out)
+    a3_sq = a[2] * a[2]
+    out = [np.empty(points) for _ in range(3)]
+    for i in range(c1.size):
+        a1t, a2t = _turn(a[0, i], a[1, i], c1[i], c2[i], cos_t, sin_t, out)
         # a1t^2 + a2t^2 + a3^2, summed in that order, into a1t's buffer
         norm_sq = np.add(np.add(np.multiply(a1t, a1t, out=a1t), np.multiply(a2t, a2t, out=a2t),
-                                out=a1t), a3_sq[rows], out=a1t)
-        k[rows] = np.argmax(norm_sq, axis=1)
+                                out=a1t), a3_sq[i], out=a1t)
+        k[i] = np.argmax(norm_sq)
 
     def norm_sq_at(t: np.ndarray) -> np.ndarray:
         a1t, a2t = _turn(a[0], a[1], c1, c2, np.cos(t), np.sin(t))
-        return a1t * a1t + a2t * a2t + a3_sq[:, 0]
+        return a1t * a1t + a2t * a2t + a3_sq
 
     t_best, f_best = golden_section_max(norm_sq_at, ts[k] - h, ts[k] + h)
     sup = np.sqrt(np.maximum(f_best, 0.0)).reshape(shape)

@@ -50,8 +50,6 @@ def slip_state(a, c1, n) -> np.ndarray:
     along trailing axes, shape (3, ...), against arrays of c1 and n.
     """
     a = _as_blochs(a)
-    if np.any(np.asarray(n) < 1):
-        raise ValueError(f"n must be >= 1, got {n}")
     if np.any(a[0] != 0.0) or np.any(a[2] != 0.0):
         raise ValueError("slip_state is defined on the slice a = (0, a2, 0) only")
     a2 = a[1]

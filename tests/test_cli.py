@@ -810,6 +810,14 @@ def test_domain_map_calls_each_kernel_o1_times(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "_fork_is_quiet", lambda: False)  # count every chunk here
     calls = _count_calls(monkeypatch, checks, ("in_compatibility_domain", "compat_slice_check",
                                                "feasibility_search"))
+    points, search = [], checks.feasibility_search
+
+    def recorded(*args):
+        values, witness = search(*args)
+        points.append(np.size(values))
+        return values, witness
+
+    monkeypatch.setattr(checks, "feasibility_search", recorded)
     payload = {"command": "domain-map", "grid": [
         {"axis": "a2", "start": -1, "stop": 1, "count": 9},
         {"axis": "c1", "start": -1, "stop": 1, "count": 7}]}
@@ -817,6 +825,8 @@ def test_domain_map_calls_each_kernel_o1_times(tmp_path, monkeypatch):
     # the oracle's per-point loop made 63 calls
     assert calls == {"in_compatibility_domain": 7, "compat_slice_check": 7,
                      "feasibility_search": 7}
+    # the row chunk is the oracle's one memory bound: no call takes more points
+    assert sum(points) == 63 and max(points) <= cli._CHUNK_ROWS
 
 
 # ---------------------------------------------------------------- input boundary

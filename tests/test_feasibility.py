@@ -157,23 +157,26 @@ def test_batch_audit_equals_per_point_reference():
     assert not checks.certified(a, c1, c2, lying, witness, 1e-9)[values >= 0.0].any()
 
 
-def test_chunked_oracle_and_audit_equal_one_chunk(monkeypatch):
+def test_oracle_and_audit_take_one_stacked_eigvalsh(monkeypatch):
     a, c1, c2 = _batch_points()
-    a, c1, c2 = a[:, 380:], c1[380:], c2[380:]  # 26 points: 3 chunks of 7 and one of 5
-    values, witness = feasibility_search(a, c1, c2)
-    verdicts = checks.certified(a, c1, c2, values, witness, 1e-9)
-    sizes = []
+    a, c1, c2 = a[:, 380:], c1[380:], c2[380:]  # 26 points
+    stacks = []
     eigvalsh = np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: sizes.append(len(m)) or eigvalsh(m))
-    monkeypatch.setattr(pauli, "_CHUNK_POINTS", 7)
-    chunked, chunked_witness = feasibility_search(a, c1, c2)
-    assert sizes == [7, 7, 7, 5]
-    assert np.array_equal(chunked, values)
-    assert np.array_equal(chunked_witness.b, witness.b)
-    assert np.array_equal(chunked_witness.T, witness.T)
-    sizes.clear()
-    assert np.array_equal(checks.certified(a, c1, c2, values, witness, 1e-9), verdicts)
-    assert max(sizes) == 7 and sum(sizes) == 2 * values.size  # rho and W per chunk
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: stacks.append(m.shape[:-2]) or eigvalsh(m))
+    values, witness = feasibility_search(a, c1, c2)
+    assert stacks == [(26,)]
+    stacks.clear()
+    verdicts = checks.certified(a, c1, c2, values, witness, 1e-9)
+    assert stacks == [(26,), (26,)]  # the witnesses' rho, then the dual certificates W
+    # a (2, 13) stack keeps its shape through both calls and gives the same bits
+    stacks.clear()
+    a, c1, c2 = a.reshape(3, 2, 13), c1.reshape(2, 13), c2.reshape(2, 13)
+    stacked, stacked_witness = feasibility_search(a, c1, c2)
+    assert np.array_equal(stacked, values.reshape(2, 13))
+    assert np.array_equal(stacked_witness.T, witness.T.reshape(3, 3, 2, 13))
+    assert np.array_equal(checks.certified(a, c1, c2, stacked, stacked_witness, 1e-9),
+                          verdicts.reshape(2, 13))
+    assert stacks == [(2, 13)] * 3
 
 
 def _free_components(state: TwoQubitState) -> np.ndarray:

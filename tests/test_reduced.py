@@ -7,7 +7,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qmaplab import reduced
 from qmaplab.checks import sup_norm_closed_vs_grid
 from qmaplab.dynamics import rotate
 from qmaplab.feasibility import feasibility_search
@@ -196,8 +195,7 @@ def test_broadcast_domain_checks_equal_scalar_closed_forms_exactly():
 
 def test_sup_norm_grid_batch_equals_per_state_calls():
     # 200 seeded states plus degenerate ones where every grid point ties;
-    # the batch goes through in blocks of 8 states (the last one ragged, 3
-    # wide, holding the degenerate states), one state alone in one
+    # the batch goes through one state per row, each state alone in one call
     rng = np.random.default_rng(43)
     a = rng.uniform(-1, 1, (3, 203))
     c1, c2 = rng.uniform(-1, 1, (2, 203))
@@ -216,8 +214,8 @@ def test_sup_norm_grid_batch_equals_per_state_calls():
         sup_norm_grid(float(c1[k]), 0.0, a[:, k], points=4000)[0] for k in range(6)]
 
 
-# the reference's own t chunk, independent of `reduced._GRID_CHUNK`, so the
-# old layout stays the reference whatever block size is under test
+# the reference's own t chunk: the old layout stays the reference of the
+# one-state-per-row pass
 _REFERENCE_CHUNK = 1 << 17
 
 
@@ -261,7 +259,7 @@ def _assert_grid_pass_unchanged(c1, c2, a, points):
 
 
 def test_sup_norm_grid_equals_five_component_pass_at_validate_shape():
-    # validate's check: 500 states, 20,000 points, one state per block;
+    # validate's check: 500 states, 20,000 points, one state per row;
     # the reference walks t in 77 chunks of 262 (the last one 88 wide)
     a1, a2, a3, c1, c2 = np.random.default_rng(7).uniform(-1, 1, (500, 5)).T
     a = np.stack((a1, a2, a3))
@@ -276,19 +274,15 @@ def test_sup_norm_grid_equals_five_component_pass_at_validate_shape():
 def test_sup_norm_grid_equals_five_component_pass(case):
     rng = np.random.default_rng(44)
     if case == "ties":  # |a(t)| constant: every grid point ties, the last two up to rounding
-        # states 6-9 of 12; 4000 points make blocks of 8, so the ties straddle a boundary
         a, (c1, c2), points = rng.uniform(-1, 1, (3, 12)), rng.uniform(-1, 1, (2, 12)), 4000
         a[:, 6:10] = [[0.0, 0.0, 0.6, 0.0], [0.0, 0.0, 0.0, 0.6], [0.0, 0.7, 0.0, 0.0]]
         c1[6:10], c2[6:10] = [0.0, 0.0, 0.6, 0.0], [0.0, 0.0, 0.0, 0.6]
-        assert reduced._GRID_CHUNK // points == 8
-    elif case == "step-1":  # a t row longer than a block holds: one state per block
+    elif case == "step-1":  # long t rows: 40,000 points
         a, (c1, c2), points = rng.uniform(-1, 1, (3, 3)), rng.uniform(-1, 1, (2, 3)), 40_000
-        assert points > reduced._GRID_CHUNK
-    elif case == "single-state":  # one state, one block
+    elif case == "single-state":  # one state
         a, c1, c2, points = rng.uniform(-1, 1, 3), 0.3, -0.4, 4001
-    else:  # 300 states at 1001 points: blocks of 32 and a 12-wide last block
+    else:  # 300 states at 1001 points
         a, (c1, c2), points = rng.uniform(-1, 1, (3, 300)), rng.uniform(-1, 1, (2, 300)), 1001
-        assert reduced._GRID_CHUNK // points == 32
     _assert_grid_pass_unchanged(c1, c2, a, points)
 
 
@@ -301,7 +295,7 @@ def test_sup_norm_grid_buffers_bound_its_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # two 160 kB cos/sin rows and three one-state blocks of 160 kB (1.09 MB);
+    # two 160 kB cos/sin rows and three 160 kB row buffers (1.09 MB);
     # t chunks against every state peaked at 3.5 MB, five fresh components
     # per chunk at 9.8 MB
     assert peak < 2e6
