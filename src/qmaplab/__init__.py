@@ -19,13 +19,8 @@ from .conjunction import (
     sigma2_conjunction,
 )
 from .dynamics import MeanValueState, crosscheck, evolve_density, evolve_mean_values, unitary
-from .feasibility import (
-    dual_certificate,
-    feasibility_search,
-    is_compatible_oracle,
-)
+from .feasibility import dual_certificate, feasibility_search
 from .pauli import (
-    DEFAULT_TOL,
     TwoQubitState,
     density_from_params,
     embed_mean_values,
@@ -42,6 +37,7 @@ from .reduced import (
     sup_norm_over_time,
 )
 from .slippage import max_safe_repetitions, slip_state, slipped_domain_check
+from .tolerances import DEFAULT_TOL
 
 __all__ = [
     "DEFAULT_TOL",
@@ -64,7 +60,6 @@ __all__ = [
     "first_unphysical_n",
     "greedy_extremal_growth",
     "in_compatibility_domain",
-    "is_compatible_oracle",
     "max_safe_repetitions",
     "min_eigenvalue",
     "params_from_density",

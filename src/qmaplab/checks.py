@@ -1,10 +1,11 @@
-"""Oracle cross-checks, each written once with its bound and the boundary band.
+"""Oracle cross-checks, each written once, with its bound and the boundary
+band from `tolerances`.
 
 `validate` reports `validate_suite`, `domain-map` rasterizes
 `three_way_agreement` one chunk of points at a time, and the acceptance
 suite calls the same functions with its own seeds.  A check returns (name,
 metric, value, bound) and passes when value < bound; a count passes at
-bound 1, i.e. when it is zero.
+`COUNT_BOUND` (1), i.e. when it is zero.
 
 Every check is an array program: the unitary cross-check is one
 `crosscheck` call over all its states, the growth check one
@@ -25,17 +26,9 @@ from .dynamics import crosscheck
 from .feasibility import dual_certificate, feasibility_search
 from .pauli import _BASIS, TwoQubitState, _broadcast, density_from_params
 from .reduced import compat_slice_check, in_compatibility_domain, sup_norm_grid, sup_norm_over_time
-
-# width of the boundary strip excluded from oracle agreement verdicts
-BOUNDARY_BAND = 1e-3
-# certificate audit (`certified`): how far an inside witness's minimum
-# eigenvalue may dip below 0 by rounding
-WITNESS_EIG_TOL = 1e-9
-# how far the (a, c1, c2) read back from a witness's density may be off
-READ_BACK_TOL = 1e-10
-# how far a dual certificate may be from unit trace, PSD and blind to the
-# free parameters
-DUAL_TOL = 1e-12
+from .tolerances import (BOUNDARY_BAND, COUNT_BOUND, DUAL_TOL, GREEDY_BOUND, MEAN_VALUES_BOUND,
+                         MISMATCH_BAND, READ_BACK_TOL, REL_ERR_FLOOR, SUP_NORM_BOUND,
+                         WITNESS_EIG_TOL)
 
 # parameter indices of the (1, a, b, T.ravel()) basis coefficients:
 # a, the fixed T11 = c1 and T21 = c2, and the ten free ones
@@ -126,7 +119,7 @@ def mean_values_vs_unitary(rng):
     draws = rng.uniform(_STATE_LO, _STATE_HI, (1000, 16)).T
     s = TwoQubitState(a=draws[0:3], b=draws[3:6], T=draws[6:15].reshape(3, 3, -1))
     worst = _worst(crosscheck(s, draws[15]).tolist())
-    return "mean_values_vs_unitary", "max_discrepancy", worst, 1e-12
+    return "mean_values_vs_unitary", "max_discrepancy", worst, MEAN_VALUES_BOUND
 
 
 def sup_norm_closed_vs_grid(rng):
@@ -134,8 +127,8 @@ def sup_norm_closed_vs_grid(rng):
     a1, a2, a3, c1, c2 = rng.uniform(-1, 1, (500, 5)).T
     sup_closed, _ = sup_norm_over_time(c1, c2, np.stack((a1, a2, a3)))
     sup_grid, _ = sup_norm_grid(c1, c2, np.stack((a1, a2, a3)), points=20_000)
-    worst = _worst((np.abs(sup_closed - sup_grid) / np.maximum(sup_closed, 1e-12)).tolist())
-    return "sup_norm_closed_vs_grid", "max_rel_err", worst, 1e-9
+    rel_err = np.abs(sup_closed - sup_grid) / np.maximum(sup_closed, REL_ERR_FLOOR)
+    return "sup_norm_closed_vs_grid", "max_rel_err", _worst(rel_err.tolist()), SUP_NORM_BOUND
 
 
 def greedy_vs_brute_force(pairs, grid_points: int):
@@ -148,15 +141,15 @@ def greedy_vs_brute_force(pairs, grid_points: int):
     brute = brute_force_max(a2, c1, len(pairs) - 1, grid_points,
                             reuses=np.arange(len(pairs))[:, None])
     errors = np.abs(np.array(greedy) - brute.ravel()).tolist()
-    return "greedy_vs_brute_force", "max_abs_err", _worst(errors), 1e-6
+    return "greedy_vs_brute_force", "max_abs_err", _worst(errors), GREEDY_BOUND
 
 
 def slice_vs_sup_norm_verdicts(tol: float):
     """Slice check vs sup-over-time verdicts on a dense analytic grid."""
     grid = np.linspace(-1.2, 1.2, 201)
     sl, sup = slice_verdicts(grid[:, None], grid, tol)
-    mismatches = int(np.sum(~(np.abs(sl.margin) <= 1e-9) & (sl.inside != sup.inside)))
-    return "slice_vs_sup_norm_verdicts", "mismatches", mismatches, 1
+    mismatches = int(np.sum(~(np.abs(sl.margin) <= MISMATCH_BAND) & (sl.inside != sup.inside)))
+    return "slice_vs_sup_norm_verdicts", "mismatches", mismatches, COUNT_BOUND
 
 
 def validate_suite(rng, tol: float):
@@ -171,7 +164,7 @@ def validate_suite(rng, tol: float):
     values, witnesses = feasibility_search(_on_slice(a2), c1, 0.0)
     sl = compat_slice_check(a2, c1, tol=tol)
     disagree = ~near_boundary(sl.margin) & ((values >= -tol) != sl.inside)
-    yield "oracle_vs_slice_verdicts", "disagreements", int(disagree.sum()), 1
+    yield "oracle_vs_slice_verdicts", "disagreements", int(disagree.sum()), COUNT_BOUND
     # counted as Python numbers, like the verdicts in `cli._run_validate`
     bad = certified(_on_slice(a2), c1, 0.0, values, witnesses, tol).tolist().count(False)
-    yield "oracle_witness_soundness", "bad_witnesses", bad, 1
+    yield "oracle_witness_soundness", "bad_witnesses", bad, COUNT_BOUND

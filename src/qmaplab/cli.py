@@ -51,9 +51,10 @@ from .conjunction import (
 )
 from .dynamics import rotate
 from .dynamics import evolve_mean_values  # noqa: F401  no longer called; perfbench traces this binding
-from .pauli import DEFAULT_TOL, _norms
+from .pauli import _norms
 from .reduced import ReducedMap
 from .slippage import max_safe_repetitions, slip_state, slipped_domain_check
+from .tolerances import DEFAULT_TOL
 
 # most CSV rows one run may write; checked before any compute (the largest
 # benchmark workload writes 200,200)
@@ -721,7 +722,7 @@ def run(scenario_path: str, out_dir: str = ".", seed: Optional[int] = None,
         tol: Optional[float] = None, *, command: Optional[str] = None) -> int:
     """Execute a scenario file; returns the process exit status.
 
-    Flag values win over scenario fields; defaults are seed 0, tol 1e-9.
+    Flag values win over scenario fields; defaults are seed 0, tol `DEFAULT_TOL`.
     With `command`, the scenario must be of that command.  Both files are
     written to temporary names in `out_dir` and moved into place with
     os.replace once both are complete: a failing run (exit 1) leaves nothing.

@@ -19,14 +19,11 @@ import numpy as np
 
 from .dynamics import _turn
 from .optimize import golden_section_max
-from .pauli import DEFAULT_TOL, _norms
-from .reduced import ReducedMap
+from .pauli import _norms
+from .reduced import ReducedMap, _require_tol
+from .tolerances import BOUNDARY_EPS, DEFAULT_TOL, ZERO_CORRELATION_SQ
 
 _TWO_PI = 2 * math.pi
-
-# Strictness guard for integer hazard indices: boundary cases that land on
-# magnitude exactly 1 (up to rounding) must not count as exceeding it.
-_BOUNDARY_EPS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -72,7 +69,9 @@ def conjunct(
     tol: float = DEFAULT_TOL,
 ) -> HazardReport:
     """Run the frozen map over every leg of `sched`, recording the Bloch
-    vector and its magnitude after each leg."""
+    vector and its magnitude after each leg.  A negative or NaN tol raises
+    ValueError."""
+    _require_tol(tol)
     trajectory = []
     for duration in sched.durations:
         a = ReducedMap(c1, c2, duration).apply(a)
@@ -236,15 +235,16 @@ def first_unphysical_n(a2: float, c1: float) -> Optional[int]:
     reuses whose worst-case schedule exceeds the Bloch ball.
 
     None when c1 == 0 (no correlation, no growth).  The inequality is tested
-    directly with a 1e-12 boundary guard, so sums landing exactly on 1 do not
-    count as exceeding it; no floating floor/ceil decides the index.
+    directly with the `tolerances.BOUNDARY_EPS` guard, so sums landing
+    exactly on 1 do not count as exceeding it; no floating floor/ceil
+    decides the index.
     Raises ValueError for non-finite a2 or c1.
     """
     _require_finite(a2, c1)
     c1_sq = c1 * c1
-    if c1_sq < 1e-300:  # zero or numerically indistinguishable from it
+    if c1_sq < ZERO_CORRELATION_SQ:
         return None
-    threshold = 1.0 + _BOUNDARY_EPS
+    threshold = 1.0 + BOUNDARY_EPS
 
     def exceeds(n: int) -> bool:
         return a2 * a2 + (n + 1) * c1_sq > threshold

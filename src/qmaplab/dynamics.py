@@ -111,7 +111,7 @@ def unitary(t) -> np.ndarray:
 def evolve_density(rho: np.ndarray, t) -> np.ndarray:
     """Conjugate each 4x4 density matrix of `rho` (shape (..., 4, 4)) by
     U(t), broadcasting t against the stack; trace and spectrum preserved."""
-    rho = _validate_density(rho, 1e-12)
+    rho = _validate_density(rho)
     u = unitary(t)
     return u @ rho @ np.swapaxes(u.conj(), -1, -2)
 

@@ -42,15 +42,7 @@ from __future__ import annotations
 import numpy as np
 
 from .optimize import nelder_mead_max  # noqa: F401  no longer called; perfbench traces this binding
-from .pauli import (
-    DEFAULT_TOL,
-    TwoQubitState,
-    _broadcast,
-    _norms,
-    density_from_params,
-    embed_mean_values,
-)
-from .reduced import DomainVerdict
+from .pauli import TwoQubitState, _broadcast, _norms, density_from_params, embed_mean_values
 
 
 def _block_vectors(a: np.ndarray, c1, c2) -> tuple[np.ndarray, np.ndarray]:
@@ -107,11 +99,3 @@ def dual_certificate(a, c1, c2) -> np.ndarray:
     # so v3 = 0 and W has no S3 x E1 (free T31) component
     u, v = 0.5 * (p_hat + m_hat), 0.5 * (p_hat - m_hat)
     return density_from_params(embed_mean_values(u, v[0], v[1]))
-
-
-def is_compatible_oracle(a, c1, c2, tol: float = DEFAULT_TOL) -> DomainVerdict:
-    """Inside iff the optimal extension has min eigenvalue >= -tol."""
-    if tol < 0:
-        raise ValueError("tol must be >= 0")
-    best, _ = feasibility_search(a, c1, c2)
-    return DomainVerdict(inside=best >= -tol, margin=best)

@@ -8,11 +8,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .tolerances import GOLDEN_TOL
+
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
 _INVPHI_SQ = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
-# `golden_section_max` stops a bracket once it is no wider than this, and
-# every bracket after this many iterations
-_GOLDEN_TOL = 1e-12
+# `golden_section_max` stops every bracket after this many iterations
 _GOLDEN_MAX_ITER = 200
 
 
@@ -22,7 +22,7 @@ def golden_section_max(f: Callable, lo, hi):
     Broadcasts over brackets: `lo` and `hi` may be arrays, and `f` maps an
     array of abscissae of their broadcast shape to the array of values,
     element by element.  Each element stops on its own once its bracket is
-    no wider than `_GOLDEN_TOL`; widths differ by a few ulps between
+    no wider than `tolerances.GOLDEN_TOL`; widths differ by a few ulps between
     elements, so iteration counts can differ.  Returns (argmax, max), numpy
     scalars for scalar brackets.
     """
@@ -39,7 +39,7 @@ def golden_section_max(f: Callable, lo, hi):
     # masked move carries both
     probe_c, probe_d = np.stack((c, values(c))), np.stack((d, values(d)))
     for _ in range(_GOLDEN_MAX_ITER):
-        live = h > _GOLDEN_TOL
+        live = h > GOLDEN_TOL
         if not live.any():
             break
         gt = probe_c[1] > probe_d[1]

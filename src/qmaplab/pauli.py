@@ -18,9 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Default slack for boundary classifications.  The closed forms used in this
-# package are exact, so the tolerance only has to absorb rounding noise.
-DEFAULT_TOL = 1e-9
+from .tolerances import DENSITY_TOL, EIGENVALUE_HERMITIAN_TOL
 
 _SX = np.array([[0, 1], [1, 0]], dtype=complex)
 _SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -40,7 +38,7 @@ def pauli(index: int) -> np.ndarray:
     return _PAULIS[index - 1].copy()
 
 
-def is_hermitian(m: np.ndarray, tol: float = 1e-12) -> bool:
+def is_hermitian(m: np.ndarray, tol: float = DENSITY_TOL) -> bool:
     """Entrywise Hermiticity check of a matrix or a stack (..., k, k):
     max |M - M^dagger| <= tol.  An empty stack is vacuously Hermitian."""
     return bool(np.max(np.abs(m - np.swapaxes(m.conj(), -1, -2)), initial=0.0) <= tol)
@@ -138,28 +136,29 @@ def density_from_params(s: TwoQubitState) -> np.ndarray:
     return 0.25 * np.tensordot(_coeffs(s), _BASIS, axes=1)
 
 
-def _validate_density(rho: np.ndarray, tol: float) -> np.ndarray:
+def _validate_density(rho: np.ndarray) -> np.ndarray:
     """rho as a complex 4x4 matrix or stack (..., 4, 4), each Hermitian with
-    unit trace within tol."""
+    unit trace within `DENSITY_TOL`."""
     rho = np.asarray(rho, dtype=complex)
     if rho.shape[-2:] != (4, 4):
         raise ValueError(f"density matrix must be 4x4, got shape {rho.shape}")
-    if not is_hermitian(rho, tol):
+    if not is_hermitian(rho):
         raise ValueError("density matrix is not Hermitian within tolerance")
     trace = np.trace(rho, axis1=-2, axis2=-1)
-    if np.any(np.abs(trace.real - 1.0) > tol) or np.any(np.abs(trace.imag) > tol):
+    if np.any(np.abs(trace.real - 1.0) > DENSITY_TOL) or np.any(np.abs(trace.imag) > DENSITY_TOL):
         raise ValueError("density matrix trace differs from 1 beyond tolerance")
     return rho
 
 
-def params_from_density(rho: np.ndarray, tol: float = 1e-12) -> TwoQubitState:
+def params_from_density(rho: np.ndarray) -> TwoQubitState:
     """Read the 15 parameters back out of a Hermitian unit-trace 4x4 matrix,
     or out of each matrix of a stack (..., 4, 4) into a `TwoQubitState`
     stack.
 
-    Inverse of `density_from_params` (round-trips to 1e-12 entrywise).
+    Inverse of `density_from_params` (round-trips entrywise within
+    `tolerances.DENSITY_TOL`).
     """
-    rho = _validate_density(rho, tol)
+    rho = _validate_density(rho)
     p = np.einsum("kij,...ji->k...", _BASIS, rho).real
     return TwoQubitState(a=p[1:4], b=p[4:7], T=p[7:16].reshape((3, 3) + p.shape[1:]))
 
@@ -175,10 +174,11 @@ def embed_mean_values(a, c1, c2) -> TwoQubitState:
     return TwoQubitState(a=a, b=np.zeros(a.shape), T=T)
 
 
-def min_eigenvalue(m: np.ndarray, tol: float = 1e-10):
+def min_eigenvalue(m: np.ndarray):
     """Smallest eigenvalue of each Hermitian 4x4 (or 2x2) matrix of a stack
-    (..., k, k), by one stacked eigvalsh; a float for a single matrix."""
+    (..., k, k), by one stacked eigvalsh; a float for a single matrix.  The
+    matrices must be Hermitian within `tolerances.EIGENVALUE_HERMITIAN_TOL`."""
     m = np.asarray(m, dtype=complex)
-    if not is_hermitian(m, tol):
+    if not is_hermitian(m, EIGENVALUE_HERMITIAN_TOL):
         raise ValueError("matrix is not Hermitian within tolerance")
     return np.linalg.eigvalsh(m)[..., 0]

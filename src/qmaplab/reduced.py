@@ -17,7 +17,14 @@ import numpy as np
 
 from .dynamics import _turn, rotate
 from .optimize import golden_section_max
-from .pauli import DEFAULT_TOL, _as_bloch, _as_blochs
+from .pauli import _as_bloch, _as_blochs
+from .tolerances import DEFAULT_TOL
+
+
+def _require_tol(tol: float) -> None:
+    """A boundary tolerance must be >= 0; NaN is rejected too."""
+    if not tol >= 0:
+        raise ValueError("tol must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -27,6 +34,13 @@ class DomainVerdict:
 
     inside: bool
     margin: float
+
+    @staticmethod
+    def of(margin, tol: float) -> "DomainVerdict":
+        """The verdict of `margin` (a float or an array): inside iff
+        margin >= -tol."""
+        _require_tol(tol)
+        return DomainVerdict(inside=margin >= -tol, margin=margin)
 
 
 @dataclass(frozen=True)
@@ -126,11 +140,8 @@ def in_compatibility_domain(c1, c2, a, tol: float = DEFAULT_TOL) -> DomainVerdic
     """Inside iff sup over t of |a(t)| stays <= 1 + tol (intersection of all
     positivity domains for the frozen correlations).  Broadcasts like
     `sup_norm_over_time`."""
-    if tol < 0:
-        raise ValueError("tol must be >= 0")
     sup, _ = sup_norm_over_time(c1, c2, a)
-    margin = 1.0 - sup
-    return DomainVerdict(inside=margin >= -tol, margin=margin)
+    return DomainVerdict.of(1.0 - sup, tol)
 
 
 def compat_slice_check(a2, c1, tol: float = DEFAULT_TOL) -> DomainVerdict:
@@ -138,7 +149,4 @@ def compat_slice_check(a2, c1, tol: float = DEFAULT_TOL) -> DomainVerdict:
     inside iff a2^2 + c1^2 <= 1.  Agrees with `in_compatibility_domain`
     restricted to the slice.  Broadcasts over arrays of a2 and c1; the
     margin is 1 - np.hypot(a2, c1) for scalars and arrays alike."""
-    if tol < 0:
-        raise ValueError("tol must be >= 0")
-    margin = (1.0 - np.hypot(a2, c1))[()]
-    return DomainVerdict(inside=margin >= -tol, margin=margin)
+    return DomainVerdict.of((1.0 - np.hypot(a2, c1))[()], tol)

@@ -13,17 +13,21 @@ from typing import Optional, Union
 import numpy as np
 
 from .conjunction import first_unphysical_n
-from .pauli import DEFAULT_TOL, _as_blochs
+from .pauli import _as_blochs
 from .reduced import DomainVerdict
+from .tolerances import DEFAULT_TOL
 
 
 def slipped_domain_check(a2, c1, n, tol: float = DEFAULT_TOL) -> DomainVerdict:
     """Inside iff a2^2 + (n+1) c1^2 <= 1; margin = 1 - sqrt of that sum.
-    Broadcasts over arrays of a2, c1 and n."""
-    if np.any(np.asarray(n) < 1):
+    Broadcasts over arrays of a2, c1 and n.  Every n must be an integer
+    >= 1; a bool, a float or a str raises ValueError naming n."""
+    counts = np.asarray(n)  # a Python int past 2^64 makes an object array
+    if isinstance(n, bool) or not (isinstance(n, int) or counts.dtype.kind in "iu"):
+        raise ValueError(f"n must be an integer, got n={n!r}")
+    if np.any(counts < 1):
         raise ValueError(f"n must be >= 1, got {n}")
-    margin = 1.0 - np.sqrt(a2 * a2 + (n + 1) * c1 * c1)
-    return DomainVerdict(inside=margin >= -tol, margin=margin)
+    return DomainVerdict.of(1.0 - np.sqrt(a2 * a2 + (n + 1) * c1 * c1), tol)
 
 
 def max_safe_repetitions(a2: float, c1: float) -> Optional[Union[int, float]]:
@@ -47,12 +51,14 @@ def slip_state(a, c1, n) -> np.ndarray:
     Already-safe inputs come back unchanged; otherwise a2 shrinks to
     sign(a2) * sqrt(max(0, 1 - (n+1) c1^2)).  Idempotent.  Only the slice
     a = (0, a2, 0) is supported.  Broadcasts: `a` may stack slice states
-    along trailing axes, shape (3, ...), against arrays of c1 and n.
+    along trailing axes, shape (3, ...), against arrays of c1 and n, which
+    `slipped_domain_check` validates.
     """
     a = _as_blochs(a)
     if np.any(a[0] != 0.0) or np.any(a[2] != 0.0):
         raise ValueError("slip_state is defined on the slice a = (0, a2, 0) only")
     a2 = a[1]
+    inside = slipped_domain_check(a2, c1, n).inside
     boundary = np.copysign(np.sqrt(np.maximum(0.0, 1.0 - (n + 1) * c1 * c1)), a2)
-    a2 = np.where(slipped_domain_check(a2, c1, n).inside, a2, boundary)
+    a2 = np.where(inside, a2, boundary)
     return np.array(np.broadcast_arrays(a[0], a2, a[2]))

@@ -1,0 +1,37 @@
+"""Every number that decides a verdict, named once.  A leaf: imports nothing.
+
+A `checks` check passes when its value is below its bound.
+"""
+
+# default slack of every boundary verdict; it only has to absorb rounding noise
+DEFAULT_TOL = 1e-9
+# how far a density matrix may be from Hermitian with unit trace
+DENSITY_TOL = 1e-12
+# how far a matrix handed to `pauli.min_eigenvalue` may be from Hermitian
+EIGENVALUE_HERMITIAN_TOL = 1e-10
+# `first_unphysical_n`: a2^2 + (n+1) c1^2 exceeds 1 only past 1 + this
+BOUNDARY_EPS = 1e-12
+# `first_unphysical_n`: c1^2 below this is no correlation, so no growth
+ZERO_CORRELATION_SQ = 1e-300
+# `golden_section_max` stops a bracket once it is no wider than this
+GOLDEN_TOL = 1e-12
+# width of the boundary strip excluded from oracle agreement verdicts
+BOUNDARY_BAND = 1e-3
+# `certified`: how far an inside witness's minimum eigenvalue may dip below 0
+WITNESS_EIG_TOL = 1e-9
+# `certified`: how far the (a, c1, c2) read back from a witness may be off
+READ_BACK_TOL = 1e-10
+# `certified`: how far a dual certificate may be from unit trace, PSD, blind to free entries
+DUAL_TOL = 1e-12
+# bound of closed-form vs unitary evolution, max absolute discrepancy
+MEAN_VALUES_BOUND = 1e-12
+# bound of closed-form sup over time vs its dense grid, max relative error
+SUP_NORM_BOUND = 1e-9
+# bound of greedy growth vs the brute-force grid maximum, max absolute error
+GREEDY_BOUND = 1e-6
+# bound of the three counting checks, which pass at zero
+COUNT_BOUND = 1
+# slice vs sup-norm verdicts: |slice margin| within this is not a mismatch
+MISMATCH_BAND = 1e-9
+# floor of the sup-norm relative error's denominator, so sup 0 divides safely
+REL_ERR_FLOOR = 1e-12

@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 
-from qmaplab import checks
+from qmaplab import DEFAULT_TOL, checks
 from qmaplab.cli import run
 from qmaplab.conjunction import (
     brute_force_max,
@@ -21,7 +21,6 @@ from qmaplab.conjunction import (
 )
 from qmaplab.dynamics import MeanValueState, evolve_mean_values
 from qmaplab.feasibility import feasibility_search
-from qmaplab.pauli import DEFAULT_TOL
 from qmaplab.reduced import compat_slice_check
 from qmaplab.slippage import max_safe_repetitions, slipped_domain_check
 

@@ -7,14 +7,10 @@ import math
 import numpy as np
 import pytest
 
-from qmaplab import checks
-from qmaplab.feasibility import (
-    dual_certificate,
-    feasibility_search,
-    is_compatible_oracle,
-)
+from qmaplab import DEFAULT_TOL, checks
+from qmaplab.feasibility import dual_certificate, feasibility_search
 from qmaplab.pauli import TwoQubitState, density_from_params, min_eigenvalue, params_from_density
-from qmaplab.reduced import in_compatibility_domain, sup_norm_over_time
+from qmaplab.reduced import DomainVerdict, in_compatibility_domain, sup_norm_over_time
 
 pauli = importlib.import_module("qmaplab.pauli")  # the module; the package binds the function
 
@@ -27,6 +23,11 @@ DEGENERATE_POINTS = [
     ([0.0, 0.0, 1.0], 1.0, 0.0, False),  # pure marginal admits no correlation
     ([0.9, 0.9, 0.0], 0.9, 0.9, False),  # w_+ = 1.14 leaves [0, 1]
 ]
+
+
+def is_compatible_oracle(a, c1, c2, tol: float = DEFAULT_TOL) -> DomainVerdict:
+    """Inside iff the optimal extension has min eigenvalue >= -tol."""
+    return DomainVerdict.of(feasibility_search(a, c1, c2)[0], tol)
 
 
 # ------------------------------------------------ per-point reference oracle

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from qmaplab.checks import sup_norm_closed_vs_grid
+from qmaplab.conjunction import ConjunctionSchedule, conjunct
 from qmaplab.dynamics import rotate
 from qmaplab.feasibility import feasibility_search
 from qmaplab.optimize import golden_section_max
@@ -18,6 +19,7 @@ from qmaplab.reduced import (
     sup_norm_grid,
     sup_norm_over_time,
 )
+from qmaplab.slippage import slipped_domain_check
 
 
 def test_apply_identity_at_t_zero():
@@ -317,9 +319,19 @@ def test_sup_norm_grid_rejects_non_finite_input(field, bad):
 
 
 def test_compat_slice_check_rejects_negative_tol():
-    with pytest.raises(ValueError, match="tol must be >= 0"):
-        compat_slice_check(0.6, 0.8, tol=-1e-9)
+    # every function that makes a verdict rejects a negative or NaN tol
+    sched = ConjunctionSchedule(t=0.0)
+    verdicts = [lambda tol: compat_slice_check(0.6, 0.8, tol=tol),
+                lambda tol: in_compatibility_domain(0.8, 0.0, [0.0, 0.6, 0.0], tol=tol),
+                lambda tol: slipped_domain_check(0.5, 0.2, 1, tol=tol),
+                lambda tol: conjunct(0.0, 0.0, [0.0, 0.5, 0.0], sched, tol=tol)]
+    for verdict in verdicts:
+        for tol in (-1e-9, math.nan):
+            with pytest.raises(ValueError, match="tol must be >= 0"):
+                verdict(tol)
     assert compat_slice_check(0.6, 0.8, tol=0.0).inside
+    assert slipped_domain_check(0.5, 0.2, 1, tol=0.0).inside
+    assert conjunct(0.0, 0.0, [0.0, 0.5, 0.0], sched, tol=0.0).first_unphysical_step is None
 
 
 @pytest.mark.parametrize("seed", range(10))

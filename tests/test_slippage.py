@@ -25,6 +25,16 @@ def test_slipped_domain_margin_formula():
 def test_slipped_domain_rejects_small_n():
     with pytest.raises(ValueError):
         slipped_domain_check(0.5, 0.2, 0)
+    for bad in (1.5, True, np.array([1.0, 2.0]), "2"):
+        for call in (lambda: slipped_domain_check(0.5, 0.2, bad),
+                     lambda: slip_state([0, 0.5, 0], 0.2, bad)):
+            with pytest.raises(ValueError, match="n must be an integer, got n="):
+                call()
+    assert slipped_domain_check(0.0, 1e-12, 2**64).inside  # any Python int
+    # integer arrays broadcast, as the slippage command's n grid does
+    n = np.array([[1], [3]])
+    assert slipped_domain_check(0.9, 0.3, n).inside.tolist() == [[True], [False]]
+    assert slip_state([0, 0.9, 0], 0.3, n)[1].tolist() == [[0.9], [math.sqrt(1 - 4 * 0.09)]]
 
 
 def test_max_safe_known_cases():
