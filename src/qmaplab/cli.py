@@ -654,9 +654,8 @@ def _run_slippage(sc: Scenario, tol: float, seed: int) -> tuple[list, Body, Call
         ni, ai, ci = np.unravel_index(np.arange(lo, hi), shape)
         n, a2, c1 = ni + 1, a2_grid.at(ai), c1_grid.at(ci)
         verdict = slipped_domain_check(a2, c1, n, tol=tol)
-        slipped = slip_state(np.stack(np.broadcast_arrays(0.0, a2, 0.0)), c1, n)
         return (n_cells(ni), a2_cells(ai), c1_cells(ci),
-                verdict.inside, verdict.margin, slipped[1]), None
+                verdict.inside, verdict.margin, slip_state(a2, c1, n)), None
 
     header = ["n", "a2", "c1", "inside", "margin", "a2_slipped"]
     return header, Body(math.prod(shape), chunk), lambda _: {"max_n": sc.n}

@@ -69,9 +69,12 @@ def conjunct(
     tol: float = DEFAULT_TOL,
 ) -> HazardReport:
     """Run the frozen map over every leg of `sched`, recording the Bloch
-    vector and its magnitude after each leg.  A negative or NaN tol raises
-    ValueError."""
+    vector and its magnitude after each leg.  A negative or NaN tol, or a
+    non-finite a, c1, c2 or duration, raises ValueError."""
     _require_tol(tol)
+    for name, value in (("c1", c1), ("c2", c2), ("a", a), ("durations", sched.durations)):
+        if not np.isfinite(value).all():
+            raise ValueError(f"{name} must be finite, got {name}={value!r}")
     trajectory = []
     for duration in sched.durations:
         a = ReducedMap(c1, c2, duration).apply(a)

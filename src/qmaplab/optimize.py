@@ -1,10 +1,9 @@
-"""Small derivative-free search utilities: 1-D golden-section refinement
-(broadcast over a batch of brackets) and a bounded Nelder-Mead simplex.
-Both are deterministic given their inputs."""
+"""1-D golden-section refinement, broadcast over a batch of brackets and
+deterministic given its inputs."""
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -62,78 +61,8 @@ def golden_section_max(f: Callable, lo, hi):
     return x.reshape(shape)[()], fx.reshape(shape)[()]
 
 
-def nelder_mead_max(
-    f: Callable[[np.ndarray], float],
-    x0: np.ndarray,
-    bounds: Optional[tuple[float, float]] = None,
-    xatol: float = 1e-8,
-    fatol: float = 1e-12,
-    max_iter: int = 500,
-    initial_step: float = 0.25,
-) -> tuple[np.ndarray, float]:
-    """Maximize `f` from `x0` with the classic Nelder-Mead simplex.
-
-    `bounds`, when given, is a scalar box (lo, hi) applied to every
-    coordinate; candidate vertices are clipped into it.  Terminates when the
-    simplex collapses below `xatol` in coordinates and `fatol` in values, or
-    after `max_iter` iterations.  Returns the best vertex and its value.
-    """
-    x0 = np.asarray(x0, dtype=float)
-    n = x0.size
-
-    def clip(x: np.ndarray) -> np.ndarray:
-        if bounds is None:
-            return x
-        return np.clip(x, bounds[0], bounds[1])
-
-    # initial simplex: x0 plus a step along each axis, stepping inward when
-    # the step would leave the box
-    verts = [clip(x0.copy())]
-    for i in range(n):
-        v = x0.copy()
-        step = initial_step
-        if bounds is not None and v[i] + step > bounds[1]:
-            step = -initial_step
-        v[i] += step
-        verts.append(clip(v))
-    simplex = np.array(verts)
-    values = np.array([f(v) for v in simplex])
-
-    for _ in range(max_iter):
-        order = np.argsort(-values)  # best first
-        simplex, values = simplex[order], values[order]
-        if (
-            np.max(np.abs(simplex[1:] - simplex[0])) <= xatol
-            and np.max(np.abs(values[1:] - values[0])) <= fatol
-        ):
-            break
-
-        centroid = simplex[:-1].mean(axis=0)
-        worst = simplex[-1]
-        reflected = clip(centroid + (centroid - worst))
-        f_r = f(reflected)
-
-        if f_r > values[0]:
-            expanded = clip(centroid + 2.0 * (centroid - worst))
-            f_e = f(expanded)
-            if f_e > f_r:
-                simplex[-1], values[-1] = expanded, f_e
-            else:
-                simplex[-1], values[-1] = reflected, f_r
-        elif f_r > values[-2]:
-            simplex[-1], values[-1] = reflected, f_r
-        else:
-            if f_r > values[-1]:
-                contracted = clip(centroid + 0.5 * (reflected - centroid))
-            else:
-                contracted = clip(centroid + 0.5 * (worst - centroid))
-            f_c = f(contracted)
-            if f_c > min(f_r, values[-1]):
-                simplex[-1], values[-1] = contracted, f_c
-            else:
-                # shrink toward the best vertex
-                simplex[1:] = clip(simplex[0] + 0.5 * (simplex[1:] - simplex[0]))
-                values[1:] = [f(v) for v in simplex[1:]]
-
-    best = int(np.argmax(values))
-    return simplex[best].copy(), float(values[best])
+def nelder_mead_max(*args, **kwargs):
+    """Deleted search; the name stays only because `perfbench/tracing.py`
+    traces it and `perfbench/test_perfbench.py` pins its `feasibility`
+    binding (ROADMAP item 1)."""
+    raise NotImplementedError("nelder_mead_max was removed; see ROADMAP item 1")

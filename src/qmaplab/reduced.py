@@ -38,8 +38,11 @@ class DomainVerdict:
     @staticmethod
     def of(margin, tol: float) -> "DomainVerdict":
         """The verdict of `margin` (a float or an array): inside iff
-        margin >= -tol."""
+        margin >= -tol.  A NaN margin, which a NaN input gives, raises
+        ValueError rather than reading as outside."""
         _require_tol(tol)
+        if np.isnan(margin).any():
+            raise ValueError("margin is NaN: an input is NaN or infinite")
         return DomainVerdict(inside=margin >= -tol, margin=margin)
 
 

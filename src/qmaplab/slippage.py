@@ -13,7 +13,6 @@ from typing import Optional, Union
 import numpy as np
 
 from .conjunction import first_unphysical_n
-from .pauli import _as_blochs
 from .reduced import DomainVerdict
 from .tolerances import DEFAULT_TOL
 
@@ -27,7 +26,7 @@ def slipped_domain_check(a2, c1, n, tol: float = DEFAULT_TOL) -> DomainVerdict:
         raise ValueError(f"n must be an integer, got n={n!r}")
     if np.any(counts < 1):
         raise ValueError(f"n must be >= 1, got {n}")
-    return DomainVerdict.of(1.0 - np.sqrt(a2 * a2 + (n + 1) * c1 * c1), tol)
+    return DomainVerdict.of(1.0 - np.sqrt(a2 * a2 + (counts + 1) * c1 * c1), tol)
 
 
 def max_safe_repetitions(a2: float, c1: float) -> Optional[Union[int, float]]:
@@ -45,20 +44,14 @@ def max_safe_repetitions(a2: float, c1: float) -> Optional[Union[int, float]]:
     return first - 1
 
 
-def slip_state(a, c1, n) -> np.ndarray:
-    """Minimal radial adjustment of a slice state onto the n-reuse boundary.
+def slip_state(a2, c1, n):
+    """Minimal radial adjustment of a slice state a = (0, a2, 0) onto the
+    n-reuse boundary; returns the slipped a2.
 
     Already-safe inputs come back unchanged; otherwise a2 shrinks to
-    sign(a2) * sqrt(max(0, 1 - (n+1) c1^2)).  Idempotent.  Only the slice
-    a = (0, a2, 0) is supported.  Broadcasts: `a` may stack slice states
-    along trailing axes, shape (3, ...), against arrays of c1 and n, which
-    `slipped_domain_check` validates.
+    sign(a2) * sqrt(max(0, 1 - (n+1) c1^2)).  Idempotent.  Broadcasts over
+    arrays of a2, c1 and n, which `slipped_domain_check` validates.
     """
-    a = _as_blochs(a)
-    if np.any(a[0] != 0.0) or np.any(a[2] != 0.0):
-        raise ValueError("slip_state is defined on the slice a = (0, a2, 0) only")
-    a2 = a[1]
     inside = slipped_domain_check(a2, c1, n).inside
-    boundary = np.copysign(np.sqrt(np.maximum(0.0, 1.0 - (n + 1) * c1 * c1)), a2)
-    a2 = np.where(inside, a2, boundary)
-    return np.array(np.broadcast_arrays(a[0], a2, a[2]))
+    boundary = np.copysign(np.sqrt(np.maximum(0.0, 1.0 - (np.asarray(n) + 1) * c1 * c1)), a2)
+    return np.where(inside, a2, boundary)[()]

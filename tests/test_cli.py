@@ -748,8 +748,7 @@ def test_slippage_grid_matches_row_by_row(tmp_path):
         for a2 in np.linspace(-1.05, 1.05, 31).tolist():
             for c1 in np.linspace(-0.6, 0.6, 7).tolist():
                 verdict = slipped_domain_check(a2, c1, n, tol=1e-9)
-                slipped = slip_state([0.0, a2, 0.0], c1, n)
-                rows.append([n, a2, c1, verdict.inside, verdict.margin, slipped[1]])
+                rows.append([n, a2, c1, verdict.inside, verdict.margin, slip_state(a2, c1, n)])
     assert got == _reference_csv(["n", "a2", "c1", "inside", "margin", "a2_slipped"], rows)
 
 

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 
-from qmaplab.optimize import golden_section_max, nelder_mead_max
+from qmaplab.optimize import golden_section_max
 
 
 def test_golden_section_on_sinusoid():
@@ -64,35 +64,3 @@ def test_golden_section_batch_equals_per_bracket_calls():
         assert (x[k], fx[k]) == expected
         assert golden_section_max(f, lo[k], hi[k]) == expected
 
-
-def test_nelder_mead_concave_quadratic():
-    target = np.array([0.3, -0.5, 0.1, 0.7])
-
-    def f(x):
-        return -float(np.sum((x - target) ** 2))
-
-    x, fx = nelder_mead_max(f, np.zeros(4), xatol=1e-10, fatol=1e-14, max_iter=2000)
-    assert np.abs(x - target).max() < 1e-6
-    assert fx > -1e-12
-
-
-def test_nelder_mead_respects_bounds():
-    # unconstrained optimum at 1.5 sits outside the box
-    def f(x):
-        return -float(np.sum((x - 1.5) ** 2))
-
-    x, fx = nelder_mead_max(f, np.zeros(3), bounds=(-1, 1), xatol=1e-10, fatol=1e-14,
-                            max_iter=2000)
-    assert np.all(x <= 1.0) and np.all(x >= -1.0)
-    assert np.abs(x - 1.0).max() < 1e-6
-
-
-def test_nelder_mead_deterministic():
-    def f(x):
-        return -float(np.sum(x**2)) + float(np.sum(np.sin(3 * x)))
-
-    x0 = np.array([0.2, -0.1])
-    first = nelder_mead_max(f, x0, max_iter=300)
-    second = nelder_mead_max(f, x0, max_iter=300)
-    assert np.array_equal(first[0], second[0])
-    assert first[1] == second[1]

@@ -319,16 +319,22 @@ def test_sup_norm_grid_rejects_non_finite_input(field, bad):
 
 
 def test_compat_slice_check_rejects_negative_tol():
-    # every function that makes a verdict rejects a negative or NaN tol
+    # every function that makes a verdict rejects a negative or NaN tol,
+    # and a NaN a2, which would otherwise read as a silent verdict
     sched = ConjunctionSchedule(t=0.0)
-    verdicts = [lambda tol: compat_slice_check(0.6, 0.8, tol=tol),
-                lambda tol: in_compatibility_domain(0.8, 0.0, [0.0, 0.6, 0.0], tol=tol),
-                lambda tol: slipped_domain_check(0.5, 0.2, 1, tol=tol),
-                lambda tol: conjunct(0.0, 0.0, [0.0, 0.5, 0.0], sched, tol=tol)]
+    verdicts = [lambda a2, tol: compat_slice_check(a2, 0.8, tol=tol),
+                lambda a2, tol: in_compatibility_domain(0.8, 0.0, [0.0, a2, 0.0], tol=tol),
+                lambda a2, tol: slipped_domain_check(a2, 0.2, 1, tol=tol),
+                lambda a2, tol: conjunct(0.0, 0.0, [0.0, a2, 0.0], sched, tol=tol)]
     for verdict in verdicts:
         for tol in (-1e-9, math.nan):
             with pytest.raises(ValueError, match="tol must be >= 0"):
-                verdict(tol)
+                verdict(0.6, tol)
+        with pytest.raises(ValueError, match="margin is NaN|a must be finite"):
+            verdict(math.nan, 0.0)
+    for c1, steps in ((math.inf, (0.2,)), (0.0, (0.2, math.nan))):
+        with pytest.raises(ValueError, match="must be finite"):
+            conjunct(c1, 0.0, [0.0, 0.6, 0.0], ConjunctionSchedule(t=0.1, steps=steps))
     assert compat_slice_check(0.6, 0.8, tol=0.0).inside
     assert slipped_domain_check(0.5, 0.2, 1, tol=0.0).inside
     assert conjunct(0.0, 0.0, [0.0, 0.5, 0.0], sched, tol=0.0).first_unphysical_step is None

@@ -27,14 +27,15 @@ def test_slipped_domain_rejects_small_n():
         slipped_domain_check(0.5, 0.2, 0)
     for bad in (1.5, True, np.array([1.0, 2.0]), "2"):
         for call in (lambda: slipped_domain_check(0.5, 0.2, bad),
-                     lambda: slip_state([0, 0.5, 0], 0.2, bad)):
+                     lambda: slip_state(0.5, 0.2, bad)):
             with pytest.raises(ValueError, match="n must be an integer, got n="):
                 call()
     assert slipped_domain_check(0.0, 1e-12, 2**64).inside  # any Python int
     # integer arrays broadcast, as the slippage command's n grid does
-    n = np.array([[1], [3]])
-    assert slipped_domain_check(0.9, 0.3, n).inside.tolist() == [[True], [False]]
-    assert slip_state([0, 0.9, 0], 0.3, n)[1].tolist() == [[0.9], [math.sqrt(1 - 4 * 0.09)]]
+    # and so do nested lists
+    for n in (np.array([[1], [3]]), [[1], [3]]):
+        assert slipped_domain_check(0.9, 0.3, n).inside.tolist() == [[True], [False]]
+        assert slip_state(0.9, 0.3, n).tolist() == [[0.9], [math.sqrt(1 - 4 * 0.09)]]
 
 
 def test_max_safe_known_cases():
@@ -60,14 +61,12 @@ def test_max_safe_consistent_with_first_unphysical(seed):
 
 
 def test_slip_state_projection_example():
-    out = slip_state([0, 0.9, 0], 0.3, 2)
-    assert abs(out[1] - math.sqrt(0.73)) < 1e-12
-    assert out[0] == out[2] == 0.0
+    assert abs(slip_state(0.9, 0.3, 2) - math.sqrt(0.73)) < 1e-12
 
 
 def test_slip_state_keeps_safe_input():
-    a = np.array([0.0, 0.5, 0.0])
-    assert np.array_equal(slip_state(a, 0.2, 2), a)
+    a2 = np.array([0.5, -0.5, 0.0])
+    assert np.array_equal(slip_state(a2, 0.2, 2), a2)
 
 
 def test_slip_state_idempotent_and_sign_preserving():
@@ -76,29 +75,26 @@ def test_slip_state_idempotent_and_sign_preserving():
         a2 = float(rng.uniform(-1, 1))
         c1 = float(rng.uniform(0, 1))
         n = int(rng.integers(1, 6))
-        once = slip_state([0, a2, 0], c1, n)
+        once = slip_state(a2, c1, n)
         twice = slip_state(once, c1, n)
-        assert np.array_equal(once, twice)
+        assert once == twice
         if (n + 1) * c1 * c1 <= 1.0:
-            assert slipped_domain_check(float(once[1]), c1, n).margin >= -1e-12
+            assert slipped_domain_check(float(once), c1, n).margin >= -1e-12
         else:
             # no a2 is safe once the correlation alone overruns the budget;
             # the projection bottoms out at the depolarized slice
-            assert once[1] == 0.0
-        if once[1] != 0.0:
-            assert math.copysign(1, once[1]) == math.copysign(1, a2)
+            assert once == 0.0
+        if once != 0.0:
+            assert math.copysign(1, once) == math.copysign(1, a2)
 
 
 def test_slip_state_clamps_to_zero():
-    out = slip_state([0, 0.9, 0], 0.8, 2)  # 3 * 0.64 > 1: only a2 = 0 survives
-    assert out[1] == 0.0
+    assert slip_state(0.9, 0.8, 2) == 0.0  # 3 * 0.64 > 1: only a2 = 0 survives
 
 
 def test_slip_state_rejects_off_slice_and_bad_n():
     with pytest.raises(ValueError):
-        slip_state([0.1, 0.5, 0], 0.3, 2)
-    with pytest.raises(ValueError):
-        slip_state([0, 0.5, 0], 0.3, 0)
+        slip_state(0.5, 0.3, 0)
 
 
 def _worst_case_schedule(a2: float, c1: float, n: int) -> ConjunctionSchedule:
