@@ -17,7 +17,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .dynamics import _turn
+from .dynamics import _turn_component
 from .optimize import golden_section_max
 from .pauli import _norms
 from .reduced import ReducedMap, _require_tol
@@ -98,14 +98,19 @@ def sigma2_conjunction(a2, c1, t, s):
     return a2 * np.cos(t) * np.cos(s) + c1 * (np.sin(t) * np.cos(s) + np.sin(s))
 
 
-def _sigma2_legs(a2, c1, durations: Sequence):
-    """Fold the frozen-map update v -> v cos s + c1 sin s over the legs, one
-    `_turn` each (the a2' component of `rotate` on the slice); broadcasts
-    over arrays of a2, c1 and durations."""
-    v = a2
-    for s in durations:
-        v = _turn(0.0, v, c1, 0.0, np.cos(s), np.sin(s))[1]
+def _fold(v, c1, turns: Sequence):
+    """Fold the frozen-map update v -> v cos s + c1 sin s over the legs given
+    as their (cos s, sin s) pairs, one `_turn_component` each (the a2'
+    component of `rotate` on the slice); broadcasts over arrays."""
+    for ct, st in turns:
+        v = _turn_component(v, c1, ct, st)
     return v
+
+
+def _sigma2_legs(a2, c1, durations: Sequence):
+    """`_fold` over the legs of the given durations; broadcasts over arrays
+    of a2, c1 and durations."""
+    return _fold(a2, c1, [(np.cos(s), np.sin(s)) for s in durations])
 
 
 def _greedy_legs(a2: float, c1: float) -> Iterator[tuple[float, float]]:
@@ -226,10 +231,12 @@ def brute_force_max(a2, c1, n: int, grid_points: int = 128, *, reuses=None):
         live = counts >= i
         a, c, own = a2[live], c1[live], legs[:, live]
         head = _sigma2_legs(a, c, own[:i])
-        tail = own[i + 1:]
+        # the fixed legs after leg i: cos and sin once, not per probe
+        tail = [(np.cos(s), np.sin(s)) for s in own[i + 1:]]
         # a point's value is the one from its own last leg, i = reuses
         legs[i, live], best[live] = golden_section_max(
-            lambda x: abs(_sigma2_legs(head, c, [x, *tail])), own[i] - h, own[i] + h)
+            lambda x: abs(_fold(head, c, [(np.cos(x), np.sin(x)), *tail])),
+            own[i] - h, own[i] + h)
     return best.reshape(shape)[()]
 
 

@@ -54,6 +54,13 @@ _OPERATORS = (operator.mul, operator.sub, operator.add)
 _UFUNCS = (np.multiply, np.subtract, np.add)
 
 
+def _turn_component(x, y, ct, st, combine=operator.add, mul=operator.mul, out=(), spare=()):
+    """combine(x ct, y st): one component of `_turn`, by default its second,
+    x ct + y st, and its first with combine = subtract.  `out` and `spare`
+    are empty or one buffer each, for the result and the second product."""
+    return combine(mul(x, ct, *out), mul(y, st, *spare), *out)
+
+
 def _turn(x1, x2, y1, y2, ct, st, out=None):
     """(x1 ct - y2 st, x2 ct + y1 st): a1' and a2' of `rotate` for
     (x, y) = (a, c), and c1' and c2' for (x, y) = (c, a).
@@ -66,8 +73,8 @@ def _turn(x1, x2, y1, y2, ct, st, out=None):
         (mul, sub, add), (o1, o2, spare) = _OPERATORS, ((), (), ())
     else:
         (mul, sub, add), (o1, o2, spare) = _UFUNCS, [(b,) for b in out]
-    return (sub(mul(x1, ct, *o1), mul(y2, st, *spare), *o1),
-            add(mul(x2, ct, *o2), mul(y1, st, *spare), *o2))
+    return (_turn_component(x1, y2, ct, st, sub, mul, o1, spare),
+            _turn_component(x2, y1, ct, st, add, mul, o2, spare))
 
 
 def rotate(a, c1, c2, t):

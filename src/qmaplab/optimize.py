@@ -34,9 +34,11 @@ def golden_section_max(f: Callable, lo, hi):
     h = b - a
     c = a + _INVPHI_SQ * h
     d = a + _INVPHI * h
-    # each probe as its (abscissa, value) pair stacked (2, n), so that one
-    # masked move carries both
-    probe_c, probe_d = np.stack((c, values(c))), np.stack((d, values(d)))
+    # each probe as its (abscissa, value) pair in a (2, n) buffer, so that
+    # one masked move carries both
+    probe_c, probe_d, probe_x = np.empty((3, 2, a.size))
+    probe_c[0], probe_c[1] = c, values(c)
+    probe_d[0], probe_d[1] = d, values(d)
     for _ in range(_GOLDEN_MAX_ITER):
         live = h > GOLDEN_TOL
         if not live.any():
@@ -49,7 +51,7 @@ def golden_section_max(f: Callable, lo, hi):
         np.copyto(b, probe_d[0], where=left)
         h = b - a
         x = a + np.where(left, _INVPHI_SQ, _INVPHI) * h
-        probe_x = np.stack((x, values(x)))
+        probe_x[0], probe_x[1] = x, values(x)
         np.copyto(probe_d, probe_c, where=left)
         np.copyto(probe_c, probe_d, where=right)
         np.copyto(probe_c, probe_x, where=left)

@@ -26,6 +26,7 @@ def slipped_domain_check(a2, c1, n, tol: float = DEFAULT_TOL) -> DomainVerdict:
         raise ValueError(f"n must be an integer, got n={n!r}")
     if np.any(counts < 1):
         raise ValueError(f"n must be >= 1, got {n}")
+    a2, c1 = np.asarray(a2, dtype=float), np.asarray(c1, dtype=float)
     return DomainVerdict.of(1.0 - np.sqrt(a2 * a2 + (counts + 1) * c1 * c1), tol)
 
 
@@ -52,6 +53,7 @@ def slip_state(a2, c1, n):
     sign(a2) * sqrt(max(0, 1 - (n+1) c1^2)).  Idempotent.  Broadcasts over
     arrays of a2, c1 and n, which `slipped_domain_check` validates.
     """
+    a2, c1 = np.asarray(a2, dtype=float), np.asarray(c1, dtype=float)
     inside = slipped_domain_check(a2, c1, n).inside
     boundary = np.copysign(np.sqrt(np.maximum(0.0, 1.0 - (np.asarray(n) + 1) * c1 * c1)), a2)
     return np.where(inside, a2, boundary)[()]

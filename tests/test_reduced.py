@@ -1,13 +1,16 @@
 """Reduced-map application and the positivity/compatibility domain verdicts."""
 from __future__ import annotations
 
+import itertools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from qmaplab.checks import sup_norm_closed_vs_grid
+from qmaplab import reduced
+from qmaplab.checks import sup_norm_closed_vs_grid, validate_suite
+from qmaplab.cli import MAX_MAGNITUDE
 from qmaplab.conjunction import ConjunctionSchedule, conjunct
 from qmaplab.dynamics import rotate
 from qmaplab.feasibility import feasibility_search
@@ -286,6 +289,84 @@ def test_sup_norm_grid_equals_five_component_pass(case):
     else:  # 300 states at 1001 points
         a, (c1, c2), points = rng.uniform(-1, 1, (3, 300)), rng.uniform(-1, 1, (2, 300)), 1001
     _assert_grid_pass_unchanged(c1, c2, a, points)
+
+
+def _adversarial_states(rng, count: int):
+    """`count` seeded states, the first quarter degenerate or extreme:
+    (a, c1, c2) with a of shape (3, count)."""
+    a, (c1, c2) = rng.uniform(-1, 1, (3, count)), rng.uniform(-1, 1, (2, count))
+    # zero, and |a(t)| constant: every grid point ties
+    a[:, 0], c1[0], c2[0] = 0.0, 0.0, 0.0
+    a[:2, 1], c1[1], c2[1] = 0.0, 0.0, 0.0
+    # tiny (squares underflow at 1e-160), near cli.MAX_MAGNITUDE, and at
+    # 9e153, where p^2 + q^2 overflows, so eta is infinite, but no value does
+    for col, scale in ((2, 1e-8), (3, 1e-160), (4, 1e6), (5, MAX_MAGNITUDE)):
+        a[:, col], c1[col], c2[col] = a[:, col] * scale, c1[col] * scale, c2[col] * scale
+    a[:, 6], c1[6], c2[6] = (9e153, 0.0, 0.0), 0.0, -9e153
+    # rigid rotations (c1 = a1, c2 = a2): every value ties up to rounding, so
+    # at 8 points, where t_i + pi is on the grid exactly, only the pad
+    # catches a partner a few ulps above the first half's best
+    c1[7:count // 4], c2[7:count // 4] = a[0, 7:count // 4], a[1, 7:count // 4]
+    return a, c1, c2
+
+
+@pytest.mark.parametrize("points", [1, 2, 3, 8, 4001, 20_000])
+def test_one_period_walk_equals_full_walk_on_adversarial_states(points):
+    # even points put t_i + pi on the grid up to about 1e-15, odd ones h/2 off
+    a, c1, c2 = _adversarial_states(np.random.default_rng(46), 60 if points > 4001 else 400)
+    _assert_grid_pass_unchanged(c1, c2, a, points)
+
+
+def _grid_values(c1, c2, a, points: int) -> np.ndarray:
+    """|a(t)|^2 on the whole grid with the walk's arithmetic, one row per state."""
+    ts = np.linspace(0.0, 2 * math.pi, points, endpoint=False)
+    a1t = a[0][:, None] * np.cos(ts) - c2[:, None] * np.sin(ts)
+    a2t = a[1][:, None] * np.cos(ts) + c1[:, None] * np.sin(ts)
+    return a1t * a1t + a2t * a2t + (a[2] * a[2])[:, None]
+
+
+def test_one_period_walk_takes_a_partner_one_ulp_above_the_first_half():
+    a1, a2, a3, c1, c2 = np.random.default_rng(45).uniform(-1, 1, (5, 200))
+    a = np.stack((a1, a2, a3))
+    values = _grid_values(c1, c2, a, 4000)
+    first, second = values[:, :2000].max(axis=1), values[:, 2000:].max(axis=1)
+    one_ulp = np.flatnonzero(second == np.nextafter(first, np.inf))
+    # the partner beats the walk's best by one ulp: the near-tie check must see it
+    assert one_ulp.size >= 10
+    _assert_grid_pass_unchanged(c1[one_ulp], c2[one_ulp], a[:, one_ulp], 4000)
+
+
+def _spy_partner_batch(monkeypatch) -> list:
+    """Sizes of the `reduced._turn` calls made without buffers: the partner
+    batch first, then the refinement's probes."""
+    sizes, turn = [], reduced._turn
+
+    def spy(*args):
+        if len(args) == 6:
+            sizes.append(np.size(args[4]))
+        return turn(*args)
+
+    monkeypatch.setattr(reduced, "_turn", spy)
+    return sizes
+
+
+def test_partner_batch_stays_small_at_validate_shape(monkeypatch):
+    sizes = _spy_partner_batch(monkeypatch)
+    # validate's draws for seed 3: the unitary cross-check's, then the grid's
+    _, grid = itertools.islice(validate_suite(np.random.default_rng(3), 1e-9), 2)
+    assert grid[0] == "sup_norm_closed_vs_grid" and grid[2] < grid[3]
+    # under 1% of the 500 x 10,000 second-half points: a bound loosened
+    # into a walk of the whole grid fails here
+    assert 0 < sizes[0] < 0.01 * 500 * 10_000
+
+
+def test_partner_batch_visits_every_partner_of_ties_and_infinite_eta(monkeypatch):
+    sizes = _spy_partner_batch(monkeypatch)
+    a, c1, c2 = _adversarial_states(np.random.default_rng(46), 10)
+    for col in (0, 1, 6):  # zero, constant a3^2, infinite eta
+        sizes.clear()
+        sup_norm_grid(c1[col], c2[col], a[:, col], points=4001)
+        assert sizes[0] == 2000  # every t_i + m, i < points // 2
 
 
 def test_sup_norm_grid_buffers_bound_its_memory():

@@ -92,6 +92,22 @@ def test_slip_state_clamps_to_zero():
     assert slip_state(0.9, 0.8, 2) == 0.0  # 3 * 0.64 > 1: only a2 = 0 survives
 
 
+def test_slipped_domain_check_takes_a_list_of_a2():
+    verdict = slipped_domain_check([0.5, 0.6], 0.2, 1)  # 0.25 + 0.08 and 0.36 + 0.08
+    assert verdict.inside.tolist() == [True, True]
+    assert verdict.margin.tolist() == slipped_domain_check(np.array([0.5, 0.6]), 0.2, 1).margin.tolist()
+
+
+def test_slip_state_takes_a_list_of_a2():
+    # 0.25 + 6 * 0.04 stays inside; 0.81 + 6 * 0.04 does not
+    assert slip_state([0.5, 0.9], 0.2, 5).tolist() == [0.5, math.sqrt(1.0 - 6 * 0.2 * 0.2)]
+
+
+def test_slippage_takes_a_list_of_c1():
+    assert slipped_domain_check(0.5, [0.2, 0.9], 1).inside.tolist() == [True, False]
+    assert slip_state(0.5, [0.2, 0.9], 1).tolist() == [0.5, 0.0]  # 2 * 0.81 > 1
+
+
 def test_slip_state_rejects_off_slice_and_bad_n():
     with pytest.raises(ValueError):
         slip_state(0.5, 0.3, 0)
