@@ -19,7 +19,7 @@ import numpy as np
 
 from .dynamics import _turn_component
 from .optimize import golden_section_max
-from .pauli import _norms
+from .pauli import _norms, _require_count
 from .reduced import ReducedMap, _require_tol
 from .tolerances import BOUNDARY_EPS, DEFAULT_TOL, ZERO_CORRELATION_SQ
 
@@ -124,24 +124,13 @@ def _greedy_legs(a2: float, c1: float) -> Iterator[tuple[float, float]]:
         yield step, v
 
 
-def _reuses(n) -> int:
-    """n as a Python int >= 0.  A bool, a float, a str or an array raises
-    ValueError naming n."""
-    count = np.asarray(n)
-    if count.ndim or count.dtype.kind not in "iu":  # a bool's kind is "b"
-        raise ValueError(f"n must be an integer, got n={n!r}")
-    if count < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    return int(count)
-
-
 def greedy_extremal_growth(a2: float, c1: float, n: int) -> tuple[np.ndarray, ConjunctionSchedule]:
     """Worst-case growth under n reuses: per leg, the duration maximizing the
     next magnitude (`_greedy_legs`), so the magnitudes satisfy
     M_k^2 = M_{k-1}^2 + c1^2 and M_n^2 = a2^2 + (n+1) c1^2.  Returns the
     n+1 magnitudes and the maximizing schedule.
     """
-    n = _reuses(n)
+    n = _require_count(n, "n", 0)
     durations, magnitudes = zip(*itertools.islice(_greedy_legs(a2, c1), n + 1))
     return np.array(magnitudes), ConjunctionSchedule(t=durations[0], steps=durations[1:])
 
@@ -205,7 +194,7 @@ def brute_force_max(a2, c1, n: int, grid_points: int = 128, *, reuses=None):
     absolute value drops.  Returns the broadcast shape (a numpy scalar for a
     single point).
     """
-    n = _reuses(n)
+    n = _require_count(n, "n", 0)
     if n > 3:
         raise ValueError("brute_force_max supports n <= 3; use greedy_extremal_growth")
     if grid_points < 64:

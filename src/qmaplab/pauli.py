@@ -59,6 +59,17 @@ def _as_blochs(a) -> np.ndarray:
     return a
 
 
+def _require_count(value, name: str, least: int) -> int:
+    """value as a Python int >= least.  A bool, a float, a str or an array
+    raises ValueError naming it."""
+    count = np.asarray(value)
+    if count.ndim or count.dtype.kind not in "iu":  # a bool's kind is "b"
+        raise ValueError(f"{name} must be an integer, got {name}={value!r}")
+    if count < least:
+        raise ValueError(f"{name} must be >= {least}, got {name}={value!r}")
+    return int(count)
+
+
 def _broadcast(a, c1, c2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Bloch vectors `a` (3, ...) and correlations c1, c2 broadcast to one
     stack shape: (a as (3,) + shape, c1 and c2 as shape), read-only views."""

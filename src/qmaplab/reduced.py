@@ -17,14 +17,21 @@ import numpy as np
 
 from .dynamics import _turn, rotate
 from .optimize import golden_section_max
-from .pauli import _as_bloch, _as_blochs
-from .tolerances import DEFAULT_TOL, PERIOD_PAD
+from .pauli import _as_bloch, _as_blochs, _require_count
+from .tolerances import DEFAULT_TOL, GRID_VALUE_PAD
 
 
 def _require_tol(tol: float) -> None:
     """A boundary tolerance must be >= 0; NaN is rejected too."""
     if not tol >= 0:
         raise ValueError("tol must be >= 0")
+
+
+def _finite_sup(sup):
+    """sup, unless an entry is infinite (an input is, or |a(t)| passes 1.3e154): ValueError."""
+    if np.isinf(sup).any():
+        raise ValueError("the supremum overflows: an input is infinite or |a(t)| passes about 1.3e154")
+    return sup
 
 
 @dataclass(frozen=True)
@@ -81,9 +88,11 @@ def _norm_sq_coeffs(c1, c2, a: np.ndarray) -> tuple:
 def _sup_norm(c1, c2, a) -> tuple:
     """sqrt(A + hypot(B, C)), the supremum of |a(t)|, with hypot(B, C), B
     and C of `_norm_sq_coeffs`."""
-    big_a, big_b, big_c = _norm_sq_coeffs(c1, c2, _as_blochs(a))
-    amp = np.hypot(big_b, big_c)
-    return np.sqrt(np.maximum(big_a + amp, 0.0)), amp, big_b, big_c
+    with np.errstate(over="ignore"):  # `_finite_sup` raises
+        big_a, big_b, big_c = _norm_sq_coeffs(c1, c2, _as_blochs(a))
+        amp = np.hypot(big_b, big_c)
+        sup = np.sqrt(np.maximum(big_a + amp, 0.0))
+    return _finite_sup(sup), amp, big_b, big_c
 
 
 def sup_norm_over_time(c1, c2, a):
@@ -101,79 +110,70 @@ def sup_norm_over_time(c1, c2, a):
     return sup[()], argmax_t[()]
 
 
+# grid points per block of `sup_norm_grid`'s coarse pass, and the most grid
+# values either pass holds at once: 64 kB arrays, which stay in cache
+_BLOCK, _SLICE = 64, 1 << 13
+
+
 def sup_norm_grid(c1, c2, a, points: int = 100_000):
     """Validation path for `sup_norm_over_time`: dense grid over [0, 2 pi)
     plus one golden-section refinement around the first best grid point.
 
     Broadcasts like `sup_norm_over_time`.  cos and sin of the t grid are
-    taken once.  a1(t) and a2(t) change sign under t -> t + pi, so |a(t)|^2
-    has period pi, and the walk covers one period: the first m = points -
-    points // 2 grid points, one state at a time, each a whole row, whose
-    first argmax is the state's best so far.  A point t_i + m of the other
-    half can beat that best only if t_i is within eta of it, eta = L drift
-    + `tolerances.PERIOD_PAD` (p^2 + q^2 + a3^2 + 1): L = 2 (p^2 + q^2)
-    bounds |d|a(t)|^2/dt| (p = |a1| + |c2|, q = |a2| + |c1|), drift is how
-    far the grid's t_{i+m} - t_i is from pi (about 1e-15 for even `points`,
-    h/2 for odd), and the pad covers rounding.  Those near-ties' partners
-    are evaluated in one batch after the walk, with the arithmetic of the
-    walk, so the first maximizer is the one a walk of every point finds.  A
-    state's a1(t), a2(t) and |a(t)|^2 go into three m-long buffers allocated
-    once per call, so the call holds the t grid, its cos and sin and three
-    half rows however many states it takes.  The refinement runs once for
-    the whole batch.  `points` must be >= 1 and every input finite.
+    taken once.  The walk is a coarse-to-fine branch and bound (Shubert,
+    SIAM J. Numer. Anal. 9, 1972): a coarse pass takes every `_BLOCK`-th
+    grid value F_b of f = |a(t)|^2 and bounds block b, the points up to the
+    next one (F_0 again at t = 2 pi), by max(F_b, F_{b+1}) + L H^2 / 8 + 2
+    delta: L = 2 (p^2 + q^2) >= |f''| (p = |a1| + |c2|, q = |a2| + |c1|), H
+    = `_BLOCK` h the block width and delta = `tolerances.GRID_VALUE_PAD` (p^2
+    + q^2 + a3^2 + 1) the rounding of a value and of H.  A fine pass walks
+    the blocks whose bound reaches the state's best F_b, so each state's
+    first argmax is the one a walk of every point finds.  Both round as
+    `_turn` does and hold at most `_SLICE` values (or one state's block
+    starts, if more) however many points tie.  The refinement runs once for
+    the whole batch.  `points` must be an integer >= 1 and every input
+    finite; a supremum past the float range raises ValueError.
     """
-    if points < 1:
-        raise ValueError(f"points must be >= 1, got points={points!r}")
+    points = _require_count(points, "points", 1)
     a1, a2, a3, c1, c2 = np.broadcast_arrays(*_as_blochs(a), c1, c2)
-    shape = a1.shape
     a, c1, c2 = np.stack((a1.ravel(), a2.ravel(), a3.ravel())), c1.ravel(), c2.ravel()
     for name, v in (("a", a), ("c1", c1), ("c2", c2)):
-        bad = v[~np.isfinite(v)]
-        if bad.size:
-            raise ValueError(f"{name} must be finite, got {name}={bad[0].item()!r}")
+        if not np.isfinite(v).all():
+            raise ValueError(f"{name} must be finite, got {name}={v[~np.isfinite(v)][0].item()!r}")
     ts = np.linspace(0.0, 2 * math.pi, points, endpoint=False)
-    h = 2 * math.pi / points
-    cos_t, sin_t = np.cos(ts), np.sin(ts)
-    m, pairs = points - points // 2, points // 2  # t_i and t_{i+m} for i < pairs
-    drift = np.max(np.abs(ts[m:] - ts[:pairs] - math.pi), initial=0.0)
-    a3_sq = a[2] * a[2]
-    with np.errstate(over="ignore"):  # an infinite eta visits every partner
+    h, blocks = 2 * math.pi / points, -(-points // _BLOCK)
+    # a row per block; the last point's copies pad the last one and never win a first argmax
+    cos_t, sin_t = (f(np.pad(ts, (0, blocks * _BLOCK - points), mode="edge")).reshape(blocks, -1)
+                    for f in (np.cos, np.sin))
+    cos_s, sin_s = (np.append(v[:, 0], v[0, 0]) for v in (cos_t, sin_t))  # starts, t = 2 pi
+    k, step, rows = np.empty(c1.size, dtype=int), max(1, _SLICE // (blocks + 1)), _SLICE // _BLOCK
+    with np.errstate(over="ignore"):  # an infinite L keeps every block; `_finite_sup` raises
+        a3_sq, width = a[2] * a[2], _BLOCK * h
+
+        def norm_sq(i, ct, st):
+            a1t, a2t = _turn(a[0, i], a[1, i], c1[i], c2[i], ct, st)
+            return a1t * a1t + a2t * a2t + a3_sq[i]
+
         pq_sq = np.square(np.abs(a[0]) + np.abs(c2)) + np.square(np.abs(a[1]) + np.abs(c1))
-        # L drift + pad (p^2 + q^2 + a3^2 + 1) with L factored out, so that
-        # an infinite L meets no zero drift
-        eta = (2 * drift + PERIOD_PAD) * pq_sq + PERIOD_PAD * (a3_sq + 1.0)
-    k = np.empty(c1.size, dtype=int)
-    best = np.empty(c1.size)
-    near = [np.empty(0, dtype=int)]  # partners as state * points + j; empty for no states
-    out = [np.empty(m) for _ in range(3)]
-    cos_m, sin_m = cos_t[:m], sin_t[:m]
-    for i in range(c1.size):
-        a1t, a2t = _turn(a[0, i], a[1, i], c1[i], c2[i], cos_m, sin_m, out)
-        # a1t^2 + a2t^2 + a3^2, summed in that order, into a1t's buffer
-        norm_sq = np.add(np.add(np.multiply(a1t, a1t, out=a1t), np.multiply(a2t, a2t, out=a2t),
-                                out=a1t), a3_sq[i], out=a1t)
-        k[i] = top = norm_sq.argmax()
-        best[i] = norm_sq[top]
-        near.append((norm_sq[:pairs] >= best[i] - eta[i]).nonzero()[0] + (i * points + m))
-    # the partners of the near-ties, every state at once
-    state, j = np.divmod(np.concatenate(near), points)
-    a1t, a2t = _turn(a[0, state], a[1, state], c1[state], c2[state], cos_t[j], sin_t[j])
-    f = a1t * a1t + a2t * a2t + a3_sq[state]
-    # a partner moves the maximizer only if strictly larger (a tie keeps the
-    # earlier index): the largest such value, the first j among equals
-    beat = f > best[state]
-    state, j, f = state[beat], j[beat], f[beat]
-    order = np.lexsort((j, -f, state))
-    _, first = np.unique(state[order], return_index=True)
-    k[state[order][first]] = j[order][first]
-
-    def norm_sq_at(t: np.ndarray) -> np.ndarray:
-        a1t, a2t = _turn(a[0], a[1], c1, c2, np.cos(t), np.sin(t))
-        return a1t * a1t + a2t * a2t + a3_sq
-
-    t_best, f_best = golden_section_max(norm_sq_at, ts[k] - h, ts[k] + h)
-    sup = np.sqrt(np.maximum(f_best, 0.0)).reshape(shape)
-    return sup[()], (t_best % (2 * math.pi)).reshape(shape)[()]
+        # L H^2 / 8 + 2 delta
+        slack = pq_sq * (width * width / 4 + 2 * GRID_VALUE_PAD) + 2 * GRID_VALUE_PAD * (a3_sq + 1)
+        for lo in range(0, c1.size, step):
+            coarse = norm_sq(np.arange(lo, min(lo + step, c1.size))[:, None], cos_s, sin_s)
+            bound = np.maximum(coarse[:, :-1], coarse[:, 1:]) + slack[lo:lo + step, None]
+            # (state, block) in index order, with at least one block a state
+            state, block = (bound >= coarse.max(axis=1)[:, None]).nonzero()
+            best, at = np.empty(state.size), block * _BLOCK
+            for s in (slice(r, r + rows) for r in range(0, state.size, rows)):
+                fine = norm_sq(lo + state[s, None], cos_t[block[s]], sin_t[block[s]])
+                best[s], at[s] = fine.max(axis=1), at[s] + fine.argmax(axis=1)
+            # each state's first point holding its largest value
+            first = np.flatnonzero(np.diff(state, prepend=-1))
+            top = np.maximum.reduceat(best, first)[state]
+            k[lo:lo + step] = np.minimum.reduceat(np.where(best == top, at, points), first)
+        t_best, f_best = golden_section_max(lambda t: norm_sq(slice(None), np.cos(t), np.sin(t)),
+                                            ts[k] - h, ts[k] + h)
+    sup = _finite_sup(np.sqrt(np.maximum(f_best, 0.0))).reshape(a1.shape)
+    return sup[()], (t_best % (2 * math.pi)).reshape(a1.shape)[()]
 
 
 def in_compatibility_domain(c1, c2, a, tol: float = DEFAULT_TOL) -> DomainVerdict:

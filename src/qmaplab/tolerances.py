@@ -15,16 +15,19 @@ BOUNDARY_EPS = 1e-12
 ZERO_CORRELATION_SQ = 1e-300
 # `golden_section_max` stops a bracket once it is no wider than this
 GOLDEN_TOL = 1e-12
-# `sup_norm_grid` skips the grid point t + pi when |a(t)|^2 sits below the
-# first half's maximum by more than L drift + this (p^2 + q^2 + a3^2 + 1),
-# p = |a1| + |c2|, q = |a2| + |c1|.  A grid value a1(t)^2 + a2(t)^2 + a3^2
-# is within 12u (p^2 + q^2 + a3^2) of its exact value, u = 2^-53: cos, sin,
-# two products and a difference put 4u p into a1(t), the square doubles it,
-# and the square and the two sums add 3u.  Two such values, the rounding of
-# the measured drift (under 7e-16 rad, times L) and of max - eta come to
-# under 5e-15 per unit; the + 1 covers underflow's absolute error, below
-# 1e-322.  So 1e-12 leaves 200x headroom.
-PERIOD_PAD = 1e-12
+# `sup_norm_grid`: rounding slack of one grid value in a block's bound, per
+# unit of p^2 + q^2 + a3^2 + 1, p = |a1| + |c2|, q = |a2| + |c1|.  A grid
+# value a1(t)^2 + a2(t)^2 + a3^2 is within 12u (p^2 + q^2 + a3^2) of its
+# exact value, u = 2^-53: cos, sin, two products and a difference put 4u p
+# into a1(t), the square doubles it, and the square and the two sums add
+# 3u.  The bound takes two such errors, its end value's and its point's.
+# With two or more blocks H = 64 h < 6.3: the bound is under 12 (p^2 + q^2
+# + a3^2) + 2 delta and rounds by under 1.2e-14 per unit, and linspace puts
+# the block ends within 5e-15 rad of H apart, which moves L H^2 / 8 by
+# under 1.6e-14 per unit (a single block is never below the best start).
+# That is under 4e-14 per unit; the + 1 covers underflow's absolute error,
+# below 1e-322.  So 1e-12, twice in the bound, leaves 50x headroom.
+GRID_VALUE_PAD = 1e-12
 # width of the boundary strip excluded from oracle agreement verdicts
 BOUNDARY_BAND = 1e-3
 # `certified`: how far an inside witness's minimum eigenvalue may dip below 0

@@ -3,10 +3,14 @@ from __future__ import annotations
 
 import itertools
 import math
+import tempfile
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from qmaplab import reduced
 from qmaplab.checks import sup_norm_closed_vs_grid, validate_suite
@@ -299,20 +303,19 @@ def _adversarial_states(rng, count: int):
     a[:, 0], c1[0], c2[0] = 0.0, 0.0, 0.0
     a[:2, 1], c1[1], c2[1] = 0.0, 0.0, 0.0
     # tiny (squares underflow at 1e-160), near cli.MAX_MAGNITUDE, and at
-    # 9e153, where p^2 + q^2 overflows, so eta is infinite, but no value does
+    # 9e153, where p^2 + q^2 overflows, so the curvature bound L is infinite
+    # and every block is walked, but no value does
     for col, scale in ((2, 1e-8), (3, 1e-160), (4, 1e6), (5, MAX_MAGNITUDE)):
         a[:, col], c1[col], c2[col] = a[:, col] * scale, c1[col] * scale, c2[col] * scale
     a[:, 6], c1[6], c2[6] = (9e153, 0.0, 0.0), 0.0, -9e153
-    # rigid rotations (c1 = a1, c2 = a2): every value ties up to rounding, so
-    # at 8 points, where t_i + pi is on the grid exactly, only the pad
-    # catches a partner a few ulps above the first half's best
+    # rigid rotations (c1 = a1, c2 = a2): every value ties up to rounding
     c1[7:count // 4], c2[7:count // 4] = a[0, 7:count // 4], a[1, 7:count // 4]
     return a, c1, c2
 
 
 @pytest.mark.parametrize("points", [1, 2, 3, 8, 4001, 20_000])
 def test_one_period_walk_equals_full_walk_on_adversarial_states(points):
-    # even points put t_i + pi on the grid up to about 1e-15, odd ones h/2 off
+    # one block up to 64 points, a partial last block at 4001 and 20,000
     a, c1, c2 = _adversarial_states(np.random.default_rng(46), 60 if points > 4001 else 400)
     _assert_grid_pass_unchanged(c1, c2, a, points)
 
@@ -331,63 +334,123 @@ def test_one_period_walk_takes_a_partner_one_ulp_above_the_first_half():
     values = _grid_values(c1, c2, a, 4000)
     first, second = values[:, :2000].max(axis=1), values[:, 2000:].max(axis=1)
     one_ulp = np.flatnonzero(second == np.nextafter(first, np.inf))
-    # the partner beats the walk's best by one ulp: the near-tie check must see it
+    # the second half's best beats the first's by one ulp
     assert one_ulp.size >= 10
     _assert_grid_pass_unchanged(c1[one_ulp], c2[one_ulp], a[:, one_ulp], 4000)
 
 
-def _spy_partner_batch(monkeypatch) -> list:
-    """Sizes of the `reduced._turn` calls made without buffers: the partner
-    batch first, then the refinement's probes."""
+def test_coarse_to_fine_keeps_a_block_whose_values_round_up_one_ulp():
+    # |a(t)|^2 = 1 + g(t), g peaking just above u = 2^-53 twice a period, so
+    # only values near a peak round up to 1 + 2u.  Where the first peak falls
+    # between two block starts and the second covers one, only the rounding
+    # pad in the bound keeps the first peak's block
+    rng = np.random.default_rng(47)
+    phi = rng.uniform(0, 2 * math.pi, 200)
+    r = np.sqrt(2.0**-53 * (1 + rng.uniform(0, 1e-4, 200)))
+    a = np.stack((r * np.cos(phi), np.zeros(200), np.ones(200)))
+    for points in (4001, 20_000):
+        _assert_grid_pass_unchanged(0.0, r * np.sin(phi), a, points)
+
+
+def _spy_grid_values(monkeypatch) -> list:
+    """Sizes of the coarse and fine passes' `reduced._turn` calls, whose
+    states come as a column; the refinement's come as a row."""
     sizes, turn = [], reduced._turn
 
     def spy(*args):
-        if len(args) == 6:
-            sizes.append(np.size(args[4]))
+        if np.ndim(args[0]) == 2:
+            sizes.append(np.broadcast(*args).size)
         return turn(*args)
 
     monkeypatch.setattr(reduced, "_turn", spy)
     return sizes
 
 
-def test_partner_batch_stays_small_at_validate_shape(monkeypatch):
-    sizes = _spy_partner_batch(monkeypatch)
+def test_coarse_and_fine_passes_evaluate_under_5_percent_at_validate_shape(monkeypatch):
+    sizes = _spy_grid_values(monkeypatch)
     # validate's draws for seed 3: the unitary cross-check's, then the grid's
     _, grid = itertools.islice(validate_suite(np.random.default_rng(3), 1e-9), 2)
     assert grid[0] == "sup_norm_closed_vs_grid" and grid[2] < grid[3]
-    # under 1% of the 500 x 10,000 second-half points: a bound loosened
-    # into a walk of the whole grid fails here
-    assert 0 < sizes[0] < 0.01 * 500 * 10_000
+    # under 5% of the 500 x 20,000 grid values: a bound loosened into a
+    # walk of every block fails here
+    assert 0 < sum(sizes) < 0.05 * 500 * 20_000
 
 
-def test_partner_batch_visits_every_partner_of_ties_and_infinite_eta(monkeypatch):
-    sizes = _spy_partner_batch(monkeypatch)
+def test_coarse_to_fine_walks_every_point_of_ties_and_infinite_bound(monkeypatch):
+    sizes = _spy_grid_values(monkeypatch)
     a, c1, c2 = _adversarial_states(np.random.default_rng(46), 10)
-    for col in (0, 1, 6):  # zero, constant a3^2, infinite eta
+    for col in (0, 1, 6):  # zero, constant a3^2, infinite L
         sizes.clear()
         sup_norm_grid(c1[col], c2[col], a[:, col], points=4001)
-        assert sizes[0] == 2000  # every t_i + m, i < points // 2
+        # the 63 block starts and t = 2 pi, then every point of the 63 blocks
+        assert sizes == [64, 63 * 64]
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(st.integers(1, 5000), st.integers(1, 9), st.floats(-160, 150), st.booleans(),
+       st.integers(0, 2**32 - 1))
+def _grid_pass_equals_reference(points, count, log_scale, rigid, seed):
+    rng, scale = np.random.default_rng(seed), 10.0**log_scale
+    a, (c1, c2) = rng.uniform(-1, 1, (3, count)) * scale, rng.uniform(-1, 1, (2, count)) * scale
+    if rigid:  # c1 = a1, c2 = a2: every value ties up to rounding
+        c1, c2 = a[0], a[1]
+    _assert_grid_pass_unchanged(c1, c2, a, points)
+
+
+def test_sup_norm_grid_equals_reference_on_drawn_batches():
+    # Hypothesis caches the constants it mines from source files under its
+    # home directory, ./.hypothesis by default: keep that out of the checkout
+    with tempfile.TemporaryDirectory() as home:
+        set_hypothesis_home_dir(home)
+        try:
+            _grid_pass_equals_reference()
+        finally:
+            set_hypothesis_home_dir(None)
 
 
 def test_sup_norm_grid_buffers_bound_its_memory():
     a1, a2, a3, c1, c2 = np.random.default_rng(8).uniform(-1, 1, (500, 5)).T
     a = np.stack((a1, a2, a3))
-    tracemalloc.start()
-    try:
-        sup_norm_grid(c1, c2, a, points=20_000)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # two 160 kB cos/sin rows and three 160 kB row buffers (1.09 MB);
-    # t chunks against every state peaked at 3.5 MB, five fresh components
-    # per chunk at 9.8 MB
-    assert peak < 2e6
+    # random states, then rigid rotations (c1 = a1, c2 = a2), where every
+    # block may hold the maximum and the fine pass walks the whole grid
+    for c1, c2 in ((c1, c2), (a1, a2)):
+        tracemalloc.start()
+        try:
+            sup_norm_grid(c1, c2, a, points=20_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the t grid with its cos and sin (480 kB) and a few 64 kB slices
+        assert peak < 2e6
 
 
 @pytest.mark.parametrize("points", [0, -3])
 def test_sup_norm_grid_rejects_empty_grid(points):
     with pytest.raises(ValueError, match=f"points must be >= 1, got points={points}"):
         sup_norm_grid(0.1, 0.2, [0.3, 0.4, 0.5], points=points)
+
+
+@pytest.mark.parametrize("points", [True, 2e4, "10", np.array([10])])
+def test_sup_norm_grid_rejects_non_integer_points(points):
+    with pytest.raises(ValueError, match="points must be an integer, got points="):
+        sup_norm_grid(0.1, 0.2, [0.3, 0.4, 0.5], points=points)
+    # a numpy integer is an integer
+    assert sup_norm_grid(0.1, 0.2, [0.3, 0.4, 0.5], points=np.int64(10)) == sup_norm_grid(
+        0.1, 0.2, [0.3, 0.4, 0.5], points=10)
+
+
+def test_supremum_past_the_float_range_raises():
+    # squares overflow above about 1.3e154, in a, c1 or c2
+    for c1, a in ((0.0, [2e154, 0.0, 0.0]), (0.0, [0.0, 0.0, -3e154]), (2e154, [0.0, 0.0, 0.0])):
+        for call in (sup_norm_over_time, in_compatibility_domain,
+                     lambda c1, c2, a: sup_norm_grid(c1, c2, a, points=10)):
+            with pytest.raises(ValueError, match="the supremum overflows"):
+                call(c1, 0.0, a)
+    # 9e153 does not; cli.MAX_MAGNITUDE is among the adversarial states
+    big = [9e153, 0.0, 0.0]
+    assert sup_norm_over_time(0.0, 0.0, big)[0] == pytest.approx(9e153, rel=1e-15)
+    assert sup_norm_grid(0.0, 0.0, big, points=10)[0] == pytest.approx(9e153, rel=1e-15)
+    assert in_compatibility_domain(0.0, 0.0, big).margin == pytest.approx(-9e153, rel=1e-15)
 
 
 @pytest.mark.parametrize("field,bad", [("a", math.nan), ("c1", math.inf), ("c2", -math.inf)])
