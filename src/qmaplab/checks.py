@@ -8,12 +8,13 @@ metric, value, bound) and passes when value < bound; a count passes at
 `COUNT_BOUND` (1), i.e. when it is zero.
 
 Every check is an array program: the unitary cross-check is one
-`crosscheck` call over all its states, the growth check one
-`brute_force_max` call over every number of reuses, the feasibility oracle one
-`feasibility_search` call over the whole grid (per chunk of a `domain-map`),
-and `certified` audits all of its answers as one batch (a stacked eigvalsh
-of the witnesses and of the dual certificates over the whole stack), so
-`validate` makes one oracle call and `domain-map` one per chunk.
+`crosscheck` call over all its states, the growth check one closed-form
+greedy call and one `brute_force_max` call over every number of reuses, the
+feasibility oracle one `feasibility_search` call over the whole grid (per
+chunk of a `domain-map`), and `certified` audits all of its answers as one
+batch (a stacked eigvalsh of the witnesses and of the dual certificates over
+the whole stack), so `validate` makes one oracle call and `domain-map` one
+per chunk.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ import math
 
 import numpy as np
 
-from .conjunction import brute_force_max, greedy_extremal_growth
+from .conjunction import _greedy_rows, brute_force_max
 from .dynamics import crosscheck
 from .feasibility import dual_certificate, feasibility_search
 from .pauli import _BASIS, TwoQubitState, _broadcast, density_from_params
@@ -135,12 +136,10 @@ def greedy_vs_brute_force(pairs, grid_points: int):
     """Greedy growth vs brute-force grid maximization; pairs[n] are the
     (a2, c1) pairs tried with n reuses, one `brute_force_max` call for all."""
     pairs = np.asarray(pairs, dtype=float)
-    a2, c1 = pairs[..., 0], pairs[..., 1]
-    greedy = [greedy_extremal_growth(a, c, n)[0][-1]
-              for n, draws in enumerate(pairs.tolist()) for a, c in draws]
-    brute = brute_force_max(a2, c1, len(pairs) - 1, grid_points,
-                            reuses=np.arange(len(pairs))[:, None])
-    errors = np.abs(np.array(greedy) - brute.ravel()).tolist()
+    a2, c1, reuses = pairs[..., 0], pairs[..., 1], np.arange(len(pairs))[:, None]
+    greedy = _greedy_rows(a2, c1, reuses)[1]
+    brute = brute_force_max(a2, c1, len(pairs) - 1, grid_points, reuses=reuses)
+    errors = np.abs(greedy - brute).ravel().tolist()
     return "greedy_vs_brute_force", "max_abs_err", _worst(errors), GREEDY_BOUND
 
 

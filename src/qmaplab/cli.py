@@ -44,7 +44,7 @@ import numpy as np
 from . import checks
 from .conjunction import (
     ConjunctionSchedule,
-    _greedy_legs,
+    _greedy_rows,
     conjunct,
     first_unphysical_n,
     sigma2_conjunction,
@@ -595,16 +595,9 @@ def _run_hazard(sc: Scenario, tol: float, seed: int) -> tuple[list, Body, Callab
 
 def _run_growth(sc: Scenario, tol: float, seed: int) -> tuple[list, Body, Callable]:
     a2, c1 = float(sc.a[1]), sc.c1
-    # the next row and the greedy legs from it on; an earlier row replays
-    # from row 0, as the forked child does up to its first row
-    row, legs = 0, _greedy_legs(a2, c1)
 
     def chunk(lo: int, hi: int) -> tuple[tuple, float]:
-        nonlocal row, legs
-        if lo < row:
-            row, legs = 0, _greedy_legs(a2, c1)
-        durations, magnitudes = map(np.array, zip(*itertools.islice(legs, lo - row, hi - row)))
-        row = hi
+        durations, magnitudes = _greedy_rows(a2, c1, np.arange(lo, hi))
         rows = (list(map(repr, range(lo, hi))), durations, magnitudes, magnitudes > 1.0 + tol)
         return rows, float(magnitudes[-1])  # a range's partial: its last magnitude
 

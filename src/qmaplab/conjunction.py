@@ -6,14 +6,15 @@ A conjunction applies the reduced map fixed by the time-0 correlations
 legs s_1 ... s_n.  The exact dynamics would update the correlations between
 legs; the conjunction deliberately does not, and the output Bloch vector can
 leave the unit ball.  Nothing here raises on unphysical intermediate values:
-hazards are reported, not rejected.
+hazards are reported, not rejected.  A leg on the slice a = (0, a2, 0),
+c2 = 0 is written once, as `_fold`, and the greedy worst case once, as the
+closed form `_greedy_rows`.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -90,14 +91,6 @@ def conjunct(
     )
 
 
-def sigma2_conjunction(a2, c1, t, s):
-    """Second Bloch component after one reuse on the slice a = (0, a2, 0),
-    c2 = 0:  a2 cos t cos s + c1 (sin t cos s + sin s).  Two legs of `rotate`
-    with c1 frozen, multiplied out; this order rounds differently from the
-    fold and is the one the hazard outputs carry.  Broadcasts over arrays."""
-    return a2 * np.cos(t) * np.cos(s) + c1 * (np.sin(t) * np.cos(s) + np.sin(s))
-
-
 def _fold(v, c1, turns: Sequence):
     """Fold the frozen-map update v -> v cos s + c1 sin s over the legs given
     as their (cos s, sin s) pairs, one `_turn_component` each (the a2'
@@ -113,26 +106,36 @@ def _sigma2_legs(a2, c1, durations: Sequence):
     return _fold(a2, c1, [(np.cos(s), np.sin(s)) for s in durations])
 
 
-def _greedy_legs(a2: float, c1: float) -> Iterator[tuple[float, float]]:
-    """The greedy schedule leg by leg, without end: (duration, magnitude
-    after the leg).  The running value v obeys v' = v cos s + c1 sin s,
-    maximized at s = atan2(c1, v), folded into [0, 2 pi) (the map is
-    2 pi-periodic per leg), with value hypot(v, c1)."""
-    v = float(a2)
-    while True:
-        step, v = math.atan2(c1, v) % _TWO_PI, math.hypot(v, c1)
-        yield step, v
+def sigma2_conjunction(a2, c1, t, s):
+    """Second Bloch component after one reuse on the slice a = (0, a2, 0),
+    c2 = 0: the frozen-map fold over the legs (t, s), so the hazard outputs
+    carry the bits of `conjunct` and the brute-force oracle.  Broadcasts
+    over arrays."""
+    return _sigma2_legs(a2, c1, (t, s))
+
+
+def _greedy_rows(a2, c1, k):
+    """(durations, magnitudes) of greedy legs k: v' = v cos s + c1 sin s
+    peaks at s = atan2(c1, v) % 2 pi with value hypot(v, c1), so leg k has
+    M_k = sqrt(a2^2 + (k+1) c1^2) after atan2(c1, M_{k-1}), M_{-1} = a2
+    signed.  Scaled by 2^-e, e the exponent of max(|a2|, |c1|), and back:
+    powers of two round exactly, so these are the unscaled expression's bits
+    wherever it does not underflow or overflow.  Broadcasts over arrays."""
+    e = np.frexp(np.maximum(abs(a2), abs(c1)))[1]
+    a, c = np.ldexp(a2, -e), np.ldexp(c1, -e)
+    previous, magnitudes = (np.ldexp(np.sqrt(a * a + legs * (c * c)), e) for legs in (k, k + 1))
+    return np.arctan2(c1, np.where(k == 0, a2, previous)) % _TWO_PI, magnitudes
 
 
 def greedy_extremal_growth(a2: float, c1: float, n: int) -> tuple[np.ndarray, ConjunctionSchedule]:
     """Worst-case growth under n reuses: per leg, the duration maximizing the
-    next magnitude (`_greedy_legs`), so the magnitudes satisfy
-    M_k^2 = M_{k-1}^2 + c1^2 and M_n^2 = a2^2 + (n+1) c1^2.  Returns the
+    next magnitude, so the magnitudes satisfy M_k^2 = M_{k-1}^2 + c1^2 and
+    M_n^2 = a2^2 + (n+1) c1^2 (`_greedy_rows` for legs 0..n).  Returns the
     n+1 magnitudes and the maximizing schedule.
     """
     n = _require_count(n, "n", 0)
-    durations, magnitudes = zip(*itertools.islice(_greedy_legs(a2, c1), n + 1))
-    return np.array(magnitudes), ConjunctionSchedule(t=durations[0], steps=durations[1:])
+    durations, magnitudes = _greedy_rows(a2, c1, np.arange(n + 1))
+    return magnitudes, ConjunctionSchedule(t=durations[0], steps=durations[1:])
 
 
 def _require_finite(a2: float, c1: float) -> None:

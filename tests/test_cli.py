@@ -568,12 +568,12 @@ BUNDLED_DIGESTS = {
         "summary.json": "1cfd19ae2a1e591c9f55654c5bffa3cee73a96675f430e0a5f24407050069459",
     },
     "growth.json": {
-        "growth.csv": "8b15e18f400e8e7eed1cb4ae48844414c19d76b9d47c6e070dc33b72c537c98c",
+        "growth.csv": "395770e4d41515c6b1e851967fdbcf0aa9f36f61de12e2af5de67ddf11b0dec9",
         "summary.json": "9f6df0b5c60f89c1045fa6b22a12aa7b97cdd129e28cdb8d63ca644bbe6ed544",
     },
     "hazard.json": {
-        "hazard.csv": "3a08f85d278370a2c98e07c21c6da0960c6a8b8a21b81420a6b062b37c467402",
-        "summary.json": "a8c5260fd872226cd9e36dad210a751279c2c13ab29bb3a75e6412d5d8e31ac5",
+        "hazard.csv": "88371d00c0e5e95355360e2369b887fb017f0311f27f806739ce23da13ca5dff",
+        "summary.json": "345b7591158699f31036b7c8680a36c0a71d41286fce35fa0509af33da162ec2",
     },
     "slippage.json": {
         "slippage.csv": "e663d60e3fcbe007493d24aea332092817dcddd7bfbe5a8955ff104525f52cdf",
@@ -603,7 +603,7 @@ VALIDATE_SEED_DIGESTS = {
         "e091b93fc6e70b3a320311fb068f09192d40414dea109596ab74212780a521f3"),
     2: ("17538ebbb38b877d94dde0468cb38463196d73f194de154a6b2039ff69c57e19",
         "56ed0bea74fbd2a6b2641af22e569b7ab6f8cecb92d244d3d741097a9d7871ca"),
-    3: ("fcb2542ea8ed3ef92ad622c73c4ee43e1a36019795a0dc7eebf5a6eabef8a8ba",
+    3: ("6ba60436ec25a6e86da42988ec62426ade0ba270863af0e7ab5da1efc2c8c1e4",
         "08a9c3168b7b74bbeb732c5ad323c22ebf48a80a28cda3a5732da37829beb3e9"),
 }
 
@@ -1025,8 +1025,7 @@ _GRID_PAYLOADS = {
     "slippage": {"command": "slippage", "n": 3, "grid": [
         {"axis": "a2", "start": -1.05, "stop": 1.05, "count": 11},
         {"axis": "c1", "start": -0.6, "stop": 0.6, "count": 3}]},
-    # the recurrence runs on across chunks; the forked child replays the rows
-    # before its first
+    # each chunk, the forked child's included, is the closed form of its rows
     "growth": {"command": "growth", "state": {"a": [0, 0.6, 0], "c1": 0.2}, "n": 40},
 }
 
@@ -1133,7 +1132,7 @@ def test_memory_stays_bounded_as_the_grid_grows(tmp_path, monkeypatch):
 
 def test_growth_memory_stays_bounded_as_n_grows(tmp_path, monkeypatch):
     """Peak traced memory of a one-process growth run at n = 20k and at
-    200k: the recurrence streams one chunk of rows at a time, so the two
+    200k: the closed form streams one chunk of rows at a time, so the two
     peaks stay within 1 MB."""
     peaks = _traced_peaks(tmp_path, monkeypatch, [
         {"command": "growth", "state": {"a": [0, 0.6, 0], "c1": 0.2}, "n": n}
@@ -1142,8 +1141,8 @@ def test_growth_memory_stays_bounded_as_n_grows(tmp_path, monkeypatch):
 
 
 def test_growth_chunks_out_of_row_order_give_the_same_rows(tmp_path):
-    """The growth body runs the greedy recurrence on from its last row; a
-    chunk before it replays from row 0, so any order gives the same rows,
+    """Each growth chunk is the closed form of its own rows and keeps no
+    state, so any order, and the same chunk again, gives the same rows,
     those of `greedy_extremal_growth`."""
     sc = load_scenario(write_scenario(tmp_path, _GRID_PAYLOADS["growth"]))
     ranges = [(0, 7), (7, 14), (14, 30), (30, 41)]

@@ -2,7 +2,10 @@
 from __future__ import annotations
 
 import itertools
+import json
 import math
+import os
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ import pytest
 from qmaplab import checks
 from qmaplab.conjunction import (
     ConjunctionSchedule,
+    _greedy_rows,
     _grid_argmax,
     _sigma2_legs,
     brute_force_max,
@@ -151,6 +155,82 @@ def test_greedy_schedule_actually_attains_magnitudes():
         mags, sched = greedy_extremal_growth(a2, c1, 4)
         report = conjunct(c1, 0.0, [0, a2, 0], sched)
         assert np.abs(report.magnitudes - mags).max() < 1e-12
+
+
+def _greedy_legs(a2: float, c1: float):
+    """Reference for `_greedy_rows`: the greedy recurrence leg by leg,
+    without end, as (duration, magnitude after the leg).  The running value
+    v goes to hypot(v, c1) at the duration atan2(c1, v), folded into
+    [0, 2 pi); its rounding error grows with the number of legs."""
+    v = float(a2)
+    while True:
+        step, v = math.atan2(c1, v) % (2 * math.pi), math.hypot(v, c1)
+        yield step, v
+
+
+def _recurrence(a2: float, c1: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Durations and magnitudes of legs 0..n by `_greedy_legs`."""
+    return tuple(map(np.array, zip(*itertools.islice(_greedy_legs(a2, c1), n + 1))))
+
+
+def _ulps(got, want) -> np.ndarray:
+    return np.abs(got - want) / np.spacing(np.maximum(np.abs(got), np.abs(want)))
+
+
+def test_closed_form_growth_within_a_few_ulps_of_the_recurrence():
+    rng = np.random.default_rng(47)
+    for a2, c1 in rng.uniform(-1, 1, (100, 2)).tolist():
+        n = int(rng.integers(0, 65))
+        magnitudes, sched = greedy_extremal_growth(a2, c1, n)
+        durations, reference = _recurrence(a2, c1, n)
+        assert _ulps(magnitudes, reference).max() <= 8
+        assert _ulps(np.array(sched.durations), durations).max() <= 8
+
+
+def test_closed_form_has_the_bits_of_the_unscaled_expression():
+    """Scaling by a power of two rounds exactly: on the bundled growth state
+    and on seeded draws whose squares stay normal, the closed form is the
+    plain expression bit for bit."""
+    with open(os.path.join(os.path.dirname(__file__), "..", "scenarios", "growth.json")) as fh:
+        sc = json.load(fh)
+    rng = np.random.default_rng(48)
+    draws = rng.uniform(-1, 1, (200, 2)) * 10.0 ** rng.integers(-50, 51, (200, 2))
+    for a2, c1, n in [(sc["state"]["a"][1], sc["state"]["c1"], sc["n"]),
+                      *((a2, c1, 64) for a2, c1 in draws.tolist())]:
+        k = np.arange(n + 1)
+        plain = np.sqrt(a2 * a2 + (k + 1) * (c1 * c1))
+        durations = np.arctan2(c1, np.concatenate(([a2], plain[:-1]))) % (2 * math.pi)
+        magnitudes, sched = greedy_extremal_growth(a2, c1, n)
+        assert magnitudes.tobytes() == plain.tobytes()
+        assert np.array(sched.durations).tobytes() == durations.tobytes()
+
+
+@pytest.mark.parametrize("a2, c1, n", [(0.6, 0.2, 2 * 10**6), (-0.3, 0.05, 10**6),
+                                       (0.9, 1e-4, 10**6)])
+def test_closed_form_magnitude_within_one_ulp_of_exact_at_a_million_legs(a2, c1, n):
+    # the recurrence's k = n magnitude is off by about 390, 176 and 2.6 ulps here
+    magnitude = float(_greedy_rows(a2, c1, np.arange(n + 1))[1][-1])
+    exact_sq = Fraction(a2) ** 2 + (n + 1) * Fraction(c1) ** 2
+    m, ulp = Fraction(magnitude), Fraction(math.ulp(magnitude))
+    assert (m - ulp) ** 2 < exact_sq < (m + ulp) ** 2
+
+
+@pytest.mark.parametrize("a2, c1, n", [(1e-200, 1e-200, 3), (-3e-170, 0.0, 1)])
+def test_closed_form_does_not_underflow(a2, c1, n):
+    # unscaled, a2 * a2 and c1 * c1 underflow and every magnitude reads 0
+    assert not np.sqrt(a2 * a2 + (np.arange(n + 1) + 1) * (c1 * c1)).any()
+    magnitudes, sched = greedy_extremal_growth(a2, c1, n)
+    durations, reference = _recurrence(a2, c1, n)
+    assert magnitudes.all()
+    assert _ulps(magnitudes, reference).max() <= 1
+    assert _ulps(np.array(sched.durations), durations).max() <= 1
+
+
+def test_zero_correlation_keeps_a_negative_first_leg_at_pi():
+    # atan2(0, a2) = pi for a2 < 0, then atan2(0, |a2|) = 0 on every later leg
+    magnitudes, sched = greedy_extremal_growth(-0.5, 0.0, 3)
+    assert sched.durations == (math.pi, 0.0, 0.0, 0.0)
+    assert magnitudes.tolist() == [0.5] * 4
 
 
 def test_brute_force_examples():
@@ -414,10 +494,8 @@ def test_broadcast_forms_equal_scalar_closed_forms_exactly():
     applied = ReducedMap(frozen_c1, frozen_c2, s).apply(a)
     for k in range(300):
         x2, y1, tk, sk = float(a2[k]), float(c1[k]), float(t[k]), float(s[k])
-        expected = x2 * math.cos(tk) * math.cos(sk) + y1 * (
-            math.sin(tk) * math.cos(sk) + math.sin(sk))
-        assert float(conj[k]) == expected == sigma2_conjunction(x2, y1, tk, sk)
         fold = (x2 * math.cos(tk) + y1 * math.sin(tk)) * math.cos(sk) + y1 * math.sin(sk)
+        assert float(conj[k]) == fold == sigma2_conjunction(x2, y1, tk, sk)
         assert _sigma2_legs(x2, y1, [tk, sk]) == fold
         assert applied[:, k].tolist() == ReducedMap(frozen_c1, frozen_c2, sk).apply(a).tolist()
         assert applied[:, k].tolist() == [a[0] * math.cos(sk) - frozen_c2 * math.sin(sk),

@@ -314,7 +314,7 @@ def _adversarial_states(rng, count: int):
 
 
 @pytest.mark.parametrize("points", [1, 2, 3, 8, 4001, 20_000])
-def test_one_period_walk_equals_full_walk_on_adversarial_states(points):
+def test_coarse_to_fine_walk_equals_full_walk_on_adversarial_states(points):
     # one block up to 64 points, a partial last block at 4001 and 20,000
     a, c1, c2 = _adversarial_states(np.random.default_rng(46), 60 if points > 4001 else 400)
     _assert_grid_pass_unchanged(c1, c2, a, points)
@@ -328,7 +328,7 @@ def _grid_values(c1, c2, a, points: int) -> np.ndarray:
     return a1t * a1t + a2t * a2t + (a[2] * a[2])[:, None]
 
 
-def test_one_period_walk_takes_a_partner_one_ulp_above_the_first_half():
+def test_coarse_to_fine_walk_takes_a_second_half_maximum_one_ulp_above_the_first():
     a1, a2, a3, c1, c2 = np.random.default_rng(45).uniform(-1, 1, (5, 200))
     a = np.stack((a1, a2, a3))
     values = _grid_values(c1, c2, a, 4000)
