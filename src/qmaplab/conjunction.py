@@ -21,7 +21,7 @@ import numpy as np
 from .dynamics import _turn_component
 from .optimize import golden_section_max
 from .pauli import _norms, _require_count
-from .reduced import ReducedMap, _require_tol
+from .reduced import ReducedMap, _require_tol, _slice_sq
 from .tolerances import BOUNDARY_EPS, DEFAULT_TOL, ZERO_CORRELATION_SQ
 
 _TWO_PI = 2 * math.pi
@@ -117,13 +117,14 @@ def sigma2_conjunction(a2, c1, t, s):
 def _greedy_rows(a2, c1, k):
     """(durations, magnitudes) of greedy legs k: v' = v cos s + c1 sin s
     peaks at s = atan2(c1, v) % 2 pi with value hypot(v, c1), so leg k has
-    M_k = sqrt(a2^2 + (k+1) c1^2) after atan2(c1, M_{k-1}), M_{-1} = a2
-    signed.  Scaled by 2^-e, e the exponent of max(|a2|, |c1|), and back:
-    powers of two round exactly, so these are the unscaled expression's bits
-    wherever it does not underflow or overflow.  Broadcasts over arrays."""
+    M_k = sqrt(`reduced._slice_sq`(a2, c1, k + 1)) after atan2(c1, M_{k-1}),
+    M_{-1} = a2 signed.  Scaled by 2^-e, e the exponent of max(|a2|, |c1|),
+    and back: powers of two round exactly, so these are the unscaled
+    expression's bits wherever it does not underflow or overflow.
+    Broadcasts over arrays."""
     e = np.frexp(np.maximum(abs(a2), abs(c1)))[1]
     a, c = np.ldexp(a2, -e), np.ldexp(c1, -e)
-    previous, magnitudes = (np.ldexp(np.sqrt(a * a + legs * (c * c)), e) for legs in (k, k + 1))
+    previous, magnitudes = (np.ldexp(np.sqrt(_slice_sq(a, c, m)), e) for m in (k, k + 1))
     return np.arctan2(c1, np.where(k == 0, a2, previous)) % _TWO_PI, magnitudes
 
 
@@ -236,20 +237,17 @@ def first_unphysical_n(a2: float, c1: float) -> Optional[int]:
     """Smallest n >= 0 with a2^2 + (n+1) c1^2 > 1, i.e. the first number of
     reuses whose worst-case schedule exceeds the Bloch ball.
 
-    None when c1 == 0 (no correlation, no growth).  The inequality is tested
-    directly with the `tolerances.BOUNDARY_EPS` guard, so sums landing
-    exactly on 1 do not count as exceeding it; no floating floor/ceil
-    decides the index.
+    None when c1 == 0 (no correlation, no growth).  `reduced._slice_sq` at
+    m = n + 1 is tested directly with the `tolerances.BOUNDARY_EPS` guard,
+    so sums landing exactly on 1 do not count; no floor/ceil decides n.
     Raises ValueError for non-finite a2 or c1.
     """
     _require_finite(a2, c1)
-    c1_sq = c1 * c1
-    if c1_sq < ZERO_CORRELATION_SQ:
+    if c1 * c1 < ZERO_CORRELATION_SQ:
         return None
-    threshold = 1.0 + BOUNDARY_EPS
 
     def exceeds(n: int) -> bool:
-        return a2 * a2 + (n + 1) * c1_sq > threshold
+        return _slice_sq(a2, c1, n + 1) > 1.0 + BOUNDARY_EPS
 
     if exceeds(0):
         return 0

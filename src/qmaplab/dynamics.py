@@ -46,35 +46,17 @@ class MeanValueState:
         object.__setattr__(self, "c2", float(self.c2))
 
 
-# `_turn`'s arithmetic.  Fresh results take the operators: numpy reuses
-# their temporaries (a Python wrapper around them would defeat that), and a
-# scalar skips the ufunc call overhead.  Writes into buffers take the ufuncs,
-# each given its output array as a third argument.
-_OPERATORS = (operator.mul, operator.sub, operator.add)
-_UFUNCS = (np.multiply, np.subtract, np.add)
-
-
-def _turn_component(x, y, ct, st, combine=operator.add, mul=operator.mul, out=(), spare=()):
+def _turn_component(x, y, ct, st, combine=operator.add):
     """combine(x ct, y st): one component of `_turn`, by default its second,
-    x ct + y st, and its first with combine = subtract.  `out` and `spare`
-    are empty or one buffer each, for the result and the second product."""
-    return combine(mul(x, ct, *out), mul(y, st, *spare), *out)
+    x ct + y st, and its first with combine = subtract."""
+    return combine(x * ct, y * st)
 
 
-def _turn(x1, x2, y1, y2, ct, st, out=None):
+def _turn(x1, x2, y1, y2, ct, st):
     """(x1 ct - y2 st, x2 ct + y1 st): a1' and a2' of `rotate` for
-    (x, y) = (a, c), and c1' and c2' for (x, y) = (c, a).
-
-    With `out` = (o1, o2, spare), arrays of the broadcast shape, the two
-    components are written into o1 and o2 and no temporary is allocated;
-    either way every product, difference and sum rounds as written.
-    """
-    if out is None:
-        (mul, sub, add), (o1, o2, spare) = _OPERATORS, ((), (), ())
-    else:
-        (mul, sub, add), (o1, o2, spare) = _UFUNCS, [(b,) for b in out]
-    return (_turn_component(x1, y2, ct, st, sub, mul, o1, spare),
-            _turn_component(x2, y1, ct, st, add, mul, o2, spare))
+    (x, y) = (a, c), and c1' and c2' for (x, y) = (c, a).  Every product,
+    difference and sum rounds as written."""
+    return _turn_component(x1, y2, ct, st, operator.sub), _turn_component(x2, y1, ct, st)
 
 
 def rotate(a, c1, c2, t):

@@ -183,9 +183,23 @@ def in_compatibility_domain(c1, c2, a, tol: float = DEFAULT_TOL) -> DomainVerdic
     return DomainVerdict.of((1.0 - _sup_norm(c1, c2, a)[0])[()], tol)
 
 
+def _slice_sq(a2, c1, m):
+    """a2^2 + m c1^2, the slice law on a = (0, a2, 0), c2 = 0: the squared
+    worst case after n reuses at m = n + 1, the squared sup over t at m = 1."""
+    return a2 * a2 + m * (c1 * c1)
+
+
+def _slice_margin(a2, c1, m):
+    """1 - sqrt(`_slice_sq`) of float arrays; a root past the float range
+    raises ValueError, as in `in_compatibility_domain`."""
+    a2, c1 = np.asarray(a2, dtype=float), np.asarray(c1, dtype=float)
+    with np.errstate(over="ignore"):  # `_finite_sup` raises
+        return (1.0 - _finite_sup(np.sqrt(_slice_sq(a2, c1, m))))[()]
+
+
 def compat_slice_check(a2, c1, tol: float = DEFAULT_TOL) -> DomainVerdict:
     """Analytic compatibility check on the slice a = (0, a2, 0), c2 = 0:
     inside iff a2^2 + c1^2 <= 1.  Agrees with `in_compatibility_domain`
     restricted to the slice.  Broadcasts over arrays of a2 and c1; the
-    margin is 1 - np.hypot(a2, c1) for scalars and arrays alike."""
-    return DomainVerdict.of((1.0 - np.hypot(a2, c1))[()], tol)
+    margin is 1 - sqrt(`_slice_sq`(a2, c1, 1)), the bits of growth row 0."""
+    return DomainVerdict.of(_slice_margin(a2, c1, 1), tol)

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import copy
+import csv
 import errno
 import hashlib
 import json
@@ -462,6 +463,55 @@ def test_slippage_rows(tmp_path):
         assert a2s**2 + (n + 1) * 0.3**2 <= 1 + 1e-9
 
 
+def _growth_and_slippage(tmp_path, a2: float, c1: float, n: int, **tol) -> tuple:
+    """growth's rows and summary and slippage's rows for one slice state,
+    both through `run`; slippage takes the a2 grid (-a2, a2), whose rows
+    share each margin."""
+    growth = {"command": "growth", "state": {"a": [0, a2, 0], "c1": c1}, "n": n, **tol}
+    slippage = {"command": "slippage", "state": {"c1": c1}, "n": n, **tol,
+                "grid": {"axis": "a2", "start": -a2, "stop": a2, "count": 2}}
+    tables = {}
+    for payload in (growth, slippage):
+        name = payload["command"]
+        out = tmp_path / name
+        assert run(write_scenario(tmp_path, payload, f"{name}.json"), out_dir=str(out)) == 0
+        with open(out / f"{name}.csv", newline="", encoding="utf-8") as fh:
+            tables[name] = list(csv.DictReader(fh))
+    summary = json.loads((tmp_path / "growth" / "summary.json").read_text())
+    return tables["growth"], summary, tables["slippage"]
+
+
+def _assert_slippage_reads_growth(growth: list, slippage: list) -> None:
+    """Each slippage row at n reads growth row n: margin 1 - magnitude, and
+    inside exactly where the magnitude does not exceed 1 + tol."""
+    assert len(slippage) == 2 * (len(growth) - 1)
+    for row in slippage:
+        grown = growth[int(row["n"])]
+        assert float(row["margin"]) == 1.0 - float(grown["magnitude"]), row
+        assert (row["inside"] == "true") == (grown["exceeds_unit"] == "false"), row
+
+
+def test_growth_and_slippage_agree_at_tol_0(tmp_path):
+    # row 14's magnitude rounds to 1.0; slippage read margin -2.2e-16 there
+    # when it rounded the slice law its own way
+    growth, summary, slippage = _growth_and_slippage(
+        tmp_path, 0.6583168927883031, 0.19435686569976618, 14, tol=0)
+    assert (growth[14]["magnitude"], growth[14]["exceeds_unit"]) == ("1.0", "false")
+    assert summary["max_safe_repetitions"] == 14
+    _assert_slippage_reads_growth(growth, slippage)
+    assert [row["margin"] for row in slippage[-2:]] == ["0.0", "0.0"]
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="growth flags M > 1 + tol and slippage 1 - M < -tol, which part "
+                   "where M = fl(1 + tol): the FOUND line on the default tol in CHANGES.md")
+def test_growth_and_slippage_agree_at_the_default_tol(tmp_path):
+    growth, _, slippage = _growth_and_slippage(tmp_path, 0.500000002, 0.5, 2)
+    if float(growth[2]["magnitude"]) != 1.0 + 1e-9:  # a real failure, not the expected one
+        pytest.fail("row 2's magnitude is no longer fl(1 + 1e-9)")
+    _assert_slippage_reads_growth(growth, slippage)
+
+
 def test_domain_map_small_grid(tmp_path):
     payload = {
         "command": "domain-map",
@@ -560,7 +610,7 @@ BUNDLED_DIGESTS = {
         "summary.json": "3da23d8f3ecbe18912cb93a64861100e348164c1b6f211cae066453c1d5a8be4",
     },
     "domain_map.json": {
-        "domain_map.csv": "f0862ccca642cd88760798b560ba528624010cf0b5a3eeaaecd070ad631ac19c",
+        "domain_map.csv": "712992676d04001a2e14da7cbed83ef12c27755db09274e74e36ab6a4f3d42b9",
         "summary.json": "4dd043188b2348e89daf321540b457c8fe6caeb198652e14b8e2b4e5c977a5ec",
     },
     "evolve.json": {
@@ -576,7 +626,7 @@ BUNDLED_DIGESTS = {
         "summary.json": "345b7591158699f31036b7c8680a36c0a71d41286fce35fa0509af33da162ec2",
     },
     "slippage.json": {
-        "slippage.csv": "e663d60e3fcbe007493d24aea332092817dcddd7bfbe5a8955ff104525f52cdf",
+        "slippage.csv": "773dad6f61072824ba4503c09335ac6c364cc773960fa2158296024e2dd9194b",
         "summary.json": "e4331e141ad0f9c5b039a5b5ef175d81f85a8ed644998d5189c7fd0e1d4bbe57",
     },
     "validate.json": {
@@ -586,13 +636,20 @@ BUNDLED_DIGESTS = {
 }
 
 
+def _bundled_digests(out_dir) -> dict:
+    """Each bundled scenario's output digests, run into out_dir / name, so
+    one failing comparison names every output that moved."""
+    digests = {}
+    for name in BUNDLED_DIGESTS:
+        out = out_dir / name
+        assert run(os.path.join(SCENARIOS, name), out_dir=str(out)) == 0, name
+        digests[name] = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in out.iterdir()}
+    return digests
+
+
 def test_bundled_scenarios_byte_identical(tmp_path):
     assert sorted(os.listdir(SCENARIOS)) == sorted(BUNDLED_DIGESTS)
-    for name, expected in BUNDLED_DIGESTS.items():
-        out = tmp_path / name
-        assert run(os.path.join(SCENARIOS, name), out_dir=str(out)) == 0, name
-        digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in out.iterdir()}
-        assert digests == expected, name
+    assert _bundled_digests(tmp_path) == BUNDLED_DIGESTS
 
 
 # sha256 of validate.csv and summary.json of `validate` at seeds 0-3, tol 1e-9
@@ -1094,12 +1151,9 @@ def test_bundled_scenarios_split_give_the_goldens(tmp_path, monkeypatch):
     for forked in (True, False):
         if not forked:
             monkeypatch.setattr(cli, "_fork_is_quiet", lambda: False)
-        for name, expected in BUNDLED_DIGESTS.items():
-            out = tmp_path / f"{name}-{forked}"
-            assert run(os.path.join(SCENARIOS, name), out_dir=str(out)) == 0, name
-            digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
-                       for f in out.iterdir()}
-            assert digests == expected, name
+        out = tmp_path / str(forked)
+        out.mkdir()
+        assert _bundled_digests(out) == BUNDLED_DIGESTS, f"forked={forked}"
     assert len(forks) == len(BUNDLED_DIGESTS) * quiet
     _no_child_left()
 

@@ -4,6 +4,7 @@ with its own closed forms and imports nothing from the program."""
 from __future__ import annotations
 
 import importlib.util
+import json
 import os
 
 import pytest
@@ -38,3 +39,15 @@ def test_generated_workloads_pass_the_independent_checker(tmp_path, monkeypatch,
             assert run(path, out_dir=out) == 0, name
             rows, problems = check.check(scenario, out)
             assert rows > 0 and problems == [], (name, problems)
+
+
+@pytest.mark.parametrize("name", ["domain_map", "growth", "slippage", "validate"])
+def test_bundled_scenarios_pass_the_independent_checker(tmp_path, name):
+    # the bundled scenarios whose numbers the checker reads; the other four
+    # give angles as strings ("pi/4"), which it does not parse
+    path = os.path.join(os.path.dirname(__file__), "..", "scenarios", f"{name}.json")
+    with open(path, encoding="utf-8") as fh:
+        scenario = json.load(fh)
+    assert run(path, out_dir=str(tmp_path)) == 0
+    rows, problems = check.check(scenario, str(tmp_path))
+    assert rows > 0 and problems == [], problems

@@ -195,7 +195,7 @@ def test_broadcast_domain_checks_equal_scalar_closed_forms_exactly():
         assert (sup[k], t_star[k]) == expected == sup_norm_over_time(x1, x2, state)
         assert verdict.margin[k] == 1.0 - expected[0]
         assert verdict.inside[k] == in_compatibility_domain(x1, x2, state).inside
-        assert slice_verdict.margin[k] == 1.0 - np.hypot(state[1], x1)
+        assert slice_verdict.margin[k] == 1.0 - math.sqrt(reduced._slice_sq(state[1], x1, 1))
         assert slice_verdict.inside[k] == compat_slice_check(state[1], x1).inside
     # a stacked (3, 40, 50) batch keeps its shape
     stacked = sup_norm_over_time(c1.reshape(40, 50), 0.0, a.reshape(3, 40, 50))[0]

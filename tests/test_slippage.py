@@ -2,11 +2,13 @@
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 
-from qmaplab.conjunction import ConjunctionSchedule, conjunct, first_unphysical_n
+from qmaplab.conjunction import ConjunctionSchedule, _greedy_rows, conjunct, first_unphysical_n
+from qmaplab.reduced import compat_slice_check
 from qmaplab.slippage import max_safe_repetitions, slip_state, slipped_domain_check
 
 
@@ -36,6 +38,53 @@ def test_slipped_domain_rejects_small_n():
     for n in (np.array([[1], [3]]), [[1], [3]]):
         assert slipped_domain_check(0.9, 0.3, n).inside.tolist() == [[True], [False]]
         assert slip_state(0.9, 0.3, n).tolist() == [[0.9], [math.sqrt(1 - 4 * 0.09)]]
+
+
+def _near_boundary_draws(seed: int, size: int):
+    """Slice states (a2, c1, n) with a2^2 + (n+1) c1^2 within a few ulps of
+    1, then rows with c1 = 0 and with |a2| = 1."""
+    rng = np.random.default_rng(seed)
+    n = rng.integers(1, 40, size)
+    a2 = rng.uniform(-1, 1, size)
+    c1 = np.sqrt((1 - a2 * a2) / (n + 1)) * (1 + rng.integers(-8, 9, size) * 2.0**-52)
+    c1 *= rng.choice([-1.0, 1.0], size)
+    c1[:100] = 0.0
+    a2[100:200] = rng.choice([-1.0, 1.0], 100)
+    c1[100:150] = 0.0
+    return a2, c1, n
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_slice_margins_are_one_minus_the_greedy_magnitudes_bit_for_bit(seed):
+    # one slice law: the slipped margin at n is 1 - growth row n and the
+    # compatibility margin 1 - row 0, so at tol 0 a state is inside exactly
+    # where its growth row does not exceed 1
+    a2, c1, n = _near_boundary_draws(seed, 20_000)
+    for verdict, rows in ((slipped_domain_check(a2, c1, n, tol=0.0), n),
+                          (compat_slice_check(a2, c1, tol=0.0), 0)):
+        magnitudes = _greedy_rows(a2, c1, rows)[1]
+        assert np.array_equal(verdict.margin, 1.0 - magnitudes)
+        assert np.array_equal(verdict.inside, ~(magnitudes > 1.0))
+    # a scalar call gives the bits of the batch
+    for k in range(0, 20_000, 997):
+        x, y, m = float(a2[k]), float(c1[k]), int(n[k])
+        assert slipped_domain_check(x, y, m).margin == 1.0 - _greedy_rows(x, y, m)[1]
+        assert compat_slice_check(x, y).margin == 1.0 - _greedy_rows(x, y, 0)[1]
+
+
+def test_slice_margins_past_the_float_range_raise():
+    # a square overflows above about 1.3e154, in a2 or c1: ValueError, as in
+    # `in_compatibility_domain`, not a RuntimeWarning (an error under the
+    # suite's warning filter) and margin -inf
+    for a2, c1 in ((2e154, 0.1), (0.1, 2e154), (-2e154, 0.0)):
+        for call in (compat_slice_check, partial(slipped_domain_check, n=1),
+                     partial(slip_state, n=1)):
+            with pytest.raises(ValueError, match="the supremum overflows"):
+                call(a2, c1)
+    # 9e153 does not: 2 (9e153)^2 is below the float maximum
+    assert compat_slice_check(9e153, 0.0).margin == pytest.approx(-9e153, rel=1e-15)
+    assert slipped_domain_check(0.0, 9e153, 1).margin == pytest.approx(-math.sqrt(2) * 9e153,
+                                                                       rel=1e-15)
 
 
 def test_max_safe_known_cases():
