@@ -10,7 +10,6 @@ that certifies both domain verdicts: a witness state for inside, a dual
 certificate for outside.
 """
 from .conjunction import (
-    ConjunctionSchedule,
     HazardReport,
     brute_force_max,
     conjunct,
@@ -41,7 +40,6 @@ from .tolerances import DEFAULT_TOL
 
 __all__ = [
     "DEFAULT_TOL",
-    "ConjunctionSchedule",
     "DomainVerdict",
     "HazardReport",
     "MeanValueState",

@@ -43,7 +43,6 @@ import numpy as np
 
 from . import checks
 from .conjunction import (
-    ConjunctionSchedule,
     _greedy_rows,
     conjunct,
     first_unphysical_n,
@@ -518,18 +517,18 @@ def _run_conjunct(sc: Scenario, tol: float, seed: int) -> tuple[list, Body, Call
     s_grid = sc.grid("s")
     if s_grid is None:
         # trajectory mode: explicit schedule, frozen-map vs exact side by side
-        sched = ConjunctionSchedule(t=sc.t, steps=sc.steps)
-        report = conjunct(c1, c2, a, sched, tol=tol)
+        durations = (sc.t, *sc.steps)
+        report = conjunct(c1, c2, a, durations, tol=tol)
         header = [
             "step", "duration", "cumulative_time",
             "conj_a1", "conj_a2", "conj_a3", "conj_norm",
             "exact_a1", "exact_a2", "exact_a3", "exact_norm",
         ]
         # the exact state after leg k: one rotation by the durations summed left to right
-        cumulative = np.array(list(itertools.accumulate(sched.durations)))
+        cumulative = np.array(list(itertools.accumulate(durations)))
         exact = rotate(a, c1, c2, cumulative)[:3]
         conj = report.trajectory.T
-        rows = Body.up_front(list(map(repr, range(cumulative.size))), np.array(sched.durations),
+        rows = Body.up_front(list(map(repr, range(cumulative.size))), np.array(durations),
                              cumulative, *conj, report.magnitudes,
                              exact[0], exact[1], [repr(float(exact[2]))] * cumulative.size,
                              _norms(*exact))

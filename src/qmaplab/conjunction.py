@@ -28,26 +28,6 @@ _TWO_PI = 2 * math.pi
 
 
 @dataclass(frozen=True)
-class ConjunctionSchedule:
-    """First-leg duration `t` plus the reuse durations s_1 ... s_n."""
-
-    t: float
-    steps: tuple[float, ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "t", float(self.t))
-        object.__setattr__(self, "steps", tuple(float(s) for s in self.steps))
-
-    @property
-    def n(self) -> int:
-        return len(self.steps)
-
-    @property
-    def durations(self) -> tuple[float, ...]:
-        return (self.t,) + self.steps
-
-
-@dataclass(frozen=True)
 class HazardReport:
     """Outcome of a conjunction run.
 
@@ -66,18 +46,23 @@ def conjunct(
     c1: float,
     c2: float,
     a,
-    sched: ConjunctionSchedule,
+    durations: Sequence[float],
     tol: float = DEFAULT_TOL,
 ) -> HazardReport:
-    """Run the frozen map over every leg of `sched`, recording the Bloch
-    vector and its magnitude after each leg.  A negative or NaN tol, or a
-    non-finite a, c1, c2 or duration, raises ValueError."""
+    """Run the frozen map over every leg of `durations` (the first leg t,
+    then the reuses s_1 ... s_n), recording the Bloch vector and its
+    magnitude after each leg.  A negative or NaN tol, a non-finite a, c1,
+    c2 or duration, or durations that are empty or not 1-D raise
+    ValueError."""
     _require_tol(tol)
-    for name, value in (("c1", c1), ("c2", c2), ("a", a), ("durations", sched.durations)):
+    durations = np.asarray(durations, dtype=float)
+    if durations.ndim != 1 or durations.size == 0:
+        raise ValueError(f"durations must be a non-empty 1-D sequence, got durations={durations!r}")
+    for name, value in (("c1", c1), ("c2", c2), ("a", a), ("durations", durations)):
         if not np.isfinite(value).all():
             raise ValueError(f"{name} must be finite, got {name}={value!r}")
     trajectory = []
-    for duration in sched.durations:
+    for duration in durations:
         a = ReducedMap(c1, c2, duration).apply(a)
         trajectory.append(a)
     trajectory = np.array(trajectory)
@@ -128,15 +113,17 @@ def _greedy_rows(a2, c1, k):
     return np.arctan2(c1, np.where(k == 0, a2, previous)) % _TWO_PI, magnitudes
 
 
-def greedy_extremal_growth(a2: float, c1: float, n: int) -> tuple[np.ndarray, ConjunctionSchedule]:
+def greedy_extremal_growth(a2: float, c1: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Worst-case growth under n reuses: per leg, the duration maximizing the
     next magnitude, so the magnitudes satisfy M_k^2 = M_{k-1}^2 + c1^2 and
     M_n^2 = a2^2 + (n+1) c1^2 (`_greedy_rows` for legs 0..n).  Returns the
-    n+1 magnitudes and the maximizing schedule.
+    n+1 magnitudes and the n+1 maximizing durations (the first leg, then
+    the reuses).  Raises ValueError for non-finite a2 or c1.
     """
     n = _require_count(n, "n", 0)
+    _require_finite(a2, c1)
     durations, magnitudes = _greedy_rows(a2, c1, np.arange(n + 1))
-    return magnitudes, ConjunctionSchedule(t=durations[0], steps=durations[1:])
+    return magnitudes, durations
 
 
 def _require_finite(a2: float, c1: float) -> None:

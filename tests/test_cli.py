@@ -25,7 +25,6 @@ from hypothesis.configuration import set_hypothesis_home_dir
 from qmaplab import checks, cli, conjunction, reduced
 from qmaplab.cli import Body, ScenarioError, emit_csv, load_scenario, main, parse_angle, run
 from qmaplab.conjunction import (
-    ConjunctionSchedule,
     conjunct,
     greedy_extremal_growth,
     sigma2_conjunction,
@@ -512,6 +511,21 @@ def test_growth_and_slippage_agree_at_the_default_tol(tmp_path):
     _assert_slippage_reads_growth(growth, slippage)
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="growth's summary tests a2² + (n+1)c1² > 1 + BOUNDARY_EPS whatever "
+                   "tol is, its CSV M > 1 + tol (ROADMAP item 9); perfbench/check.py restates "
+                   "both rules, so the fix waits for a change to the benchmark")
+def test_growth_summary_agrees_with_its_csv(tmp_path):
+    payload = {"command": "growth", "state": {"a": [0, math.sqrt(5e-10), 0], "c1": 0.1}, "n": 120}
+    got, summary = _run_and_read(tmp_path, payload, "growth.csv")
+    rows = list(csv.DictReader(got.decode().splitlines()))
+    if rows[99]["magnitude"] != "1.00000000025":  # a real failure, not the expected one
+        pytest.fail("row 99's magnitude no longer reads 1.00000000025")
+    first = next(int(row["k"]) for row in rows if row["exceeds_unit"] == "true")
+    assert summary["first_unphysical_n"] == first
+    assert summary["max_safe_repetitions"] == first - 1
+
+
 def test_domain_map_small_grid(tmp_path):
     payload = {
         "command": "domain-map",
@@ -776,11 +790,11 @@ def test_conjunct_trajectory_matches_row_by_row(tmp_path, seed):
     got, summary = _run_and_read(tmp_path, payload, "conjunct.csv")
     # the per-step loop the trajectory mode ran before it became one rotate call
     m0 = MeanValueState(a=a, c1=c1, c2=c2)
-    sched = ConjunctionSchedule(t=t, steps=steps)
-    report = conjunct(c1, c2, m0.a, sched, tol=1e-9)
+    durations = [t, *steps]
+    report = conjunct(c1, c2, m0.a, durations, tol=1e-9)
     rows = []
     cumulative = 0.0
-    for k, duration in enumerate(sched.durations):
+    for k, duration in enumerate(durations):
         cumulative += duration
         exact = evolve_mean_values(m0, cumulative)
         conj_a = report.trajectory[k]
@@ -1209,9 +1223,8 @@ def test_growth_chunks_out_of_row_order_give_the_same_rows(tmp_path):
         for got, expected in zip(columns[1:], in_order[i][0][1:]):
             assert np.array_equal(got, expected) and got.dtype == expected.dtype
         assert partial == in_order[i][1] == columns[2][-1]
-    magnitudes, sched = greedy_extremal_growth(0.6, 0.2, 40)
-    assert np.array_equal(np.concatenate([columns[1] for columns, _ in in_order]),
-                          sched.durations)
+    magnitudes, durations = greedy_extremal_growth(0.6, 0.2, 40)
+    assert np.array_equal(np.concatenate([columns[1] for columns, _ in in_order]), durations)
     assert np.array_equal(np.concatenate([columns[2] for columns, _ in in_order]), magnitudes)
 
 

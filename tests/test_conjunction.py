@@ -12,7 +12,6 @@ import pytest
 
 from qmaplab import checks
 from qmaplab.conjunction import (
-    ConjunctionSchedule,
     _greedy_rows,
     _grid_argmax,
     _sigma2_legs,
@@ -28,12 +27,6 @@ from qmaplab.reduced import ReducedMap, compat_slice_check
 from qmaplab.slippage import max_safe_repetitions
 
 
-def test_schedule_counts():
-    sched = ConjunctionSchedule(t=0.5, steps=(0.1, 0.2))
-    assert sched.n == 2
-    assert sched.durations == (0.5, 0.1, 0.2)
-
-
 def test_conjunct_uncorrelated_never_hazards():
     # with no correlation each leg contracts the (1, 2) plane, so magnitudes
     # never exceed the initial norm for any schedule
@@ -41,23 +34,20 @@ def test_conjunct_uncorrelated_never_hazards():
     for _ in range(10):
         a = rng.uniform(-1, 1, 3)
         a /= max(1.0, np.linalg.norm(a))  # physical input
-        sched = ConjunctionSchedule(t=float(rng.uniform(0, 6)), steps=tuple(rng.uniform(0, 6, 5)))
-        report = conjunct(0.0, 0.0, a, sched)
+        report = conjunct(0.0, 0.0, a, rng.uniform(0, 6, 6))
         assert report.first_unphysical_step is None
         assert report.magnitudes.max() <= np.linalg.norm(a) + 1e-12
 
 
 @pytest.mark.parametrize("q,s", [(0.5, 0.3), (math.pi / 4, 1.0), (1.2, 0.2)])
 def test_conjunct_edge_state_formula(q, s):
-    report = conjunct(math.sin(q), 0.0, [0.0, math.cos(q), 0.0],
-                      ConjunctionSchedule(t=q, steps=(s,)))
+    report = conjunct(math.sin(q), 0.0, [0.0, math.cos(q), 0.0], (q, s))
     assert abs(report.trajectory[1][1] - (math.cos(s) + math.sin(q) * math.sin(s))) < 1e-12
 
 
 def test_conjunct_edge_quarter_pi_is_unphysical_at_step_one():
     q = math.pi / 4
-    report = conjunct(math.sin(q), 0.0, [0.0, math.cos(q), 0.0],
-                      ConjunctionSchedule(t=q, steps=(math.pi / 4,)))
+    report = conjunct(math.sin(q), 0.0, [0.0, math.cos(q), 0.0], (q, math.pi / 4))
     expected = math.cos(math.pi / 4) + math.sin(q) * math.sin(math.pi / 4)
     assert abs(report.trajectory[1][1] - expected) < 1e-12
     assert expected > 1.2  # ~1.2071
@@ -72,7 +62,7 @@ def test_conjunct_single_leg_matches_exact_evolution(seed):
     a = rng.uniform(-1, 1, 3)
     c1, c2 = rng.uniform(-1, 1, 2)
     t = float(rng.uniform(0, 6))
-    report = conjunct(c1, c2, a, ConjunctionSchedule(t=t))
+    report = conjunct(c1, c2, a, [t])
     exact = evolve_mean_values(MeanValueState(a=a, c1=c1, c2=c2), t)
     assert np.abs(report.trajectory[0] - exact.a).max() < 1e-12
 
@@ -105,7 +95,7 @@ def test_sigma2_conjunction_agrees_with_conjunct_on_slice():
     for _ in range(20):
         a2, c1 = rng.uniform(-1, 1, 2)
         t, s = rng.uniform(0, 6, 2)
-        report = conjunct(c1, 0.0, [0, a2, 0], ConjunctionSchedule(t=float(t), steps=(float(s),)))
+        report = conjunct(c1, 0.0, [0, a2, 0], (t, s))
         assert abs(report.trajectory[1][1] - sigma2_conjunction(a2, c1, t, s)) < 1e-12
 
 
@@ -123,9 +113,9 @@ def test_greedy_growth_magnitude_law():
     for _ in range(20):
         a2, c1 = rng.uniform(-1, 1, 2)
         n = int(rng.integers(0, 8))
-        mags, sched = greedy_extremal_growth(a2, c1, n)
+        mags, durations = greedy_extremal_growth(a2, c1, n)
         assert len(mags) == n + 1
-        assert sched.n == n
+        assert len(durations) == n + 1
         for k, m in enumerate(mags):
             assert abs(m - math.sqrt(a2**2 + (k + 1) * c1**2)) < 1e-12
 
@@ -147,13 +137,27 @@ def test_greedy_growth_rejects_negative_n():
         greedy_extremal_growth(0.5, 0.5, -1)
 
 
+@pytest.mark.parametrize("a2, c1", [(math.nan, 0.1), (math.inf, 0.1), (0.5, -math.inf)])
+def test_greedy_growth_rejects_non_finite_inputs(a2, c1):
+    # as brute_force_max and first_unphysical_n do, rather than return NaN
+    # or inf magnitudes with made-up durations
+    with pytest.raises(ValueError, match="a2 and c1 must be finite"):
+        greedy_extremal_growth(a2, c1, 3)
+
+
+@pytest.mark.parametrize("durations", [(), [], np.empty(0), 0.5, [[0.1, 0.2]]])
+def test_conjunct_rejects_durations_without_a_leg_or_not_1d(durations):
+    with pytest.raises(ValueError, match="durations must be a non-empty 1-D sequence"):
+        conjunct(0.2, 0.0, [0.0, 0.5, 0.0], durations)
+
+
 def test_greedy_schedule_actually_attains_magnitudes():
     # replay the returned worst-case schedule through the conjunction engine
     rng = np.random.default_rng(6)
     for _ in range(10):
         a2, c1 = rng.uniform(-1, 1, 2)
-        mags, sched = greedy_extremal_growth(a2, c1, 4)
-        report = conjunct(c1, 0.0, [0, a2, 0], sched)
+        mags, durations = greedy_extremal_growth(a2, c1, 4)
+        report = conjunct(c1, 0.0, [0, a2, 0], durations)
         assert np.abs(report.magnitudes - mags).max() < 1e-12
 
 
@@ -181,10 +185,10 @@ def test_closed_form_growth_within_a_few_ulps_of_the_recurrence():
     rng = np.random.default_rng(47)
     for a2, c1 in rng.uniform(-1, 1, (100, 2)).tolist():
         n = int(rng.integers(0, 65))
-        magnitudes, sched = greedy_extremal_growth(a2, c1, n)
-        durations, reference = _recurrence(a2, c1, n)
+        magnitudes, durations = greedy_extremal_growth(a2, c1, n)
+        reference_durations, reference = _recurrence(a2, c1, n)
         assert _ulps(magnitudes, reference).max() <= 8
-        assert _ulps(np.array(sched.durations), durations).max() <= 8
+        assert _ulps(durations, reference_durations).max() <= 8
 
 
 def test_closed_form_has_the_bits_of_the_unscaled_expression():
@@ -200,9 +204,9 @@ def test_closed_form_has_the_bits_of_the_unscaled_expression():
         k = np.arange(n + 1)
         plain = np.sqrt(a2 * a2 + (k + 1) * (c1 * c1))
         durations = np.arctan2(c1, np.concatenate(([a2], plain[:-1]))) % (2 * math.pi)
-        magnitudes, sched = greedy_extremal_growth(a2, c1, n)
+        magnitudes, got = greedy_extremal_growth(a2, c1, n)
         assert magnitudes.tobytes() == plain.tobytes()
-        assert np.array(sched.durations).tobytes() == durations.tobytes()
+        assert got.tobytes() == durations.tobytes()
 
 
 @pytest.mark.parametrize("a2, c1, n", [(0.6, 0.2, 2 * 10**6), (-0.3, 0.05, 10**6),
@@ -219,17 +223,17 @@ def test_closed_form_magnitude_within_one_ulp_of_exact_at_a_million_legs(a2, c1,
 def test_closed_form_does_not_underflow(a2, c1, n):
     # unscaled, a2 * a2 and c1 * c1 underflow and every magnitude reads 0
     assert not np.sqrt(a2 * a2 + (np.arange(n + 1) + 1) * (c1 * c1)).any()
-    magnitudes, sched = greedy_extremal_growth(a2, c1, n)
-    durations, reference = _recurrence(a2, c1, n)
+    magnitudes, durations = greedy_extremal_growth(a2, c1, n)
+    reference_durations, reference = _recurrence(a2, c1, n)
     assert magnitudes.all()
     assert _ulps(magnitudes, reference).max() <= 1
-    assert _ulps(np.array(sched.durations), durations).max() <= 1
+    assert _ulps(durations, reference_durations).max() <= 1
 
 
 def test_zero_correlation_keeps_a_negative_first_leg_at_pi():
     # atan2(0, a2) = pi for a2 < 0, then atan2(0, |a2|) = 0 on every later leg
-    magnitudes, sched = greedy_extremal_growth(-0.5, 0.0, 3)
-    assert sched.durations == (math.pi, 0.0, 0.0, 0.0)
+    magnitudes, durations = greedy_extremal_growth(-0.5, 0.0, 3)
+    assert durations.tolist() == [math.pi, 0.0, 0.0, 0.0]
     assert magnitudes.tolist() == [0.5] * 4
 
 

@@ -15,7 +15,7 @@ from hypothesis.configuration import set_hypothesis_home_dir
 from qmaplab import reduced
 from qmaplab.checks import sup_norm_closed_vs_grid, validate_suite
 from qmaplab.cli import MAX_MAGNITUDE
-from qmaplab.conjunction import ConjunctionSchedule, conjunct
+from qmaplab.conjunction import conjunct
 from qmaplab.dynamics import rotate
 from qmaplab.feasibility import feasibility_search
 from qmaplab.optimize import golden_section_max
@@ -465,23 +465,22 @@ def test_sup_norm_grid_rejects_non_finite_input(field, bad):
 def test_compat_slice_check_rejects_negative_tol():
     # every function that makes a verdict rejects a negative or NaN tol,
     # and a NaN a2, which would otherwise read as a silent verdict
-    sched = ConjunctionSchedule(t=0.0)
     verdicts = [lambda a2, tol: compat_slice_check(a2, 0.8, tol=tol),
                 lambda a2, tol: in_compatibility_domain(0.8, 0.0, [0.0, a2, 0.0], tol=tol),
                 lambda a2, tol: slipped_domain_check(a2, 0.2, 1, tol=tol),
-                lambda a2, tol: conjunct(0.0, 0.0, [0.0, a2, 0.0], sched, tol=tol)]
+                lambda a2, tol: conjunct(0.0, 0.0, [0.0, a2, 0.0], [0.0], tol=tol)]
     for verdict in verdicts:
         for tol in (-1e-9, math.nan):
             with pytest.raises(ValueError, match="tol must be >= 0"):
                 verdict(0.6, tol)
         with pytest.raises(ValueError, match="margin is NaN|a must be finite"):
             verdict(math.nan, 0.0)
-    for c1, steps in ((math.inf, (0.2,)), (0.0, (0.2, math.nan))):
+    for c1, durations in ((math.inf, (0.1, 0.2)), (0.0, (0.1, 0.2, math.nan))):
         with pytest.raises(ValueError, match="must be finite"):
-            conjunct(c1, 0.0, [0.0, 0.6, 0.0], ConjunctionSchedule(t=0.1, steps=steps))
+            conjunct(c1, 0.0, [0.0, 0.6, 0.0], durations)
     assert compat_slice_check(0.6, 0.8, tol=0.0).inside
     assert slipped_domain_check(0.5, 0.2, 1, tol=0.0).inside
-    assert conjunct(0.0, 0.0, [0.0, 0.5, 0.0], sched, tol=0.0).first_unphysical_step is None
+    assert conjunct(0.0, 0.0, [0.0, 0.5, 0.0], [0.0], tol=0.0).first_unphysical_step is None
 
 
 @pytest.mark.parametrize("seed", range(10))

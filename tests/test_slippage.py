@@ -7,7 +7,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from qmaplab.conjunction import ConjunctionSchedule, _greedy_rows, conjunct, first_unphysical_n
+from qmaplab.conjunction import _greedy_rows, conjunct, first_unphysical_n
 from qmaplab.reduced import compat_slice_check
 from qmaplab.slippage import max_safe_repetitions, slip_state, slipped_domain_check
 
@@ -162,13 +162,13 @@ def test_slip_state_rejects_off_slice_and_bad_n():
         slip_state(0.5, 0.3, 0)
 
 
-def _worst_case_schedule(a2: float, c1: float, n: int) -> ConjunctionSchedule:
+def _worst_case_durations(a2: float, c1: float, n: int) -> list[float]:
     durations = []
     v = a2
     for _ in range(n + 1):
         durations.append(math.atan2(c1, v))
         v = math.hypot(v, c1)
-    return ConjunctionSchedule(t=durations[0], steps=tuple(durations[1:]))
+    return durations
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -182,11 +182,11 @@ def test_safety_under_worst_case_and_random_schedules(seed):
         n = int(rng.integers(1, 5))
         if slipped_domain_check(a2, c1, n).inside:
             break
-    worst = conjunct(c1, 0.0, [0, a2, 0], _worst_case_schedule(a2, c1, n))
+    worst = conjunct(c1, 0.0, [0, a2, 0], _worst_case_durations(a2, c1, n))
     assert worst.magnitudes.max() <= 1 + 1e-9
 
     for _ in range(1000):
         durations = rng.uniform(0, 2 * math.pi, n + 1)
-        report = conjunct(c1, 0.0, [0, a2, 0], ConjunctionSchedule(t=durations[0], steps=tuple(durations[1:])))
+        report = conjunct(c1, 0.0, [0, a2, 0], durations)
         assert report.magnitudes.max() <= 1 + 1e-9
 
