@@ -21,12 +21,19 @@ def golden_section_max(f: Callable, lo, hi):
     Broadcasts over brackets: `lo` and `hi` may be arrays, and `f` maps an
     array of abscissae of their broadcast shape to the array of values,
     element by element.  Each element stops on its own once its bracket is
-    no wider than `tolerances.GOLDEN_TOL`; widths differ by a few ulps between
-    elements, so iteration counts can differ.  Returns (argmax, max), numpy
-    scalars for scalar brackets.
+    no wider than `tolerances.GOLDEN_TOL` (about sqrt(eps), below which an
+    interior maximum's value is flat to rounding); widths differ by a few
+    ulps between elements, so iteration counts can differ.  Returns
+    (argmax, max), numpy scalars for scalar brackets.  Raises ValueError for
+    a bracket that is not finite or has lo > hi.
     """
     shape = np.broadcast(lo, hi).shape
     a, b = (np.array(np.broadcast_to(v, shape), dtype=float).ravel() for v in (lo, hi))
+    bad = ~(np.isfinite(a) & np.isfinite(b) & (a <= b))
+    if bad.any():
+        k = bad.argmax()
+        raise ValueError(f"golden_section_max needs finite brackets with lo <= hi, "
+                         f"got lo={float(a[k])}, hi={float(b[k])}")
 
     def values(x: np.ndarray) -> np.ndarray:
         return np.asarray(f(x.reshape(shape)[()]), dtype=float).ravel()

@@ -644,7 +644,7 @@ BUNDLED_DIGESTS = {
         "summary.json": "e4331e141ad0f9c5b039a5b5ef175d81f85a8ed644998d5189c7fd0e1d4bbe57",
     },
     "validate.json": {
-        "validate.csv": "e239369be4f1e31d3cb33e4eceebe6dfa4ce8cc29eecb7821ab7fdbbc64abfe9",
+        "validate.csv": "a8f864ceb6c491f349ce9966090a51b64d1aec6c63a3cbe2c3e9b5ddbdb85800",
         "summary.json": "5aaadf245ae0034821fd48bd5c5e3a6b677300790efec567780a589743c1f729",
     },
 }
@@ -668,13 +668,13 @@ def test_bundled_scenarios_byte_identical(tmp_path):
 
 # sha256 of validate.csv and summary.json of `validate` at seeds 0-3, tol 1e-9
 VALIDATE_SEED_DIGESTS = {
-    0: ("e239369be4f1e31d3cb33e4eceebe6dfa4ce8cc29eecb7821ab7fdbbc64abfe9",
+    0: ("a8f864ceb6c491f349ce9966090a51b64d1aec6c63a3cbe2c3e9b5ddbdb85800",
         "5aaadf245ae0034821fd48bd5c5e3a6b677300790efec567780a589743c1f729"),
-    1: ("972ec1deb220e9059ed453d9e53039de58886f0e3333cec130c912f98dff59fe",
+    1: ("5e2bee44474cdb4cbd110d899b3dfac57467fc2ab36811c567b8c7a7a0cca4a4",
         "e091b93fc6e70b3a320311fb068f09192d40414dea109596ab74212780a521f3"),
-    2: ("17538ebbb38b877d94dde0468cb38463196d73f194de154a6b2039ff69c57e19",
+    2: ("38874b168c1e7dbe38796634b2a70405c45d248e1901d2acb78450e47932bf79",
         "56ed0bea74fbd2a6b2641af22e569b7ab6f8cecb92d244d3d741097a9d7871ca"),
-    3: ("6ba60436ec25a6e86da42988ec62426ade0ba270863af0e7ab5da1efc2c8c1e4",
+    3: ("442482ffb1896ebb4d4034f98ad1dd0417b3843c401dceed2878ee1551c89ce6",
         "08a9c3168b7b74bbeb732c5ad323c22ebf48a80a28cda3a5732da37829beb3e9"),
 }
 
@@ -872,6 +872,26 @@ def test_validate_calls_each_kernel_o1_times(tmp_path, monkeypatch):
     assert calls["brute_force_max"] == 1  # every number of reuses, n = 0..3, at once
     # one per brute-force leg index and one for the sup-norm grid; per-n calls made 11
     assert sum(c["golden_section_max"] for c in golden) <= 5
+
+
+def test_validate_refinements_stay_within_their_evaluation_budget(tmp_path, monkeypatch):
+    evals = {}
+    for module in (reduced, conjunction):
+        def counted(f, lo, hi, _counts=evals.setdefault(module, []),
+                    _original=module.golden_section_max):
+            _counts.append(0)
+
+            def f_counted(x):
+                _counts[-1] += 1
+                return f(x)
+            return _original(f_counted, lo, hi)
+
+        monkeypatch.setattr(module, "golden_section_max", counted)
+    payload = {"command": "validate", "seed": 5}
+    assert run(write_scenario(tmp_path, payload), out_dir=str(tmp_path / "out")) == 0
+    # f evaluations per call: stopping at GOLDEN_TOL = 1e-12 took 45 and 57
+    assert evals[reduced] and max(evals[reduced]) <= 25
+    assert len(evals[conjunction]) == 4 and max(evals[conjunction]) <= 37
 
 
 def test_domain_map_calls_each_kernel_o1_times(tmp_path, monkeypatch):

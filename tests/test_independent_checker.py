@@ -27,7 +27,8 @@ check, workloads = _perfbench("check"), _perfbench("workloads")
 
 
 @pytest.mark.parametrize("workload, seeds", [
-    ("small-scenarios", (1, 2)), ("sweep-200k", (3,)), ("domain-map", (4,))])
+    ("small-scenarios", (1, 2)), ("sweep-200k", (3,)), ("domain-map", (4,)),
+    ("validate", (5, 6))])
 def test_generated_workloads_pass_the_independent_checker(tmp_path, monkeypatch, workload, seeds):
     # a 41 x 101 sweep, past one 4,096-row chunk, so its second half comes
     # from the forked child; the small scenarios and the 9 x 9 map keep their sizes
