@@ -10,14 +10,13 @@ that certifies both domain verdicts: a witness state for inside, a dual
 certificate for outside.
 """
 from .conjunction import (
-    HazardReport,
     brute_force_max,
     conjunct,
     first_unphysical_n,
     greedy_extremal_growth,
     sigma2_conjunction,
 )
-from .dynamics import MeanValueState, crosscheck, evolve_density, evolve_mean_values, unitary
+from .dynamics import crosscheck, evolve_density, unitary
 from .feasibility import dual_certificate, feasibility_search
 from .pauli import (
     TwoQubitState,
@@ -41,8 +40,6 @@ from .tolerances import DEFAULT_TOL
 __all__ = [
     "DEFAULT_TOL",
     "DomainVerdict",
-    "HazardReport",
-    "MeanValueState",
     "ReducedMap",
     "TwoQubitState",
     "brute_force_max",
@@ -53,7 +50,6 @@ __all__ = [
     "dual_certificate",
     "embed_mean_values",
     "evolve_density",
-    "evolve_mean_values",
     "feasibility_search",
     "first_unphysical_n",
     "greedy_extremal_growth",

@@ -512,13 +512,20 @@ def _first_maximum(left: tuple, right: tuple) -> tuple:
     return best[0], best[1], right[2] if left[2] is None else left[2]
 
 
+def _first_hazard(magnitudes: np.ndarray, tol: float) -> Optional[int]:
+    """Index of the first magnitude M > 1 + tol, or None: the one hazard rule
+    of both `conjunct` modes."""
+    hazards = np.flatnonzero(magnitudes > 1.0 + tol)
+    return int(hazards[0]) if hazards.size else None
+
+
 def _run_conjunct(sc: Scenario, tol: float, seed: int) -> tuple[list, Body, Callable]:
     a, c1, c2 = sc.a, sc.c1, sc.c2
     s_grid = sc.grid("s")
     if s_grid is None:
         # trajectory mode: explicit schedule, frozen-map vs exact side by side
         durations = (sc.t, *sc.steps)
-        report = conjunct(c1, c2, a, durations, tol=tol)
+        magnitudes, trajectory = conjunct(c1, c2, a, durations)
         header = [
             "step", "duration", "cumulative_time",
             "conj_a1", "conj_a2", "conj_a3", "conj_norm",
@@ -527,15 +534,15 @@ def _run_conjunct(sc: Scenario, tol: float, seed: int) -> tuple[list, Body, Call
         # the exact state after leg k: one rotation by the durations summed left to right
         cumulative = np.array(list(itertools.accumulate(durations)))
         exact = rotate(a, c1, c2, cumulative)[:3]
-        conj = report.trajectory.T
         rows = Body.up_front(list(map(repr, range(cumulative.size))), np.array(durations),
-                             cumulative, *conj, report.magnitudes,
+                             cumulative, *trajectory.T, magnitudes,
                              exact[0], exact[1], [repr(float(exact[2]))] * cumulative.size,
                              _norms(*exact))
+        peak = float(magnitudes.max())
         summary = {
-            "first_unphysical_step": report.first_unphysical_step,
-            "worst_margin": report.worst_margin,
-            "max_magnitude": float(report.magnitudes.max()),
+            "first_unphysical_step": _first_hazard(magnitudes, tol),
+            "worst_margin": 1.0 - peak,
+            "max_magnitude": peak,
         }
         return header, rows, lambda _: summary
 
@@ -548,10 +555,9 @@ def _run_conjunct(sc: Scenario, tol: float, seed: int) -> tuple[list, Body, Call
         exact = rotate(a, c1, c2, sc.t + s)[:3]
         norm_conj, norm_exact = _norms(*conj), _norms(*exact)
         rows = (s, exact[1], conj[1], norm_exact, norm_conj, 1.0 - norm_exact, 1.0 - norm_conj)
-        argmax = int(np.argmax(conj[1]))
-        hazards = np.flatnonzero(norm_conj > 1.0 + tol)
+        argmax, hazard = int(np.argmax(conj[1])), _first_hazard(norm_conj, tol)
         return rows, (float(conj[1][argmax]), float(s[argmax]),
-                      float(s[hazards[0]]) if hazards.size else None)
+                      None if hazard is None else float(s[hazard]))
 
     header = ["s", "sigma2_exact", "sigma2_conjunction",
               "norm_exact", "norm_conjunction", "margin_exact", "margin_conjunction"]

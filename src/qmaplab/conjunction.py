@@ -1,19 +1,18 @@
 """Map conjunctions: reuse of one frozen reduced map across consecutive time
-steps, hazard detection, and the extremal growth law.
+steps, and the extremal growth law.
 
 A conjunction applies the reduced map fixed by the time-0 correlations
 (c1, c2) for a first leg of duration t and then again, unchanged, for further
 legs s_1 ... s_n.  The exact dynamics would update the correlations between
 legs; the conjunction deliberately does not, and the output Bloch vector can
 leave the unit ball.  Nothing here raises on unphysical intermediate values:
-hazards are reported, not rejected.  A leg on the slice a = (0, a2, 0),
-c2 = 0 is written once, as `_fold`, and the greedy worst case once, as the
-closed form `_greedy_rows`.
+the magnitudes are returned, and the caller reads the hazard from them.  A
+leg on the slice a = (0, a2, 0), c2 = 0 is written once, as `_fold`, and the
+greedy worst case once, as the closed form `_greedy_rows`.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -21,40 +20,18 @@ import numpy as np
 from .dynamics import _turn_component
 from .optimize import golden_section_max
 from .pauli import _norms, _require_count
-from .reduced import ReducedMap, _require_tol, _slice_sq
-from .tolerances import BOUNDARY_EPS, DEFAULT_TOL, ZERO_CORRELATION_SQ
+from .reduced import ReducedMap, _slice_sq
+from .tolerances import BOUNDARY_EPS, ZERO_CORRELATION_SQ
 
 _TWO_PI = 2 * math.pi
 
 
-@dataclass(frozen=True)
-class HazardReport:
-    """Outcome of a conjunction run.
-
-    `magnitudes[k]` and `trajectory[k]` describe the Bloch vector after leg k
-    (k = 0 is the first leg).  `first_unphysical_step` is the first k whose
-    magnitude exceeds 1 + tol, or None; `worst_margin` is 1 - max(magnitudes).
-    """
-
-    magnitudes: np.ndarray
-    first_unphysical_step: Optional[int]
-    worst_margin: float
-    trajectory: np.ndarray
-
-
-def conjunct(
-    c1: float,
-    c2: float,
-    a,
-    durations: Sequence[float],
-    tol: float = DEFAULT_TOL,
-) -> HazardReport:
+def conjunct(c1: float, c2: float, a, durations: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
     """Run the frozen map over every leg of `durations` (the first leg t,
-    then the reuses s_1 ... s_n), recording the Bloch vector and its
-    magnitude after each leg.  A negative or NaN tol, a non-finite a, c1,
-    c2 or duration, or durations that are empty or not 1-D raise
-    ValueError."""
-    _require_tol(tol)
+    then the reuses s_1 ... s_n).  Returns (magnitudes, trajectory): row k
+    of the trajectory is the Bloch vector after leg k, and magnitudes[k] its
+    norm.  A non-finite a, c1, c2 or duration, or durations that are empty
+    or not 1-D raise ValueError."""
     durations = np.asarray(durations, dtype=float)
     if durations.ndim != 1 or durations.size == 0:
         raise ValueError(f"durations must be a non-empty 1-D sequence, got durations={durations!r}")
@@ -66,14 +43,7 @@ def conjunct(
         a = ReducedMap(c1, c2, duration).apply(a)
         trajectory.append(a)
     trajectory = np.array(trajectory)
-    magnitudes = _norms(*trajectory.T)
-    exceed = np.nonzero(magnitudes > 1.0 + tol)[0]
-    return HazardReport(
-        magnitudes=magnitudes,
-        first_unphysical_step=int(exceed[0]) if exceed.size else None,
-        worst_margin=1.0 - float(magnitudes.max()),
-        trajectory=trajectory,
-    )
+    return _norms(*trajectory.T), trajectory
 
 
 def _fold(v, c1, turns: Sequence):
@@ -148,8 +118,9 @@ def _grid_argmax(a2: float, c1: float, n: int, grid_points: int) -> tuple[float,
     cos_g, sin_g = np.cos(grid), np.sin(grid)
 
     def leg(v):
-        """One leg from each value of v, over every grid angle (last axis)."""
-        return np.asarray(v)[..., None] * cos_g + c1 * sin_g
+        """One leg, v cos g + c1 sin g by `_turn_component`, from each
+        value of v over every grid angle (last axis)."""
+        return _turn_component(np.asarray(v)[..., None], c1, cos_g, sin_g)
 
     def peak(v, legs: int):
         """max |value| reachable from each value of v in `legs` more legs."""
@@ -188,8 +159,7 @@ def brute_force_max(a2, c1, n: int, grid_points: int = 128, *, reuses=None):
     n = _require_count(n, "n", 0)
     if n > 3:
         raise ValueError("brute_force_max supports n <= 3; use greedy_extremal_growth")
-    if grid_points < 64:
-        raise ValueError(f"grid_points must be >= 64, got {grid_points}")
+    grid_points = _require_count(grid_points, "grid_points", 64)
     counts = np.asarray(n if reuses is None else reuses)
     if counts.dtype.kind not in "iu":
         raise ValueError(f"reuses must be integers, got reuses={reuses!r}")

@@ -14,14 +14,12 @@ calls give.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 
 import numpy as np
 
 from .pauli import (
     ID4,
     TwoQubitState,
-    _as_bloch,
     _validate_density,
     density_from_params,
     params_from_density,
@@ -30,20 +28,6 @@ from .pauli import (
 
 # S_3 x E_1, twice the interaction Hamiltonian
 _S3_E1 = np.kron(pauli(3), pauli(1))
-
-
-@dataclass(frozen=True)
-class MeanValueState:
-    """System Bloch vector plus the two correlations the reduced map depends on."""
-
-    a: np.ndarray
-    c1: float  # <S_1 x E_1>
-    c2: float  # <S_2 x E_1>
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", _as_bloch(self.a))
-        object.__setattr__(self, "c1", float(self.c1))
-        object.__setattr__(self, "c2", float(self.c2))
 
 
 def _turn_component(x, y, ct, st, combine=operator.add):
@@ -74,12 +58,11 @@ def rotate(a, c1, c2, t):
     return (*_turn(a1, a2, c1, c2, ct, st), a3, *_turn(c1, c2, a1, a2, ct, st))
 
 
-def evolve_mean_values(m: MeanValueState, t: float) -> MeanValueState:
-    """Exact evolution of the five mean values over duration `t`.  The pairs
-    (a1, c2) and (a2, c1) rotate rigidly, so the update composes exactly:
-    evolve(evolve(m, t), s) == evolve(m, t + s)."""
-    a1, a2, a3, c1, c2 = rotate(m.a, m.c1, m.c2, t)
-    return MeanValueState(a=[a1, a2, a3], c1=c1, c2=c2)
+def evolve_mean_values(*args, **kwargs):
+    """Deleted wrapper of `rotate`; the name stays only because
+    `perfbench/tracing.py` traces it and `perfbench/test_perfbench.py` pins
+    its `cli` binding (ROADMAP item 1)."""
+    raise NotImplementedError("evolve_mean_values was removed; call rotate (ROADMAP item 1)")
 
 
 def unitary(t) -> np.ndarray:

@@ -29,7 +29,7 @@ from qmaplab.conjunction import (
     greedy_extremal_growth,
     sigma2_conjunction,
 )
-from qmaplab.dynamics import MeanValueState, evolve_mean_values, rotate
+from qmaplab.dynamics import rotate
 from qmaplab.reduced import ReducedMap
 from qmaplab.slippage import slip_state, slipped_domain_check
 
@@ -365,6 +365,33 @@ def test_conjunct_trajectory_reports_hazard(tmp_path):
     # exact path never leaves the ball; frozen-map path does
     assert rows["exact_norm"].max() <= 1 + 1e-12
     assert rows["conj_norm"].max() > 1
+
+
+def test_first_hazard_fires_only_past_one_plus_tol():
+    edge = 1.0 + 1e-9  # fl(1 + tol) itself does not exceed
+    assert cli._first_hazard(np.array([1.0, edge, math.nextafter(edge, 2.0)]), 1e-9) == 2
+    assert cli._first_hazard(np.array([1.0, edge]), 1e-9) is None
+
+
+def test_both_conjunct_summaries_read_first_hazard(tmp_path, monkeypatch):
+    calls = []
+
+    def spy(magnitudes, tol):
+        calls.append((np.array(magnitudes), tol))
+        return 0  # neither scenario's true first hazard
+
+    monkeypatch.setattr(cli, "_first_hazard", spy)
+    for name, key, column in (("conjunct_trajectory.json", "first_unphysical_step", "conj_norm"),
+                              ("conjunct_sweep.json", "first_hazard_s", "norm_conjunction")):
+        calls.clear()
+        payload = json.loads(pathlib.Path(SCENARIOS, name).read_text()) | {"tol": 1e-7}
+        out = tmp_path / key
+        assert run(write_scenario(tmp_path, payload, name), out_dir=str(out)) == 0
+        rows = np.genfromtxt(out / "conjunct.csv", delimiter=",", names=True)
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary[key] == rows[rows.dtype.names[0]][0]  # step 0, or the first s
+        assert np.array_equal(np.concatenate([m for m, _ in calls]), rows[column])
+        assert {tol for _, tol in calls} == {1e-7}
 
 
 def test_growth_summary_known_failure_index(tmp_path):
@@ -745,11 +772,10 @@ def test_evolve_grid_matches_row_by_row(tmp_path):
     payload = {"command": "evolve", "state": {"a": a, "c1": c1, "c2": c2},
                "grid": {"axis": "t", "start": -3, "stop": 40, "count": 2001}}
     got, summary = _run_and_read(tmp_path, payload, "evolve.csv")
-    m0 = MeanValueState(a=a, c1=c1, c2=c2)
     rows = []
     for t in np.linspace(-3, 40, 2001).tolist():
-        m = evolve_mean_values(m0, t)
-        rows.append([t, *m.a, m.c1, m.c2, np.linalg.norm(m.a)])
+        a1, a2, a3, c1_t, c2_t = rotate(a, c1, c2, t)
+        rows.append([t, a1, a2, a3, c1_t, c2_t, np.linalg.norm([a1, a2, a3])])
     assert got == _reference_csv(["t", "a1", "a2", "a3", "c1", "c2", "norm_a"], rows)
     assert summary["rows"] == 2001
 
@@ -761,12 +787,11 @@ def test_conjunct_sweep_matches_row_by_row(tmp_path):
     payload = {"command": "conjunct", "state": {"a": a, "c1": c1, "c2": c2},
                "schedule": {"t": t}, "grid": {"axis": "s", "start": -1, "stop": 9, "count": 2001}}
     got, summary = _run_and_read(tmp_path, payload, "conjunct.csv")
-    m0 = MeanValueState(a=a, c1=c1, c2=c2)
     first_leg = ReducedMap(c1, c2, t).apply(a)
     rows = []
     for s in np.linspace(-1, 9, 2001).tolist():
         conj = ReducedMap(c1, c2, s).apply(first_leg)
-        exact = evolve_mean_values(m0, t + s).a
+        exact = np.array(rotate(a, c1, c2, t + s)[:3])
         norm_exact, norm_conj = np.linalg.norm(exact), np.linalg.norm(conj)
         rows.append([s, exact[1], conj[1], norm_exact, norm_conj,
                      1.0 - norm_exact, 1.0 - norm_conj])
@@ -789,23 +814,23 @@ def test_conjunct_trajectory_matches_row_by_row(tmp_path, seed):
                "schedule": {"t": t, "steps": steps}}
     got, summary = _run_and_read(tmp_path, payload, "conjunct.csv")
     # the per-step loop the trajectory mode ran before it became one rotate call
-    m0 = MeanValueState(a=a, c1=c1, c2=c2)
     durations = [t, *steps]
-    report = conjunct(c1, c2, m0.a, durations, tol=1e-9)
+    magnitudes, trajectory = conjunct(c1, c2, a, durations)
     rows = []
     cumulative = 0.0
     for k, duration in enumerate(durations):
         cumulative += duration
-        exact = evolve_mean_values(m0, cumulative)
-        conj_a = report.trajectory[k]
-        rows.append([k, duration, cumulative, conj_a[0], conj_a[1], conj_a[2], report.magnitudes[k],
-                     exact.a[0], exact.a[1], exact.a[2], float(np.linalg.norm(exact.a))])
+        exact = np.array(rotate(a, c1, c2, cumulative)[:3])
+        conj_a = trajectory[k]
+        rows.append([k, duration, cumulative, conj_a[0], conj_a[1], conj_a[2], magnitudes[k],
+                     exact[0], exact[1], exact[2], float(np.linalg.norm(exact))])
     header = ["step", "duration", "cumulative_time", "conj_a1", "conj_a2", "conj_a3", "conj_norm",
               "exact_a1", "exact_a2", "exact_a3", "exact_norm"]
     assert got == _reference_csv(header, rows)
-    assert summary["first_unphysical_step"] == report.first_unphysical_step
-    assert summary["worst_margin"] == report.worst_margin
-    assert summary["max_magnitude"] == float(report.magnitudes.max())
+    assert summary["first_unphysical_step"] == next(
+        (k for k, m in enumerate(magnitudes) if m > 1.0 + 1e-9), None)
+    assert summary["worst_margin"] == 1.0 - float(magnitudes.max())
+    assert summary["max_magnitude"] == float(magnitudes.max())
     assert summary["rows"] == 201
 
 
@@ -824,7 +849,7 @@ def test_slippage_grid_matches_row_by_row(tmp_path):
 
 
 def test_hazard_grid_calls_each_kernel_o1_times(tmp_path, monkeypatch):
-    calls = {"evolve_mean_values": 0, "sigma2_conjunction": 0}
+    calls = {"rotate": 0, "sigma2_conjunction": 0}
     for name in calls:
         original = getattr(cli, name)
 
@@ -837,7 +862,7 @@ def test_hazard_grid_calls_each_kernel_o1_times(tmp_path, monkeypatch):
         {"axis": "q", "start": 0.1, "stop": 1.4, "count": 6},
         {"axis": "s", "start": 0, "stop": 2, "count": 50}]}
     assert run(write_scenario(tmp_path, payload), out_dir=str(tmp_path / "out")) == 0
-    assert calls["evolve_mean_values"] <= 1
+    assert calls["rotate"] <= 1
     assert calls["sigma2_conjunction"] <= 1
 
 

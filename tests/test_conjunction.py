@@ -21,7 +21,7 @@ from qmaplab.conjunction import (
     greedy_extremal_growth,
     sigma2_conjunction,
 )
-from qmaplab.dynamics import MeanValueState, evolve_mean_values, rotate
+from qmaplab.dynamics import rotate
 from qmaplab.optimize import golden_section_max
 from qmaplab.reduced import ReducedMap, compat_slice_check
 from qmaplab.slippage import max_safe_repetitions
@@ -34,25 +34,23 @@ def test_conjunct_uncorrelated_never_hazards():
     for _ in range(10):
         a = rng.uniform(-1, 1, 3)
         a /= max(1.0, np.linalg.norm(a))  # physical input
-        report = conjunct(0.0, 0.0, a, rng.uniform(0, 6, 6))
-        assert report.first_unphysical_step is None
-        assert report.magnitudes.max() <= np.linalg.norm(a) + 1e-12
+        magnitudes, _ = conjunct(0.0, 0.0, a, rng.uniform(0, 6, 6))
+        assert magnitudes.max() <= np.linalg.norm(a) + 1e-12
 
 
 @pytest.mark.parametrize("q,s", [(0.5, 0.3), (math.pi / 4, 1.0), (1.2, 0.2)])
 def test_conjunct_edge_state_formula(q, s):
-    report = conjunct(math.sin(q), 0.0, [0.0, math.cos(q), 0.0], (q, s))
-    assert abs(report.trajectory[1][1] - (math.cos(s) + math.sin(q) * math.sin(s))) < 1e-12
+    _, trajectory = conjunct(math.sin(q), 0.0, [0.0, math.cos(q), 0.0], (q, s))
+    assert abs(trajectory[1][1] - (math.cos(s) + math.sin(q) * math.sin(s))) < 1e-12
 
 
 def test_conjunct_edge_quarter_pi_is_unphysical_at_step_one():
     q = math.pi / 4
-    report = conjunct(math.sin(q), 0.0, [0.0, math.cos(q), 0.0], (q, math.pi / 4))
+    magnitudes, trajectory = conjunct(math.sin(q), 0.0, [0.0, math.cos(q), 0.0], (q, math.pi / 4))
     expected = math.cos(math.pi / 4) + math.sin(q) * math.sin(math.pi / 4)
-    assert abs(report.trajectory[1][1] - expected) < 1e-12
+    assert abs(trajectory[1][1] - expected) < 1e-12
     assert expected > 1.2  # ~1.2071
-    assert report.first_unphysical_step == 1
-    assert report.worst_margin < 0
+    assert magnitudes[0] <= 1 + 1e-12 < 1.2 < magnitudes[1]
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -62,9 +60,9 @@ def test_conjunct_single_leg_matches_exact_evolution(seed):
     a = rng.uniform(-1, 1, 3)
     c1, c2 = rng.uniform(-1, 1, 2)
     t = float(rng.uniform(0, 6))
-    report = conjunct(c1, c2, a, [t])
-    exact = evolve_mean_values(MeanValueState(a=a, c1=c1, c2=c2), t)
-    assert np.abs(report.trajectory[0] - exact.a).max() < 1e-12
+    _, trajectory = conjunct(c1, c2, a, [t])
+    exact = rotate(a, c1, c2, t)[:3]
+    assert np.abs(trajectory[0] - exact).max() < 1e-12
 
 
 def test_sigma2_conjunction_reduces_at_s_zero():
@@ -95,8 +93,8 @@ def test_sigma2_conjunction_agrees_with_conjunct_on_slice():
     for _ in range(20):
         a2, c1 = rng.uniform(-1, 1, 2)
         t, s = rng.uniform(0, 6, 2)
-        report = conjunct(c1, 0.0, [0, a2, 0], (t, s))
-        assert abs(report.trajectory[1][1] - sigma2_conjunction(a2, c1, t, s)) < 1e-12
+        _, trajectory = conjunct(c1, 0.0, [0, a2, 0], (t, s))
+        assert abs(trajectory[1][1] - sigma2_conjunction(a2, c1, t, s)) < 1e-12
 
 
 @pytest.mark.parametrize("q", [0.2, math.pi / 6, math.pi / 4, math.pi / 3, 1.5])
@@ -157,8 +155,8 @@ def test_greedy_schedule_actually_attains_magnitudes():
     for _ in range(10):
         a2, c1 = rng.uniform(-1, 1, 2)
         mags, durations = greedy_extremal_growth(a2, c1, 4)
-        report = conjunct(c1, 0.0, [0, a2, 0], durations)
-        assert np.abs(report.magnitudes - mags).max() < 1e-12
+        magnitudes, _ = conjunct(c1, 0.0, [0, a2, 0], durations)
+        assert np.abs(magnitudes - mags).max() < 1e-12
 
 
 def _greedy_legs(a2: float, c1: float):
@@ -243,12 +241,24 @@ def test_brute_force_examples():
     assert abs(brute_force_max(0.8, 0.0, 2, grid_points=64) - 0.8) < 1e-6
 
 
+@pytest.mark.parametrize("grid_points", [64.5, 100.0, True])
+def test_brute_force_rejects_a_grid_size_that_is_not_an_integer(grid_points):
+    # 64.5 would build 65 angles spaced 2 pi / 64.5
+    with pytest.raises(ValueError, match="grid_points must be an integer"):
+        brute_force_max(0.5, 0.1, 1, grid_points=grid_points)
+
+
+def test_brute_force_takes_a_numpy_integer_grid_size():
+    assert brute_force_max(0.5, 0.1, 1, grid_points=np.int64(64)) == brute_force_max(
+        0.5, 0.1, 1, grid_points=64)
+
+
 def test_brute_force_argument_errors():
     with pytest.raises(ValueError):
         brute_force_max(0.5, 0.1, 4)
     with pytest.raises(ValueError):
         brute_force_max(0.5, 0.1, -1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="grid_points must be >= 64, got grid_points=32"):
         brute_force_max(0.5, 0.1, 1, grid_points=32)
     # per-point reuse counts are checked element by element against 0..n
     with pytest.raises(ValueError, match=r"reuses must lie in 0\.\.n = 3, got 4"):

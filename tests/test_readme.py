@@ -31,9 +31,9 @@ def test_library_example_gives_the_values_its_comments_state():
             shown[ast.get_source_segment(source, node)] = eval(code, namespace)
         else:
             exec(compile(ast.Module([node], []), README, "exec"), namespace)
-    magnitudes = shown["report.magnitudes"]
+    magnitudes = shown["magnitudes"]
     assert np.abs(magnitudes - [1.0, 0.5 + math.sqrt(0.5)]).max() < 1e-12
-    assert shown["report.first_unphysical_step"] == 1
+    assert np.abs(shown["trajectory[1]"] - [0.0, 0.5 + math.sqrt(0.5), 0.0]).max() < 1e-12
     assert shown["first_unphysical_n(0.6, 0.2)"] == 16
     assert shown["slipped_domain_check(0.6, 0.2, n=15)"].inside
     best = shown["best"]

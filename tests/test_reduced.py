@@ -467,20 +467,21 @@ def test_compat_slice_check_rejects_negative_tol():
     # and a NaN a2, which would otherwise read as a silent verdict
     verdicts = [lambda a2, tol: compat_slice_check(a2, 0.8, tol=tol),
                 lambda a2, tol: in_compatibility_domain(0.8, 0.0, [0.0, a2, 0.0], tol=tol),
-                lambda a2, tol: slipped_domain_check(a2, 0.2, 1, tol=tol),
-                lambda a2, tol: conjunct(0.0, 0.0, [0.0, a2, 0.0], [0.0], tol=tol)]
+                lambda a2, tol: slipped_domain_check(a2, 0.2, 1, tol=tol)]
     for verdict in verdicts:
         for tol in (-1e-9, math.nan):
             with pytest.raises(ValueError, match="tol must be >= 0"):
                 verdict(0.6, tol)
         with pytest.raises(ValueError, match="margin is NaN|a must be finite"):
             verdict(math.nan, 0.0)
+    with pytest.raises(ValueError, match="a must be finite"):
+        conjunct(0.0, 0.0, [0.0, math.nan, 0.0], [0.0])
     for c1, durations in ((math.inf, (0.1, 0.2)), (0.0, (0.1, 0.2, math.nan))):
         with pytest.raises(ValueError, match="must be finite"):
             conjunct(c1, 0.0, [0.0, 0.6, 0.0], durations)
     assert compat_slice_check(0.6, 0.8, tol=0.0).inside
     assert slipped_domain_check(0.5, 0.2, 1, tol=0.0).inside
-    assert conjunct(0.0, 0.0, [0.0, 0.5, 0.0], [0.0], tol=0.0).first_unphysical_step is None
+    assert conjunct(0.0, 0.0, [0.0, 0.5, 0.0], [0.0])[0].tolist() == [0.5]
 
 
 @pytest.mark.parametrize("seed", range(10))
