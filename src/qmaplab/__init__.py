@@ -27,7 +27,6 @@ from .pauli import (
     pauli,
 )
 from .reduced import (
-    DomainVerdict,
     ReducedMap,
     compat_slice_check,
     in_compatibility_domain,
@@ -39,7 +38,6 @@ from .tolerances import DEFAULT_TOL
 
 __all__ = [
     "DEFAULT_TOL",
-    "DomainVerdict",
     "ReducedMap",
     "TwoQubitState",
     "brute_force_max",

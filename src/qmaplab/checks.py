@@ -29,7 +29,7 @@ from .pauli import _BASIS, TwoQubitState, _broadcast, density_from_params
 from .reduced import compat_slice_check, in_compatibility_domain, sup_norm_grid, sup_norm_over_time
 from .tolerances import (BOUNDARY_BAND, COUNT_BOUND, DUAL_TOL, GREEDY_BOUND, MEAN_VALUES_BOUND,
                          MISMATCH_BAND, READ_BACK_TOL, REL_ERR_FLOOR, SUP_NORM_BOUND,
-                         WITNESS_EIG_TOL)
+                         WITNESS_EIG_TOL, inside)
 
 # parameter indices of the (1, a, b, T.ravel()) basis coefficients:
 # a, the fixed T11 = c1 and T21 = c2, and the ten free ones
@@ -42,11 +42,10 @@ def _on_slice(a2) -> np.ndarray:
     return np.stack(np.broadcast_arrays(0.0, a2, 0.0))
 
 
-def slice_verdicts(a2, c1, tol: float):
-    """Slice-check and sup-norm verdicts for the slice states (a2, c1), one
+def slice_margins(a2, c1):
+    """Slice-check and sup-norm margins for the slice states (a2, c1), one
     entry per point of a2 and c1 broadcast against each other."""
-    sl = compat_slice_check(a2, c1, tol=tol)
-    return sl, in_compatibility_domain(c1, 0.0, _on_slice(a2), tol=tol)
+    return compat_slice_check(a2, c1), in_compatibility_domain(c1, 0.0, _on_slice(a2))
 
 
 def near_boundary(slice_margin) -> np.ndarray:
@@ -57,12 +56,13 @@ def near_boundary(slice_margin) -> np.ndarray:
 
 def three_way_agreement(a2, c1, tol: float):
     """Slice check, sup over time and oracle at the slice points (a2, c1),
-    broadcast against each other: (slice verdict, sup-norm verdict, oracle
+    broadcast against each other: (slice margin, sup-norm margin, oracle
     values, near-boundary mask, agree mask)."""
-    sl, sup = slice_verdicts(a2, c1, tol)
+    sl, sup = slice_margins(a2, c1)
     values, _ = feasibility_search(_on_slice(a2), c1, 0.0)
-    agree = (sl.inside == sup.inside) & (sup.inside == (values >= -tol))
-    return sl, sup, values, near_boundary(sl.margin), agree
+    sl_in, sup_in = inside(sl, tol), inside(sup, tol)
+    agree = (sl_in == sup_in) & (sup_in == inside(values, tol))
+    return sl, sup, values, near_boundary(sl), agree
 
 
 def certified(a, c1, c2, value, witness: TwoQubitState, tol: float):
@@ -73,14 +73,14 @@ def certified(a, c1, c2, value, witness: TwoQubitState, tol: float):
     parameter, and tr(W rho_witness) < -tol, which bounds every extension's
     min eigenvalue."""
     a, c1, c2 = _broadcast(a, c1, c2)
-    answers = np.broadcast_to(value, c1.shape) >= -tol
+    answers = inside(np.broadcast_to(value, c1.shape), tol)
     rho = density_from_params(witness)
     w = dual_certificate(a, c1, c2)
     # parameters read back from rho and W: tr(B_k M) for each basis element
     back_rho, back_w = np.einsum("kij,m...ji->mk...", _BASIS, np.stack((rho, w))).real
     # both come from density_from_params, Hermitian by construction, so
     # eigvalsh takes them without min_eigenvalue's check
-    inside = (
+    witnessed = (
         (np.linalg.eigvalsh(rho)[..., 0] >= -WITNESS_EIG_TOL)
         & (np.abs(back_rho[_A] - a).max(axis=0) < READ_BACK_TOL)
         & (np.abs(back_rho[_C1] - c1) < READ_BACK_TOL)
@@ -97,7 +97,7 @@ def certified(a, c1, c2, value, witness: TwoQubitState, tol: float):
     # operation a `validate` pass ends with moves its calibrated run_s
     bounds = np.trace(w @ rho, axis1=-2, axis2=-1).real
     tight = np.array([bound < -tol for bound in bounds.ravel().tolist()], dtype=bool)
-    return np.where(answers, inside, np.where(outside, tight.reshape(bounds.shape), False))[()]
+    return np.where(answers, witnessed, np.where(outside, tight.reshape(bounds.shape), False))[()]
 
 
 def _worst(errors) -> float:
@@ -146,8 +146,8 @@ def greedy_vs_brute_force(pairs, grid_points: int):
 def slice_vs_sup_norm_verdicts(tol: float):
     """Slice check vs sup-over-time verdicts on a dense analytic grid."""
     grid = np.linspace(-1.2, 1.2, 201)
-    sl, sup = slice_verdicts(grid[:, None], grid, tol)
-    mismatches = int(np.sum(~(np.abs(sl.margin) <= MISMATCH_BAND) & (sl.inside != sup.inside)))
+    sl, sup = slice_margins(grid[:, None], grid)
+    mismatches = int(np.sum(~(np.abs(sl) <= MISMATCH_BAND) & (inside(sl, tol) != inside(sup, tol))))
     return "slice_vs_sup_norm_verdicts", "mismatches", mismatches, COUNT_BOUND
 
 
@@ -161,8 +161,8 @@ def validate_suite(rng, tol: float):
     axis = np.linspace(-1.0, 1.0, 11)
     a2, c1 = (v.ravel() for v in np.meshgrid(axis, axis, indexing="ij"))
     values, witnesses = feasibility_search(_on_slice(a2), c1, 0.0)
-    sl = compat_slice_check(a2, c1, tol=tol)
-    disagree = ~near_boundary(sl.margin) & ((values >= -tol) != sl.inside)
+    sl = compat_slice_check(a2, c1)
+    disagree = ~near_boundary(sl) & (inside(values, tol) != inside(sl, tol))
     yield "oracle_vs_slice_verdicts", "disagreements", int(disagree.sum()), COUNT_BOUND
     # counted as Python numbers, like the verdicts in `cli._run_validate`
     bad = certified(_on_slice(a2), c1, 0.0, values, witnesses, tol).tolist().count(False)

@@ -53,7 +53,7 @@ from .dynamics import evolve_mean_values  # noqa: F401  no longer called; perfbe
 from .pauli import _norms
 from .reduced import ReducedMap
 from .slippage import max_safe_repetitions, slip_state, slipped_domain_check
-from .tolerances import DEFAULT_TOL
+from .tolerances import DEFAULT_TOL, exceeds, inside
 
 # most CSV rows one run may write; checked before any compute (the largest
 # benchmark workload writes 200,200)
@@ -513,9 +513,9 @@ def _first_maximum(left: tuple, right: tuple) -> tuple:
 
 
 def _first_hazard(magnitudes: np.ndarray, tol: float) -> Optional[int]:
-    """Index of the first magnitude M > 1 + tol, or None: the one hazard rule
-    of both `conjunct` modes."""
-    hazards = np.flatnonzero(magnitudes > 1.0 + tol)
+    """Index of the first magnitude that `tolerances.exceeds` 1 + tol, or
+    None: the first hazard of both `conjunct` modes."""
+    hazards = np.flatnonzero(exceeds(magnitudes, tol))
     return int(hazards[0]) if hazards.size else None
 
 
@@ -592,7 +592,7 @@ def _run_hazard(sc: Scenario, tol: float, seed: int) -> tuple[list, Body, Callab
 
     def summary(partial: tuple) -> dict:
         # |sigma2| past 1 + tol either way leaves the Bloch ball on this slice
-        return {"max_sigma2_conjunction": partial[0], "hazard": partial[1] > 1.0 + tol}
+        return {"max_sigma2_conjunction": partial[0], "hazard": exceeds(partial[1], tol)}
 
     header = ["q", "s", "sigma2_exact", "sigma2_conjunction", "margin_exact", "margin_conjunction"]
     return header, Body(q_grid.count * s_grid.count, chunk, _max_each), summary
@@ -603,7 +603,7 @@ def _run_growth(sc: Scenario, tol: float, seed: int) -> tuple[list, Body, Callab
 
     def chunk(lo: int, hi: int) -> tuple[tuple, float]:
         durations, magnitudes = _greedy_rows(a2, c1, np.arange(lo, hi))
-        rows = (list(map(repr, range(lo, hi))), durations, magnitudes, magnitudes > 1.0 + tol)
+        rows = (list(map(repr, range(lo, hi))), durations, magnitudes, exceeds(magnitudes, tol))
         return rows, float(magnitudes[-1])  # a range's partial: its last magnitude
 
     def summary(final: float) -> dict:
@@ -629,7 +629,7 @@ def _run_domain_map(sc: Scenario, tol: float, seed: int) -> tuple[list, Body, Ca
         ai, ci = np.unravel_index(np.arange(lo, hi), (a2_grid.count, c1_grid.count))
         sl, sup, best, near, agree = checks.three_way_agreement(a2_grid.at(ai), c1_grid.at(ci),
                                                                 tol)
-        rows = (a2_cells(ai), c1_cells(ci), sl.margin, sup.margin, best, near, agree)
+        rows = (a2_cells(ai), c1_cells(ci), sl, sup, best, near, agree)
         return rows, (int(near.sum()), int((~near & ~agree).sum()))
 
     def summary(partial: tuple) -> dict:
@@ -651,9 +651,9 @@ def _run_slippage(sc: Scenario, tol: float, seed: int) -> tuple[list, Body, Call
         # rows run over c1 within a2 within n = 1 .. sc.n
         ni, ai, ci = np.unravel_index(np.arange(lo, hi), shape)
         n, a2, c1 = ni + 1, a2_grid.at(ai), c1_grid.at(ci)
-        verdict = slipped_domain_check(a2, c1, n, tol=tol)
+        margin = slipped_domain_check(a2, c1, n)
         return (n_cells(ni), a2_cells(ai), c1_cells(ci),
-                verdict.inside, verdict.margin, slip_state(a2, c1, n)), None
+                inside(margin, tol), margin, slip_state(a2, c1, n)), None
 
     header = ["n", "a2", "c1", "inside", "margin", "a2_slipped"]
     return header, Body(math.prod(shape), chunk), lambda _: {"max_n": sc.n}

@@ -1,4 +1,4 @@
-"""Affine reduced maps on the system-qubit Bloch vector, with domain verdicts.
+"""Affine reduced maps on the system-qubit Bloch vector, with domain margins.
 
 A reduced map is fixed by the frozen correlations (c1, c2) and a duration t.
 Two domains matter: the positivity domain at a given t (images stay inside
@@ -18,39 +18,17 @@ import numpy as np
 from .dynamics import _turn, rotate
 from .optimize import golden_section_max
 from .pauli import _as_bloch, _as_blochs, _require_count
-from .tolerances import DEFAULT_TOL, GRID_VALUE_PAD
-
-
-def _require_tol(tol: float) -> None:
-    """A boundary tolerance must be >= 0; NaN is rejected too."""
-    if not tol >= 0:
-        raise ValueError("tol must be >= 0")
+from .tolerances import GRID_VALUE_PAD
 
 
 def _finite_sup(sup):
-    """sup, unless an entry is infinite (an input is, or |a(t)| passes 1.3e154): ValueError."""
+    """sup, unless an entry is infinite (an input is, or |a(t)| passes
+    1.3e154) or NaN (an input is, or infinite inputs cancel): ValueError."""
     if np.isinf(sup).any():
         raise ValueError("the supremum overflows: an input is infinite or |a(t)| passes about 1.3e154")
+    if np.isnan(sup).any():
+        raise ValueError("the supremum is NaN: an input is NaN, or infinite inputs cancel")
     return sup
-
-
-@dataclass(frozen=True)
-class DomainVerdict:
-    """Signed-margin membership verdict: positive margin = slack, negative =
-    violation; `inside` applies the boundary tolerance."""
-
-    inside: bool
-    margin: float
-
-    @staticmethod
-    def of(margin, tol: float) -> "DomainVerdict":
-        """The verdict of `margin` (a float or an array): inside iff
-        margin >= -tol.  A NaN margin, which a NaN input gives, raises
-        ValueError rather than reading as outside."""
-        _require_tol(tol)
-        if np.isnan(margin).any():
-            raise ValueError("margin is NaN: an input is NaN or infinite")
-        return DomainVerdict(inside=margin >= -tol, margin=margin)
 
 
 @dataclass(frozen=True)
@@ -88,7 +66,7 @@ def _norm_sq_coeffs(c1, c2, a: np.ndarray) -> tuple:
 def _sup_norm(c1, c2, a) -> tuple:
     """sqrt(A + hypot(B, C)), the supremum of |a(t)|, with hypot(B, C), B
     and C of `_norm_sq_coeffs`."""
-    with np.errstate(over="ignore"):  # `_finite_sup` raises
+    with np.errstate(over="ignore", invalid="ignore"):  # `_finite_sup` raises
         big_a, big_b, big_c = _norm_sq_coeffs(c1, c2, _as_blochs(a))
         amp = np.hypot(big_b, big_c)
         sup = np.sqrt(np.maximum(big_a + amp, 0.0))
@@ -176,11 +154,11 @@ def sup_norm_grid(c1, c2, a, points: int = 100_000):
     return sup[()], (t_best % (2 * math.pi)).reshape(a1.shape)[()]
 
 
-def in_compatibility_domain(c1, c2, a, tol: float = DEFAULT_TOL) -> DomainVerdict:
-    """Inside iff sup over t of |a(t)| stays <= 1 + tol (intersection of all
-    positivity domains for the frozen correlations).  Broadcasts like
+def in_compatibility_domain(c1, c2, a):
+    """The compatibility margin 1 - sup over t of |a(t)| (the intersection
+    of all positivity domains for the frozen correlations).  Broadcasts like
     `sup_norm_over_time`, whose supremum it takes without the angle."""
-    return DomainVerdict.of((1.0 - _sup_norm(c1, c2, a)[0])[()], tol)
+    return (1.0 - _sup_norm(c1, c2, a)[0])[()]
 
 
 def _slice_sq(a2, c1, m):
@@ -197,9 +175,9 @@ def _slice_margin(a2, c1, m):
         return (1.0 - _finite_sup(np.sqrt(_slice_sq(a2, c1, m))))[()]
 
 
-def compat_slice_check(a2, c1, tol: float = DEFAULT_TOL) -> DomainVerdict:
-    """Analytic compatibility check on the slice a = (0, a2, 0), c2 = 0:
-    inside iff a2^2 + c1^2 <= 1.  Agrees with `in_compatibility_domain`
-    restricted to the slice.  Broadcasts over arrays of a2 and c1; the
-    margin is 1 - sqrt(`_slice_sq`(a2, c1, 1)), the bits of growth row 0."""
-    return DomainVerdict.of(_slice_margin(a2, c1, 1), tol)
+def compat_slice_check(a2, c1):
+    """Analytic compatibility margin on the slice a = (0, a2, 0), c2 = 0:
+    1 - sqrt(`_slice_sq`(a2, c1, 1)), the bits of growth row 0, >= 0 iff
+    a2^2 + c1^2 <= 1.  Agrees with `in_compatibility_domain` restricted to
+    the slice.  Broadcasts over arrays of a2 and c1."""
+    return _slice_margin(a2, c1, 1)

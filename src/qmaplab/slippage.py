@@ -13,13 +13,14 @@ from typing import Optional, Union
 import numpy as np
 
 from .conjunction import first_unphysical_n
-from .reduced import DomainVerdict, _slice_margin, _slice_sq
-from .tolerances import DEFAULT_TOL
+from .reduced import _slice_margin, _slice_sq
+from .tolerances import DEFAULT_TOL, inside
 
 
-def slipped_domain_check(a2, c1, n, tol: float = DEFAULT_TOL) -> DomainVerdict:
-    """Inside iff a2^2 + (n+1) c1^2 <= 1 (`reduced._slice_sq`); margin = 1 -
-    its root, 1 - growth row n.  Broadcasts over arrays of a2, c1 and n.
+def slipped_domain_check(a2, c1, n):
+    """The slipped-domain margin 1 - sqrt(a2^2 + (n+1) c1^2)
+    (`reduced._slice_sq`), 1 - growth row n: >= 0 iff n worst-case reuses
+    stay physical.  Broadcasts over arrays of a2, c1 and n.
     Every n must be an integer >= 1; a bool, a float or a str raises
     ValueError naming n.  A root past the float range raises ValueError."""
     counts = np.asarray(n)  # a Python int past 2^64 makes an object array
@@ -27,7 +28,7 @@ def slipped_domain_check(a2, c1, n, tol: float = DEFAULT_TOL) -> DomainVerdict:
         raise ValueError(f"n must be an integer, got n={n!r}")
     if np.any(counts < 1):
         raise ValueError(f"n must be >= 1, got {n}")
-    return DomainVerdict.of(_slice_margin(a2, c1, counts + 1), tol)
+    return _slice_margin(a2, c1, counts + 1)
 
 
 def max_safe_repetitions(a2: float, c1: float) -> Optional[Union[int, float]]:
@@ -49,12 +50,12 @@ def slip_state(a2, c1, n):
     """Minimal radial adjustment of a slice state a = (0, a2, 0) onto the
     n-reuse boundary; returns the slipped a2.
 
-    Already-safe inputs come back unchanged; otherwise a2 shrinks to
-    sign(a2) * sqrt(max(0, 1 - (n+1) c1^2)), `reduced._slice_sq` at a2 = 0.
-    Idempotent.  Broadcasts over arrays of a2, c1 and n, which
-    `slipped_domain_check` validates.
+    Inputs inside at `DEFAULT_TOL`, whatever a run's tol, come back unchanged;
+    otherwise a2 shrinks to sign(a2) * sqrt(max(0, 1 - (n+1) c1^2)),
+    `reduced._slice_sq` at a2 = 0.  Idempotent.  Broadcasts over arrays of
+    a2, c1 and n, which `slipped_domain_check` validates.
     """
     a2, c1 = np.asarray(a2, dtype=float), np.asarray(c1, dtype=float)
-    inside = slipped_domain_check(a2, c1, n).inside
+    safe = inside(slipped_domain_check(a2, c1, n), DEFAULT_TOL)
     edge = np.sqrt(np.maximum(0.0, 1.0 - _slice_sq(0.0, c1, np.asarray(n) + 1)))
-    return np.where(inside, a2, np.copysign(edge, a2))[()]
+    return np.where(safe, a2, np.copysign(edge, a2))[()]

@@ -1,4 +1,5 @@
-"""Every number that decides a verdict, named once.  A leaf: imports nothing.
+"""Every number that decides a verdict, and each rule that reads `tol`,
+written once.  A leaf: imports nothing.
 
 A `checks` check passes when its value is below its bound.
 """
@@ -53,3 +54,13 @@ COUNT_BOUND = 1
 MISMATCH_BAND = 1e-9
 # floor of the sup-norm relative error's denominator, so sup 0 divides safely
 REL_ERR_FLOOR = 1e-12
+
+
+def inside(margin, tol):
+    """The domain rule: a signed margin is inside iff it is >= -tol."""
+    return margin >= -tol
+
+
+def exceeds(magnitude, tol):
+    """The hazard rule, M > 1 + tol; it parts from `inside` at M = fl(1 + tol)."""
+    return magnitude > 1.0 + tol

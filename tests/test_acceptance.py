@@ -23,6 +23,7 @@ from qmaplab.dynamics import rotate
 from qmaplab.feasibility import feasibility_search
 from qmaplab.reduced import compat_slice_check
 from qmaplab.slippage import max_safe_repetitions, slipped_domain_check
+from qmaplab.tolerances import DEFAULT_TOL, inside
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
@@ -120,9 +121,9 @@ def test_criterion_7_predecessor_left_the_domain():
         trajectories += 1
         k = int(exceed[0])
         pred_margin = (
-            compat_slice_check(a2, c1).margin
+            compat_slice_check(a2, c1)
             if k == 0
-            else compat_slice_check(float(mags[k - 1]), c1).margin
+            else compat_slice_check(float(mags[k - 1]), c1)
         )
         if not pred_margin < 0:
             counterexamples += 1
@@ -139,13 +140,13 @@ def test_criterion_8_slippage_sufficiency_and_sharpness():
         a2 = float(rng.uniform(-1, 1))
         c1 = float(rng.uniform(-1, 1))
         n = int(rng.integers(1, 9))
-        verdict = slipped_domain_check(a2, c1, n)
+        safe = inside(slipped_domain_check(a2, c1, n), DEFAULT_TOL)
         mags, _ = greedy_extremal_growth(a2, c1, n)
-        if verdict.inside and passing < 100:
+        if safe and passing < 100:
             passing += 1
             if mags.max() > 1 + 1e-9:
                 safe_violations += 1
-        elif not verdict.inside and failing < 100:
+        elif not safe and failing < 100:
             failing += 1
             if not mags.max() > 1.0:
                 sharp_misses += 1

@@ -32,6 +32,7 @@ from qmaplab.conjunction import (
 from qmaplab.dynamics import rotate
 from qmaplab.reduced import ReducedMap
 from qmaplab.slippage import slip_state, slipped_domain_check
+from qmaplab.tolerances import inside
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
@@ -843,9 +844,24 @@ def test_slippage_grid_matches_row_by_row(tmp_path):
     for n in range(1, 5):
         for a2 in np.linspace(-1.05, 1.05, 31).tolist():
             for c1 in np.linspace(-0.6, 0.6, 7).tolist():
-                verdict = slipped_domain_check(a2, c1, n, tol=1e-9)
-                rows.append([n, a2, c1, verdict.inside, verdict.margin, slip_state(a2, c1, n)])
+                margin = slipped_domain_check(a2, c1, n)
+                rows.append([n, a2, c1, inside(margin, 1e-9), margin, slip_state(a2, c1, n)])
     assert got == _reference_csv(["n", "a2", "c1", "inside", "margin", "a2_slipped"], rows)
+
+
+def test_slippage_projects_at_the_default_tol_whatever_the_run_tol(tmp_path):
+    # 1.8e-10 past the boundary: outside at tol 0, yet within DEFAULT_TOL,
+    # so `slip_state` keeps a2 (the grid -a2, a2 shares one margin)
+    a2 = math.sqrt(0.82) + 2e-10
+    payload = {"command": "slippage", "state": {"c1": 0.3}, "n": 1, "tol": 0,
+               "grid": {"axis": "a2", "start": -a2, "stop": a2, "count": 2}}
+    got, _ = _run_and_read(tmp_path, payload, "slippage.csv")
+    rows = list(csv.DictReader(got.decode().splitlines()))
+    assert [float(row["a2"]) for row in rows] == [-a2, a2]
+    for row in rows:
+        assert row["inside"] == "false"
+        assert float(row["margin"]) == pytest.approx(-1.8e-10, rel=0.02)
+        assert row["a2_slipped"] == row["a2"]
 
 
 def test_hazard_grid_calls_each_kernel_o1_times(tmp_path, monkeypatch):

@@ -485,9 +485,9 @@ def test_predecessor_left_domain_before_hazard(seed):
         if exceed.size == 0:
             continue
         k = int(exceed[0])
-        assert k >= 1 or compat_slice_check(a2, c1).margin < 0
+        assert k >= 1 or compat_slice_check(a2, c1) < 0
         if k >= 1:
-            assert compat_slice_check(float(mags[k - 1]), c1).margin < 0
+            assert compat_slice_check(float(mags[k - 1]), c1) < 0
 
 
 def _rotate_fold(a2, c1, durations):

@@ -10,7 +10,8 @@ import pytest
 from qmaplab import DEFAULT_TOL, checks
 from qmaplab.feasibility import dual_certificate, feasibility_search
 from qmaplab.pauli import TwoQubitState, density_from_params, min_eigenvalue, params_from_density
-from qmaplab.reduced import DomainVerdict, in_compatibility_domain, sup_norm_over_time
+from qmaplab.reduced import in_compatibility_domain, sup_norm_over_time
+from qmaplab.tolerances import inside
 
 pauli = importlib.import_module("qmaplab.pauli")  # the module; the package binds the function
 
@@ -25,9 +26,10 @@ DEGENERATE_POINTS = [
 ]
 
 
-def is_compatible_oracle(a, c1, c2, tol: float = DEFAULT_TOL) -> DomainVerdict:
-    """Inside iff the optimal extension has min eigenvalue >= -tol."""
-    return DomainVerdict.of(feasibility_search(a, c1, c2)[0], tol)
+def is_compatible_oracle(a, c1, c2):
+    """The oracle value, the optimal extension's min eigenvalue: a signed
+    margin, inside iff `tolerances.inside` holds."""
+    return feasibility_search(a, c1, c2)[0]
 
 
 # ------------------------------------------------ per-point reference oracle
@@ -231,22 +233,22 @@ def test_certificates_on_random_points():
     assert weights_outside > 0  # the property also ran where the weights leave [0, 1]
 
 
-@pytest.mark.parametrize("a,c1,c2,inside", DEGENERATE_POINTS)
-def test_certificates_on_degenerate_points(a, c1, c2, inside):
+@pytest.mark.parametrize("a,c1,c2,expected", DEGENERATE_POINTS)
+def test_certificates_on_degenerate_points(a, c1, c2, expected):
     value, _ = _check_certificates(a, c1, c2, np.random.default_rng(0))
-    assert (value >= 0.0) == inside
-    assert is_compatible_oracle(a, c1, c2).inside == inside
+    assert (value >= 0.0) == expected
+    assert inside(is_compatible_oracle(a, c1, c2), DEFAULT_TOL) == expected
 
 
 def test_near_boundary_general_point_is_inside():
     # analytic margin +1.12e-3, just outside the 1e-3 boundary band
     a = [0.7683186382780032, 0.3679800269685993, 0.3038548700804089]
     c1, c2 = 0.8188895047216136, 0.46586291474432473
-    verdict = is_compatible_oracle(a, c1, c2)
-    assert verdict.inside
+    value = is_compatible_oracle(a, c1, c2)
+    assert inside(value, DEFAULT_TOL)
     analytic = in_compatibility_domain(c1, c2, a)
-    assert analytic.margin > 1e-3
-    assert abs(4.0 * verdict.margin - analytic.margin) < 1e-14
+    assert analytic > 1e-3
+    assert abs(4.0 * value - analytic) < 1e-14
 
 
 @pytest.mark.parametrize("field", ["a", "c2"])
@@ -291,11 +293,9 @@ def test_pure_marginal_admits_no_correlation():
 
 
 def test_oracle_verdict_examples():
-    assert is_compatible_oracle([0, 0.6, 0], 0.8, 0.0).inside
-    v = is_compatible_oracle([0, 0.9, 0], 0.6, 0.0)
-    assert not v.inside and v.margin < 0
-    with pytest.raises(ValueError):
-        is_compatible_oracle([0, 0, 0], 0.0, 0.0, tol=-1.0)
+    assert inside(is_compatible_oracle([0, 0.6, 0], 0.8, 0.0), DEFAULT_TOL)
+    value = is_compatible_oracle([0, 0.9, 0], 0.6, 0.0)
+    assert not inside(value, DEFAULT_TOL) and value < 0
 
 
 def test_search_is_deterministic():

@@ -9,6 +9,8 @@ import re
 
 import numpy as np
 
+from qmaplab.tolerances import DEFAULT_TOL, inside
+
 README = os.path.join(os.path.dirname(__file__), "..", "README.md")
 
 
@@ -35,7 +37,8 @@ def test_library_example_gives_the_values_its_comments_state():
     assert np.abs(magnitudes - [1.0, 0.5 + math.sqrt(0.5)]).max() < 1e-12
     assert np.abs(shown["trajectory[1]"] - [0.0, 0.5 + math.sqrt(0.5), 0.0]).max() < 1e-12
     assert shown["first_unphysical_n(0.6, 0.2)"] == 16
-    assert shown["slipped_domain_check(0.6, 0.2, n=15)"].inside
+    margin = shown["slipped_domain_check(0.6, 0.2, n=15)"]
+    assert margin == 0.0 and inside(margin, DEFAULT_TOL)
     best = shown["best"]
     assert abs(best - (1 - math.sqrt(1.17)) / 4) < 1e-12
     assert best < 0

@@ -5,6 +5,7 @@ import itertools
 import math
 import tempfile
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from qmaplab.reduced import (
     sup_norm_over_time,
 )
 from qmaplab.slippage import slipped_domain_check
+from qmaplab.tolerances import DEFAULT_TOL, inside
 
 
 def test_apply_identity_at_t_zero():
@@ -124,10 +126,9 @@ def test_sup_norm_closed_form_vs_dense_grid(seed):
 
 
 def test_compatibility_domain_boundary_and_outside():
-    v = in_compatibility_domain(0.6, 0.0, [0, 0.8, 0])
-    assert v.inside and abs(v.margin) < 1e-12
-    v = in_compatibility_domain(0.6, 0.0, [0, 0.9, 0])
-    assert not v.inside  # 0.81 + 0.36 > 1
+    margin = in_compatibility_domain(0.6, 0.0, [0, 0.8, 0])
+    assert inside(margin, DEFAULT_TOL) and abs(margin) < 1e-12
+    assert not inside(in_compatibility_domain(0.6, 0.0, [0, 0.9, 0]), DEFAULT_TOL)  # 0.81 + 0.36 > 1
 
 
 def test_compatibility_domain_origin():
@@ -135,17 +136,17 @@ def test_compatibility_domain_origin():
     for _ in range(20):
         c1, c2 = rng.uniform(-0.7, 0.7, 2)
         if math.hypot(c1, c2) <= 1:
-            assert in_compatibility_domain(c1, c2, [0, 0, 0]).inside
+            assert inside(in_compatibility_domain(c1, c2, [0, 0, 0]), DEFAULT_TOL)
 
 
 def test_compat_slice_check_examples():
-    v = compat_slice_check(0.6, 0.8)
-    assert v.inside and abs(v.margin) < 1e-12
-    v = compat_slice_check(1.0, 0.0)
-    assert v.inside and abs(v.margin) < 1e-15
-    v = compat_slice_check(0.8, 0.8)
-    assert not v.inside
-    assert abs(v.margin - (1 - math.sqrt(1.28))) < 1e-12
+    margin = compat_slice_check(0.6, 0.8)
+    assert inside(margin, DEFAULT_TOL) and abs(margin) < 1e-12
+    margin = compat_slice_check(1.0, 0.0)
+    assert inside(margin, DEFAULT_TOL) and abs(margin) < 1e-15
+    margin = compat_slice_check(0.8, 0.8)
+    assert not inside(margin, DEFAULT_TOL)
+    assert abs(margin - (1 - math.sqrt(1.28))) < 1e-12
 
 
 def test_slice_check_agrees_with_sup_norm_on_grid():
@@ -156,13 +157,13 @@ def test_slice_check_agrees_with_sup_norm_on_grid():
     sl = compat_slice_check(a2, c1)
     slice_states = np.stack((0 * a2, a2, 0 * a2))
     general = in_compatibility_domain(c1, 0.0, slice_states)
-    away = np.abs(sl.margin) > 1e-9
+    away = np.abs(sl) > 1e-9
     assert away.sum() > 40_000
-    assert np.array_equal(sl.inside[away], general.inside[away])
+    assert np.array_equal(inside(sl, DEFAULT_TOL)[away], inside(general, DEFAULT_TOL)[away])
     eps = np.spacing(1.0)
-    assert np.abs(sl.margin - general.margin)[away].max() <= 2 * eps
+    assert np.abs(sl - general)[away].max() <= 2 * eps
     oracle, _ = feasibility_search(slice_states, c1, 0.0)
-    assert np.abs(4 * oracle - sl.margin).max() <= 16 * eps
+    assert np.abs(4 * oracle - sl).max() <= 16 * eps
 
 
 def _sup_norm_scalar_reference(c1, c2, a):
@@ -186,17 +187,16 @@ def test_broadcast_domain_checks_equal_scalar_closed_forms_exactly():
     a[0, :500] = a[2, :500] = c2[:500] = 0.0  # slice states
     a[:, 500:510] = c1[500:510] = c2[500:510] = 0.0  # |a(t)| constant
     sup, t_star = sup_norm_over_time(c1, c2, a)
-    verdict = in_compatibility_domain(c1, c2, a)
-    slice_verdict = compat_slice_check(a[1], c1)
+    margin = in_compatibility_domain(c1, c2, a)
+    slice_margin = compat_slice_check(a[1], c1)
     for k in range(2000):
         state = [float(v) for v in a[:, k]]
         x1, x2 = float(c1[k]), float(c2[k])
         expected = _sup_norm_scalar_reference(x1, x2, state)
         assert (sup[k], t_star[k]) == expected == sup_norm_over_time(x1, x2, state)
-        assert verdict.margin[k] == 1.0 - expected[0]
-        assert verdict.inside[k] == in_compatibility_domain(x1, x2, state).inside
-        assert slice_verdict.margin[k] == 1.0 - math.sqrt(reduced._slice_sq(state[1], x1, 1))
-        assert slice_verdict.inside[k] == compat_slice_check(state[1], x1).inside
+        assert margin[k] == 1.0 - expected[0] == in_compatibility_domain(x1, x2, state)
+        assert slice_margin[k] == 1.0 - math.sqrt(reduced._slice_sq(state[1], x1, 1))
+        assert slice_margin[k] == compat_slice_check(state[1], x1)
     # a stacked (3, 40, 50) batch keeps its shape
     stacked = sup_norm_over_time(c1.reshape(40, 50), 0.0, a.reshape(3, 40, 50))[0]
     assert stacked.shape == (40, 50)
@@ -450,7 +450,20 @@ def test_supremum_past_the_float_range_raises():
     big = [9e153, 0.0, 0.0]
     assert sup_norm_over_time(0.0, 0.0, big)[0] == pytest.approx(9e153, rel=1e-15)
     assert sup_norm_grid(0.0, 0.0, big, points=10)[0] == pytest.approx(9e153, rel=1e-15)
-    assert in_compatibility_domain(0.0, 0.0, big).margin == pytest.approx(-9e153, rel=1e-15)
+    assert in_compatibility_domain(0.0, 0.0, big) == pytest.approx(-9e153, rel=1e-15)
+
+
+@pytest.mark.parametrize("c1,a", [(0.1, [math.nan, 0.2, 0.3]), (math.nan, [0.1, 0.2, 0.3]),
+                                  (math.inf, [math.inf, 0.2, 0.3])])
+def test_nan_supremum_raises_without_a_warning(c1, a):
+    # a NaN a or c1, or c1 = a1 = inf, whose infinities cancel to NaN: a
+    # ValueError, neither a (nan, nan) result nor a RuntimeWarning on the way
+    for call in (sup_norm_over_time, in_compatibility_domain):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match="the supremum is NaN"):
+                call(c1, 0.0, a)
+        assert caught == []
 
 
 @pytest.mark.parametrize("field,bad", [("a", math.nan), ("c1", math.inf), ("c2", -math.inf)])
@@ -463,24 +476,21 @@ def test_sup_norm_grid_rejects_non_finite_input(field, bad):
 
 
 def test_compat_slice_check_rejects_negative_tol():
-    # every function that makes a verdict rejects a negative or NaN tol,
-    # and a NaN a2, which would otherwise read as a silent verdict
-    verdicts = [lambda a2, tol: compat_slice_check(a2, 0.8, tol=tol),
-                lambda a2, tol: in_compatibility_domain(0.8, 0.0, [0.0, a2, 0.0], tol=tol),
-                lambda a2, tol: slipped_domain_check(a2, 0.2, 1, tol=tol)]
-    for verdict in verdicts:
-        for tol in (-1e-9, math.nan):
-            with pytest.raises(ValueError, match="tol must be >= 0"):
-                verdict(0.6, tol)
-        with pytest.raises(ValueError, match="margin is NaN|a must be finite"):
-            verdict(math.nan, 0.0)
+    # every domain check rejects a NaN a2, which would otherwise read as a
+    # silent verdict; the checks take no tol, so there is none to reject
+    margins = [lambda a2: compat_slice_check(a2, 0.8),
+               lambda a2: in_compatibility_domain(0.8, 0.0, [0.0, a2, 0.0]),
+               lambda a2: slipped_domain_check(a2, 0.2, 1)]
+    for margin in margins:
+        with pytest.raises(ValueError, match="the supremum is NaN"):
+            margin(math.nan)
     with pytest.raises(ValueError, match="a must be finite"):
         conjunct(0.0, 0.0, [0.0, math.nan, 0.0], [0.0])
     for c1, durations in ((math.inf, (0.1, 0.2)), (0.0, (0.1, 0.2, math.nan))):
         with pytest.raises(ValueError, match="must be finite"):
             conjunct(c1, 0.0, [0.0, 0.6, 0.0], durations)
-    assert compat_slice_check(0.6, 0.8, tol=0.0).inside
-    assert slipped_domain_check(0.5, 0.2, 1, tol=0.0).inside
+    assert inside(compat_slice_check(0.6, 0.8), 0.0)
+    assert inside(slipped_domain_check(0.5, 0.2, 1), 0.0)
     assert conjunct(0.0, 0.0, [0.0, 0.5, 0.0], [0.0])[0].tolist() == [0.5]
 
 
@@ -490,7 +500,7 @@ def test_compatibility_implies_positivity_at_sampled_times(seed):
     while True:  # rejection-sample a point inside the compatibility domain
         a = rng.uniform(-1, 1, 3)
         c1, c2 = rng.uniform(-1, 1, 2)
-        if in_compatibility_domain(c1, c2, a).inside:
+        if inside(in_compatibility_domain(c1, c2, a), DEFAULT_TOL):
             break
     for t in np.linspace(0, 2 * math.pi, 50):
         assert np.linalg.norm(ReducedMap(c1, c2, float(t)).apply(a)) <= 1.0 + 1e-9

@@ -10,18 +10,19 @@ import pytest
 from qmaplab.conjunction import _greedy_rows, conjunct, first_unphysical_n
 from qmaplab.reduced import compat_slice_check
 from qmaplab.slippage import max_safe_repetitions, slip_state, slipped_domain_check
+from qmaplab.tolerances import DEFAULT_TOL, inside
 
 
 def test_slipped_domain_examples():
-    assert slipped_domain_check(0.9, 0.3, 1).inside  # 0.81 + 2*0.09 = 0.99
-    assert not slipped_domain_check(0.9, 0.3, 2).inside  # 0.81 + 3*0.09 = 1.08
+    assert inside(slipped_domain_check(0.9, 0.3, 1), DEFAULT_TOL)  # 0.81 + 2*0.09 = 0.99
+    assert not inside(slipped_domain_check(0.9, 0.3, 2), DEFAULT_TOL)  # 0.81 + 3*0.09 = 1.08
     for a2 in np.linspace(-1, 1, 9):
-        assert slipped_domain_check(float(a2), 0.0, 7).inside
+        assert inside(slipped_domain_check(float(a2), 0.0, 7), DEFAULT_TOL)
 
 
 def test_slipped_domain_margin_formula():
-    v = slipped_domain_check(0.5, 0.2, 3)
-    assert abs(v.margin - (1 - math.sqrt(0.25 + 4 * 0.04))) < 1e-12
+    margin = slipped_domain_check(0.5, 0.2, 3)
+    assert abs(margin - (1 - math.sqrt(0.25 + 4 * 0.04))) < 1e-12
 
 
 def test_slipped_domain_rejects_small_n():
@@ -32,11 +33,11 @@ def test_slipped_domain_rejects_small_n():
                      lambda: slip_state(0.5, 0.2, bad)):
             with pytest.raises(ValueError, match="n must be an integer, got n="):
                 call()
-    assert slipped_domain_check(0.0, 1e-12, 2**64).inside  # any Python int
+    assert inside(slipped_domain_check(0.0, 1e-12, 2**64), DEFAULT_TOL)  # any Python int
     # integer arrays broadcast, as the slippage command's n grid does
     # and so do nested lists
     for n in (np.array([[1], [3]]), [[1], [3]]):
-        assert slipped_domain_check(0.9, 0.3, n).inside.tolist() == [[True], [False]]
+        assert inside(slipped_domain_check(0.9, 0.3, n), DEFAULT_TOL).tolist() == [[True], [False]]
         assert slip_state(0.9, 0.3, n).tolist() == [[0.9], [math.sqrt(1 - 4 * 0.09)]]
 
 
@@ -60,16 +61,15 @@ def test_slice_margins_are_one_minus_the_greedy_magnitudes_bit_for_bit(seed):
     # compatibility margin 1 - row 0, so at tol 0 a state is inside exactly
     # where its growth row does not exceed 1
     a2, c1, n = _near_boundary_draws(seed, 20_000)
-    for verdict, rows in ((slipped_domain_check(a2, c1, n, tol=0.0), n),
-                          (compat_slice_check(a2, c1, tol=0.0), 0)):
+    for margin, rows in ((slipped_domain_check(a2, c1, n), n), (compat_slice_check(a2, c1), 0)):
         magnitudes = _greedy_rows(a2, c1, rows)[1]
-        assert np.array_equal(verdict.margin, 1.0 - magnitudes)
-        assert np.array_equal(verdict.inside, ~(magnitudes > 1.0))
+        assert np.array_equal(margin, 1.0 - magnitudes)
+        assert np.array_equal(inside(margin, 0.0), ~(magnitudes > 1.0))
     # a scalar call gives the bits of the batch
     for k in range(0, 20_000, 997):
         x, y, m = float(a2[k]), float(c1[k]), int(n[k])
-        assert slipped_domain_check(x, y, m).margin == 1.0 - _greedy_rows(x, y, m)[1]
-        assert compat_slice_check(x, y).margin == 1.0 - _greedy_rows(x, y, 0)[1]
+        assert slipped_domain_check(x, y, m) == 1.0 - _greedy_rows(x, y, m)[1]
+        assert compat_slice_check(x, y) == 1.0 - _greedy_rows(x, y, 0)[1]
 
 
 def test_slice_margins_past_the_float_range_raise():
@@ -82,9 +82,8 @@ def test_slice_margins_past_the_float_range_raise():
             with pytest.raises(ValueError, match="the supremum overflows"):
                 call(a2, c1)
     # 9e153 does not: 2 (9e153)^2 is below the float maximum
-    assert compat_slice_check(9e153, 0.0).margin == pytest.approx(-9e153, rel=1e-15)
-    assert slipped_domain_check(0.0, 9e153, 1).margin == pytest.approx(-math.sqrt(2) * 9e153,
-                                                                       rel=1e-15)
+    assert compat_slice_check(9e153, 0.0) == pytest.approx(-9e153, rel=1e-15)
+    assert slipped_domain_check(0.0, 9e153, 1) == pytest.approx(-math.sqrt(2) * 9e153, rel=1e-15)
 
 
 def test_max_safe_known_cases():
@@ -128,7 +127,7 @@ def test_slip_state_idempotent_and_sign_preserving():
         twice = slip_state(once, c1, n)
         assert once == twice
         if (n + 1) * c1 * c1 <= 1.0:
-            assert slipped_domain_check(float(once), c1, n).margin >= -1e-12
+            assert slipped_domain_check(float(once), c1, n) >= -1e-12
         else:
             # no a2 is safe once the correlation alone overruns the budget;
             # the projection bottoms out at the depolarized slice
@@ -142,9 +141,9 @@ def test_slip_state_clamps_to_zero():
 
 
 def test_slipped_domain_check_takes_a_list_of_a2():
-    verdict = slipped_domain_check([0.5, 0.6], 0.2, 1)  # 0.25 + 0.08 and 0.36 + 0.08
-    assert verdict.inside.tolist() == [True, True]
-    assert verdict.margin.tolist() == slipped_domain_check(np.array([0.5, 0.6]), 0.2, 1).margin.tolist()
+    margin = slipped_domain_check([0.5, 0.6], 0.2, 1)  # 0.25 + 0.08 and 0.36 + 0.08
+    assert inside(margin, DEFAULT_TOL).tolist() == [True, True]
+    assert margin.tolist() == slipped_domain_check(np.array([0.5, 0.6]), 0.2, 1).tolist()
 
 
 def test_slip_state_takes_a_list_of_a2():
@@ -153,7 +152,7 @@ def test_slip_state_takes_a_list_of_a2():
 
 
 def test_slippage_takes_a_list_of_c1():
-    assert slipped_domain_check(0.5, [0.2, 0.9], 1).inside.tolist() == [True, False]
+    assert inside(slipped_domain_check(0.5, [0.2, 0.9], 1), DEFAULT_TOL).tolist() == [True, False]
     assert slip_state(0.5, [0.2, 0.9], 1).tolist() == [0.5, 0.0]  # 2 * 0.81 > 1
 
 
@@ -180,7 +179,7 @@ def test_safety_under_worst_case_and_random_schedules(seed):
         a2 = float(rng.uniform(-1, 1))
         c1 = float(rng.uniform(0, 0.7))
         n = int(rng.integers(1, 5))
-        if slipped_domain_check(a2, c1, n).inside:
+        if inside(slipped_domain_check(a2, c1, n), DEFAULT_TOL):
             break
     worst, _ = conjunct(c1, 0.0, [0, a2, 0], _worst_case_durations(a2, c1, n))
     assert worst.max() <= 1 + 1e-9

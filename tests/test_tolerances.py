@@ -42,3 +42,36 @@ def test_readme_tolerance_table_matches_the_module():
     # one row per constant, each naming a constant and giving its value
     assert sorted(name for name, _ in rows) == sorted(constants)
     assert {name: float(value) for name, value in rows} == constants
+
+
+# `1.0 + tol` as `ast.unparse` writes it, in either order
+_ONE_PLUS_TOL = {"1.0 + tol", "1 + tol", "tol + 1.0", "tol + 1"}
+
+
+def _inlined_rules(path: Path) -> list:
+    """(line, rule) of every `x >= -tol` (or `-tol <= x`) and every
+    `1.0 + tol` in the module at `path`; docstrings are not code, so they
+    never match, nor does the strict `bound < -tol` of a dual certificate."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Compare):
+            sides = [node.left, *node.comparators]
+            found += [(node.lineno, "inside") for left, op, right in zip(sides, node.ops, sides[1:])
+                      if (type(op), ast.unparse(right)) == (ast.GtE, "-tol")
+                      or (type(op), ast.unparse(left)) == (ast.LtE, "-tol")]
+        elif isinstance(node, ast.BinOp) and ast.unparse(node) in _ONE_PLUS_TOL:
+            found.append((node.lineno, "exceeds"))
+    return found
+
+
+def test_each_threshold_rule_is_written_once():
+    # the domain rule lives in `tolerances.inside` and the hazard rule in
+    # `tolerances.exceeds`; a restatement elsewhere could drift from them
+    table = _PACKAGE / "tolerances.py"
+    assert sorted(rule for _, rule in _inlined_rules(table)) == ["exceeds", "inside"]
+    stray = [f"{path.name}:{line}: {rule}"
+             for path in sorted(_PACKAGE.glob("*.py")) if path != table
+             for line, rule in _inlined_rules(path)]
+    assert stray == []
+    assert tolerances.inside(0.0, 0.0) and not tolerances.inside(-1e-9, 0.0)
+    assert tolerances.exceeds(1.0 + 2e-9, 1e-9) and not tolerances.exceeds(1.0, 0.0)
