@@ -19,7 +19,6 @@ from .conjunction import (
 from .dynamics import crosscheck, evolve_density, unitary
 from .feasibility import dual_certificate, feasibility_search
 from .pauli import (
-    TwoQubitState,
     density_from_params,
     embed_mean_values,
     min_eigenvalue,
@@ -39,7 +38,6 @@ from .tolerances import DEFAULT_TOL
 __all__ = [
     "DEFAULT_TOL",
     "ReducedMap",
-    "TwoQubitState",
     "brute_force_max",
     "compat_slice_check",
     "conjunct",

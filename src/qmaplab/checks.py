@@ -25,16 +25,14 @@ import numpy as np
 from .conjunction import _greedy_rows, brute_force_max
 from .dynamics import crosscheck
 from .feasibility import dual_certificate, feasibility_search
-from .pauli import _BASIS, TwoQubitState, _broadcast, density_from_params
+from .pauli import A, T11, T21, _broadcast, _read_back, density_from_params
 from .reduced import compat_slice_check, in_compatibility_domain, sup_norm_grid, sup_norm_over_time
 from .tolerances import (BOUNDARY_BAND, COUNT_BOUND, DUAL_TOL, GREEDY_BOUND, MEAN_VALUES_BOUND,
                          MISMATCH_BAND, READ_BACK_TOL, REL_ERR_FLOOR, SUP_NORM_BOUND,
                          WITNESS_EIG_TOL, inside)
 
-# parameter indices of the (1, a, b, T.ravel()) basis coefficients:
-# a, the fixed T11 = c1 and T21 = c2, and the ten free ones
-_A, _C1, _C2 = slice(1, 4), 7, 10
-_FREE = [4, 5, 6, 8, 9, 11, 12, 13, 14, 15]
+# the ten parameters an extension of (a, c1 = T11, c2 = T21) may choose freely
+_FREE = [i for i in range(15) if i not in (*range(15)[A], T11, T21)]
 
 
 def _on_slice(a2) -> np.ndarray:
@@ -65,29 +63,32 @@ def three_way_agreement(a2, c1, tol: float):
     return sl, sup, values, near_boundary(sl), agree
 
 
-def certified(a, c1, c2, value, witness: TwoQubitState, tol: float):
+def certified(a, c1, c2, value, witness, tol: float):
     """Audit oracle answers, one verdict per point of the stack `value` (a
-    bool for a single point).  Inside (value >= -tol): the witness is
-    physical and its reconstruction carries (a, c1, c2).  Outside: the dual
-    certificate W is PSD with unit trace and no component on a free
-    parameter, and tr(W rho_witness) < -tol, which bounds every extension's
-    min eigenvalue."""
+    bool for a single point); `witness` holds the parameters (15, ...).
+    Inside (value >= -tol): the witness is physical and its reconstruction
+    carries (a, c1, c2).  Outside: the dual certificate W is PSD with unit
+    trace and no component on a free parameter, and tr(W rho_witness) <
+    -tol, which bounds every extension's min eigenvalue.  A value that is
+    NaN or infinite fails either way."""
     a, c1, c2 = _broadcast(a, c1, c2)
-    answers = inside(np.broadcast_to(value, c1.shape), tol)
+    value = np.broadcast_to(value, c1.shape)
+    answers, finite = inside(value, tol), np.isfinite(value)
     rho = density_from_params(witness)
     w = dual_certificate(a, c1, c2)
-    # parameters read back from rho and W: tr(B_k M) for each basis element
-    back_rho, back_w = np.einsum("kij,m...ji->mk...", _BASIS, np.stack((rho, w))).real
+    back_rho, back_w = _read_back(rho), _read_back(w)
     # both come from density_from_params, Hermitian by construction, so
     # eigvalsh takes them without min_eigenvalue's check
     witnessed = (
-        (np.linalg.eigvalsh(rho)[..., 0] >= -WITNESS_EIG_TOL)
-        & (np.abs(back_rho[_A] - a).max(axis=0) < READ_BACK_TOL)
-        & (np.abs(back_rho[_C1] - c1) < READ_BACK_TOL)
-        & (np.abs(back_rho[_C2] - c2) < READ_BACK_TOL)
+        finite
+        & (np.linalg.eigvalsh(rho)[..., 0] >= -WITNESS_EIG_TOL)
+        & (np.abs(back_rho[A] - a).max(axis=0) < READ_BACK_TOL)
+        & (np.abs(back_rho[T11] - c1) < READ_BACK_TOL)
+        & (np.abs(back_rho[T21] - c2) < READ_BACK_TOL)
     )
     outside = (
-        (np.abs(np.trace(w, axis1=-2, axis2=-1) - 1.0) <= DUAL_TOL)
+        finite
+        & (np.abs(np.trace(w, axis1=-2, axis2=-1) - 1.0) <= DUAL_TOL)
         & (np.linalg.eigvalsh(w)[..., 0] >= -DUAL_TOL)
         & (np.abs(back_w[_FREE]).max(axis=0) <= DUAL_TOL)
     )
@@ -118,8 +119,7 @@ def mean_values_vs_unitary(rng):
     times: one block of draws, in the order and with the values of drawing
     a, b, T and t state by state, and one `crosscheck` call."""
     draws = rng.uniform(_STATE_LO, _STATE_HI, (1000, 16)).T
-    s = TwoQubitState(a=draws[0:3], b=draws[3:6], T=draws[6:15].reshape(3, 3, -1))
-    worst = _worst(crosscheck(s, draws[15]).tolist())
+    worst = _worst(crosscheck(draws[:15], draws[15]).tolist())
     return "mean_values_vs_unitary", "max_discrepancy", worst, MEAN_VALUES_BOUND
 
 

@@ -7,9 +7,9 @@ unitary; each form is an oracle for the other (`crosscheck`).
 
 Both forms broadcast: `rotate` over arrays of mean values and times,
 `unitary` over times, `evolve_density` over stacks (..., 4, 4) of density
-matrices and times, and `crosscheck` over a `TwoQubitState` stack, so a
-whole batch of states is checked in one call, with the bits the per-state
-calls give.
+matrices and times, and `crosscheck` over a stack (15, ...) of state
+parameters, so a whole batch of states is checked in one call, with the
+bits the per-state calls give.
 """
 from __future__ import annotations
 
@@ -18,8 +18,11 @@ import operator
 import numpy as np
 
 from .pauli import (
+    A,
     ID4,
-    TwoQubitState,
+    T11,
+    T21,
+    _require_finite,
     _validate_density,
     density_from_params,
     params_from_density,
@@ -73,10 +76,7 @@ def unitary(t) -> np.ndarray:
     collapses to this two-term form.  Periodic up to sign with period 4 pi.
     A non-finite t anywhere in the array raises ValueError.
     """
-    t = np.asarray(t, dtype=float)
-    if not np.isfinite(t).all():
-        raise ValueError(f"t must be finite, got t={t[~np.isfinite(t)].flat[0].item()!r}")
-    half = t[..., None, None] / 2
+    half = _require_finite(t, "t")[..., None, None] / 2
     return np.cos(half) * ID4 - 1j * np.sin(half) * _S3_E1
 
 
@@ -88,16 +88,18 @@ def evolve_density(rho: np.ndarray, t) -> np.ndarray:
     return u @ rho @ np.swapaxes(u.conj(), -1, -2)
 
 
-def crosscheck(s: TwoQubitState, t):
+def crosscheck(s, t):
     """Max absolute discrepancy between the two evolution forms, one per
-    state of the stack `s` (a float for a single state); t broadcasts
-    against the stack.
+    state of the stack `s` of parameters (15, ...) (a float for a single
+    state); t broadcasts against the stack.  A NaN or infinite entry of s
+    or t raises ValueError naming it.
 
-    Rotates (s.a, T11, T21) in closed form and compares against the same
+    Rotates (a, T11, T21) in closed form and compares against the same
     five numbers read back from the conjugated density matrix.
     """
+    s = _require_finite(s, "s")
     evolved = params_from_density(evolve_density(density_from_params(s), t))
-    closed = rotate(s.a, s.T[0, 0], s.T[1, 0], t)
-    read_back = (*evolved.a, evolved.T[0, 0], evolved.T[1, 0])
+    closed = rotate(s[A], s[T11], s[T21], t)
+    read_back = (*evolved[A], evolved[T11], evolved[T21])
     worst = np.max([np.abs(x - y) for x, y in zip(closed, read_back)], axis=0)
     return float(worst) if worst.ndim == 0 else worst

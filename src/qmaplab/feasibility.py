@@ -42,7 +42,7 @@ from __future__ import annotations
 import numpy as np
 
 from .optimize import nelder_mead_max  # noqa: F401  no longer called; perfbench traces this binding
-from .pauli import TwoQubitState, _broadcast, _norms, density_from_params, embed_mean_values
+from .pauli import A, B1, T11, T21, T31, _broadcast, _norms, density_from_params, embed_mean_values
 
 
 def _block_vectors(a: np.ndarray, c1, c2) -> tuple[np.ndarray, np.ndarray]:
@@ -57,20 +57,19 @@ def _block_vectors(a: np.ndarray, c1, c2) -> tuple[np.ndarray, np.ndarray]:
     return np.stack((*p, 2.0 * a[2] * share)), np.stack((*m, 2.0 * a[2] * (1.0 - share)))
 
 
-def feasibility_search(a, c1, c2) -> tuple[np.ndarray, TwoQubitState]:
+def feasibility_search(a, c1, c2) -> tuple[np.ndarray, np.ndarray]:
     """Optimal extension of (a, c1, c2): the largest minimum eigenvalue any
     two-qubit state carrying these values can have, and a state attaining it,
     for every point of the broadcast stack (a float for a single point).
 
-    The witness carries a, c1 and c2 exactly; the value is the minimum
-    eigenvalue of its reconstructed density matrix.
+    The witness, parameters of shape (15, ...), carries a, c1 and c2
+    exactly; the value is the minimum eigenvalue of its reconstructed
+    density matrix.  A NaN or infinite input raises ValueError naming it.
     """
-    a, c1, c2 = _broadcast(a, c1, c2)
-    b, T = np.zeros(a.shape), np.zeros((3,) + a.shape)
-    x_plus, x_minus = _block_vectors(a, c1, c2)
-    T[:, 0] = c1, c2, 0.5 * (x_plus[2] - x_minus[2])
-    b[0] = 0.5 * (_norms(*x_plus) - _norms(*x_minus))  # w_+ - w_-
-    witness = TwoQubitState(a=a, b=b, T=T)
+    witness = embed_mean_values(a, c1, c2)
+    x_plus, x_minus = _block_vectors(witness[A], witness[T11], witness[T21])
+    witness[T31] = 0.5 * (x_plus[2] - x_minus[2])
+    witness[B1] = 0.5 * (_norms(*x_plus) - _norms(*x_minus))  # w_+ - w_-
     # Hermitian by construction: eigvalsh without min_eigenvalue's check
     return np.linalg.eigvalsh(density_from_params(witness))[..., 0][()], witness
 
@@ -83,7 +82,7 @@ def dual_certificate(a, c1, c2) -> np.ndarray:
     tr(W rho) = (1 + u.a + v1 c1 + v2 c2)/4 for every extension rho, and that
     value is >= the minimum eigenvalue of rho.  When one block vector
     vanishes the other's direction is used for both; when both vanish,
-    W = I/4.
+    W = I/4.  A NaN or infinite input raises ValueError naming it.
     """
     a, c1, c2 = _broadcast(a, c1, c2)
 

@@ -2,19 +2,20 @@
 
 Conventions used throughout the package: the observed ("system") qubit is the
 first tensor factor, its partner ("environment") qubit the second.  A
-two-qubit state is carried either as a 4x4 complex density matrix or as the
-15 real parameters (a, b, T) with
+two-qubit state is carried either as a 4x4 complex density matrix or as a
+float array of its 15 real parameters, a, b and T.ravel() in this order
+(that of `_BASIS[1:]`), with
 
     a_i = <S_i x I>,   b_j = <I x E_j>,   T_ij = <S_i x E_j>,
 
 where S_i and E_j are the Pauli matrices acting on the system and environment
-qubit.  Unphysical parameter sets are representable on purpose; physicality
-is a verdict (the minimum eigenvalue of the reconstructed matrix), never a
-constructor precondition.
+qubit.  A stack of states is an array (15, ...).  `A`, `B1`, `T11`, `T21`
+and `T31` name the entries the package reads.  The parameters are
+dimensionless, each in [-1, 1] for a physical state, but unphysical sets
+are representable on purpose: physicality is a verdict (the minimum
+eigenvalue of the reconstructed matrix), never a precondition.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,6 +28,11 @@ _PAULIS = (_SX, _SY, _SZ)
 
 ID2 = np.eye(2, dtype=complex)
 ID4 = np.eye(4, dtype=complex)
+
+# entries of the parameters (a, b, T.ravel()) read by name: a, b1 and T's
+# first column, T11 = <S1 x E1>, T21 = <S2 x E1>, T31 = <S3 x E1>
+A = slice(0, 3)
+B1, T11, T21, T31 = 3, 6, 9, 12
 
 
 def pauli(index: int) -> np.ndarray:
@@ -70,11 +76,23 @@ def _require_count(value, name: str, least: int) -> int:
     return int(count)
 
 
+def _require_finite(value, name: str) -> np.ndarray:
+    """value as a float array; a NaN or infinite entry raises ValueError
+    naming it."""
+    value = np.asarray(value, dtype=float)
+    if not np.isfinite(value).all():
+        bad = value[~np.isfinite(value)].flat[0].item()
+        raise ValueError(f"{name} must be finite, got {name}={bad!r}")
+    return value
+
+
 def _broadcast(a, c1, c2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Bloch vectors `a` (3, ...) and correlations c1, c2 broadcast to one
-    stack shape: (a as (3,) + shape, c1 and c2 as shape), read-only views."""
-    a = _as_blochs(a)
-    shape = np.broadcast_shapes(a.shape[1:], np.shape(c1), np.shape(c2))
+    stack shape: (a as (3,) + shape, c1 and c2 as shape), read-only views.
+    A NaN or infinite entry raises ValueError naming a, c1 or c2."""
+    a = _require_finite(_as_blochs(a), "a")
+    c1, c2 = _require_finite(c1, "c1"), _require_finite(c2, "c2")
+    shape = np.broadcast_shapes(a.shape[1:], c1.shape, c2.shape)
     return np.broadcast_to(a, (3,) + shape), np.broadcast_to(c1, shape), np.broadcast_to(c2, shape)
 
 
@@ -84,37 +102,6 @@ def _norms(*components) -> np.ndarray:
     rounds differently."""
     v = np.stack(np.broadcast_arrays(*components), axis=-1)
     return np.sqrt((v[..., None, :] @ v[..., :, None])[..., 0, 0])
-
-
-@dataclass(frozen=True)
-class TwoQubitState:
-    """15-parameter two-qubit state, or a stack of them: Bloch vectors `a`,
-    `b` of shape (3, ...) and correlation matrices `T` of shape (3, 3, ...)
-    with T[i, j] = <S_{i+1} x E_{j+1}>.
-
-    All parameters are dimensionless; physical states have each in [-1, 1].
-    """
-
-    a: np.ndarray
-    b: np.ndarray
-    T: np.ndarray
-
-    def __post_init__(self):
-        a, b = _as_blochs(self.a), _as_blochs(self.b)
-        T = np.asarray(self.T, dtype=float)
-        if b.shape != a.shape:
-            raise ValueError(f"b must have the shape of a, {a.shape}, got {b.shape}")
-        if T.shape != (3,) + a.shape:
-            raise ValueError(f"T must have shape {(3,) + a.shape}, got {T.shape}")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "T", T)
-
-    def __getitem__(self, index) -> "TwoQubitState":
-        """The states at `index` of the stack axes."""
-        index = index if isinstance(index, tuple) else (index,)
-        return TwoQubitState(a=self.a[(slice(None),) + index], b=self.b[(slice(None),) + index],
-                             T=self.T[(slice(None), slice(None)) + index])
 
 
 def _basis_16() -> np.ndarray:
@@ -129,22 +116,20 @@ def _basis_16() -> np.ndarray:
 _BASIS = _basis_16()
 
 
-def _coeffs(s: TwoQubitState) -> np.ndarray:
-    """The 16 basis coefficients of each state, stacked as (..., 16)."""
-    stack = s.a.shape[1:]
-    c = np.empty((16,) + stack)
-    c[0], c[1:4], c[4:7], c[7:] = 1.0, s.a, s.b, s.T.reshape((9,) + stack)
-    return c.transpose((*range(1, c.ndim), 0))
-
-
-def density_from_params(s: TwoQubitState) -> np.ndarray:
+def density_from_params(p) -> np.ndarray:
     """Reconstruct the 4x4 matrix (1/4)(I + sum a_i S_i x I + sum b_j I x E_j
-    + sum T_ij S_i x E_j) of each state: shape (..., 4, 4), one product of
-    the (..., 16) coefficients with the basis.
+    + sum T_ij S_i x E_j) of each state of `p` (shape (15, ...)): shape
+    (..., 4, 4), one product of the 16 coefficients, the identity's 1.0 and
+    then p, with the basis.
 
     Hermitian with unit trace by construction; not necessarily positive.
     """
-    return 0.25 * np.tensordot(_coeffs(s), _BASIS, axes=1)
+    p = np.asarray(p, dtype=float)
+    if p.shape[:1] != (15,):
+        raise ValueError(f"state parameters must have shape (15, ...), got {p.shape}")
+    coeffs = np.empty((16,) + p.shape[1:])
+    coeffs[0], coeffs[1:] = 1.0, p
+    return 0.25 * np.tensordot(coeffs, _BASIS, axes=(0, 0))
 
 
 def _validate_density(rho: np.ndarray) -> np.ndarray:
@@ -161,28 +146,31 @@ def _validate_density(rho: np.ndarray) -> np.ndarray:
     return rho
 
 
-def params_from_density(rho: np.ndarray) -> TwoQubitState:
+def _read_back(m: np.ndarray) -> np.ndarray:
+    """tr(B_k M) for each basis element B_k but the identity: the 15
+    parameters of each matrix of the stack `m` (..., 4, 4), stacked as
+    (15, ...).  Checks nothing."""
+    return np.einsum("kij,...ji->k...", _BASIS[1:], m).real
+
+
+def params_from_density(rho: np.ndarray) -> np.ndarray:
     """Read the 15 parameters back out of a Hermitian unit-trace 4x4 matrix,
-    or out of each matrix of a stack (..., 4, 4) into a `TwoQubitState`
-    stack.
+    or out of each matrix of a stack (..., 4, 4) into an array (15, ...).
 
     Inverse of `density_from_params` (round-trips entrywise within
     `tolerances.DENSITY_TOL`).
     """
-    rho = _validate_density(rho)
-    p = np.einsum("kij,...ji->k...", _BASIS, rho).real
-    return TwoQubitState(a=p[1:4], b=p[4:7], T=p[7:16].reshape((3, 3) + p.shape[1:]))
+    return _read_back(_validate_density(rho))
 
 
-def embed_mean_values(a, c1, c2) -> TwoQubitState:
-    """Minimal state carrying Bloch vector `a` and correlations c1 = <S1 E1>,
-    c2 = <S2 E1>; every other parameter zero.  Broadcasts over stacks of
-    `a` (shape (3, ...)), c1 and c2."""
+def embed_mean_values(a, c1, c2) -> np.ndarray:
+    """Parameters (15, ...) of the minimal state carrying Bloch vector `a`
+    and correlations c1 = <S1 E1>, c2 = <S2 E1>; every other parameter
+    zero.  Broadcasts over stacks of `a` (shape (3, ...)), c1 and c2."""
     a, c1, c2 = _broadcast(a, c1, c2)
-    T = np.zeros((3, 3) + c1.shape)
-    T[0, 0] = c1
-    T[1, 0] = c2
-    return TwoQubitState(a=a, b=np.zeros(a.shape), T=T)
+    p = np.zeros((15,) + c1.shape)
+    p[A], p[T11], p[T21] = a, c1, c2
+    return p
 
 
 def min_eigenvalue(m: np.ndarray):

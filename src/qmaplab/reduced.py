@@ -17,7 +17,7 @@ import numpy as np
 
 from .dynamics import _turn, rotate
 from .optimize import golden_section_max
-from .pauli import _as_bloch, _as_blochs, _require_count
+from .pauli import _as_bloch, _as_blochs, _require_count, _require_finite
 from .tolerances import GRID_VALUE_PAD
 
 
@@ -116,8 +116,7 @@ def sup_norm_grid(c1, c2, a, points: int = 100_000):
     a1, a2, a3, c1, c2 = np.broadcast_arrays(*_as_blochs(a), c1, c2)
     a, c1, c2 = np.stack((a1.ravel(), a2.ravel(), a3.ravel())), c1.ravel(), c2.ravel()
     for name, v in (("a", a), ("c1", c1), ("c2", c2)):
-        if not np.isfinite(v).all():
-            raise ValueError(f"{name} must be finite, got {name}={v[~np.isfinite(v)][0].item()!r}")
+        _require_finite(v, name)
     ts = np.linspace(0.0, 2 * math.pi, points, endpoint=False)
     h, blocks = 2 * math.pi / points, -(-points // _BLOCK)
     # a row per block; the last point's copies pad the last one and never win a first argmax

@@ -10,8 +10,9 @@ from qmaplab import checks
 from qmaplab.dynamics import crosscheck, evolve_density, rotate, unitary
 from qmaplab.pauli import (
     _BASIS,
+    A,
     ID4,
-    TwoQubitState,
+    T11,
     density_from_params,
     embed_mean_values,
     params_from_density,
@@ -19,10 +20,9 @@ from qmaplab.pauli import (
 )
 
 
-def random_state(rng) -> TwoQubitState:
-    return TwoQubitState(
-        a=rng.uniform(-1, 1, 3), b=rng.uniform(-1, 1, 3), T=rng.uniform(-1, 1, (3, 3))
-    )
+def random_state(rng) -> np.ndarray:
+    """The 15 parameters a, b, T.ravel(), drawn in this order."""
+    return rng.uniform(-1, 1, 15)
 
 
 def random_five(rng) -> np.ndarray:
@@ -97,7 +97,7 @@ def test_evolve_density_fixes_maximally_mixed():
 def test_evolve_density_edge_state_at_q():
     q = math.pi / 5
     rho = density_from_params(embed_mean_values([0, math.cos(q), 0], math.sin(q), 0.0))
-    bloch = params_from_density(evolve_density(rho, q)).a
+    bloch = params_from_density(evolve_density(rho, q))[A]
     assert np.abs(bloch - [0, 1, 0]).max() < 1e-12
 
 
@@ -168,20 +168,18 @@ def _unitary_reference(t: float) -> np.ndarray:
     return math.cos(t / 2) * ID4 - 1j * math.sin(t / 2) * np.kron(pauli(3), pauli(1))
 
 
-def _crosscheck_reference(s: TwoQubitState, t: float) -> float:
+def _crosscheck_reference(s: np.ndarray, t: float) -> float:
     """The per-state crosscheck the batched one replaced: one U(t), one 4x4
     conjugation, the read-back of one matrix, the five-value closed form."""
     u = _unitary_reference(t)
     p = np.einsum("kij,ji->k", _BASIS, u @ density_from_params(s) @ u.conj().T).real
-    closed = evolve([*s.a, s.T[0, 0], s.T[1, 0]], t)
+    closed = evolve([*s[:3], s[6], s[9]], t)  # a, T11 and T21
     return float(max(np.abs(closed[:3] - p[1:4]).max(), abs(closed[3] - p[7]),
                      abs(closed[4] - p[10])))
 
 
-def _stack(states) -> TwoQubitState:
-    return TwoQubitState(a=np.stack([s.a for s in states], axis=-1),
-                         b=np.stack([s.b for s in states], axis=-1),
-                         T=np.stack([s.T for s in states], axis=-1))
+def _stack(states) -> np.ndarray:
+    return np.stack(states, axis=-1)
 
 
 def test_batch_crosscheck_equals_per_state_reference_exactly():
@@ -221,11 +219,10 @@ def test_block_draw_replays_per_state_draws(monkeypatch):
     ((stack, times),) = seen  # one call for every state
     expected = []
     for k in range(1000):
-        s = TwoQubitState(a=per_state.uniform(-1, 1, 3), b=per_state.uniform(-1, 1, 3),
-                          T=per_state.uniform(-1, 1, (3, 3)))
+        s = np.concatenate((per_state.uniform(-1, 1, 3), per_state.uniform(-1, 1, 3),
+                            per_state.uniform(-1, 1, (3, 3)).ravel()))
         t = float(per_state.uniform(0, 4 * math.pi))
-        for name in ("a", "b", "T"):
-            assert np.array_equal(getattr(stack[k], name), getattr(s, name))
+        assert np.array_equal(stack[:, k], s)
         assert times[k] == t
         expected.append(_crosscheck_reference(s, t))
     assert worst == max([0.0, *expected])
@@ -252,8 +249,7 @@ def test_stacked_unitary_and_evolve_density_equal_per_item_calls():
 
 
 def test_empty_stacks_give_empty_results():
-    empty = TwoQubitState(a=np.zeros((3, 0)), b=np.zeros((3, 0)), T=np.zeros((3, 3, 0)))
-    assert crosscheck(empty, np.zeros(0)).shape == (0,)
+    assert crosscheck(np.zeros((15, 0)), np.zeros(0)).shape == (0,)
     assert evolve_density(np.zeros((0, 4, 4)), 1.0).shape == (0, 4, 4)
 
 
@@ -264,3 +260,14 @@ def test_non_finite_time_rejected_naming_t(t):
         crosscheck(s, t)
     with pytest.raises(ValueError, match="t must be finite"):
         unitary(t)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("index", [0, T11, 14])
+def test_non_finite_state_rejected_naming_s(bad, index):
+    s = _stack([random_state(np.random.default_rng(k)) for k in range(3)])
+    s[index, 1] = bad
+    with pytest.raises(ValueError, match="s must be finite"):
+        crosscheck(s, 0.5)
+    with pytest.raises(ValueError, match="s must be finite"):
+        crosscheck(s[:, 1], 0.5)

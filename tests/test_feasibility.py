@@ -9,7 +9,8 @@ import pytest
 
 from qmaplab import DEFAULT_TOL, checks
 from qmaplab.feasibility import dual_certificate, feasibility_search
-from qmaplab.pauli import TwoQubitState, density_from_params, min_eigenvalue, params_from_density
+from qmaplab.pauli import (A, B1, T11, T21, density_from_params, min_eigenvalue,
+                           params_from_density)
 from qmaplab.reduced import in_compatibility_domain, sup_norm_over_time
 from qmaplab.tolerances import inside
 
@@ -36,6 +37,11 @@ def is_compatible_oracle(a, c1, c2):
 # The oracle as it was written before it broadcast: one point per call, the
 # density matrix from 16 coefficients, one eigvalsh per matrix.  The batch
 # oracle must reproduce it bit for bit.
+
+def _split(p: np.ndarray):
+    """(a, b, T) of parameters p (15, ...), in the layout a, b, T.ravel()."""
+    return p[:3], p[3:6], p[6:].reshape((3, 3) + p.shape[1:])
+
 
 def _reference_density(a, b, T) -> np.ndarray:
     return 0.25 * np.tensordot(np.concatenate(([1.0], a, b, T.ravel())), pauli._BASIS, axes=1)
@@ -77,22 +83,21 @@ def _reference_dual(a, c1, c2) -> np.ndarray:
     return _reference_density(u, np.zeros(3), T)
 
 
-def _reference_certified(a, c1, c2, value, witness: TwoQubitState, tol: float) -> bool:
-    rho = _reference_density(witness.a, witness.b, witness.T)
+def _reference_certified(a, c1, c2, value, witness: np.ndarray, tol: float) -> bool:
+    rho = _reference_density(*_split(witness))
     if value >= -tol:
-        back = params_from_density(rho)
+        back_a, _, back_T = _split(params_from_density(rho))
         return bool(
             np.linalg.eigvalsh(rho)[0] >= -1e-9
-            and np.abs(back.a - np.asarray(a, dtype=float)).max() < 1e-10
-            and abs(back.T[0, 0] - c1) < 1e-10
-            and abs(back.T[1, 0] - c2) < 1e-10
+            and np.abs(back_a - np.asarray(a, dtype=float)).max() < 1e-10
+            and abs(back_T[0, 0] - c1) < 1e-10
+            and abs(back_T[1, 0] - c2) < 1e-10
         )
     w = _reference_dual(a, c1, c2)
     if abs(np.trace(w) - 1.0) > 1e-12 or np.linalg.eigvalsh(w)[0] < -1e-12:
         return False
-    back = params_from_density(w)
-    free = np.concatenate((back.b, back.T[:, 1:].ravel(), back.T[2:, 0]))
-    return bool(np.abs(free).max() <= 1e-12 and np.trace(w @ rho).real < -tol)
+    return bool(np.abs(_free_components(params_from_density(w))).max() <= 1e-12
+                and np.trace(w @ rho).real < -tol)
 
 
 def _batch_points():
@@ -115,23 +120,24 @@ def test_batch_oracle_equals_per_point_reference_exactly():
     values, witness = feasibility_search(a, c1, c2)
     w = dual_certificate(a, c1, c2)
     assert values.shape == (a.shape[1],) and w.shape == (a.shape[1], 4, 4)
-    assert np.array_equal(witness.a, a)
+    assert np.array_equal(witness[A], a)
+    witness_b, witness_T = _split(witness)[1:]
     for i in range(a.shape[1]):
         value, b, T = _reference_search(a[:, i], c1[i], c2[i])
         assert values[i] == value
-        assert np.array_equal(witness.b[:, i], b) and np.array_equal(witness.T[..., i], T)
+        assert np.array_equal(witness_b[:, i], b) and np.array_equal(witness_T[..., i], T)
         assert np.array_equal(w[i], _reference_dual(a[:, i], c1[i], c2[i]))
     # a scalar point gives a float, as the per-point oracle did
     value, witness = feasibility_search(a[:, 0], c1[0], c2[0])
     assert isinstance(value, float) and value == values[0]
-    assert witness.b.shape == (3,) and witness.T.shape == (3, 3)
+    assert witness.shape == (15,)
 
 
 def test_batch_oracle_broadcasts_over_stack_shapes():
     a, c1, c2 = _batch_points()
     a, c1 = a[:, :24].reshape(3, 4, 6), c1[:6]  # c1 along the last axis, c2 a scalar
     values, witness = feasibility_search(a, c1, 0.25)
-    assert values.shape == (4, 6) and witness.T.shape == (3, 3, 4, 6)
+    assert values.shape == (4, 6) and witness.shape == (15, 4, 6)
     w = dual_certificate(a, c1, 0.25)
     assert w.shape == (4, 6, 4, 4)
     for i, j in np.ndindex(4, 6):
@@ -144,16 +150,16 @@ def test_batch_audit_equals_per_point_reference():
     a, c1, c2 = a[:, 250:], c1[250:], c2[250:]  # general, slice and degenerate points
     values, witness = feasibility_search(a, c1, c2)
     # shifted read-backs of a1 and c2: the inside answers there no longer certify
-    shifted_a, T = witness.a.copy(), witness.T.copy()
-    shifted_a[0, ::3] += 1e-6
-    T[1, 0, 1::5] += 1e-6
+    shifted = witness.copy()
+    shifted[0, ::3] += 1e-6
+    shifted[T21, 1::5] += 1e-6
     # an "outside" answer at an inside point: its own dual bound refutes it
     lying = np.where(values >= 0.0, -0.25, values)
     for answer, tested, sound in ((values, witness, True),
-                                  (values, TwoQubitState(a=shifted_a, b=witness.b, T=T), False),
+                                  (values, shifted, False),
                                   (lying, witness, False)):
         batch = checks.certified(a, c1, c2, answer, tested, 1e-9)
-        reference = [_reference_certified(a[:, i], c1[i], c2[i], answer[i], tested[i], 1e-9)
+        reference = [_reference_certified(a[:, i], c1[i], c2[i], answer[i], tested[:, i], 1e-9)
                      for i in range(answer.size)]
         assert batch.tolist() == reference
         assert batch.all() == sound
@@ -176,21 +182,22 @@ def test_oracle_and_audit_take_one_stacked_eigvalsh(monkeypatch):
     a, c1, c2 = a.reshape(3, 2, 13), c1.reshape(2, 13), c2.reshape(2, 13)
     stacked, stacked_witness = feasibility_search(a, c1, c2)
     assert np.array_equal(stacked, values.reshape(2, 13))
-    assert np.array_equal(stacked_witness.T, witness.T.reshape(3, 3, 2, 13))
+    assert np.array_equal(stacked_witness, witness.reshape(15, 2, 13))
     assert np.array_equal(checks.certified(a, c1, c2, stacked, stacked_witness, 1e-9),
                           verdicts.reshape(2, 13))
     assert stacks == [(2, 13)] * 3
 
 
-def _free_components(state: TwoQubitState) -> np.ndarray:
+def _free_components(state: np.ndarray) -> np.ndarray:
     """The 10 parameters an extension of (a, c1, c2) may choose freely."""
-    return np.concatenate((state.b, state.T[:, 1:].ravel(), state.T[2:, 0]))
+    _, b, T = _split(state)
+    return np.concatenate((b, T[:, 1:].ravel(), T[2:, 0]))
 
 
-def _random_extension(a, c1: float, c2: float, rng) -> TwoQubitState:
+def _random_extension(a, c1: float, c2: float, rng) -> np.ndarray:
     T = rng.uniform(-1, 1, (3, 3))
     T[0, 0], T[1, 0] = c1, c2
-    return TwoQubitState(a=a, b=rng.uniform(-1, 1, 3), T=T)
+    return np.concatenate((a, rng.uniform(-1, 1, 3), T.ravel()))
 
 
 def _check_certificates(a, c1: float, c2: float, rng) -> tuple[float, float]:
@@ -199,12 +206,12 @@ def _check_certificates(a, c1: float, c2: float, rng) -> tuple[float, float]:
     a = np.asarray(a, dtype=float)
     value, witness = feasibility_search(a, c1, c2)
     # the witness carries exactly the requested values, also after read-back
-    assert np.array_equal(witness.a, a)
-    assert witness.T[0, 0] == c1 and witness.T[1, 0] == c2
+    assert np.array_equal(witness[A], a)
+    assert witness[T11] == c1 and witness[T21] == c2
     rho = density_from_params(witness)
     back = params_from_density(rho)
-    assert np.abs(back.a - a).max() < 1e-12
-    assert abs(back.T[0, 0] - c1) < 1e-12 and abs(back.T[1, 0] - c2) < 1e-12
+    assert np.abs(back[A] - a).max() < 1e-12
+    assert abs(back[T11] - c1) < 1e-12 and abs(back[T21] - c2) < 1e-12
     assert value == min_eigenvalue(rho)
     sup, _ = sup_norm_over_time(c1, c2, a)
     assert abs(value - (1.0 - sup) / 4.0) < 1e-14
@@ -219,7 +226,7 @@ def _check_certificates(a, c1: float, c2: float, rng) -> tuple[float, float]:
         other = density_from_params(_random_extension(a, c1, c2, rng))
         assert abs(np.trace(w @ other).real - bound) < 1e-14
         assert min_eigenvalue(other) <= bound + 1e-14
-    return value, 0.5 * (1.0 + witness.b[0])
+    return value, 0.5 * (1.0 + witness[B1])
 
 
 def test_certificates_on_random_points():
@@ -256,12 +263,8 @@ def test_certified_rejects_an_off_read_back(field):
     a, c1, c2 = [0.1, 0.2, -0.1], 0.2, 0.3  # well inside: the shift keeps the witness physical
     value, witness = feasibility_search(a, c1, c2)
     assert checks.certified(a, c1, c2, value, witness, 1e-9)
-    shifted_a, T = witness.a.copy(), witness.T.copy()
-    if field == "a":
-        shifted_a[0] += 1e-6
-    else:
-        T[1, 0] += 1e-6
-    off = TwoQubitState(a=shifted_a, b=witness.b, T=T)
+    off = witness.copy()
+    off[0 if field == "a" else T21] += 1e-6
     assert min_eigenvalue(density_from_params(off)) > 0.1
     assert not checks.certified(a, c1, c2, value, off, 1e-9)
 
@@ -269,16 +272,16 @@ def test_certified_rejects_an_off_read_back(field):
 def test_maximally_mixed_point():
     best, witness = feasibility_search([0, 0, 0], 0.0, 0.0)
     assert abs(best - 0.25) < 1e-9
-    assert np.abs(witness.a).max() < 1e-6
-    assert np.abs(witness.T[0, 0]) == 0.0
+    assert np.abs(witness[A]).max() < 1e-6
+    assert np.abs(witness[T11]) == 0.0
 
 
 def test_boundary_point_is_feasible():
     best, witness = feasibility_search([0, 0.6, 0], 0.8, 0.0)
     assert best >= -1e-9
     # the witness really carries the requested values
-    assert abs(witness.a[1] - 0.6) < 1e-12
-    assert witness.T[0, 0] == 0.8
+    assert abs(witness[A][1] - 0.6) < 1e-12
+    assert witness[T11] == 0.8
 
 
 def test_outside_slice_point_is_infeasible():
@@ -302,8 +305,7 @@ def test_search_is_deterministic():
     best1, w1 = feasibility_search([0.1, 0.4, -0.2], 0.3, -0.1)
     best2, w2 = feasibility_search([0.1, 0.4, -0.2], 0.3, -0.1)
     assert best1 == best2
-    assert np.array_equal(w1.b, w2.b)
-    assert np.array_equal(w1.T, w2.T)
+    assert np.array_equal(w1, w2)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -318,5 +320,32 @@ def test_witness_soundness_on_feasible_points(seed):
     rho = density_from_params(witness)
     assert min_eigenvalue(rho) >= -1e-9
     assert abs(min_eigenvalue(rho) - best) < 1e-12
-    assert abs(witness.a[1] - a2) < 1e-10
-    assert abs(witness.T[0, 0] - c1) < 1e-10
+    assert abs(witness[A][1] - a2) < 1e-10
+    assert abs(witness[T11] - c1) < 1e-10
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["a", "c1", "c2"])
+def test_oracle_rejects_a_non_finite_input_naming_it(field, bad):
+    a, c1, c2 = _batch_points()
+    point = {"a": a[:, :5].copy(), "c1": c1[:5].copy(), "c2": c2[:5].copy()}
+    point[field][..., 2] = bad  # one bad entry spoils the whole batch
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        feasibility_search(**point)
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        dual_certificate(**point)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_certified_fails_a_non_finite_value(bad):
+    # slice points inside (a2 = c1 = 0.3) and outside (a2 = c1 = 0.9): the
+    # honest values pass at both, a non-finite one fails at either
+    a, c1 = np.array([[0.0, 0.0], [0.3, 0.9], [0.0, 0.0]]), np.array([0.3, 0.9])
+    values, witness = feasibility_search(a, c1, 0.0)
+    assert checks.certified(a, c1, 0.0, values, witness, 1e-9).tolist() == [True, True]
+    for i in range(2):
+        answer = values.copy()
+        answer[i] = bad
+        verdicts = checks.certified(a, c1, 0.0, answer, witness, 1e-9).tolist()
+        assert verdicts == [i != 0, i != 1]
+    assert not checks.certified(a[:, 1:], c1[1:], 0.0, [bad], witness[:, 1:], 1e-9)[0]

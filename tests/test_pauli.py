@@ -8,9 +8,13 @@ import pytest
 
 from qmaplab.pauli import (
     _BASIS,
+    A,
+    B1,
     ID2,
     ID4,
-    TwoQubitState,
+    T11,
+    T21,
+    T31,
     density_from_params,
     embed_mean_values,
     is_hermitian,
@@ -25,11 +29,14 @@ def trace_env(rho: np.ndarray) -> np.ndarray:
     return np.einsum("ijkj->ik", rho.reshape(2, 2, 2, 2))
 
 
-def random_state(seed: int) -> TwoQubitState:
-    rng = np.random.default_rng(seed)
-    return TwoQubitState(
-        a=rng.uniform(-1, 1, 3), b=rng.uniform(-1, 1, 3), T=rng.uniform(-1, 1, (3, 3))
-    )
+def split(p: np.ndarray):
+    """(a, b, T) of parameters p (15, ...), in the layout a, b, T.ravel()."""
+    return p[:3], p[3:6], p[6:].reshape((3, 3) + p.shape[1:])
+
+
+def random_state(seed: int) -> np.ndarray:
+    """a, b and T drawn in this order, 15 values of one stream."""
+    return np.random.default_rng(seed).uniform(-1, 1, 15)
 
 
 def test_pauli_standard_definitions():
@@ -66,8 +73,7 @@ def test_kron_identities():
 
 
 def test_density_maximally_mixed():
-    s = TwoQubitState(a=np.zeros(3), b=np.zeros(3), T=np.zeros((3, 3)))
-    assert np.allclose(density_from_params(s), ID4 / 4)
+    assert np.allclose(density_from_params(np.zeros(15)), ID4 / 4)
 
 
 @pytest.mark.parametrize("q", [0.2, math.pi / 4, 1.1])
@@ -89,7 +95,7 @@ def test_density_expectations_match_parameters():
     for i in range(3):
         for j in range(3):
             op = np.kron(pauli(i + 1), pauli(j + 1))
-            assert abs(np.trace(rho @ op).real - s.T[i, j]) < 1e-12
+            assert abs(np.trace(rho @ op).real - split(s)[2][i, j]) < 1e-12
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -97,21 +103,18 @@ def test_roundtrip_random_parameter_sets(seed):
     # 100 random sets per seed, 1000 total
     rng = np.random.default_rng(seed)
     for _ in range(100):
-        s = TwoQubitState(
-            a=rng.uniform(-1, 1, 3), b=rng.uniform(-1, 1, 3), T=rng.uniform(-1, 1, (3, 3))
-        )
+        s = rng.uniform(-1, 1, 15)  # a, b and T, drawn in this order
         back = params_from_density(density_from_params(s))
-        assert np.abs(back.a - s.a).max() < 1e-12
-        assert np.abs(back.b - s.b).max() < 1e-12
-        assert np.abs(back.T - s.T).max() < 1e-12
+        assert back.shape == (15,)
+        assert np.abs(back - s).max() < 1e-12
 
 
 def test_params_from_density_read_off():
     rho = 0.25 * (ID4 + np.kron(pauli(2), ID2))
-    s = params_from_density(rho)
-    assert np.allclose(s.a, [0, 1, 0], atol=1e-15)
-    assert np.allclose(s.b, 0, atol=1e-15)
-    assert np.allclose(s.T, 0, atol=1e-15)
+    a, b, T = split(params_from_density(rho))
+    assert np.allclose(a, [0, 1, 0], atol=1e-15)
+    assert np.allclose(b, 0, atol=1e-15)
+    assert np.allclose(T, 0, atol=1e-15)
 
 
 def test_params_from_density_rejects_malformed():
@@ -134,7 +137,7 @@ def test_partial_trace_bloch_vector_matches_a(seed):
     s = random_state(seed)
     reduced = trace_env(density_from_params(s))
     bloch = np.array([np.trace(reduced @ pauli(i)).real for i in (1, 2, 3)])
-    assert np.abs(bloch - s.a).max() < 1e-12
+    assert np.abs(bloch - split(s)[0]).max() < 1e-12
 
 
 def test_min_eigenvalue_basic():
@@ -179,27 +182,36 @@ def test_slice_min_eig_closed_form_general(seed):
 
 
 def test_two_qubit_state_shape_validation():
-    with pytest.raises(ValueError):
-        TwoQubitState(a=[0, 0], b=[0, 0, 0], T=np.zeros((3, 3)))
-    with pytest.raises(ValueError):
-        TwoQubitState(a=[0, 0, 0], b=[0, 0, 0], T=np.zeros((2, 3)))
-    with pytest.raises(ValueError):  # a stack: b and T must follow a's stack shape
-        TwoQubitState(a=np.zeros((3, 4)), b=np.zeros((3, 5)), T=np.zeros((3, 3, 4)))
-    with pytest.raises(ValueError):
-        TwoQubitState(a=np.zeros((3, 4)), b=np.zeros((3, 4)), T=np.zeros((3, 3)))
+    # a state is 15 parameters along the leading axis; any other length,
+    # a short a or T among them, is rejected
+    for shape in [(14,), (16,), (13,), (9, 4), (3, 15), (0,), ()]:
+        with pytest.raises(ValueError, match=r"must have shape \(15, \.\.\.\)"):
+            density_from_params(np.zeros(shape))
+    assert density_from_params(np.zeros((15, 4))).shape == (4, 4, 4)
+
+
+def test_named_indices_pick_their_basis_operators():
+    named = [(index, np.kron(pauli(i + 1), ID2)) for i, index in enumerate(range(15)[A])]
+    named += [(B1, np.kron(ID2, pauli(1))), (T11, np.kron(pauli(1), pauli(1))),
+              (T21, np.kron(pauli(2), pauli(1))), (T31, np.kron(pauli(3), pauli(1)))]
+    assert len(named) == 7
+    for index, op in named:
+        p = np.zeros(15)
+        p[index] = 1.0
+        assert np.array_equal(density_from_params(p), 0.25 * (ID4 + op))
+        assert np.array_equal(params_from_density(0.25 * (ID4 + op)), p)
+        assert np.array_equal(_BASIS[1 + index], op)
 
 
 def test_stacked_density_and_min_eigenvalue_equal_per_state_calls():
     states = [random_state(seed) for seed in range(6)]
-    stack = TwoQubitState(a=np.stack([s.a for s in states], axis=1),
-                          b=np.stack([s.b for s in states], axis=1),
-                          T=np.stack([s.T for s in states], axis=2))
+    stack = np.stack(states, axis=1)
     rho = density_from_params(stack)
     assert rho.shape == (6, 4, 4)
     values = min_eigenvalue(rho)
     for i, s in enumerate(states):
         assert np.array_equal(rho[i], density_from_params(s))
-        assert np.array_equal(density_from_params(stack[i]), rho[i])
+        assert np.array_equal(density_from_params(stack[:, i]), rho[i])
         assert values[i] == min_eigenvalue(density_from_params(s))
     bad = rho.copy()
     bad[3, 0, 1] += 1e-6
@@ -209,24 +221,21 @@ def test_stacked_density_and_min_eigenvalue_equal_per_state_calls():
 
 def test_stacked_params_from_density_equal_per_item_calls():
     rng = np.random.default_rng(21)
-    rho = density_from_params(TwoQubitState(a=rng.uniform(-1, 1, (3, 6, 7)),
-                                            b=rng.uniform(-1, 1, (3, 6, 7)),
-                                            T=rng.uniform(-1, 1, (3, 3, 6, 7))))
+    rho = density_from_params(rng.uniform(-1, 1, (15, 6, 7)))  # a, b and T in this order
     # a unitary mix of the basis, so the read-back sums round
     g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     q, _ = np.linalg.qr(g)
     rho = q @ rho @ q.conj().T
     stack = params_from_density(rho)
-    assert stack.a.shape == (3, 6, 7) and stack.T.shape == (3, 3, 6, 7)
+    assert stack.shape == (15, 6, 7)
     for i in range(6):
         for j in range(7):
             one = params_from_density(rho[i, j])
-            assert one.a.shape == (3,) and one.T.shape == (3, 3)
+            assert one.shape == (15,)
             # the single-matrix read-back as it was written before stacks
             p = np.einsum("kij,ji->k", _BASIS, rho[i, j]).real
-            assert np.array_equal(np.concatenate([one.a, one.b, one.T.ravel()]), p[1:])
-            for name in ("a", "b", "T"):
-                assert np.array_equal(getattr(stack[i, j], name), getattr(one, name))
+            assert np.array_equal(one, p[1:])
+            assert np.array_equal(stack[:, i, j], one)
 
 
 @pytest.mark.parametrize("defect,message", [
@@ -234,8 +243,7 @@ def test_stacked_params_from_density_equal_per_item_calls():
     (lambda m: m.__setitem__((2, 2), m[2, 2] + 1e-6), "trace differs from 1 beyond tolerance"),
 ])
 def test_stack_with_one_bad_matrix_raises_the_single_matrix_message(defect, message):
-    rho = density_from_params(TwoQubitState(a=np.zeros((3, 5)), b=np.zeros((3, 5)),
-                                            T=np.zeros((3, 3, 5))))
+    rho = density_from_params(np.zeros((15, 5)))
     defect(rho[3])
     with pytest.raises(ValueError, match=message):
         params_from_density(rho[3])
@@ -249,5 +257,4 @@ def test_empty_stack_is_vacuously_hermitian():
     empty = np.zeros((0, 4, 4), dtype=complex)
     assert is_hermitian(empty)
     assert min_eigenvalue(empty).shape == (0,)
-    s = params_from_density(empty)
-    assert s.a.shape == s.b.shape == (3, 0) and s.T.shape == (3, 3, 0)
+    assert params_from_density(empty).shape == (15, 0)
