@@ -9,35 +9,16 @@ slipped-initial-condition analysis, and an independent feasibility oracle
 that certifies both domain verdicts: a witness state for inside, a dual
 certificate for outside.
 """
-from .conjunction import (
-    brute_force_max,
-    conjunct,
-    first_unphysical_n,
-    greedy_extremal_growth,
-    sigma2_conjunction,
-)
+from .conjunction import brute_force_max, conjunct, first_unphysical_n, greedy_extremal_growth
 from .dynamics import crosscheck, evolve_density, unitary
 from .feasibility import dual_certificate, feasibility_search
-from .pauli import (
-    density_from_params,
-    embed_mean_values,
-    min_eigenvalue,
-    params_from_density,
-    pauli,
-)
-from .reduced import (
-    ReducedMap,
-    compat_slice_check,
-    in_compatibility_domain,
-    sup_norm_grid,
-    sup_norm_over_time,
-)
+from .pauli import density_from_params, embed_mean_values, params_from_density, pauli
+from .reduced import compat_slice_check, in_compatibility_domain, sup_norm_grid, sup_norm_over_time
 from .slippage import max_safe_repetitions, slip_state, slipped_domain_check
 from .tolerances import DEFAULT_TOL
 
 __all__ = [
     "DEFAULT_TOL",
-    "ReducedMap",
     "brute_force_max",
     "compat_slice_check",
     "conjunct",
@@ -51,10 +32,8 @@ __all__ = [
     "greedy_extremal_growth",
     "in_compatibility_domain",
     "max_safe_repetitions",
-    "min_eigenvalue",
     "params_from_density",
     "pauli",
-    "sigma2_conjunction",
     "slip_state",
     "slipped_domain_check",
     "sup_norm_grid",

@@ -78,7 +78,7 @@ def certified(a, c1, c2, value, witness, tol: float):
     w = dual_certificate(a, c1, c2)
     back_rho, back_w = _read_back(rho), _read_back(w)
     # both come from density_from_params, Hermitian by construction, so
-    # eigvalsh takes them without min_eigenvalue's check
+    # eigvalsh takes them unchecked
     witnessed = (
         finite
         & (np.linalg.eigvalsh(rho)[..., 0] >= -WITNESS_EIG_TOL)

@@ -42,16 +42,10 @@ from typing import Any, Callable, Optional
 import numpy as np
 
 from . import checks
-from .conjunction import (
-    _greedy_rows,
-    conjunct,
-    first_unphysical_n,
-    sigma2_conjunction,
-)
+from .conjunction import _greedy_rows, _sigma2_legs, conjunct, first_unphysical_n
 from .dynamics import rotate
 from .dynamics import evolve_mean_values  # noqa: F401  no longer called; perfbench traces this binding
 from .pauli import _norms
-from .reduced import ReducedMap
 from .slippage import max_safe_repetitions, slip_state, slipped_domain_check
 from .tolerances import DEFAULT_TOL, exceeds, inside
 
@@ -546,14 +540,15 @@ def _run_conjunct(sc: Scenario, tol: float, seed: int) -> tuple[list, Body, Call
         }
         return header, rows, lambda _: summary
 
-    # sweep mode: one reuse of duration s over a grid
-    first_leg = ReducedMap(c1, c2, sc.t).apply(a)
+    # sweep mode: one reuse of duration s over a grid, after the first leg t
+    first_leg = conjunct(c1, c2, a, [sc.t])[1][0]
 
     def chunk(lo: int, hi: int) -> tuple[tuple, tuple]:
         s = s_grid.at(np.arange(lo, hi))
-        conj = ReducedMap(c1, c2, s).apply(first_leg)
+        magnitudes, trajectory = conjunct(c1, c2, first_leg, s[None])
+        conj, norm_conj = trajectory[0], magnitudes[0]
         exact = rotate(a, c1, c2, sc.t + s)[:3]
-        norm_conj, norm_exact = _norms(*conj), _norms(*exact)
+        norm_exact = _norms(*exact)
         rows = (s, exact[1], conj[1], norm_exact, norm_conj, 1.0 - norm_exact, 1.0 - norm_conj)
         argmax, hazard = int(np.argmax(conj[1])), _first_hazard(norm_conj, tol)
         return rows, (float(conj[1][argmax]), float(s[argmax]),
@@ -585,7 +580,7 @@ def _run_hazard(sc: Scenario, tol: float, seed: int) -> tuple[list, Body, Callab
         # rows run over s within each q
         qi, si = np.unravel_index(np.arange(lo, hi), (q_grid.count, s_grid.count))
         q, s = q_grid.at(qi), s_grid.at(si)
-        conj = sigma2_conjunction(np.cos(q), np.sin(q), q, s)
+        conj = _sigma2_legs(np.cos(q), np.sin(q), (q, s))
         size = np.abs(conj)
         rows = (q_cells(qi), s_cells(si), exact_cells(si), conj, margin_cells(si), 1.0 - size)
         return rows, (float(conj.max()), float(size.max()))

@@ -6,9 +6,10 @@ A conjunction applies the reduced map fixed by the time-0 correlations
 legs s_1 ... s_n.  The exact dynamics would update the correlations between
 legs; the conjunction deliberately does not, and the output Bloch vector can
 leave the unit ball.  Nothing here raises on unphysical intermediate values:
-the magnitudes are returned, and the caller reads the hazard from them.  A
-leg on the slice a = (0, a2, 0), c2 = 0 is written once, as `_fold`, and the
-greedy worst case once, as the closed form `_greedy_rows`.
+the magnitudes are returned, and the caller reads the hazard from them.  The
+full Bloch vector's legs are written once, as `conjunct`; a leg on the
+slice a = (0, a2, 0), c2 = 0, where only a2 moves, once, as `_fold`; and
+the greedy worst case once, as the closed form `_greedy_rows`.
 """
 from __future__ import annotations
 
@@ -17,33 +18,35 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dynamics import _turn_component
+from .dynamics import _turn, _turn_component
 from .optimize import golden_section_max
-from .pauli import _norms, _require_count
-from .reduced import ReducedMap, _slice_sq
+from .pauli import _as_bloch, _norms, _require_count, _require_finite
+from .reduced import _slice_sq
 from .tolerances import BOUNDARY_EPS, ZERO_CORRELATION_SQ
 
 _TWO_PI = 2 * math.pi
 
 
-def conjunct(c1: float, c2: float, a, durations: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+def conjunct(c1: float, c2: float, a, durations) -> tuple[np.ndarray, np.ndarray]:
     """Run the frozen map over every leg of `durations` (the first leg t,
-    then the reuses s_1 ... s_n).  Returns (magnitudes, trajectory): row k
-    of the trajectory is the Bloch vector after leg k, and magnitudes[k] its
-    norm.  A non-finite a, c1, c2 or duration, or durations that are empty
-    or not 1-D raise ValueError."""
+    then the reuses s_1 ... s_n), an array of shape (legs, ...): each leg
+    turns (a1, a2) by `dynamics._turn` with the frozen (c1, c2) and carries
+    a3 unchanged.  Returns (magnitudes, trajectory) of shapes (legs, ...)
+    and (legs, 3, ...): trajectory[k] is the Bloch vector after leg k, and
+    magnitudes[k] its norm.  A non-finite a, c1, c2 or duration, or
+    durations that are 0-d or empty raise ValueError."""
     durations = np.asarray(durations, dtype=float)
-    if durations.ndim != 1 or durations.size == 0:
-        raise ValueError(f"durations must be a non-empty 1-D sequence, got durations={durations!r}")
-    for name, value in (("c1", c1), ("c2", c2), ("a", a), ("durations", durations)):
-        if not np.isfinite(value).all():
-            raise ValueError(f"{name} must be finite, got {name}={value!r}")
-    trajectory = []
-    for duration in durations:
-        a = ReducedMap(c1, c2, duration).apply(a)
-        trajectory.append(a)
-    trajectory = np.array(trajectory)
-    return _norms(*trajectory.T), trajectory
+    if durations.ndim == 0 or durations.size == 0:
+        raise ValueError(f"durations must be non-empty with a leading leg axis, got durations={durations!r}")
+    c1, c2 = _require_finite(c1, "c1"), _require_finite(c2, "c2")
+    a1, a2, a3 = _as_bloch(_require_finite(a, "a"))
+    _require_finite(durations, "durations")
+    points = np.broadcast_shapes(durations.shape[1:], c1.shape, c2.shape)
+    trajectory = np.empty((len(durations), 3) + points)
+    trajectory[:, 2] = a3
+    for leg, ct, st in zip(trajectory, np.cos(durations), np.sin(durations)):
+        leg[0], leg[1] = a1, a2 = _turn(a1, a2, c1, c2, ct, st)
+    return _norms(*trajectory.swapaxes(0, 1)), trajectory
 
 
 def _fold(v, c1, turns: Sequence):
@@ -61,12 +64,10 @@ def _sigma2_legs(a2, c1, durations: Sequence):
     return _fold(a2, c1, [(np.cos(s), np.sin(s)) for s in durations])
 
 
-def sigma2_conjunction(a2, c1, t, s):
-    """Second Bloch component after one reuse on the slice a = (0, a2, 0),
-    c2 = 0: the frozen-map fold over the legs (t, s), so the hazard outputs
-    carry the bits of `conjunct` and the brute-force oracle.  Broadcasts
-    over arrays."""
-    return _sigma2_legs(a2, c1, (t, s))
+def sigma2_conjunction(*args, **kwargs):
+    """Deleted wrapper of `_sigma2_legs`; the name stays only because
+    `perfbench/tracing.py` traces it (ROADMAP item 1)."""
+    raise NotImplementedError("sigma2_conjunction was removed; call _sigma2_legs (ROADMAP item 1)")
 
 
 def _greedy_rows(a2, c1, k):
@@ -91,14 +92,10 @@ def greedy_extremal_growth(a2: float, c1: float, n: int) -> tuple[np.ndarray, np
     the reuses).  Raises ValueError for non-finite a2 or c1.
     """
     n = _require_count(n, "n", 0)
-    _require_finite(a2, c1)
+    _require_finite(a2, "a2")
+    _require_finite(c1, "c1")
     durations, magnitudes = _greedy_rows(a2, c1, np.arange(n + 1))
     return magnitudes, durations
-
-
-def _require_finite(a2: float, c1: float) -> None:
-    if not (math.isfinite(a2) and math.isfinite(c1)):
-        raise ValueError(f"a2 and c1 must be finite, got a2={a2!r}, c1={c1!r}")
 
 
 def _grid_argmax(a2: float, c1: float, n: int, grid_points: int) -> tuple[float, tuple[int, ...]]:
@@ -166,13 +163,11 @@ def brute_force_max(a2, c1, n: int, grid_points: int = 128, *, reuses=None):
     outside = (counts < 0) | (counts > n)
     if outside.any():
         raise ValueError(f"reuses must lie in 0..n = {n}, got {counts[outside].flat[0]}")
-    a2, c1, counts = np.broadcast_arrays(np.asarray(a2, dtype=float),
-                                         np.asarray(c1, dtype=float), counts)
+    a2, c1, counts = np.broadcast_arrays(_require_finite(a2, "a2"), _require_finite(c1, "c1"), counts)
     shape, a2, c1, counts = a2.shape, a2.ravel(), c1.ravel(), counts.ravel()
     h = _TWO_PI / grid_points
     legs = np.zeros((n + 1, counts.size))
     for p, (a, c, m) in enumerate(zip(a2.tolist(), c1.tolist(), counts.tolist())):
-        _require_finite(a, c)
         legs[:m + 1, p] = np.array(_grid_argmax(a, c, m, grid_points)[1]) * h
     best = np.empty(counts.size)
     # one cyclic refinement pass: golden-section each leg on +/- one spacing;
@@ -199,7 +194,8 @@ def first_unphysical_n(a2: float, c1: float) -> Optional[int]:
     so sums landing exactly on 1 do not count; no floor/ceil decides n.
     Raises ValueError for non-finite a2 or c1.
     """
-    _require_finite(a2, c1)
+    _require_finite(a2, "a2")
+    _require_finite(c1, "c1")
     if c1 * c1 < ZERO_CORRELATION_SQ:
         return None
 

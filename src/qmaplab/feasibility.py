@@ -45,16 +45,23 @@ from .optimize import nelder_mead_max  # noqa: F401  no longer called; perfbench
 from .pauli import A, B1, T11, T21, T31, _broadcast, _norms, density_from_params, embed_mean_values
 
 
-def _block_vectors(a: np.ndarray, c1, c2) -> tuple[np.ndarray, np.ndarray]:
-    """(x_+, x_-) = (a_xy + c, z_+), (a_xy - c, z_-) with z_+ + z_- = 2 a3
-    split in proportion to |a_xy + c| : |a_xy - c| (equally when both are 0),
-    each of shape (3, ...)."""
-    p = (a[0] + c1, a[1] + c2)
-    m = (a[0] - c1, a[1] - c2)
-    norm_p, norm_m = _norms(*p), _norms(*m)
-    total = norm_p + norm_m
-    share = np.divide(norm_p, total, out=np.full(total.shape, 0.5), where=total != 0.0)
-    return np.stack((*p, 2.0 * a[2] * share)), np.stack((*m, 2.0 * a[2] * (1.0 - share)))
+def _block_vectors(a: np.ndarray, c1, c2) -> tuple:
+    """(x_+, x_-, |x_+|, |x_-|): x_+- = (a_xy +- c, z_+-), each of shape
+    (3, ...), with z_+ + z_- = 2 a3 split in proportion to |a_xy + c| :
+    |a_xy - c| (equally when both are 0).  A norm past the float range (an
+    input above about 1.3e154, where its square overflows) raises
+    ValueError, as `reduced._finite_sup` does."""
+    with np.errstate(over="ignore", invalid="ignore"):  # raised below
+        p = (a[0] + c1, a[1] + c2)
+        m = (a[0] - c1, a[1] - c2)
+        norm_p, norm_m = _norms(*p), _norms(*m)
+        total = norm_p + norm_m
+        share = np.divide(norm_p, total, out=np.full(total.shape, 0.5), where=total != 0.0)
+        x_plus, x_minus = np.stack((*p, 2.0 * a[2] * share)), np.stack((*m, 2.0 * a[2] * (1.0 - share)))
+        norm_plus, norm_minus = _norms(*x_plus), _norms(*x_minus)
+    if not (np.isfinite(norm_plus).all() and np.isfinite(norm_minus).all()):
+        raise ValueError("the block vectors' norms overflow: an input passes about 1.3e154")
+    return x_plus, x_minus, norm_plus, norm_minus
 
 
 def feasibility_search(a, c1, c2) -> tuple[np.ndarray, np.ndarray]:
@@ -67,10 +74,10 @@ def feasibility_search(a, c1, c2) -> tuple[np.ndarray, np.ndarray]:
     density matrix.  A NaN or infinite input raises ValueError naming it.
     """
     witness = embed_mean_values(a, c1, c2)
-    x_plus, x_minus = _block_vectors(witness[A], witness[T11], witness[T21])
+    x_plus, x_minus, norm_plus, norm_minus = _block_vectors(witness[A], witness[T11], witness[T21])
     witness[T31] = 0.5 * (x_plus[2] - x_minus[2])
-    witness[B1] = 0.5 * (_norms(*x_plus) - _norms(*x_minus))  # w_+ - w_-
-    # Hermitian by construction: eigvalsh without min_eigenvalue's check
+    witness[B1] = 0.5 * (norm_plus - norm_minus)  # w_+ - w_-
+    # Hermitian by construction: eigvalsh takes it unchecked
     return np.linalg.eigvalsh(density_from_params(witness))[..., 0][()], witness
 
 
@@ -86,12 +93,11 @@ def dual_certificate(a, c1, c2) -> np.ndarray:
     """
     a, c1, c2 = _broadcast(a, c1, c2)
 
-    def down(x: np.ndarray) -> np.ndarray:
-        norm = _norms(*x)
+    def down(x: np.ndarray, norm: np.ndarray) -> np.ndarray:
         return np.divide(-x, norm, out=np.zeros(x.shape), where=norm > 0.0)
 
-    x_plus, x_minus = _block_vectors(a, c1, c2)
-    p_hat, m_hat = down(x_plus), down(x_minus)
+    x_plus, x_minus, norm_plus, norm_minus = _block_vectors(a, c1, c2)
+    p_hat, m_hat = down(x_plus, norm_plus), down(x_minus, norm_minus)
     p_hat = np.where(p_hat.any(axis=0), p_hat, m_hat)
     m_hat = np.where(m_hat.any(axis=0), m_hat, p_hat)
     # the proportional split of a3 gives p^ and m^ the same third component,

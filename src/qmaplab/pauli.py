@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tolerances import DENSITY_TOL, EIGENVALUE_HERMITIAN_TOL
+from .tolerances import DENSITY_TOL
 
 _SX = np.array([[0, 1], [1, 0]], dtype=complex)
 _SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -44,10 +44,11 @@ def pauli(index: int) -> np.ndarray:
     return _PAULIS[index - 1].copy()
 
 
-def is_hermitian(m: np.ndarray, tol: float = DENSITY_TOL) -> bool:
+def is_hermitian(m: np.ndarray) -> bool:
     """Entrywise Hermiticity check of a matrix or a stack (..., k, k):
-    max |M - M^dagger| <= tol.  An empty stack is vacuously Hermitian."""
-    return bool(np.max(np.abs(m - np.swapaxes(m.conj(), -1, -2)), initial=0.0) <= tol)
+    max |M - M^dagger| <= `DENSITY_TOL`.  An empty stack is vacuously
+    Hermitian."""
+    return bool(np.max(np.abs(m - np.swapaxes(m.conj(), -1, -2)), initial=0.0) <= DENSITY_TOL)
 
 
 def _as_bloch(a) -> np.ndarray:
@@ -173,11 +174,7 @@ def embed_mean_values(a, c1, c2) -> np.ndarray:
     return p
 
 
-def min_eigenvalue(m: np.ndarray):
-    """Smallest eigenvalue of each Hermitian 4x4 (or 2x2) matrix of a stack
-    (..., k, k), by one stacked eigvalsh; a float for a single matrix.  The
-    matrices must be Hermitian within `tolerances.EIGENVALUE_HERMITIAN_TOL`."""
-    m = np.asarray(m, dtype=complex)
-    if not is_hermitian(m, EIGENVALUE_HERMITIAN_TOL):
-        raise ValueError("matrix is not Hermitian within tolerance")
-    return np.linalg.eigvalsh(m)[..., 0]
+def min_eigenvalue(*args, **kwargs):
+    """Deleted wrapper of `np.linalg.eigvalsh`; the name stays only because
+    `perfbench/tracing.py` traces it (ROADMAP item 1)."""
+    raise NotImplementedError("min_eigenvalue was removed; call np.linalg.eigvalsh (ROADMAP item 1)")

@@ -1,4 +1,5 @@
-"""Affine reduced maps on the system-qubit Bloch vector, with domain margins.
+"""Domain margins of the affine reduced maps on the system-qubit Bloch
+vector; the map itself runs in `conjunction.conjunct`.
 
 A reduced map is fixed by the frozen correlations (c1, c2) and a duration t.
 Two domains matter: the positivity domain at a given t (images stay inside
@@ -11,13 +12,12 @@ realizable with the frozen correlations in some physical two-qubit state —
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _turn, rotate
+from .dynamics import _turn
 from .optimize import golden_section_max
-from .pauli import _as_bloch, _as_blochs, _require_count, _require_finite
+from .pauli import _as_blochs, _require_count, _require_finite
 from .tolerances import GRID_VALUE_PAD
 
 
@@ -31,20 +31,12 @@ def _finite_sup(sup):
     return sup
 
 
-@dataclass(frozen=True)
 class ReducedMap:
-    """Affine Bloch-vector map determined by frozen correlations and duration."""
+    """Deleted: `conjunction.conjunct` runs the frozen map.  The class stays
+    only because `perfbench/tracing.py` traces its `apply` (ROADMAP item 1)."""
 
-    c1: float
-    c2: float
-    t: float
-
-    def apply(self, a) -> np.ndarray:
-        """(a1 cos t - c2 sin t, a2 cos t + c1 sin t, a3), the first three
-        components of `rotate` with the correlations left frozen.  `t` may
-        be an array; the result then has shape (3,) + t.shape."""
-        a1, a2, a3, _, _ = rotate(_as_bloch(a), self.c1, self.c2, self.t)
-        return np.array(np.broadcast_arrays(a1, a2, a3))
+    def apply(self, *args, **kwargs):
+        raise NotImplementedError("ReducedMap was removed; call conjunction.conjunct (ROADMAP item 1)")
 
 
 def _norm_sq_coeffs(c1, c2, a: np.ndarray) -> tuple:

@@ -8,8 +8,6 @@ A `checks` check passes when its value is below its bound.
 DEFAULT_TOL = 1e-9
 # how far a density matrix may be from Hermitian with unit trace
 DENSITY_TOL = 1e-12
-# how far a matrix handed to `pauli.min_eigenvalue` may be from Hermitian
-EIGENVALUE_HERMITIAN_TOL = 1e-10
 # `first_unphysical_n`: a2^2 + (n+1) c1^2 exceeds 1 only past 1 + this
 BOUNDARY_EPS = 1e-12
 # `first_unphysical_n`: c1^2 below this is no correlation, so no growth

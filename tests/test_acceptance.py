@@ -14,10 +14,10 @@ import numpy as np
 from qmaplab import DEFAULT_TOL, checks
 from qmaplab.cli import run
 from qmaplab.conjunction import (
+    _sigma2_legs,
     brute_force_max,
     first_unphysical_n,
     greedy_extremal_growth,
-    sigma2_conjunction,
 )
 from qmaplab.dynamics import rotate
 from qmaplab.feasibility import feasibility_search
@@ -46,9 +46,9 @@ def test_criterion_2_edge_hazard_onset():
     for q in (math.pi / 6, math.pi / 4, math.pi / 3):
         a2, c1 = math.cos(q), math.sin(q)
         h = 1e-6
-        slope = (sigma2_conjunction(a2, c1, q, h) - sigma2_conjunction(a2, c1, q, -h)) / (2 * h)
+        slope = (_sigma2_legs(a2, c1, (q, h)) - _sigma2_legs(a2, c1, (q, -h))) / (2 * h)
         slope_ok = abs(slope - math.sin(q)) < 1e-8
-        onset = sigma2_conjunction(a2, c1, q, 1e-3)
+        onset = _sigma2_legs(a2, c1, (q, 1e-3))
         onset_ok = onset > 1.0
         ok = ok and slope_ok and onset_ok
         details.append(f"q={q:.4f}: slope err {abs(slope - math.sin(q)):.2e}, value(1e-3)-1={onset - 1:.2e}")

@@ -24,13 +24,8 @@ from hypothesis.configuration import set_hypothesis_home_dir
 
 from qmaplab import checks, cli, conjunction, reduced
 from qmaplab.cli import Body, ScenarioError, emit_csv, load_scenario, main, parse_angle, run
-from qmaplab.conjunction import (
-    conjunct,
-    greedy_extremal_growth,
-    sigma2_conjunction,
-)
+from qmaplab.conjunction import _sigma2_legs, conjunct, greedy_extremal_growth
 from qmaplab.dynamics import rotate
-from qmaplab.reduced import ReducedMap
 from qmaplab.slippage import slip_state, slipped_domain_check
 from qmaplab.tolerances import inside
 
@@ -759,7 +754,7 @@ def test_hazard_grid_matches_row_by_row(tmp_path):
         for s in s_grid.tolist():
             # the exact edge state turns rigidly on its circle
             exact = math.cos(s)
-            conj = sigma2_conjunction(math.cos(q), math.sin(q), q, s)
+            conj = _sigma2_legs(math.cos(q), math.sin(q), (q, s))
             rows.append([q, s, exact, conj, 1.0 - abs(exact), 1.0 - abs(conj)])
     header = ["q", "s", "sigma2_exact", "sigma2_conjunction", "margin_exact", "margin_conjunction"]
     assert got == _reference_csv(header, rows)
@@ -788,10 +783,11 @@ def test_conjunct_sweep_matches_row_by_row(tmp_path):
     payload = {"command": "conjunct", "state": {"a": a, "c1": c1, "c2": c2},
                "schedule": {"t": t}, "grid": {"axis": "s", "start": -1, "stop": 9, "count": 2001}}
     got, summary = _run_and_read(tmp_path, payload, "conjunct.csv")
-    first_leg = ReducedMap(c1, c2, t).apply(a)
+    # the frozen map as the exact rotation with (c1, c2) held: t, then s
+    first_leg = rotate(a, c1, c2, t)[:3]
     rows = []
     for s in np.linspace(-1, 9, 2001).tolist():
-        conj = ReducedMap(c1, c2, s).apply(first_leg)
+        conj = np.array(rotate(first_leg, c1, c2, s)[:3])
         exact = np.array(rotate(a, c1, c2, t + s)[:3])
         norm_exact, norm_conj = np.linalg.norm(exact), np.linalg.norm(conj)
         rows.append([s, exact[1], conj[1], norm_exact, norm_conj,
@@ -865,7 +861,7 @@ def test_slippage_projects_at_the_default_tol_whatever_the_run_tol(tmp_path):
 
 
 def test_hazard_grid_calls_each_kernel_o1_times(tmp_path, monkeypatch):
-    calls = {"rotate": 0, "sigma2_conjunction": 0}
+    calls = {"rotate": 0, "_sigma2_legs": 0}
     for name in calls:
         original = getattr(cli, name)
 
@@ -879,7 +875,7 @@ def test_hazard_grid_calls_each_kernel_o1_times(tmp_path, monkeypatch):
         {"axis": "s", "start": 0, "stop": 2, "count": 50}]}
     assert run(write_scenario(tmp_path, payload), out_dir=str(tmp_path / "out")) == 0
     assert calls["rotate"] <= 1
-    assert calls["sigma2_conjunction"] <= 1
+    assert calls["_sigma2_legs"] <= 1
 
 
 def _count_calls(monkeypatch, module, names) -> dict:
@@ -1359,8 +1355,8 @@ def test_child_compute_error_is_raised_not_a_write_failure(tmp_path, monkeypatch
     """A compute error in the child's half is raised here as it would be in
     one process, not reported as output that cannot be written."""
     monkeypatch.setattr(cli, "_CHUNK_ROWS", 3)
-    parent, kernel = os.getpid(), cli.sigma2_conjunction
-    monkeypatch.setattr(cli, "sigma2_conjunction", lambda *args: kernel(*args)
+    parent, kernel = os.getpid(), cli._sigma2_legs
+    monkeypatch.setattr(cli, "_sigma2_legs", lambda *args: kernel(*args)
                         if os.getpid() == parent else 1 / 0)
     out = tmp_path / "out"
     with pytest.raises(ZeroDivisionError):

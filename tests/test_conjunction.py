@@ -19,11 +19,10 @@ from qmaplab.conjunction import (
     conjunct,
     first_unphysical_n,
     greedy_extremal_growth,
-    sigma2_conjunction,
 )
 from qmaplab.dynamics import rotate
 from qmaplab.optimize import golden_section_max
-from qmaplab.reduced import ReducedMap, compat_slice_check
+from qmaplab.reduced import compat_slice_check
 from qmaplab.slippage import max_safe_repetitions
 
 
@@ -70,21 +69,21 @@ def test_sigma2_conjunction_reduces_at_s_zero():
     for _ in range(20):
         a2, c1, t = rng.uniform(-1, 1, 3)
         assert abs(
-            sigma2_conjunction(a2, c1, t, 0.0) - (a2 * math.cos(t) + c1 * math.sin(t))
+            _sigma2_legs(a2, c1, (t, 0.0)) - (a2 * math.cos(t) + c1 * math.sin(t))
         ) < 1e-15
 
 
 @pytest.mark.parametrize("q", [0.3, math.pi / 4, 1.4])
 def test_sigma2_conjunction_edge_identity(q):
     for s in np.linspace(0, math.pi, 25):
-        got = sigma2_conjunction(math.cos(q), math.sin(q), q, float(s))
+        got = _sigma2_legs(math.cos(q), math.sin(q), (q, float(s)))
         assert abs(got - (math.cos(s) + math.sin(q) * math.sin(s))) < 1e-12
 
 
 def test_sigma2_conjunction_maximum_value():
     # at q = pi/2 the one-reuse maximum is sqrt(2), attained at s = pi/4
     q = math.pi / 2
-    got = sigma2_conjunction(math.cos(q), math.sin(q), q, math.pi / 4)
+    got = _sigma2_legs(math.cos(q), math.sin(q), (q, math.pi / 4))
     assert abs(got - math.sqrt(2)) < 1e-12
 
 
@@ -94,14 +93,14 @@ def test_sigma2_conjunction_agrees_with_conjunct_on_slice():
         a2, c1 = rng.uniform(-1, 1, 2)
         t, s = rng.uniform(0, 6, 2)
         _, trajectory = conjunct(c1, 0.0, [0, a2, 0], (t, s))
-        assert abs(trajectory[1][1] - sigma2_conjunction(a2, c1, t, s)) < 1e-12
+        assert abs(trajectory[1][1] - _sigma2_legs(a2, c1, (t, s))) < 1e-12
 
 
 @pytest.mark.parametrize("q", [0.2, math.pi / 6, math.pi / 4, math.pi / 3, 1.5])
 def test_hazard_slope_matches_finite_difference(q):
     h = 1e-6
     a2, c1 = math.cos(q), math.sin(q)
-    fd = (sigma2_conjunction(a2, c1, q, h) - sigma2_conjunction(a2, c1, q, -h)) / (2 * h)
+    fd = (_sigma2_legs(a2, c1, (q, h)) - _sigma2_legs(a2, c1, (q, -h))) / (2 * h)
     assert abs(math.sin(q) - fd) < 1e-8
     assert fd > 0
 
@@ -139,14 +138,38 @@ def test_greedy_growth_rejects_negative_n():
 def test_greedy_growth_rejects_non_finite_inputs(a2, c1):
     # as brute_force_max and first_unphysical_n do, rather than return NaN
     # or inf magnitudes with made-up durations
-    with pytest.raises(ValueError, match="a2 and c1 must be finite"):
+    with pytest.raises(ValueError, match=r"(a2|c1) must be finite, got \1="):
         greedy_extremal_growth(a2, c1, 3)
 
 
-@pytest.mark.parametrize("durations", [(), [], np.empty(0), 0.5, [[0.1, 0.2]]])
+@pytest.mark.parametrize("durations", [(), [], np.empty(0), 0.5, [[]]])
 def test_conjunct_rejects_durations_without_a_leg_or_not_1d(durations):
-    with pytest.raises(ValueError, match="durations must be a non-empty 1-D sequence"):
+    # "not 1-d" is the 0-d case, with no leg axis; empty is no leg, or legs
+    # over no points.  Non-empty 2-D durations are columns, accepted below.
+    with pytest.raises(ValueError, match="durations must be non-empty with a leading leg axis"):
         conjunct(0.2, 0.0, [0.0, 0.5, 0.0], durations)
+
+
+def test_conjunct_over_columns_equals_per_column_calls_exactly():
+    # durations (legs, points): each column is a schedule of its own, with
+    # the bits of that schedule's 1-D call, signed zeros included
+    rng = np.random.default_rng(29)
+    a, (c1, c2) = rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 2)
+    durations = rng.uniform(-10, 10, (4, 50))
+    durations[1, :3] = 0.0, -0.0, math.pi
+    magnitudes, trajectory = conjunct(c1, c2, a, durations)
+    assert magnitudes.shape == (4, 50) and trajectory.shape == (4, 3, 50)
+    for j in range(50):
+        column_magnitudes, column_trajectory = conjunct(c1, c2, a, durations[:, j])
+        assert magnitudes[:, j].tobytes() == column_magnitudes.tobytes()
+        assert trajectory[:, :, j].tobytes() == column_trajectory.tobytes()
+    # a first leg t shared by every reuse s, as a read-only broadcast view
+    t, s = 0.7, durations[0]
+    magnitudes, trajectory = conjunct(c1, c2, a, np.broadcast_arrays(t, s))
+    for j in range(50):
+        column_magnitudes, column_trajectory = conjunct(c1, c2, a, (t, s[j]))
+        assert magnitudes[:, j].tobytes() == column_magnitudes.tobytes()
+        assert trajectory[:, :, j].tobytes() == column_trajectory.tobytes()
 
 
 def test_greedy_schedule_actually_attains_magnitudes():
@@ -432,7 +455,7 @@ def test_growth_check_counts_every_draw(monkeypatch, n):
 def test_batched_brute_force_checks_every_element():
     a2 = np.array([0.1, 0.2, 0.3, 0.4])
     c1 = np.array([0.5, 0.5, math.inf, 0.5])
-    with pytest.raises(ValueError, match=r"a2 and c1 must be finite, got a2=0\.3, c1=inf"):
+    with pytest.raises(ValueError, match=r"c1 must be finite, got c1=inf"):
         brute_force_max(a2, c1, 1, grid_points=64)
     with pytest.raises(ValueError, match="a2=nan"):
         brute_force_max([0.1, math.nan], 0.2, 0, grid_points=64)
@@ -503,15 +526,15 @@ def test_broadcast_forms_equal_scalar_closed_forms_exactly():
     rng = np.random.default_rng(23)
     a2, c1 = rng.uniform(-1, 1, (2, 300))
     t, s = rng.uniform(-10, 10, (2, 300))
-    conj = sigma2_conjunction(a2, c1, t, s)
+    conj = _sigma2_legs(a2, c1, (t, s))
     frozen_c1, frozen_c2, a = 0.3, -0.7, [0.2, -0.5, 0.4]
-    applied = ReducedMap(frozen_c1, frozen_c2, s).apply(a)
+    applied = conjunct(frozen_c1, frozen_c2, a, [s])[1][0]
     for k in range(300):
         x2, y1, tk, sk = float(a2[k]), float(c1[k]), float(t[k]), float(s[k])
         fold = (x2 * math.cos(tk) + y1 * math.sin(tk)) * math.cos(sk) + y1 * math.sin(sk)
-        assert float(conj[k]) == fold == sigma2_conjunction(x2, y1, tk, sk)
+        assert float(conj[k]) == fold == _sigma2_legs(x2, y1, (tk, sk))
         assert _sigma2_legs(x2, y1, [tk, sk]) == fold
-        assert applied[:, k].tolist() == ReducedMap(frozen_c1, frozen_c2, sk).apply(a).tolist()
+        assert applied[:, k].tolist() == conjunct(frozen_c1, frozen_c2, a, [sk])[1][0].tolist()
         assert applied[:, k].tolist() == [a[0] * math.cos(sk) - frozen_c2 * math.sin(sk),
                                           a[1] * math.cos(sk) + frozen_c1 * math.sin(sk), a[2]]
     # the leg fold, bit for bit with signed zeros: seeded values, then every

@@ -9,8 +9,7 @@ import pytest
 
 from qmaplab import DEFAULT_TOL, checks
 from qmaplab.feasibility import dual_certificate, feasibility_search
-from qmaplab.pauli import (A, B1, T11, T21, density_from_params, min_eigenvalue,
-                           params_from_density)
+from qmaplab.pauli import A, B1, T11, T21, density_from_params, params_from_density
 from qmaplab.reduced import in_compatibility_domain, sup_norm_over_time
 from qmaplab.tolerances import inside
 
@@ -212,7 +211,7 @@ def _check_certificates(a, c1: float, c2: float, rng) -> tuple[float, float]:
     back = params_from_density(rho)
     assert np.abs(back[A] - a).max() < 1e-12
     assert abs(back[T11] - c1) < 1e-12 and abs(back[T21] - c2) < 1e-12
-    assert value == min_eigenvalue(rho)
+    assert value == np.linalg.eigvalsh(rho)[0]
     sup, _ = sup_norm_over_time(c1, c2, a)
     assert abs(value - (1.0 - sup) / 4.0) < 1e-14
     # the dual: PSD, unit trace, blind to every free parameter, and tight
@@ -225,7 +224,7 @@ def _check_certificates(a, c1: float, c2: float, rng) -> tuple[float, float]:
     for _ in range(3):
         other = density_from_params(_random_extension(a, c1, c2, rng))
         assert abs(np.trace(w @ other).real - bound) < 1e-14
-        assert min_eigenvalue(other) <= bound + 1e-14
+        assert np.linalg.eigvalsh(other)[0] <= bound + 1e-14
     return value, 0.5 * (1.0 + witness[B1])
 
 
@@ -265,7 +264,7 @@ def test_certified_rejects_an_off_read_back(field):
     assert checks.certified(a, c1, c2, value, witness, 1e-9)
     off = witness.copy()
     off[0 if field == "a" else T21] += 1e-6
-    assert min_eigenvalue(density_from_params(off)) > 0.1
+    assert np.linalg.eigvalsh(density_from_params(off))[0] > 0.1
     assert not checks.certified(a, c1, c2, value, off, 1e-9)
 
 
@@ -318,8 +317,8 @@ def test_witness_soundness_on_feasible_points(seed):
     best, witness = feasibility_search([0, a2, 0], c1, 0.0)
     assert best >= -1e-9
     rho = density_from_params(witness)
-    assert min_eigenvalue(rho) >= -1e-9
-    assert abs(min_eigenvalue(rho) - best) < 1e-12
+    assert np.linalg.eigvalsh(rho)[0] >= -1e-9
+    assert abs(np.linalg.eigvalsh(rho)[0] - best) < 1e-12
     assert abs(witness[A][1] - a2) < 1e-10
     assert abs(witness[T11] - c1) < 1e-10
 
@@ -334,6 +333,21 @@ def test_oracle_rejects_a_non_finite_input_naming_it(field, bad):
         feasibility_search(**point)
     with pytest.raises(ValueError, match=f"{field} must be finite"):
         dual_certificate(**point)
+
+
+@pytest.mark.parametrize("a,c1,c2", [([1e155, 0, 0], 0.1, 0.0), ([0, 0, 1e155], 0.1, 0.0),
+                                     ([0, 0.5, 0], 1e300, -1e300), ([1e308, 0, 0], 1e308, 0.0)])
+def test_oracle_rejects_a_norm_past_the_float_range(a, c1, c2):
+    # finite inputs whose block vectors' norms overflow: a ValueError, not
+    # an overflow RuntimeWarning (an error in this suite) or an inf value
+    with pytest.raises(ValueError, match="overflow"):
+        feasibility_search(a, c1, c2)
+    with pytest.raises(ValueError, match="overflow"):
+        dual_certificate(a, c1, c2)
+    # short of the overflow the value is finite: (1 - sup)/4
+    value, _ = feasibility_search([1e150, 0, 0], 0.1, 0.0)
+    assert value == pytest.approx(-1e150 / 4, rel=1e-12)
+    assert np.isfinite(dual_certificate([1e150, 0, 0], 0.1, 0.0)).all()
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

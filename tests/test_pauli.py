@@ -1,4 +1,5 @@
-"""Pauli algebra, parameterization round-trips, and minimum eigenvalues."""
+"""Pauli algebra, parameterization round-trips, and minimum eigenvalues of
+reconstructed states."""
 from __future__ import annotations
 
 import math
@@ -18,7 +19,6 @@ from qmaplab.pauli import (
     density_from_params,
     embed_mean_values,
     is_hermitian,
-    min_eigenvalue,
     params_from_density,
     pauli,
 )
@@ -86,7 +86,7 @@ def test_density_anticommuting_pair_spectrum(q):
 
 def test_density_boundary_point_min_eig_zero():
     s = embed_mean_values([0, 0.8, 0], 0.6, 0.0)
-    assert abs(min_eigenvalue(density_from_params(s))) < 1e-12
+    assert abs(np.linalg.eigvalsh(density_from_params(s))[0]) < 1e-12
 
 
 def test_density_expectations_match_parameters():
@@ -141,17 +141,20 @@ def test_partial_trace_bloch_vector_matches_a(seed):
 
 
 def test_min_eigenvalue_basic():
-    assert abs(min_eigenvalue(ID4 / 4) - 0.25) < 1e-14
-    assert abs(min_eigenvalue(np.diag([0.5, 0.5, 0, 0]).astype(complex))) < 1e-14
+    assert abs(np.linalg.eigvalsh(ID4 / 4)[0] - 0.25) < 1e-14
+    assert abs(np.linalg.eigvalsh(np.diag([0.5, 0.5, 0, 0]).astype(complex))[0]) < 1e-14
     rho = 0.25 * (ID4 + 1.2 * np.kron(pauli(2), ID2))
-    assert abs(min_eigenvalue(rho) - (-0.05)) < 1e-12
+    assert abs(np.linalg.eigvalsh(rho)[0] - (-0.05)) < 1e-12
 
 
 def test_min_eigenvalue_rejects_non_hermitian():
-    bad = np.eye(4, dtype=complex)
+    # eigvalsh reads one triangle, so a non-Hermitian matrix is caught
+    # before it: by `is_hermitian`, which `params_from_density` applies
+    bad = np.eye(4, dtype=complex) / 4
     bad[0, 3] = 1e-3
-    with pytest.raises(ValueError):
-        min_eigenvalue(bad)
+    assert not is_hermitian(bad)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        params_from_density(bad)
 
 
 @pytest.mark.parametrize("seed", range(25))
@@ -161,7 +164,7 @@ def test_min_eigenvalue_against_characteristic_polynomial(seed):
     g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     m = (g + g.conj().T) / 2
     roots = np.roots(np.poly(m))
-    assert abs(min_eigenvalue(m) - min(roots.real)) < 1e-10
+    assert abs(np.linalg.eigvalsh(m)[0] - min(roots.real)) < 1e-10
 
 
 def test_slice_min_eig_closed_form_on_boundary():
@@ -169,7 +172,7 @@ def test_slice_min_eig_closed_form_on_boundary():
     # on the unit circle that margin vanishes identically
     for theta in np.linspace(0.0, 2 * math.pi, 100, endpoint=False):
         a2, c = math.cos(theta), math.sin(theta)
-        margin = min_eigenvalue(density_from_params(embed_mean_values([0, a2, 0], c, 0.0)))
+        margin = np.linalg.eigvalsh(density_from_params(embed_mean_values([0, a2, 0], c, 0.0)))[0]
         assert abs(margin) < 1e-12
 
 
@@ -177,7 +180,7 @@ def test_slice_min_eig_closed_form_on_boundary():
 def test_slice_min_eig_closed_form_general(seed):
     rng = np.random.default_rng(seed)
     a2, c = rng.uniform(-1.2, 1.2, 2)
-    margin = min_eigenvalue(density_from_params(embed_mean_values([0, a2, 0], c, 0.0)))
+    margin = np.linalg.eigvalsh(density_from_params(embed_mean_values([0, a2, 0], c, 0.0)))[0]
     assert abs(margin - (1 - math.hypot(a2, c)) / 4) < 1e-12
 
 
@@ -208,15 +211,14 @@ def test_stacked_density_and_min_eigenvalue_equal_per_state_calls():
     stack = np.stack(states, axis=1)
     rho = density_from_params(stack)
     assert rho.shape == (6, 4, 4)
-    values = min_eigenvalue(rho)
+    values = np.linalg.eigvalsh(rho)[..., 0]
     for i, s in enumerate(states):
         assert np.array_equal(rho[i], density_from_params(s))
         assert np.array_equal(density_from_params(stack[:, i]), rho[i])
-        assert values[i] == min_eigenvalue(density_from_params(s))
+        assert values[i] == np.linalg.eigvalsh(density_from_params(s))[0]
     bad = rho.copy()
     bad[3, 0, 1] += 1e-6
-    with pytest.raises(ValueError):
-        min_eigenvalue(bad)
+    assert is_hermitian(rho) and not is_hermitian(bad)
 
 
 def test_stacked_params_from_density_equal_per_item_calls():
@@ -256,5 +258,5 @@ def test_stack_with_one_bad_matrix_raises_the_single_matrix_message(defect, mess
 def test_empty_stack_is_vacuously_hermitian():
     empty = np.zeros((0, 4, 4), dtype=complex)
     assert is_hermitian(empty)
-    assert min_eigenvalue(empty).shape == (0,)
+    assert np.linalg.eigvalsh(empty)[..., 0].shape == (0,)
     assert params_from_density(empty).shape == (15, 0)

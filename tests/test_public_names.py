@@ -1,5 +1,5 @@
-"""Every public name is documented, and every stub is one a benchmark pin
-still needs."""
+"""Every public name is documented and used, and every stub is one a
+benchmark pin still needs."""
 from __future__ import annotations
 
 import ast
@@ -7,6 +7,7 @@ import re
 from pathlib import Path
 
 import qmaplab
+from test_readme import _library_example
 
 _PACKAGE = Path(qmaplab.__file__).parent
 _ROOT = Path(__file__).parent.parent
@@ -52,7 +53,9 @@ def _stubs() -> list:
 
 def test_every_stub_is_pinned_by_the_tracer():
     stubs = _stubs()
-    assert "dynamics.evolve_mean_values" in stubs  # the scan sees a known stub
+    # the scan sees the known stubs
+    assert {"dynamics.evolve_mean_values", "reduced.ReducedMap.apply",
+            "conjunction.sigma2_conjunction", "pauli.min_eigenvalue"} <= set(stubs)
     assert [name for name in stubs if name not in _traced()] == []
 
 
@@ -60,3 +63,33 @@ def test_every_public_name_appears_in_the_readme():
     text = (_ROOT / "README.md").read_text(encoding="utf-8")
     assert [name for name in qmaplab.__all__
             if not re.search(rf"(?<![\w.]){re.escape(name)}\b", text)] == []
+
+
+def _used_names(tree: ast.AST, skip: str = "") -> set:
+    """Every name read (a bare name or an attribute) in `tree`, except
+    inside the definition of `skip`."""
+    used = set()
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)) and child.name == skip:
+                continue
+            if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
+                used.add(child.id)
+            elif isinstance(child, ast.Attribute):
+                used.add(child.attr)
+            visit(child)
+
+    visit(tree)
+    return used
+
+
+def test_every_public_name_is_used_in_the_package_or_the_library_example():
+    """A public name some module calls, outside its own definition, or one
+    the README's library example calls; `__init__` only re-exports."""
+    modules = [ast.parse(path.read_text(encoding="utf-8"))
+               for path in sorted(_PACKAGE.glob("*.py")) if path.name != "__init__.py"]
+    example = _used_names(ast.parse(_library_example()))
+    unused = [name for name in qmaplab.__all__ if name not in example
+              and not any(name in _used_names(tree, skip=name) for tree in modules)]
+    assert unused == []

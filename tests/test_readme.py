@@ -37,6 +37,7 @@ def test_library_example_gives_the_values_its_comments_state():
     assert np.abs(magnitudes - [1.0, 0.5 + math.sqrt(0.5)]).max() < 1e-12
     assert np.abs(shown["trajectory[1]"] - [0.0, 0.5 + math.sqrt(0.5), 0.0]).max() < 1e-12
     assert shown["first_unphysical_n(0.6, 0.2)"] == 16
+    assert abs(shown["worst[-1]"] - math.sqrt(1.04)) < 1e-12 and shown["worst[-1]"] > 1.0
     margin = shown["slipped_domain_check(0.6, 0.2, n=15)"]
     assert margin == 0.0 and inside(margin, DEFAULT_TOL)
     best = shown["best"]

@@ -20,21 +20,20 @@ from qmaplab.conjunction import conjunct
 from qmaplab.dynamics import rotate
 from qmaplab.feasibility import feasibility_search
 from qmaplab.optimize import golden_section_max
-from qmaplab.reduced import (
-    ReducedMap,
-    compat_slice_check,
-    in_compatibility_domain,
-    sup_norm_grid,
-    sup_norm_over_time,
-)
+from qmaplab.reduced import compat_slice_check, in_compatibility_domain, sup_norm_grid, sup_norm_over_time
 from qmaplab.slippage import slipped_domain_check
 from qmaplab.tolerances import DEFAULT_TOL, inside
 
 
+def frozen_map(c1, c2, t, a) -> np.ndarray:
+    """The reduced map of duration t with frozen (c1, c2) applied to a:
+    `conjunct` over the one leg t."""
+    return conjunct(c1, c2, a, [t])[1][0]
+
+
 def test_apply_identity_at_t_zero():
-    m = ReducedMap(c1=0.4, c2=-0.2, t=0.0)
     a = np.array([0.1, -0.5, 0.3])
-    assert np.array_equal(m.apply(a), a)
+    assert np.array_equal(frozen_map(0.4, -0.2, 0.0, a), a)
 
 
 def test_apply_uncorrelated_contracts_inside_ball():
@@ -44,43 +43,44 @@ def test_apply_uncorrelated_contracts_inside_ball():
     for _ in range(20):
         a = rng.uniform(-1, 1, 3)
         t = float(rng.uniform(0, 7))
-        out = ReducedMap(0.0, 0.0, t).apply(a)
+        out = frozen_map(0.0, 0.0, t, a)
         expected = np.array([a[0] * math.cos(t), a[1] * math.cos(t), a[2]])
         assert np.abs(out - expected).max() < 1e-15
         assert np.linalg.norm(out) <= np.linalg.norm(a) + 1e-12
-    out = ReducedMap(0.0, 0.0, math.pi).apply([0.3, -0.4, 0.1])
+    out = frozen_map(0.0, 0.0, math.pi, [0.3, -0.4, 0.1])
     assert abs(np.linalg.norm(out) - np.linalg.norm([0.3, -0.4, 0.1])) < 1e-12
 
 
 def test_apply_edge_state_hits_unit_vector():
     q = math.pi / 4
-    out = ReducedMap(c1=math.sin(q), c2=0.0, t=q).apply([0, math.cos(q), 0])
+    out = frozen_map(math.sin(q), 0.0, q, [0, math.cos(q), 0])
     assert np.abs(out - [0, 1, 0]).max() < 1e-12
 
 
 @pytest.mark.parametrize("seed", range(15))
 def test_apply_is_affine(seed):
     rng = np.random.default_rng(seed)
-    m = ReducedMap(*rng.uniform(-1, 1, 2), t=float(rng.uniform(0, 7)))
+    c1, c2 = rng.uniform(-1, 1, 2)
+    t = float(rng.uniform(0, 7))
     a, b = rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3)
     lam = float(rng.uniform(0, 1))
-    mixed = m.apply(lam * a + (1 - lam) * b)
-    combo = lam * m.apply(a) + (1 - lam) * m.apply(b)
+    mixed = frozen_map(c1, c2, t, lam * a + (1 - lam) * b)
+    combo = lam * frozen_map(c1, c2, t, a) + (1 - lam) * frozen_map(c1, c2, t, b)
     assert np.abs(mixed - combo).max() < 1e-12
 
 
-def positivity_margin(m: ReducedMap, a) -> float:
+def positivity_margin(c1, c2, t, a) -> float:
     """1 - |image|: the margin of the positivity domain at the map's t."""
-    return 1.0 - float(np.linalg.norm(m.apply(a)))
+    return 1.0 - float(np.linalg.norm(frozen_map(c1, c2, t, a)))
 
 
 def test_positivity_domain_examples():
     # a = 0 maps to (-c2 sin t, c1 sin t, 0)
-    margin = positivity_margin(ReducedMap(0.3, 0.4, 1.1), [0, 0, 0])
+    margin = positivity_margin(0.3, 0.4, 1.1, [0, 0, 0])
     assert abs(margin - (1 - math.hypot(-0.4 * math.sin(1.1), 0.3 * math.sin(1.1)))) < 1e-12
-    assert abs(positivity_margin(ReducedMap(0.5, 0.0, math.pi / 2), [0, 1, 0]) - 0.5) < 1e-12
+    assert abs(positivity_margin(0.5, 0.0, math.pi / 2, [0, 1, 0]) - 0.5) < 1e-12
     # outside: the image leaves the Bloch ball
-    margin = positivity_margin(ReducedMap(1.0, 0.0, math.pi / 4), [0, 1, 0])
+    margin = positivity_margin(1.0, 0.0, math.pi / 4, [0, 1, 0])
     assert abs(margin - (1 - 2 / math.sqrt(2))) < 1e-12
 
 
@@ -111,7 +111,7 @@ def test_sup_norm_argmax_attains_supremum():
         a = rng.uniform(-1, 1, 3)
         c1, c2 = rng.uniform(-1, 1, 2)
         sup, t_star = sup_norm_over_time(c1, c2, a)
-        attained = np.linalg.norm(ReducedMap(c1, c2, t_star).apply(a))
+        attained = np.linalg.norm(frozen_map(c1, c2, t_star, a))
         assert abs(attained - sup) < 1e-12
 
 
@@ -503,4 +503,4 @@ def test_compatibility_implies_positivity_at_sampled_times(seed):
         if inside(in_compatibility_domain(c1, c2, a), DEFAULT_TOL):
             break
     for t in np.linspace(0, 2 * math.pi, 50):
-        assert np.linalg.norm(ReducedMap(c1, c2, float(t)).apply(a)) <= 1.0 + 1e-9
+        assert np.linalg.norm(frozen_map(c1, c2, float(t), a)) <= 1.0 + 1e-9
