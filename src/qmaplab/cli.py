@@ -42,9 +42,10 @@ from typing import Any, Callable, Optional
 import numpy as np
 
 from . import checks
-from .conjunction import _greedy_rows, _sigma2_legs, conjunct, first_unphysical_n
+from .conjunction import _fold, _greedy_rows, conjunct, first_unphysical_n
 from .dynamics import rotate
 from .dynamics import evolve_mean_values  # noqa: F401  no longer called; perfbench traces this binding
+from .floatrepr import float_reprs
 from .pauli import _norms
 from .slippage import max_safe_repetitions, slip_state, slipped_domain_check
 from .tolerances import DEFAULT_TOL, exceeds, inside
@@ -335,22 +336,32 @@ _CHUNK_ROWS = 1 << 12
 
 def _text(values) -> np.ndarray:
     """repr of each value's Python int or float, as an object array."""
-    return np.array(list(map(repr, np.asarray(values).tolist())), dtype=object)
+    values = np.asarray(values)
+    if values.dtype.kind == "f":
+        return np.array(float_reprs(values), dtype=object)
+    return np.array(list(map(repr, values.tolist())), dtype=object)
+
+
+def _lookup(table: Callable[[np.ndarray], np.ndarray], count: int) -> Callable[[np.ndarray], Any]:
+    """`table(indices)` of an axis of `count` values, looked up by index along
+    its last axis.  An axis that fits in one chunk is tabled once per run; a
+    longer one once per chunk, each distinct index once."""
+    if count <= _CHUNK_ROWS:
+        whole = table(np.arange(count))
+        return lambda index: whole[..., index]
+
+    def lookup(index: np.ndarray):
+        distinct, inverse = np.unique(index, return_inverse=True)
+        return table(distinct)[..., inverse]
+
+    return lookup
 
 
 def _axis(at: Callable[[np.ndarray], np.ndarray], count: int) -> Callable[[np.ndarray], list]:
     """The cells of a grid axis of `count` values, `at(indices)`, looked up by
-    index.  An axis that fits in one chunk is formatted once per run; a
-    longer one once per chunk, each distinct value once."""
-    if count <= _CHUNK_ROWS:
-        text = _text(at(np.arange(count)))
-        return lambda index: text[index].tolist()
-
-    def cells(index: np.ndarray) -> list:
-        distinct, inverse = np.unique(index, return_inverse=True)
-        return _text(at(distinct))[inverse].tolist()
-
-    return cells
+    index (`_lookup`), so each distinct value is formatted once."""
+    text = _lookup(lambda index: _text(at(index)), count)
+    return lambda index: text(index).tolist()
 
 
 # a bool column's cells, looked up by index: no str is built per cell.  The
@@ -364,7 +375,7 @@ def _cells(column) -> list[str]:
         return column
     if column.dtype == bool:
         return _BOOL_TEXT[column.astype(np.intp)].tolist()
-    return list(map(float.__repr__, column.tolist()))  # exactly repr(float)
+    return float_reprs(column)
 
 
 def _write_rows(fh, rows, lo: int, hi: int):
@@ -417,9 +428,14 @@ def _child(rows, lo: int, hi: int, part: str, pipe: int) -> None:
 
 def emit_csv(header: list[str], rows: Body, path: str):
     """Compute the body `rows` and stream it to `path` as UTF-8,
-    LF-terminated CSV, `_CHUNK_ROWS` rows at a time; floats keep their exact
-    round-trip form.  Returns the rows' partial summary, folded in row
-    order.
+    LF-terminated CSV, `_CHUNK_ROWS` rows at a time.  Returns the rows'
+    partial summary, folded in row order.
+
+    A float cell is exactly `float.__repr__` of its value, written a column
+    at a time by `floatrepr.float_reprs`: from exact integer arithmetic for
+    1e-4 <= |x| < 1e16, where repr writes fixed notation, and by repr
+    itself for zero, values outside that range, ties between two shortest
+    decimals and columns of fewer than `floatrepr.CROSSOVER` values.
 
     A body of more than one chunk is computed and formatted on two cores:
     one forked child computes rows [n//2, n) into `<path>.part` and hands
@@ -576,11 +592,22 @@ def _run_hazard(sc: Scenario, tol: float, seed: int) -> tuple[list, Body, Callab
     exact_cells = _axis(lambda si: np.cos(s_grid.at(si)), s_grid.count)
     margin_cells = _axis(lambda si: 1.0 - np.abs(np.cos(s_grid.at(si))), s_grid.count)
 
+    def turns(grid: Grid) -> Callable[[np.ndarray], np.ndarray]:
+        """(cos, sin) of the axis' values, taken once per value (`_lookup`)."""
+        def table(index: np.ndarray) -> np.ndarray:
+            angle = grid.at(index)
+            return np.stack((np.cos(angle), np.sin(angle)))
+
+        return _lookup(table, grid.count)
+
+    q_turn, s_turn = turns(q_grid), turns(s_grid)
+
     def chunk(lo: int, hi: int) -> tuple[tuple, tuple]:
         # rows run over s within each q
         qi, si = np.unravel_index(np.arange(lo, hi), (q_grid.count, s_grid.count))
-        q, s = q_grid.at(qi), s_grid.at(si)
-        conj = _sigma2_legs(np.cos(q), np.sin(q), (q, s))
+        # the edge state a2 = cos q, c1 = sin q, frozen over the legs q and s
+        cos_q, sin_q = q_turn(qi)
+        conj = _fold(cos_q, sin_q, ((cos_q, sin_q), s_turn(si)))
         size = np.abs(conj)
         rows = (q_cells(qi), s_cells(si), exact_cells(si), conj, margin_cells(si), 1.0 - size)
         return rows, (float(conj.max()), float(size.max()))

@@ -588,6 +588,16 @@ def test_validate_check_at_its_bound_exits_2(tmp_path, monkeypatch, capsys):
     assert "1 check(s) failed" in capsys.readouterr().err
 
 
+def test_validate_one_failed_count_exits_2(tmp_path, monkeypatch):
+    # a counting check fails at a count of one, with its own bound
+    name, metric, _, bound = checks.slice_vs_sup_norm_verdicts(1e-9)
+    monkeypatch.setattr(checks, "slice_vs_sup_norm_verdicts", lambda tol: (name, metric, 1, bound))
+    out = tmp_path / "out"
+    assert run(os.path.join(SCENARIOS, "validate.json"), out_dir=str(out)) == 2
+    assert json.loads((out / "summary.json").read_text())["failed"] == 1
+    assert f"{name},false,{metric}=1" in (out / "validate.csv").read_text().splitlines()
+
+
 def _nan_first(kernel):
     """The kernel with its first discrepancy-bearing value replaced by NaN."""
     def spy(*args, **kwargs):
@@ -861,7 +871,7 @@ def test_slippage_projects_at_the_default_tol_whatever_the_run_tol(tmp_path):
 
 
 def test_hazard_grid_calls_each_kernel_o1_times(tmp_path, monkeypatch):
-    calls = {"rotate": 0, "_sigma2_legs": 0}
+    calls = {"rotate": 0, "_fold": 0}
     for name in calls:
         original = getattr(cli, name)
 
@@ -875,7 +885,7 @@ def test_hazard_grid_calls_each_kernel_o1_times(tmp_path, monkeypatch):
         {"axis": "s", "start": 0, "stop": 2, "count": 50}]}
     assert run(write_scenario(tmp_path, payload), out_dir=str(tmp_path / "out")) == 0
     assert calls["rotate"] <= 1
-    assert calls["_sigma2_legs"] <= 1
+    assert calls["_fold"] <= 1
 
 
 def _count_calls(monkeypatch, module, names) -> dict:
@@ -1355,8 +1365,8 @@ def test_child_compute_error_is_raised_not_a_write_failure(tmp_path, monkeypatch
     """A compute error in the child's half is raised here as it would be in
     one process, not reported as output that cannot be written."""
     monkeypatch.setattr(cli, "_CHUNK_ROWS", 3)
-    parent, kernel = os.getpid(), cli._sigma2_legs
-    monkeypatch.setattr(cli, "_sigma2_legs", lambda *args: kernel(*args)
+    parent, kernel = os.getpid(), cli._fold
+    monkeypatch.setattr(cli, "_fold", lambda *args: kernel(*args)
                         if os.getpid() == parent else 1 / 0)
     out = tmp_path / "out"
     with pytest.raises(ZeroDivisionError):

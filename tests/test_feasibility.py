@@ -268,6 +268,29 @@ def test_certified_rejects_an_off_read_back(field):
     assert not checks.certified(a, c1, c2, value, off, 1e-9)
 
 
+def test_certified_fails_a_witness_just_below_its_eigenvalue_tolerance():
+    # rho = (I + t S3 x E3) / 4 carries a = 0, c1 = c2 = 0 for every t, and
+    # its minimum eigenvalue is (1 - t) / 4: 0 at t = 1, -1e-6 just past it
+    witness = np.zeros(15)
+    for t, verdict in ((1.0, True), (1.0 + 4e-6, False)):
+        witness[-1] = t  # T33, the last parameter
+        assert np.linalg.eigvalsh(density_from_params(witness))[0] == pytest.approx((1 - t) / 4,
+                                                                                    abs=1e-15)
+        assert checks.certified([0.0, 0.0, 0.0], 0.0, 0.0, 0.0, witness, 1e-9) == verdict
+
+
+def test_certified_fails_a_dual_certificate_off_unit_trace(monkeypatch):
+    # the slice point a2 = c1 = 0.9 is outside; its certificate with 1e-9
+    # added to the trace (as I / 4, so still PSD and blind to the free
+    # entries, its bound still far below -tol) fails on the trace alone
+    a, c1 = [0.0, 0.9, 0.0], 0.9
+    value, witness = feasibility_search(a, c1, 0.0)
+    assert checks.certified(a, c1, 0.0, value, witness, 1e-9)
+    honest = checks.dual_certificate
+    monkeypatch.setattr(checks, "dual_certificate", lambda *args: honest(*args) + 0.25e-9 * np.eye(4))
+    assert not checks.certified(a, c1, 0.0, value, witness, 1e-9)
+
+
 def test_maximally_mixed_point():
     best, witness = feasibility_search([0, 0, 0], 0.0, 0.0)
     assert abs(best - 0.25) < 1e-9

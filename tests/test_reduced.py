@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from qmaplab import reduced
+from qmaplab import checks, reduced
 from qmaplab.checks import sup_norm_closed_vs_grid, validate_suite
 from qmaplab.cli import MAX_MAGNITUDE
 from qmaplab.conjunction import conjunct
@@ -164,6 +164,20 @@ def test_slice_check_agrees_with_sup_norm_on_grid():
     assert np.abs(sl - general)[away].max() <= 2 * eps
     oracle, _ = feasibility_search(slice_states, c1, 0.0)
     assert np.abs(4 * oracle - sl).max() <= 16 * eps
+
+
+@pytest.mark.parametrize("margin,tol,counted", [(-1e-6, 1e-9, 1), (-1e-10, 0.0, 0)])
+def test_a_verdict_mismatch_counts_past_the_band(monkeypatch, margin, tol, counted):
+    # one grid point reads outside by its slice margin and inside by its
+    # sup-norm margin: a mismatch at |margin| 1e-6, inside the 1e-9 band not
+    def margins(a2, c1):
+        sup = np.full(np.broadcast_shapes(np.shape(a2), np.shape(c1)), 0.5)
+        sl = sup.copy()
+        sl[0, 0] = margin
+        return sl, sup
+
+    monkeypatch.setattr(checks, "slice_margins", margins)
+    assert checks.slice_vs_sup_norm_verdicts(tol)[2] == counted
 
 
 def _sup_norm_scalar_reference(c1, c2, a):

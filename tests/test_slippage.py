@@ -95,6 +95,12 @@ def test_max_safe_known_cases():
     assert max_safe_repetitions(math.cos(q), math.sin(q)) is None
 
 
+def test_a_state_already_outside_fails_at_no_reuse():
+    # a2^2 + c1^2 = 1.62: the first leg alone leaves the ball, so n = 0
+    assert first_unphysical_n(0.9, 0.9) == 0
+    assert max_safe_repetitions(0.9, 0.9) is None
+
+
 @pytest.mark.parametrize("seed", range(15))
 def test_max_safe_consistent_with_first_unphysical(seed):
     rng = np.random.default_rng(seed)
