@@ -24,9 +24,7 @@ Each CSV's columns are documented in the README.
 """
 from __future__ import annotations
 
-import argparse
 import contextlib
-import dataclasses
 import itertools
 import json
 import math
@@ -35,9 +33,8 @@ import os
 import pickle
 import re
 import shutil
-import signal
 import sys
-from typing import Any, Callable, Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -125,8 +122,7 @@ def _check_keys(obj: dict, allowed: tuple[str, ...], where: str) -> None:
             raise ScenarioError(f"{where}.{key}: not accepted here (allowed: {', '.join(allowed)})")
 
 
-@dataclasses.dataclass
-class Grid:
+class Grid(NamedTuple):
     axis: str
     start: float
     stop: float
@@ -148,8 +144,10 @@ class Grid:
         return y
 
 
-@dataclasses.dataclass
-class Scenario:
+class Scenario(NamedTuple):
+    """A checked scenario, built once from its final fields: the q
+    shorthand already expanded to a, c1 and c2."""
+
     command: str
     a: Optional[np.ndarray] = None
     q: Optional[float] = None
@@ -258,18 +256,20 @@ def load_scenario(path: str) -> Scenario:
     for field, parse in (("n", _require_int), ("tol", _require_tol), ("seed", _require_seed)):
         if field in raw:
             values[field] = parse(raw[field], f"scenario.{field}")
-    sc = Scenario(command=command, **values)
 
     if "a" in spec.state:  # the state in full, or as the edge-state shorthand q
-        if (sc.a is None) == (sc.q is None):
+        if ("a" in values) == ("q" in values):
             raise ScenarioError("state: give exactly one of 'a' or 'q'")
-        for key in ("c1", "c2"):
-            if sc.q is not None and _given(sc, key):
-                raise ScenarioError(f"state.{key}: the q shorthand fixes c1 = sin q and c2 = 0")
-        if sc.q is None:
-            sc.c1, sc.c2 = (0.0 if c is None else c for c in (sc.c1, sc.c2))
+        if "q" in values:
+            for key in ("c1", "c2"):
+                if key in values:
+                    raise ScenarioError(f"state.{key}: the q shorthand fixes c1 = sin q and c2 = 0")
+            q = values["q"]
+            values.update(a=np.array([0.0, math.cos(q), 0.0]), c1=math.sin(q), c2=0.0)
         else:
-            sc.a, sc.c1, sc.c2 = np.array([0.0, math.cos(sc.q), 0.0]), math.sin(sc.q), 0.0
+            values.setdefault("c1", 0.0)
+            values.setdefault("c2", 0.0)
+    sc = Scenario(command, **values)
     for field in spec.required:
         if not _given(sc, field):
             raise ScenarioError(f"{field}: required")
@@ -305,7 +305,6 @@ def load_scenario(path: str) -> Scenario:
     return sc
 
 
-@dataclasses.dataclass(frozen=True)
 class Body:
     """A CSV body of `rows` rows computed on demand: `chunk(lo, hi)` returns
     rows [lo, hi) as a tuple of columns (per column a float or bool ndarray,
@@ -313,9 +312,11 @@ class Body:
     `fold(left, right)` merges the partials of two adjacent ranges, the left
     one first, so the partials fold in row order."""
 
-    rows: int
-    chunk: Callable[[int, int], tuple[tuple, Any]]
-    fold: Callable[[Any, Any], Any] = lambda left, right: None
+    __slots__ = ("rows", "chunk", "fold")
+
+    def __init__(self, rows: int, chunk: Callable[[int, int], tuple[tuple, Any]],
+                 fold: Callable[[Any, Any], Any] = lambda left, right: None):
+        self.rows, self.chunk, self.fold = rows, chunk, fold
 
     def __len__(self) -> int:
         return self.rows
@@ -345,12 +346,17 @@ def _text(values) -> np.ndarray:
 def _lookup(table: Callable[[np.ndarray], np.ndarray], count: int) -> Callable[[np.ndarray], Any]:
     """`table(indices)` of an axis of `count` values, looked up by index along
     its last axis.  An axis that fits in one chunk is tabled once per run; a
-    longer one once per chunk, each distinct index once."""
+    longer one once per chunk: the chunk's range of indices when it spans
+    no more than a chunk (a chunk's run along the axis that does not wrap),
+    else each distinct index once."""
     if count <= _CHUNK_ROWS:
         whole = table(np.arange(count))
         return lambda index: whole[..., index]
 
     def lookup(index: np.ndarray):
+        lo, hi = int(index.min()), int(index.max())
+        if hi - lo < _CHUNK_ROWS:
+            return table(np.arange(lo, hi + 1))[..., index - lo]
         distinct, inverse = np.unique(index, return_inverse=True)
         return table(distinct)[..., inverse]
 
@@ -493,6 +499,8 @@ def emit_csv(header: list[str], rows: Body, path: str):
                 shutil.copyfileobj(src, dst)
     finally:
         if pid is not None:  # interrupted before the child was reaped
+            import signal  # here only: no other path of a run needs it
+
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
         if pipe is not None:
@@ -587,10 +595,17 @@ def _sum_each(left: tuple, right: tuple) -> tuple:
 def _run_hazard(sc: Scenario, tol: float, seed: int) -> tuple[list, Body, Callable]:
     q_grid = sc.grid("q") or Grid("q", sc.q, sc.q, 1)
     s_grid = sc.grid("s")
-    q_cells, s_cells = _axis(q_grid.at, q_grid.count), _axis(s_grid.at, s_grid.count)
-    # the exact edge state turns rigidly to sigma2 = cos s for every q: cells by s alone
-    exact_cells = _axis(lambda si: np.cos(s_grid.at(si)), s_grid.count)
-    margin_cells = _axis(lambda si: 1.0 - np.abs(np.cos(s_grid.at(si))), s_grid.count)
+    q_cells = _axis(q_grid.at, q_grid.count)
+
+    def by_s(index: np.ndarray) -> np.ndarray:
+        """The cells of s, then of sigma2_exact = cos s and its margin: the
+        exact edge state turns rigidly to cos s for every q, so these cells
+        go by s alone."""
+        s = s_grid.at(index)
+        cos_s = np.cos(s)
+        return np.stack([_text(column) for column in (s, cos_s, 1.0 - np.abs(cos_s))])
+
+    s_cells = _lookup(by_s, s_grid.count)
 
     def turns(grid: Grid) -> Callable[[np.ndarray], np.ndarray]:
         """(cos, sin) of the axis' values, taken once per value (`_lookup`)."""
@@ -609,7 +624,8 @@ def _run_hazard(sc: Scenario, tol: float, seed: int) -> tuple[list, Body, Callab
         cos_q, sin_q = q_turn(qi)
         conj = _fold(cos_q, sin_q, ((cos_q, sin_q), s_turn(si)))
         size = np.abs(conj)
-        rows = (q_cells(qi), s_cells(si), exact_cells(si), conj, margin_cells(si), 1.0 - size)
+        s, exact, margin = s_cells(si).tolist()
+        rows = (q_cells(qi), s, exact, conj, margin, 1.0 - size)
         return rows, (float(conj.max()), float(size.max()))
 
     def summary(partial: tuple) -> dict:
@@ -694,8 +710,7 @@ def _run_validate(sc: Scenario, tol: float, seed: int) -> tuple[list, Body, Call
     return ["check", "passed", "detail"], rows, lambda _: summary
 
 
-@dataclasses.dataclass(frozen=True)
-class _Spec:
+class _Spec(NamedTuple):
     """What one command accepts; `load_scenario` checks each scenario against it.
 
     A spec reading state key "a" takes the state in full (a, c1, c2) or as
@@ -801,6 +816,8 @@ def run(scenario_path: str, out_dir: str = ".", seed: Optional[int] = None,
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    import argparse  # here only: `run` and a library import do not parse flags
+
     parser = argparse.ArgumentParser(
         prog="qmaplab",
         description="Reduced-map reuse stress lab: run a JSON scenario and emit CSV + summary.",

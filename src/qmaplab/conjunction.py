@@ -98,10 +98,17 @@ def greedy_extremal_growth(a2: float, c1: float, n: int) -> tuple[np.ndarray, np
     return magnitudes, durations
 
 
-def _grid_argmax(a2: float, c1: float, n: int, grid_points: int) -> tuple[float, tuple[int, ...]]:
+# `_grid_argmax` takes its points in blocks of this many values over G^2,
+# so its envelope buffer holds 2^19 values (4 MB) at most
+_ENVELOPE_VALUES = 1 << 18
+
+
+def _grid_argmax(a2, c1, n: int, grid_points: int) -> tuple[np.ndarray, np.ndarray]:
     """Maximum of |v_n| over every schedule on the uniform grid of
     `grid_points` angles per leg, and the first maximizing leg indices in
-    C order, without enumerating the grid_points^(n+1) schedules.
+    C order, without enumerating the grid_points^(n+1) schedules; for each
+    point of a2 and c1 (flattened), which share n.  Returns (maxima, leg
+    indices of shape (n + 1, points)).
 
     Each leg maps v to fl(fl(v cos g) + fl(c1 sin g)).  Rounding is
     monotone, so for a fixed grid angle g the step is monotone in v, and the
@@ -109,31 +116,50 @@ def _grid_argmax(a2: float, c1: float, n: int, grid_points: int) -> tuple[float,
     and smallest after the leg before.  That envelope, taken with the same
     arithmetic, gives the grid maximum.  The maximizer is fixed one leg at a
     time: the first grid index whose continuation envelope still reaches
-    the maximum.  Cost O(n^2 G^2) for G grid points.
+    the maximum.  Cost O(n^2 G^2) per point for G grid points; the points
+    go in blocks of `_ENVELOPE_VALUES` // G^2, and every leg of a block is
+    written into one buffer, as fresh arrays of that size would each be
+    mapped and faulted in anew.
     """
     grid = np.arange(grid_points) * (_TWO_PI / grid_points)
     cos_g, sin_g = np.cos(grid), np.sin(grid)
+    a2, c1 = np.ravel(a2).astype(float), np.ravel(c1).astype(float)
+    best, idx = np.empty(a2.size), np.empty((n + 1, a2.size), dtype=np.intp)
+    block = max(1, _ENVELOPE_VALUES // grid_points**2)
+    space = np.empty(min(block, a2.size) * 2 * grid_points**2)
+    for start in range(0, a2.size, block):
+        chunk = slice(start, start + block)
+        a = a2[chunk]
+        c_sin = c1[chunk, None] * sin_g
 
-    def leg(v):
-        """One leg, v cos g + c1 sin g by `_turn_component`, from each
-        value of v over every grid angle (last axis)."""
-        return _turn_component(np.asarray(v)[..., None], c1, cos_g, sin_g)
+        def leg(v):
+            """One leg from each value of v (points first) over every grid
+            angle (a new last axis): `_turn_component`'s v cos g + c1 sin g,
+            into the buffer."""
+            out = space[:v.size * grid_points].reshape(v.shape + (grid_points,))
+            np.multiply(v[..., None], cos_g, out=out)
+            out += c_sin.reshape(c_sin.shape[:1] + (1,) * (v.ndim - 1) + c_sin.shape[1:])
+            return out
 
-    def peak(v, legs: int):
-        """max |value| reachable from each value of v in `legs` more legs."""
-        hi = lo = np.asarray(v)
-        for _ in range(legs):
-            both = leg(np.stack((hi, lo)))
-            hi, lo = both.max(axis=(0, -1)), both.min(axis=(0, -1))
-        return np.maximum(np.abs(hi), np.abs(lo))
+        def peak(v, legs: int):
+            """max |value| reachable from each value of v in `legs` more legs."""
+            hi = lo = v
+            for _ in range(legs):
+                # the largest and smallest over (hi, lo) and every angle: the
+                # last two axes, one contiguous run per value of v
+                both = leg(np.stack((hi, lo), axis=-1))
+                hi, lo = both.max(axis=(-2, -1)), both.min(axis=(-2, -1))
+            return np.maximum(np.abs(hi), np.abs(lo))
 
-    best_val = float(peak(a2, n + 1))
-    v, idx = a2, []
-    for k in range(n + 1):
-        reachable = leg(v)
-        idx.append(int(np.flatnonzero(peak(reachable, n - k) == best_val)[0]))
-        v = reachable[idx[-1]]
-    return best_val, tuple(idx)
+        points = np.arange(a.size)
+        best[chunk] = top = peak(a, n + 1)
+        v = a
+        for k in range(n + 1):
+            reachable = leg(v).copy()  # the buffer is the next peak's
+            first = np.argmax(peak(reachable, n - k) == top[:, None], axis=1)
+            idx[k, chunk] = first
+            v = reachable[points, first]
+    return best, idx
 
 
 def brute_force_max(a2, c1, n: int, grid_points: int = 128, *, reuses=None):
@@ -145,13 +171,13 @@ def brute_force_max(a2, c1, n: int, grid_points: int = 128, *, reuses=None):
 
     Broadcasts over a2 and c1 and, when given, over `reuses`: each point's
     own number of reuses, integers 0..n (n for every point by default).  The
-    grid maximum is found point by point, and the refinement of leg i is one
-    `golden_section_max` call over the points with reuses >= i, with the bits
-    of the per-point calls.  The legs are stored as (n + 1, points), and a
-    point's legs past its own count stay 0.0: such a leg maps v to
-    fl(v * 1.0) + fl(c1 * 0.0) = v up to the sign of a zero, which the
-    absolute value drops.  Returns the broadcast shape (a numpy scalar for a
-    single point).
+    grid maxima of all points with the same count are one `_grid_argmax`
+    call, and the refinement of leg i is one `golden_section_max` call over
+    the points with reuses >= i, with the bits of the per-point calls.  The
+    legs are stored as (n + 1, points), and a point's legs past its own
+    count stay 0.0: such a leg maps v to fl(v * 1.0) + fl(c1 * 0.0) = v up
+    to the sign of a zero, which the absolute value drops.  Returns the
+    broadcast shape (a numpy scalar for a single point).
     """
     n = _require_count(n, "n", 0)
     if n > 3:
@@ -167,8 +193,9 @@ def brute_force_max(a2, c1, n: int, grid_points: int = 128, *, reuses=None):
     shape, a2, c1, counts = a2.shape, a2.ravel(), c1.ravel(), counts.ravel()
     h = _TWO_PI / grid_points
     legs = np.zeros((n + 1, counts.size))
-    for p, (a, c, m) in enumerate(zip(a2.tolist(), c1.tolist(), counts.tolist())):
-        legs[:m + 1, p] = np.array(_grid_argmax(a, c, m, grid_points)[1]) * h
+    for m in np.unique(counts).tolist():
+        own = counts == m
+        legs[:m + 1, own] = _grid_argmax(a2[own], c1[own], m, grid_points)[1] * h
     best = np.empty(counts.size)
     # one cyclic refinement pass: golden-section each leg on +/- one spacing;
     # the other legs stay put, so those before leg i are folded once

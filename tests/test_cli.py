@@ -752,24 +752,52 @@ def _run_and_read(tmp_path, payload: dict, csv_name: str) -> tuple[bytes, dict]:
     return (out / csv_name).read_bytes(), summary
 
 
-def test_hazard_grid_matches_row_by_row(tmp_path):
-    payload = {"command": "hazard", "grid": [
-        {"axis": "q", "start": 0.05, "stop": 1.5, "count": 7},
-        {"axis": "s", "start": -0.4, "stop": "3pi/2", "count": 501}]}
-    got, summary = _run_and_read(tmp_path, payload, "hazard.csv")
-    s_grid = np.linspace(-0.4, 3 * math.pi / 2, 501)
-    assert np.cos(s_grid).tolist() == list(map(math.cos, s_grid.tolist()))
+def _hazard_row_by_row(q_values, s_values) -> tuple[bytes, list]:
+    """The hazard CSV and its rows, one row at a time in Python floats."""
+    assert np.cos(s_values).tolist() == list(map(math.cos, s_values.tolist()))
     rows = []
-    for q in np.linspace(0.05, 1.5, 7).tolist():
-        for s in s_grid.tolist():
+    for q in q_values.tolist():
+        for s in s_values.tolist():
             # the exact edge state turns rigidly on its circle
             exact = math.cos(s)
             conj = _sigma2_legs(math.cos(q), math.sin(q), (q, s))
             rows.append([q, s, exact, conj, 1.0 - abs(exact), 1.0 - abs(conj)])
     header = ["q", "s", "sigma2_exact", "sigma2_conjunction", "margin_exact", "margin_conjunction"]
-    assert got == _reference_csv(header, rows)
+    return _reference_csv(header, rows), rows
+
+
+def test_hazard_grid_matches_row_by_row(tmp_path):
+    payload = {"command": "hazard", "grid": [
+        {"axis": "q", "start": 0.05, "stop": 1.5, "count": 7},
+        {"axis": "s", "start": -0.4, "stop": "3pi/2", "count": 501}]}
+    got, summary = _run_and_read(tmp_path, payload, "hazard.csv")
+    expected, rows = _hazard_row_by_row(np.linspace(0.05, 1.5, 7),
+                                        np.linspace(-0.4, 3 * math.pi / 2, 501))
+    assert got == expected
     assert summary["max_sigma2_conjunction"] == max(row[3] for row in rows)
     assert summary["rows"] == 7 * 501
+
+
+@pytest.mark.parametrize("q_count,s_count", [(1, 23), (9, 13), (4, 5)])
+def test_hazard_axes_longer_than_a_chunk_match_row_by_row(tmp_path, monkeypatch, q_count,
+                                                          s_count):
+    """With 5-row chunks, an axis longer than a chunk is tabled chunk by
+    chunk: a run along s that does not wrap by its range of indices, one
+    that wraps into the next q by its distinct indices, and a q axis of 9
+    values by its range.  One q (1 x 23) is the state's q; 4 x 5 is a short
+    axis tabled once."""
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", 5)
+    monkeypatch.setattr(cli, "_fork_is_quiet", lambda: False)
+    q_values, s_values = np.linspace(0.05, 1.5, q_count), np.linspace(-0.4, 4.0, s_count)
+    grid = [{"axis": "s", "start": -0.4, "stop": 4.0, "count": s_count}]
+    if q_count == 1:
+        payload = {"command": "hazard", "state": {"q": 0.05}, "grid": grid}
+    else:
+        payload = {"command": "hazard",
+                   "grid": [{"axis": "q", "start": 0.05, "stop": 1.5, "count": q_count}, *grid]}
+    got, summary = _run_and_read(tmp_path, payload, "hazard.csv")
+    assert got == _hazard_row_by_row(q_values, s_values)[0]
+    assert summary["rows"] == q_count * s_count
 
 
 def test_evolve_grid_matches_row_by_row(tmp_path):

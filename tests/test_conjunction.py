@@ -369,9 +369,11 @@ def test_envelope_equals_enumeration_exactly(n, grid_points):
     # enumerating 64^4 schedules takes about 50 ms a pair, so n = 3 runs the
     # first 56 pairs; the returned values are compared on the first 12
     pairs = _PAIRS if n < 3 else _PAIRS[:56]
+    best, idx = _grid_argmax(*np.array(pairs).T, n, grid_points)  # one call for every pair
+    assert idx.shape == (n + 1, len(pairs))
     for k, (a2, c1) in enumerate(pairs):
         expected = _enumerated_grid_argmax(a2, c1, n, grid_points)
-        assert _grid_argmax(a2, c1, n, grid_points) == expected, (a2, c1)
+        assert (float(best[k]), tuple(idx[:, k].tolist())) == expected, (a2, c1)
         if k < 12:
             value = brute_force_max(a2, c1, n, grid_points)
             assert value == _refined(a2, c1, expected[1], grid_points), (a2, c1)
@@ -385,7 +387,7 @@ def test_batch_brute_force_equals_per_point_calls(grid_points):
         batch = brute_force_max(a2, c1, n, grid_points)  # one call for every pair
         assert batch.shape == a2.shape
         for k, (a, c) in enumerate(_PAIRS[:16]):
-            expected = _refined(a, c, _grid_argmax(a, c, n, grid_points)[1], grid_points)
+            expected = _refined(a, c, _grid_argmax(a, c, n, grid_points)[1][:, 0], grid_points)
             assert batch[k] == expected, (n, a, c)
             if k % 4 == 0:
                 assert brute_force_max(a, c, n, grid_points) == expected

@@ -1,8 +1,12 @@
 """Every import in the package is read: an unused one hides what a module
-really depends on, and outlives the code that needed it."""
+really depends on, and outlives the code that needed it.  And the CLI
+imports nothing at start that no run uses: every CLI run pays its import."""
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import qmaplab
@@ -45,3 +49,19 @@ def test_the_scan_finds_an_unused_import():
     assert _unused_imports("from __future__ import annotations\nfrom .x import a  # noqa: F401\n") == []
     # a name only a docstring mentions is not read
     assert _unused_imports('import math\n"""math.pi"""\n') == [(1, "math")]
+
+
+def test_the_cli_imports_nothing_a_run_does_not_use():
+    """`import qmaplab.cli`, in a fresh interpreter after numpy, loads
+    neither dataclasses nor argparse (only `main` parses flags) nor signal
+    (only an interrupted emit kills its child), and defers none of the
+    modules a command's run calls into."""
+    code = ("import sys; import numpy; before = set(sys.modules); import qmaplab.cli; "
+            "print(sorted(set(sys.modules) - before))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(_PACKAGE.parent), os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True)
+    added = set(ast.literal_eval(proc.stdout))
+    assert added & {"dataclasses", "argparse", "signal"} == set()
+    assert {"qmaplab.checks", "qmaplab.floatrepr", "qmaplab.feasibility"} <= added
