@@ -346,17 +346,12 @@ def _text(values) -> np.ndarray:
 def _lookup(table: Callable[[np.ndarray], np.ndarray], count: int) -> Callable[[np.ndarray], Any]:
     """`table(indices)` of an axis of `count` values, looked up by index along
     its last axis.  An axis that fits in one chunk is tabled once per run; a
-    longer one once per chunk: the chunk's range of indices when it spans
-    no more than a chunk (a chunk's run along the axis that does not wrap),
-    else each distinct index once."""
+    longer one once per chunk, each distinct index once."""
     if count <= _CHUNK_ROWS:
         whole = table(np.arange(count))
         return lambda index: whole[..., index]
 
     def lookup(index: np.ndarray):
-        lo, hi = int(index.min()), int(index.max())
-        if hi - lo < _CHUNK_ROWS:
-            return table(np.arange(lo, hi + 1))[..., index - lo]
         distinct, inverse = np.unique(index, return_inverse=True)
         return table(distinct)[..., inverse]
 

@@ -782,10 +782,9 @@ def test_hazard_grid_matches_row_by_row(tmp_path):
 def test_hazard_axes_longer_than_a_chunk_match_row_by_row(tmp_path, monkeypatch, q_count,
                                                           s_count):
     """With 5-row chunks, an axis longer than a chunk is tabled chunk by
-    chunk: a run along s that does not wrap by its range of indices, one
-    that wraps into the next q by its distinct indices, and a q axis of 9
-    values by its range.  One q (1 x 23) is the state's q; 4 x 5 is a short
-    axis tabled once."""
+    chunk, by its distinct indices: a run along s within one q, one that
+    wraps into the next q, and a q axis of 9 values.  One q (1 x 23) is the
+    state's q; 4 x 5 is a short axis tabled once."""
     monkeypatch.setattr(cli, "_CHUNK_ROWS", 5)
     monkeypatch.setattr(cli, "_fork_is_quiet", lambda: False)
     q_values, s_values = np.linspace(0.05, 1.5, q_count), np.linspace(-0.4, 4.0, s_count)

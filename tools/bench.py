@@ -2,26 +2,25 @@
 
 Run from the repository root::
 
-    python3 tools/bench.py --base REV --out BENCH_<n>.json [--pairs 10]
-        [--seed 1 ...] [--workload NAME ...] [--seconds S]
+    python3 tools/bench.py --base REV --out BENCH_<n>.json [--seed 1 ...]
 
 The base revision is unpacked with ``git archive`` into a temporary
 directory, and the checkout's files (tracked and untracked, less what
 ``.gitignore`` excludes) are copied into another, so both sides run from a
 fresh tree without bytecode caches, as a clean checkout would, and no
 repository state changes.  For each workload and seed the two trees'
-``perfbench/run.py --trace 0`` runs alternate, base first in even pairs and
-change first in odd ones, so a drift of the machine falls on both sides.
+``perfbench/run.py --trace 0`` runs alternate over 10 pairs, base first in
+even pairs and change first in odd ones, so a drift of the machine falls on
+both sides.
 ``PYTHONDONTWRITEBYTECODE=1`` is set, as in the benchmark's own runs.
 
 Each run's last line of standard output (its end-to-end metrics, ``failed``
 and ``attempted``) and its ``result.json`` (``wall_run_s`` and provenance)
 are read.  The output file holds, per workload and seed and for every
 metric, both medians, the base's quartiles and IQR, and the number of pairs
-the change won, with the runs themselves.  The workloads, the run length
-(``--seconds`` defaults to ``run_seconds``) and which way each metric is
-better come from the checkout's ``BENCHMARK.json``; ``wall_run_s`` is better
-lower.
+the change won, with the runs themselves.  The workloads (all of them),
+the run length (``run_seconds``) and which way each metric is better come
+from the checkout's ``BENCHMARK.json``; ``wall_run_s`` is better lower.
 """
 from __future__ import annotations
 
@@ -36,6 +35,7 @@ import tempfile
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PAIRS = 10
 
 
 def unpack_revision(rev: str, dest: str) -> str:
@@ -123,15 +123,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--base", required=True, help="git revision to compare against")
     parser.add_argument("--out", required=True, help="JSON file to write")
-    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, nargs="+", default=[1])
-    parser.add_argument("--workload", nargs="+", default=None,
-                        help="default: every workload in BENCHMARK.json")
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="perfbench --seconds (default: run_seconds in BENCHMARK.json)")
     args = parser.parse_args(argv)
-    if args.pairs < 2:
-        parser.error("--pairs must be at least 2")
 
     with tempfile.TemporaryDirectory(prefix="bench-") as tmp:
         trees = {"base": os.path.join(tmp, "base"), "change": os.path.join(tmp, "change")}
@@ -140,18 +133,17 @@ def main(argv=None) -> int:
         with open(os.path.join(trees["change"], "BENCHMARK.json"), encoding="utf-8") as fh:
             declared = json.load(fh)
         better = directions(declared)
-        workloads = args.workload or [w["name"] for w in declared["workloads"]]
-        seconds = args.seconds or declared["run_seconds"]
+        seconds = declared["run_seconds"]
         results = []
-        for workload in workloads:
+        for workload in (w["name"] for w in declared["workloads"]):
             for seed in args.seed:
                 runs = {"base": [], "change": []}
-                for i in range(args.pairs):
+                for i in range(PAIRS):
                     order = ("base", "change") if i % 2 == 0 else ("change", "base")
                     for side in order:
                         runs[side].append(run_once(trees[side], workload, seed, seconds))
                     pair = {side: runs[side][-1]["metrics"] for side in order}
-                    print(f"{workload} seed {seed} pair {i + 1}/{args.pairs}: "
+                    print(f"{workload} seed {seed} pair {i + 1}/{PAIRS}: "
                           f"{json.dumps(pair)}", flush=True)
                 results.append({
                     "workload": workload,
@@ -165,7 +157,7 @@ def main(argv=None) -> int:
         report = {
             "base": {"rev": args.base, "commit": commit},
             "change": "the checkout's files, tracked and untracked, less the ignored ones",
-            "settings": {"pairs": args.pairs, "seconds": seconds, "seeds": args.seed,
+            "settings": {"pairs": PAIRS, "seconds": seconds, "seeds": args.seed,
                          "order": "alternating: base first in even pairs, change first in odd"},
             "provenance": runs["change"][0]["provenance"],
             "finished": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
