@@ -371,12 +371,23 @@ def _axis(at: Callable[[np.ndarray], np.ndarray], count: int) -> Callable[[np.nd
 _BOOL_TEXT = np.array(["false", "true"], dtype=object)
 
 
-def _cells(column) -> list[str]:
-    if not isinstance(column, np.ndarray):
-        return column
-    if column.dtype == bool:
-        return _BOOL_TEXT[column.astype(np.intp)].tolist()
-    return float_reprs(column)
+def _cells(columns: tuple) -> list[list[str]]:
+    """The cells of a chunk's columns: a list column as it is, a bool column
+    looked up, and every float column from one `float_reprs` call over all
+    of them, so a short body's columns reach its array path together."""
+    floats = [column for column in columns
+              if isinstance(column, np.ndarray) and column.dtype != bool]
+    text = float_reprs(np.concatenate(floats)) if floats else []
+    cells, at = [], 0
+    for column in columns:
+        if not isinstance(column, np.ndarray):
+            cells.append(column)
+        elif column.dtype == bool:
+            cells.append(_BOOL_TEXT[column.astype(np.intp)].tolist())
+        else:
+            cells.append(text[at:at + column.size])
+            at += column.size
+    return cells
 
 
 def _write_rows(fh, rows, lo: int, hi: int):
@@ -385,7 +396,7 @@ def _write_rows(fh, rows, lo: int, hi: int):
     partial = None
     for start in range(lo, hi, _CHUNK_ROWS):
         columns, part = rows.chunk(start, min(start + _CHUNK_ROWS, hi))
-        cells = [_cells(column) for column in columns]
+        cells = _cells(columns)
         fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
         partial = part if start == lo else rows.fold(partial, part)
     return partial
@@ -432,11 +443,12 @@ def emit_csv(header: list[str], rows: Body, path: str):
     LF-terminated CSV, `_CHUNK_ROWS` rows at a time.  Returns the rows'
     partial summary, folded in row order.
 
-    A float cell is exactly `float.__repr__` of its value, written a column
-    at a time by `floatrepr.float_reprs`: from exact integer arithmetic for
-    1e-4 <= |x| < 1e16, where repr writes fixed notation, and by repr
-    itself for zero, values outside that range, ties between two shortest
-    decimals and columns of fewer than `floatrepr.CROSSOVER` values.
+    A float cell is exactly `float.__repr__` of its value, written by one
+    `floatrepr.float_reprs` call over all the float columns of a chunk:
+    from exact integer arithmetic for 1e-4 <= |x| < 1e16, where repr writes
+    fixed notation, and by repr itself for zero, values outside that range,
+    ties between two shortest decimals and chunks of fewer than
+    `floatrepr.CROSSOVER` float cells.
 
     A body of more than one chunk is computed and formatted on two cores:
     one forked child computes rows [n//2, n) into `<path>.part` and hands

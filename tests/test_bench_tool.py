@@ -69,3 +69,56 @@ def test_directions_cover_every_end_to_end_metric():
     better = bench.directions(declared)
     assert better == {**{m["name"]: m["better"] for m in declared["end_to_end"]},
                       "wall_run_s": "lower"}
+
+
+_TIER1_OUTPUT = """\
+........................................................................ [ 10%]
+..............................xx.....................................F.. [100%]
+=================================== FAILURES ===================================
+1.5s call     tests/test_x.py::test_inside_a_traceback_is_not_a_duration
+============================= slowest 10 durations =============================
+2.72s call     tests/test_cli.py::test_growth_memory_stays_bounded_as_n_grows
+0.31s setup    tests/test_cli.py::test_bundled[evolve.json]
+0.30s teardown tests/test_reduced.py::test_sup_norm_grid_batch_equals_per_state_calls
+
+(5 durations < 0.005s hidden.  Use -vv to show these durations.)
+=========================== short test summary info ============================
+FAILED tests/test_x.py::test_y - assert 1 == 2
+1 failed, 141 passed, 2 xfailed in 23.19s
+"""
+
+
+def test_tier1_key_holds_wall_time_counts_and_slowest_tests(monkeypatch):
+    calls = []
+
+    def fake_run(command, **kwargs):
+        calls.append((command, kwargs))
+        return bench.subprocess.CompletedProcess(command, 1, _TIER1_OUTPUT, "")
+
+    monkeypatch.setattr(bench.subprocess, "run", fake_run)
+    tier1 = bench.run_tier1("/change")
+    (command, kwargs), = calls
+    assert command[1:4] == ["-m", "pytest", "-q"] and kwargs["cwd"] == "/change"
+    assert kwargs["env"]["PYTHONDONTWRITEBYTECODE"] == "1"
+    assert set(tier1) == {"command", "exit_status", "wall_s", "counts", "pytest_s", "slowest"}
+    assert tier1["exit_status"] == 1 and tier1["wall_s"] >= 0
+    assert tier1["counts"] == {"failed": 1, "passed": 141, "xfailed": 2}
+    assert tier1["pytest_s"] == 23.19
+    assert tier1["slowest"] == [
+        {"seconds": 2.72, "phase": "call",
+         "test": "tests/test_cli.py::test_growth_memory_stays_bounded_as_n_grows"},
+        {"seconds": 0.31, "phase": "setup", "test": "tests/test_cli.py::test_bundled[evolve.json]"},
+        {"seconds": 0.30, "phase": "teardown",
+         "test": "tests/test_reduced.py::test_sup_norm_grid_batch_equals_per_state_calls"},
+    ]
+    json.dumps(tier1)  # it goes into the output file as it is
+
+
+def test_tier1_without_a_summary_keeps_the_output(monkeypatch):
+    monkeypatch.setattr(bench.subprocess, "run", lambda command, **kwargs:
+                        bench.subprocess.CompletedProcess(command, 4, "", "ERROR: usage"))
+    tier1 = bench.run_tier1("/change")
+    assert tier1["exit_status"] == 4 and tier1["output_tail"] == "ERROR: usage"
+    assert "counts" not in tier1
+    with pytest.raises(ValueError, match="summary"):
+        bench.read_tier1("")

@@ -26,6 +26,7 @@ from qmaplab import checks, cli, conjunction, reduced
 from qmaplab.cli import Body, ScenarioError, emit_csv, load_scenario, main, parse_angle, run
 from qmaplab.conjunction import _sigma2_legs, conjunct, greedy_extremal_growth
 from qmaplab.dynamics import rotate
+from qmaplab.floatrepr import CROSSOVER
 from qmaplab.slippage import slip_state, slipped_domain_check
 from qmaplab.tolerances import inside
 
@@ -1166,6 +1167,43 @@ def test_split_emit_equals_serial(tmp_path, monkeypatch, n):
     assert len(forks) == 2 * cli._fork_is_quiet()
     assert sorted(p.name for p in tmp_path.iterdir()) == ["body.csv", "split.csv"]
     _no_child_left()
+
+
+def test_each_chunk_formats_its_floats_in_one_call(tmp_path, monkeypatch):
+    """`evolve`'s six float columns reach `float_reprs` together, one call a
+    chunk, and the text is what one call per column wrote."""
+    scenario = os.path.join(SCENARIOS, "evolve.json")
+    run(scenario, out_dir=str(tmp_path / "whole"))
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", 50)
+    monkeypatch.setattr(cli, "_fork_is_quiet", lambda: False)  # every chunk in this process
+    sizes, reprs = [], cli.float_reprs
+    monkeypatch.setattr(cli, "float_reprs", lambda values: sizes.append(len(values))
+                        or reprs(values))
+    assert run(scenario, out_dir=str(tmp_path / "chunked")) == 0
+    assert sizes == [6 * 50] * 4 + [6 * 1]  # ceil(201 / 50) calls
+    for name in ("evolve.csv", "summary.json"):
+        assert ((tmp_path / "chunked" / name).read_bytes()
+                == (tmp_path / "whole" / name).read_bytes())
+
+
+def test_floats_that_cross_over_together_write_repr(tmp_path):
+    """Float columns each below `CROSSOVER` but over it together take the
+    array path, beside bool, int and text columns; every cell is still
+    `float.__repr__` of its value."""
+    n = 100
+    assert n < CROSSOVER < 3 * n
+    rng = np.random.default_rng(33)
+    special = [0.0, -0.0, 1e-5, 1e16, np.nan, np.inf, -np.inf, 1e-4, 0.1, 2.5e15]
+    drawn = rng.normal(size=n) * 10.0 ** rng.integers(-6, 18, size=n)
+    drawn[:len(special)] = special
+    grid = np.linspace(0.0, 2 * np.pi, n)
+    rounded = np.round(rng.uniform(-1, 1, size=n), 3)
+    columns = (grid, drawn > 0, list(map(repr, range(n))), drawn, [f"t{i}" for i in range(n)],
+               rounded)
+    header = ["grid", "positive", "k", "drawn", "label", "rounded"]
+    path = tmp_path / "mixed.csv"
+    emit_csv(header, Body.up_front(*columns), str(path))
+    assert path.read_bytes() == _serial_csv(header, columns)
 
 
 # one payload per streamed command, each a few chunks of 7 rows and a ragged last one

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import os
 import tempfile
 from fractions import Fraction
 
@@ -10,7 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
+from qmaplab.cli import load_scenario
 from qmaplab.floatrepr import CROSSOVER, _fixed, float_reprs
+
+SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
 
 def _assert_reprs(values):
@@ -98,6 +102,20 @@ def test_ties_go_to_repr():
 def test_decimal_multiples():
     k = np.arange(1, 20_001)
     _assert_reprs(np.concatenate([k * 1e-4, k * 0.1, k * 1e10]))
+
+
+def test_trailing_zeros():
+    """Every count of trailing zeros a value in the range can have, which
+    the halving count (widths 8, 4, 2, 1) must add up exactly."""
+    integers = [float(k * 10**m) for m in range(16) for k in range(1, 1000)
+                if k * 10**m < 10**16]
+    short = [0.5, 0.125, 1.5e-4, 2.5e15]
+    powers = _with_neighbours([float(f"1e{e}") for e in range(-4, 16)])
+    grids = [g.at(np.arange(g.count))
+             for name in sorted(os.listdir(SCENARIOS)) if name.endswith(".json")
+             for g in load_scenario(os.path.join(SCENARIOS, name)).grids]
+    x = np.concatenate([integers, short, powers, *grids])
+    _assert_reprs(np.concatenate([x, -x]))
 
 
 def test_outside_the_range():

@@ -13,6 +13,9 @@ repository state changes.  For each workload and seed the two trees'
 even pairs and change first in odd ones, so a drift of the machine falls on
 both sides.
 ``PYTHONDONTWRITEBYTECODE=1`` is set, as in the benchmark's own runs.
+After the pairs, Tier-1 runs once in the change's tree; its wall time,
+outcome counts and the 10 slowest tests (``--durations=10``, set in
+``pyproject.toml``) go under the output's ``tier1`` key.
 
 Each run's last line of standard output (its end-to-end metrics, ``failed``
 and ``attempted``) and its ``result.json`` (``wall_run_s`` and provenance)
@@ -27,6 +30,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import shutil
 import statistics
 import subprocess
@@ -82,6 +86,40 @@ def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
     path = os.path.join(tree, "perfbench", "out", f"{workload}-s{seed}-t0", "result.json")
     with open(path, encoding="utf-8") as fh:
         return read_run(proc.stdout, json.load(fh))
+
+
+def read_tier1(stdout: str) -> dict:
+    """pytest's outcome counts, its own time and the slowest tests from the
+    output of a ``-q --durations=10`` run."""
+    lines = stdout.strip().splitlines() or [""]
+    summary = re.fullmatch(r"=* ?(.*?) in ([\d.]+)s.*", lines[-1])
+    if summary is None:
+        raise ValueError(f"no pytest summary line: {lines[-1]!r}")
+    counts = {name: int(count) for count, name in re.findall(r"(\d+) (\w+)", summary[1])}
+    # the durations section runs from its header to the summary line
+    start = next((i for i, line in enumerate(lines) if re.search(r"slowest \d+ durations", line)),
+                 len(lines))
+    slowest = [{"seconds": float(m[1]), "phase": m[2], "test": m[3]}
+               for m in map(re.compile(r"([\d.]+)s (\w+) +(\S+)").fullmatch, lines[start:])
+               if m]
+    return {"counts": counts, "pytest_s": float(summary[2]), "slowest": slowest}
+
+
+def run_tier1(tree: str) -> dict:
+    """Tier-1 once in `tree`, without bytecode or pytest caches."""
+    command = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
+               "-p", "no:cacheprovider"]
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    start = time.perf_counter()
+    proc = subprocess.run(command, cwd=tree, env=env, capture_output=True, text=True,
+                          check=False)
+    wall = time.perf_counter() - start
+    try:
+        parsed = read_tier1(proc.stdout)
+    except ValueError:  # pytest stopped before its summary: keep what it said
+        parsed = {"output_tail": (proc.stdout + proc.stderr)[-4000:]}
+    return {"command": " ".join(command[1:]), "exit_status": proc.returncode, "wall_s": wall,
+            **parsed}
 
 
 def compare(base: list[dict], change: list[dict], better: dict[str, str]) -> dict:
@@ -154,6 +192,7 @@ def main(argv=None) -> int:
                     "metrics": compare(runs["base"], runs["change"], better),
                     "runs": {side: [r["metrics"] for r in rs] for side, rs in runs.items()},
                 })
+        tier1 = run_tier1(trees["change"])
         report = {
             "base": {"rev": args.base, "commit": commit},
             "change": "the checkout's files, tracked and untracked, less the ignored ones",
@@ -162,6 +201,7 @@ def main(argv=None) -> int:
             "provenance": runs["change"][0]["provenance"],
             "finished": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
             "results": results,
+            "tier1": tier1,
         }
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=1)
@@ -171,6 +211,8 @@ def main(argv=None) -> int:
             print(f"{res['workload']} s{res['seed']} {name}: {m['base_median']:.4g} -> "
                   f"{m['change_median']:.4g} (base IQR {m['base_iqr']:.3g}), change won "
                   f"{m['pairs_won']}/{m['pairs']}")
+    print(f"tier1: {tier1.get('counts')} in {tier1['wall_s']:.1f} s wall "
+          f"(exit status {tier1['exit_status']})")
     return 0
 
 
