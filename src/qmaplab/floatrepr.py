@@ -44,13 +44,15 @@ from __future__ import annotations
 import numpy as np
 
 # below this many values a call is all float.__repr__.  The array program
-# costs about 0.1 ms a call plus 0.15-0.25 us a value, repr 0.5-0.85 us a
-# value, so they cross near 200-230 values.  Best of 15, the array path
-# against repr on uniform draws in (-1, 1): 200 values 174 us against
-# 173 us, 250 values 176 against 209, 1,000 values 330 against 839; on
-# linspace values: 200 values 110 against 103, 250 values 117 against 130
-# (Xeon, 2 cores, Python 3.11, numpy 2.4).  `cli` formats all the float
-# columns of a chunk in one call, so a call holds a chunk's float cells
+# costs about 0.1 ms a call plus 0.15-0.2 us a value, repr 0.5 us a value,
+# so they cross near 200 values on random draws and near 300 on a linspace,
+# whose values end in more zeros for `_shortest` to count.  Best of 15, the
+# array path against repr on uniform draws in (-1, 1): 200 values 98-109 us
+# against 107-113 us, 250 values 105-109 against 132-136, 1,000 values
+# 215-238 against 546-561; on a linspace: 250 values 145-152 against
+# 124-134, 350 values 162 against 187 (Xeon, 2 cores, Python 3.11,
+# numpy 2.4).  `cli` formats all the float columns of a chunk in one call,
+# so a call holds a chunk's float cells
 CROSSOVER = 256
 
 # the double nearest 10^e for e = -4 .. 15, exact from 1 on and above the
@@ -139,16 +141,13 @@ def _shortest(a: np.ndarray, decade: np.ndarray) -> tuple[np.ndarray, np.ndarray
     nearest[deep] = hundred[deep]
     c = (d - r.astype(np.int64)) + nearest.astype(np.int64)
     j = np.where(rest == step / 2, -1, ten)
-    # from j = 2 on, count the trailing zeros of C / 100 in halves: it lies
-    # in [10^14, 10^15), so it has at most 14, and widths 8, 4, 2, 1 count 15
+    # from j = 2 on, count the zeros of the multiple of 100 place by place
     shifted = c[deep] // 100
-    depth = np.full(deep.size, 2)
-    for width in (8, 4, 2, 1):
-        tens = shifted // 10**width
-        more = tens * 10**width == shifted
-        shifted = np.where(more, tens, shifted)
-        depth += width * more
-    j[deep] = depth
+    j[deep] = 2
+    while deep.size:
+        more = shifted % 10 == 0
+        deep, shifted = deep[more], shifted[more] // 10
+        j[deep] += 1
     return c, j
 
 

@@ -105,8 +105,8 @@ def test_decimal_multiples():
 
 
 def test_trailing_zeros():
-    """Every count of trailing zeros a value in the range can have, which
-    the halving count (widths 8, 4, 2, 1) must add up exactly."""
+    """Every count of trailing zeros a value in the range can have, each of
+    which `_shortest` must count exactly."""
     integers = [float(k * 10**m) for m in range(16) for k in range(1, 1000)
                 if k * 10**m < 10**16]
     short = [0.5, 0.125, 1.5e-4, 2.5e15]
