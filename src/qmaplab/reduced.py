@@ -17,7 +17,7 @@ import numpy as np
 
 from .dynamics import _turn
 from .optimize import golden_section_max
-from .pauli import _as_blochs, _require_count, _require_finite
+from .pauli import _as_blochs, _broadcast, _require_count
 from .tolerances import GRID_VALUE_PAD
 
 
@@ -80,69 +80,69 @@ def sup_norm_over_time(c1, c2, a):
     return sup[()], argmax_t[()]
 
 
-# grid points per block of `sup_norm_grid`'s coarse pass, and the most grid
-# values either pass holds at once: 64 kB arrays, which stay in cache
-_BLOCK, _SLICE = 64, 1 << 13
+# `sup_norm_grid`'s block widths, widest first, and the most values an evaluation holds (64 kB)
+_WIDTHS, _SLICE = (512, 64, 8), 1 << 13
 
 
 def sup_norm_grid(c1, c2, a, points: int = 100_000):
     """Validation path for `sup_norm_over_time`: dense grid over [0, 2 pi)
     plus one golden-section refinement around the first best grid point.
 
-    Broadcasts like `sup_norm_over_time`.  cos and sin of the t grid are
-    taken once.  The walk is a coarse-to-fine branch and bound (Shubert,
-    SIAM J. Numer. Anal. 9, 1972): a coarse pass takes every `_BLOCK`-th
-    grid value F_b of f = |a(t)|^2 and bounds block b, the points up to the
-    next one (F_0 again at t = 2 pi), by max(F_b, F_{b+1}) + L H^2 / 8 + 2
-    delta: L = 2 (p^2 + q^2) >= |f''| (p = |a1| + |c2|, q = |a2| + |c1|), H
-    = `_BLOCK` h the block width and delta = `tolerances.GRID_VALUE_PAD` (p^2
-    + q^2 + a3^2 + 1) the rounding of a value and of H.  A fine pass walks
-    the blocks whose bound reaches the state's best F_b, so each state's
-    first argmax is the one a walk of every point finds.  Both round as
-    `_turn` does and hold at most `_SLICE` values (or one state's block
-    starts, if more) however many points tie.  The refinement runs once for
-    the whole batch.  `points` must be an integer >= 1 and every input
-    finite; a supremum past the float range raises ValueError.
+    Broadcasts like `sup_norm_over_time`.  A depth-first branch and bound
+    (Shubert, SIAM J. Numer. Anal. 9, 1972) walks blocks of each `_WIDTHS`
+    below `points`, then every point.  It drops block b, from F_b = f(t_b) to
+    F_{b+1} (F_0 at t = 2 pi), f = |a(t)|^2, if max(F_b, F_{b+1}) + L H^2 / 8
+    + 2 delta is below the state's best value so far: L = 2 (p^2 + q^2) >=
+    |f''| (p = |a1| + |c2|, q = |a2| + |c1|), H the block width, delta =
+    `tolerances.GRID_VALUE_PAD` (p^2 + q^2 + a3^2 + 1).  A new best resets
+    the first argmax, so it is the one a walk of every point finds.  `points`
+    must be an integer >= 1 and every input finite; a supremum past the float
+    range raises ValueError.
     """
     points = _require_count(points, "points", 1)
-    a1, a2, a3, c1, c2 = np.broadcast_arrays(*_as_blochs(a), c1, c2)
-    a, c1, c2 = np.stack((a1.ravel(), a2.ravel(), a3.ravel())), c1.ravel(), c2.ravel()
-    for name, v in (("a", a), ("c1", c1), ("c2", c2)):
-        _require_finite(v, name)
+    a, c1, c2 = _broadcast(a, c1, c2)
+    shape, a, c1, c2 = c1.shape, a.reshape(3, c1.size), c1.ravel(), c2.ravel()
     ts = np.linspace(0.0, 2 * math.pi, points, endpoint=False)
-    h, blocks = 2 * math.pi / points, -(-points // _BLOCK)
-    # a row per block; the last point's copies pad the last one and never win a first argmax
-    cos_t, sin_t = (f(np.pad(ts, (0, blocks * _BLOCK - points), mode="edge")).reshape(blocks, -1)
-                    for f in (np.cos, np.sin))
-    cos_s, sin_s = (np.append(v[:, 0], v[0, 0]) for v in (cos_t, sin_t))  # starts, t = 2 pi
-    k, step, rows = np.empty(c1.size, dtype=int), max(1, _SLICE // (blocks + 1)), _SLICE // _BLOCK
+    h, widths = 2 * math.pi / points, [w for w in _WIDTHS if w < points] + [1]
+    size = -(-points // widths[0]) * widths[0]
+    # index `points` is t = 2 pi, where f repeats F_0; the blocks' indices past it read it too
+    cos_t, sin_t = np.cos(np.append(ts, 0.0)), np.sin(np.append(ts, 0.0))
+    # a level's points in a block of the level above: its blocks' starts and end, or every point
+    offsets = [np.arange(0, up + (w > 1), w) for up, w in zip([size, *widths], widths)]
+    best, k = np.full(c1.size, -np.inf), np.zeros(c1.size, dtype=int)
     with np.errstate(over="ignore"):  # an infinite L keeps every block; `_finite_sup` raises
-        a3_sq, width = a[2] * a[2], _BLOCK * h
+        a3_sq = a[2] * a[2]
+        pq_sq = np.square(np.abs(a[0]) + np.abs(c2)) + np.square(np.abs(a[1]) + np.abs(c1))
+        delta = GRID_VALUE_PAD * (pq_sq + a3_sq + 1)
+        slack = [pq_sq * (w * h) ** 2 / 4 + 2 * delta for w in widths[:-1]]  # L H^2 / 8 + 2 delta
 
         def norm_sq(i, ct, st):
             a1t, a2t = _turn(a[0, i], a[1, i], c1[i], c2[i], ct, st)
             return a1t * a1t + a2t * a2t + a3_sq[i]
 
-        pq_sq = np.square(np.abs(a[0]) + np.abs(c2)) + np.square(np.abs(a[1]) + np.abs(c1))
-        # L H^2 / 8 + 2 delta
-        slack = pq_sq * (width * width / 4 + 2 * GRID_VALUE_PAD) + 2 * GRID_VALUE_PAD * (a3_sq + 1)
-        for lo in range(0, c1.size, step):
-            coarse = norm_sq(np.arange(lo, min(lo + step, c1.size))[:, None], cos_s, sin_s)
-            bound = np.maximum(coarse[:, :-1], coarse[:, 1:]) + slack[lo:lo + step, None]
-            # (state, block) in index order, with at least one block a state
-            state, block = (bound >= coarse.max(axis=1)[:, None]).nonzero()
-            best, at = np.empty(state.size), block * _BLOCK
-            for s in (slice(r, r + rows) for r in range(0, state.size, rows)):
-                fine = norm_sq(lo + state[s, None], cos_t[block[s]], sin_t[block[s]])
-                best[s], at[s] = fine.max(axis=1), at[s] + fine.argmax(axis=1)
-            # each state's first point holding its largest value
-            first = np.flatnonzero(np.diff(state, prepend=-1))
-            top = np.maximum.reduceat(best, first)[state]
-            k[lo:lo + step] = np.minimum.reduceat(np.where(best == top, at, points), first)
+        def visit(level, state, start):  # one slice of (state, block) rows, freed on return
+            rows = max(1, _SLICE // offsets[level].size)
+            if state.size > rows:  # the rest waits under this slice's sub-blocks
+                work.append((level, state[rows:], start[rows:]))
+            state, at = state[:rows], np.minimum(start[:rows, None] + offsets[level], points)
+            values = norm_sq(state[:, None], cos_t[at], sin_t[at])
+            r, j = np.arange(state.size), values.argmax(axis=1)
+            top, first = values[r, j], at[r, j]
+            k[state[top > best[state]]] = size  # a new best resets the first argmax
+            np.maximum.at(best, state, top)
+            now = best[state]
+            np.minimum.at(k, state[top == now], first[top == now])
+            if level + 1 < len(widths):
+                bound = np.maximum(values[:, :-1], values[:, 1:]) + slack[level][state, None]
+                row, col = (bound >= now[:, None]).nonzero()
+                work.append((level + 1, state[row], at[row, col]))
+        work = [(0, np.arange(c1.size), np.zeros(c1.size, dtype=int))]  # (level, state, start)
+        while work:
+            visit(*work.pop())
         t_best, f_best = golden_section_max(lambda t: norm_sq(slice(None), np.cos(t), np.sin(t)),
                                             ts[k] - h, ts[k] + h)
-    sup = _finite_sup(np.sqrt(np.maximum(f_best, 0.0))).reshape(a1.shape)
-    return sup[()], (t_best % (2 * math.pi)).reshape(a1.shape)[()]
+    sup = _finite_sup(np.sqrt(np.maximum(f_best, 0.0))).reshape(shape)
+    return sup[()], (t_best % (2 * math.pi)).reshape(shape)[()]
 
 
 def in_compatibility_domain(c1, c2, a):

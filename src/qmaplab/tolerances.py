@@ -25,10 +25,11 @@ GOLDEN_TOL = 1.5e-8
 # exact value, u = 2^-53: cos, sin, two products and a difference put 4u p
 # into a1(t), the square doubles it, and the square and the two sums add
 # 3u.  The bound takes two such errors, its end value's and its point's.
-# With two or more blocks H = 64 h < 6.3: the bound is under 12 (p^2 + q^2
-# + a3^2) + 2 delta and rounds by under 1.2e-14 per unit, and linspace puts
-# the block ends within 5e-15 rad of H apart, which moves L H^2 / 8 by
-# under 1.6e-14 per unit (a single block is never below the best start).
+# The walk skips each block width not narrower than the grid, so every
+# level has two or more blocks and H <= 512 h < 2 pi < 6.3: the bound is
+# under 12 (p^2 + q^2 + a3^2) + 2 delta and rounds by under 1.2e-14 per
+# unit, and linspace puts the block ends within 5e-15 rad of H apart, which
+# moves L H^2 / 8 by under 1.6e-14 per unit.
 # That is under 4e-14 per unit; the + 1 covers underflow's absolute error,
 # below 1e-322.  So 1e-12, twice in the bound, leaves 50x headroom.
 GRID_VALUE_PAD = 1e-12

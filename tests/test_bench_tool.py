@@ -41,7 +41,10 @@ def test_compare_gives_medians_base_iqr_and_pairs_won():
                                        "wall_run_s": "lower"})
     setup = out["setup_s"]
     assert set(setup) == {"better", "base_median", "change_median", "change_vs_base", "base_q1",
-                          "base_q3", "base_iqr", "pairs_won", "pairs", "beats_base_iqr"}
+                          "base_q3", "base_iqr", "pairs_won", "pairs", "beats_base_iqr", "bound",
+                          "worse_than_bound", "claim_met"}
+    # no bounds given: none to be worse than
+    assert setup["bound"] is None and setup["worse_than_bound"] is None
     assert (setup["base_median"], setup["change_median"]) == (0.18, 0.16)
     assert (setup["base_q1"], setup["base_q3"]) == (0.18, 0.19)
     assert setup["base_iqr"] == pytest.approx(0.01)
@@ -57,6 +60,53 @@ def test_compare_gives_medians_base_iqr_and_pairs_won():
     assert wall["pairs_won"] == 2 and not wall["beats_base_iqr"]
 
 
+def _metric_runs(name: str, values) -> list[dict]:
+    return [{"metrics": {name: v}} for v in values]
+
+
+@pytest.mark.parametrize("after,worse", [
+    # medians 10 -> 12.4: 24% worse, inside a 25% bound
+    ([12.4] * 10, False),
+    # 10 -> 12.6: 26% worse, past it
+    ([12.6] * 10, True),
+    # better, by far
+    ([5.0] * 10, False),
+])
+def test_compare_flags_a_median_worse_than_the_bound(after, worse):
+    base = _metric_runs("run_s", [9.0, 10.0, 11.0, 10.0, 9.5, 10.5, 10.0, 10.0, 9.8, 10.2])
+    lower = bench.compare(base, _metric_runs("run_s", after), {"run_s": "lower"},
+                          {"run_s": 0.25})["run_s"]
+    assert lower["bound"] == 0.25 and lower["worse_than_bound"] is worse
+    # higher is better: 100 -> 74 is 26% worse, 100 -> 76 24%
+    base = _metric_runs("rows_per_s", [100.0] * 10)
+    for value, past in ((74.0, True), (76.0, False), (130.0, False)):
+        higher = bench.compare(base, _metric_runs("rows_per_s", [value] * 10),
+                               {"rows_per_s": "higher"}, {"rows_per_s": 0.25})["rows_per_s"]
+        assert higher["worse_than_bound"] is past
+
+
+def test_claim_met_needs_nine_pairs_in_ten_and_the_base_iqr_beaten():
+    # base 10.0 .. 10.9, IQR 0.45; median 10.45
+    base = _metric_runs("run_s", [10.0 + 0.1 * i for i in range(10)])
+
+    def claim(after):
+        return bench.compare(base, _metric_runs("run_s", after), {"run_s": "lower"},
+                             {"run_s": 0.25})["run_s"]
+
+    # every pair won by 1.0: met
+    met = claim([9.0 + 0.1 * i for i in range(10)])
+    assert (met["pairs_won"], met["beats_base_iqr"], met["claim_met"]) == (10, True, True)
+    # 9 pairs won, the tenth lost: still met
+    nine = claim([9.0 + 0.1 * i for i in range(9)] + [11.5])
+    assert (nine["pairs_won"], nine["claim_met"]) == (9, True)
+    # 8 pairs won, though the median beats the IQR: not met
+    eight = claim([9.0 + 0.1 * i for i in range(8)] + [11.5, 11.5])
+    assert (eight["pairs_won"], eight["beats_base_iqr"], eight["claim_met"]) == (8, True, False)
+    # every pair won by 0.1, less than the IQR: not met
+    close = claim([9.9 + 0.1 * i for i in range(10)])
+    assert (close["pairs_won"], close["beats_base_iqr"], close["claim_met"]) == (10, False, False)
+
+
 def test_compare_needs_matched_pairs():
     with pytest.raises(ValueError, match="two pairs"):
         bench.compare([_run(0.1, 1, 1)], [_run(0.1, 1, 1)], {"setup_s": "lower"})
@@ -69,6 +119,8 @@ def test_directions_cover_every_end_to_end_metric():
     better = bench.directions(declared)
     assert better == {**{m["name"]: m["better"] for m in declared["end_to_end"]},
                       "wall_run_s": "lower"}
+    # every one but wall_run_s has a bound
+    assert bench.bounds(declared) == {m["name"]: m["bound"] for m in declared["end_to_end"]}
 
 
 _TIER1_OUTPUT = """\

@@ -20,10 +20,14 @@ outcome counts and the 10 slowest tests (``--durations=10``, set in
 Each run's last line of standard output (its end-to-end metrics, ``failed``
 and ``attempted``) and its ``result.json`` (``wall_run_s`` and provenance)
 are read.  The output file holds, per workload and seed and for every
-metric, both medians, the base's quartiles and IQR, and the number of pairs
-the change won, with the runs themselves.  The workloads (all of them),
-the run length (``run_seconds``) and which way each metric is better come
-from the checkout's ``BENCHMARK.json``; ``wall_run_s`` is better lower.
+metric, both medians, the base's quartiles and IQR, the number of pairs
+the change won, the metric's relative bound with whether the change's
+median is worse than the base's by more than it, and whether a claimed
+gain holds (9 pairs in 10 won and the base's IQR beaten), with the runs
+themselves.  The workloads (all of them), the run length
+(``run_seconds``), which way each metric is better and its bound come
+from the checkout's ``BENCHMARK.json``; ``wall_run_s`` is better lower
+and has no bound.
 """
 from __future__ import annotations
 
@@ -122,11 +126,15 @@ def run_tier1(tree: str) -> dict:
             **parsed}
 
 
-def compare(base: list[dict], change: list[dict], better: dict[str, str]) -> dict:
+def compare(base: list[dict], change: list[dict], better: dict[str, str],
+            bounds: dict[str, float] | None = None) -> dict:
     """Per metric of `better` ("lower" or "higher"), over the pairs
     (base[i], change[i]): both medians, the base's quartiles and IQR, the
     pairs the change won outright, and whether the change's median beats
-    the base's by more than the base's IQR."""
+    the base's by more than the base's IQR.  Then the metric's relative
+    bound in `bounds` (None if it has none) and whether the change's median
+    is worse than the base's by more than it, and whether a claimed gain
+    holds: at least 9 pairs in 10 won and the base's IQR beaten."""
     if len(base) != len(change) or len(base) < 2:
         raise ValueError("compare needs at least two pairs of runs")
     out = {}
@@ -136,6 +144,8 @@ def compare(base: list[dict], change: list[dict], better: dict[str, str]) -> dic
         q1, _, q3 = statistics.quantiles(before, n=4, method="inclusive")
         b, a = statistics.median(before), statistics.median(after)
         sign = 1 if way == "lower" else -1
+        won = sum(sign * (y - x) < 0 for x, y in zip(before, after))
+        beats, bound = sign * (b - a) > q3 - q1, (bounds or {}).get(name)
         out[name] = {
             "better": way,
             "base_median": b,
@@ -144,9 +154,12 @@ def compare(base: list[dict], change: list[dict], better: dict[str, str]) -> dic
             "base_q1": q1,
             "base_q3": q3,
             "base_iqr": q3 - q1,
-            "pairs_won": sum(sign * (y - x) < 0 for x, y in zip(before, after)),
+            "pairs_won": won,
             "pairs": len(before),
-            "beats_base_iqr": sign * (b - a) > q3 - q1,
+            "beats_base_iqr": beats,
+            "bound": bound,
+            "worse_than_bound": None if bound is None else sign * (a - b) > bound * abs(b),
+            "claim_met": 10 * won >= 9 * len(before) and beats,
         }
     return out
 
@@ -155,6 +168,12 @@ def directions(declared: dict) -> dict[str, str]:
     """Each end-to-end metric's better way in BENCHMARK.json, then
     wall_run_s."""
     return {**{m["name"]: m["better"] for m in declared["end_to_end"]}, "wall_run_s": "lower"}
+
+
+def bounds(declared: dict) -> dict[str, float]:
+    """Each end-to-end metric's relative bound in BENCHMARK.json;
+    wall_run_s has none."""
+    return {m["name"]: m["bound"] for m in declared["end_to_end"]}
 
 
 def main(argv=None) -> int:
@@ -170,7 +189,7 @@ def main(argv=None) -> int:
         copy_checkout(trees["change"])
         with open(os.path.join(trees["change"], "BENCHMARK.json"), encoding="utf-8") as fh:
             declared = json.load(fh)
-        better = directions(declared)
+        better, limits = directions(declared), bounds(declared)
         seconds = declared["run_seconds"]
         results = []
         for workload in (w["name"] for w in declared["workloads"]):
@@ -189,7 +208,7 @@ def main(argv=None) -> int:
                     "failed": {side: sum(r["failed"] for r in rs) for side, rs in runs.items()},
                     "attempted": {side: sum(r["attempted"] for r in rs)
                                   for side, rs in runs.items()},
-                    "metrics": compare(runs["base"], runs["change"], better),
+                    "metrics": compare(runs["base"], runs["change"], better, limits),
                     "runs": {side: [r["metrics"] for r in rs] for side, rs in runs.items()},
                 })
         tier1 = run_tier1(trees["change"])
@@ -210,7 +229,8 @@ def main(argv=None) -> int:
         for name, m in res["metrics"].items():
             print(f"{res['workload']} s{res['seed']} {name}: {m['base_median']:.4g} -> "
                   f"{m['change_median']:.4g} (base IQR {m['base_iqr']:.3g}), change won "
-                  f"{m['pairs_won']}/{m['pairs']}")
+                  f"{m['pairs_won']}/{m['pairs']}, worse than bound: {m['worse_than_bound']}, "
+                  f"claim met: {m['claim_met']}")
     print(f"tier1: {tier1.get('counts')} in {tier1['wall_s']:.1f} s wall "
           f"(exit status {tier1['exit_status']})")
     return 0
