@@ -255,6 +255,140 @@ def test_growth_rejects_off_slice_state(tmp_path):
         load_scenario(write_scenario(tmp_path, payload))
 
 
+# every exit-1 message of the parser, one malformed payload per branch, in
+# full: (payload, or a file's text, or None for a missing file; run's keyword
+# arguments; the message after "error: ")
+_H = _hazard_payload()
+_E = {"command": "evolve", "state": {"a": [0, 1, 0]}, "grid": _grid("t")}
+_C = {"command": "conjunct", "state": {"q": 0.5}, "schedule": {"t": 1, "steps": [1]}}
+_G = {"command": "growth", "state": {"q": 0.5}, "n": 2}
+_S = {"command": "slippage", "state": {"c1": 0.2}, "n": 2, "grid": _grid("a2")}
+_D = {"command": "domain-map", "grid": [_grid("a2"), _grid("c1")]}
+_EXIT_1_MESSAGES = [
+    # parse_angle
+    ({**_C, "schedule": {"t": True, "steps": [1]}}, {},
+     "schedule.t: expected a number or pi-string, got True"),
+    ({**_H, "state": {"q": "two pi"}}, {},
+     "state.q: cannot parse angle 'two pi' (use e.g. \"pi/4\")"),
+    ({**_C, "schedule": {"t": 1, "steps": ["pi/0"]}}, {},
+     "schedule.steps[0]: zero divisor in angle 'pi/0'"),
+    ({**_H, "grid": {**_S_GRID, "start": "9" * 400 + "pi"}}, {},
+     "grid[0].start: expected a finite number"),
+    ({**_H, "grid": {**_S_GRID, "stop": "9" * 160 + "pi"}}, {},
+     "grid[0].stop: magnitude above 1e+150"),
+    ({**_H, "state": {"q": [1]}}, {}, "state.q: expected a number or pi-string, got list"),
+    # _require_number, _require_tol, _require_int, _require_seed
+    ({**_S, "state": {"c1": "0.2"}}, {}, "state.c1: expected a number, got str"),
+    ({**_E, "state": {"a": [0, True, 0]}}, {}, "state.a[1]: expected a number, got bool"),
+    ({**_E, "state": {"a": [10**400, 0, 0]}}, {}, "state.a[0]: expected a finite number"),
+    ({**_E, "state": {"a": [0, 1, 0], "c2": math.nan}}, {}, "state.c2: expected a finite number"),
+    ({**_S, "state": {"c1": 1e151}}, {}, "state.c1: magnitude above 1e+150"),
+    ({**_H, "tol": "1e-9"}, {}, "scenario.tol: expected a number, got str"),
+    ({**_H, "tol": -1}, {}, "scenario.tol: must be >= 0"),
+    ({**_G, "n": 2.5}, {}, "scenario.n: expected an integer, got float"),
+    ({**_H, "seed": True}, {}, "scenario.seed: expected an integer, got bool"),
+    ({**_H, "seed": -1}, {}, "scenario.seed: must be >= 0"),
+    # the keys of each level, and of each command
+    ({**_E, "x": 1}, {}, "scenario.x: not accepted here (allowed: command, state, grid, tol, seed)"),
+    ({**_C, "x": 1}, {},
+     "scenario.x: not accepted here (allowed: command, state, schedule, grid, tol, seed)"),
+    ({**_H, "n": 3}, {}, "scenario.n: not accepted here (allowed: command, state, grid, tol, seed)"),
+    ({**_G, "x": 1}, {}, "scenario.x: not accepted here (allowed: command, state, n, tol, seed)"),
+    ({**_D, "x": 1}, {}, "scenario.x: not accepted here (allowed: command, grid, tol, seed)"),
+    ({**_S, "x": 1}, {},
+     "scenario.x: not accepted here (allowed: command, state, grid, n, tol, seed)"),
+    ({"command": "validate", "state": {}}, {},
+     "scenario.state: not accepted here (allowed: command, tol, seed)"),
+    ({**_E, "state": {"a": [0, 1, 0], "b": 1}}, {},
+     "state.b: not accepted here (allowed: a, q, c1, c2)"),
+    ({**_H, "state": {"a": [0, 1, 0]}}, {}, "state.a: not accepted here (allowed: q)"),
+    ({**_S, "state": {"q": 0.5}}, {}, "state.q: not accepted here (allowed: c1, c2)"),
+    ({**_C, "schedule": {"t": 1, "steps": [1], "s": 1}}, {},
+     "schedule.s: not accepted here (allowed: t, steps)"),
+    ({**_H, "grid": {**_S_GRID, "step": 1}}, {},
+     "grid[0].step: not accepted here (allowed: axis, start, stop, count)"),
+    # the state and the schedule
+    ({**_E, "state": 5}, {}, "state: expected an object"),
+    ({**_E, "state": {"a": [0, 1]}}, {}, "state.a: expected a list of three numbers"),
+    ({**_E, "state": {"a": "0 1 0"}}, {}, "state.a: expected a list of three numbers"),
+    ({**_C, "schedule": [1]}, {}, "schedule: expected an object"),
+    ({**_C, "schedule": {"t": 1, "steps": []}}, {}, "schedule.steps: expected a non-empty list"),
+    ({**_C, "schedule": {"t": 1, "steps": 1}}, {}, "schedule.steps: expected a non-empty list"),
+    # _parse_grids
+    ({**_H, "grid": 5}, {}, "grid[0]: expected an object"),
+    ({**_H, "grid": [_S_GRID, 5]}, {}, "grid[1]: expected an object"),
+    ({**_H, "grid": {"axis": "s", "start": 0, "stop": 1}}, {}, "grid[0].count: required"),
+    ({**_H, "grid": {**_S_GRID, "axis": "x"}}, {}, "grid[0].axis: expected one of t, s, q, a2, c1"),
+    ({**_H, "grid": {**_S_GRID, "axis": 3}}, {}, "grid[0].axis: expected one of t, s, q, a2, c1"),
+    ({**_H, "grid": [_S_GRID, _S_GRID]}, {}, "grid[1].axis: duplicate axis 's'"),
+    ({**_H, "grid": {**_S_GRID, "count": 1}}, {}, "grid[0].count: must be >= 2, got 1"),
+    ({**_H, "grid": {**_S_GRID, "count": "5"}}, {}, "grid[0].count: expected an integer, got str"),
+    ({**_H, "grid": {**_S_GRID, "start": 1, "stop": 1}}, {}, "grid[0]: start must be < stop"),
+    # load_scenario: the file, the command and each rule of a command's spec
+    (None, {}, "scenario: cannot read file: [Errno 2] No such file or directory: {path!r}"),
+    ("{not json", {}, "scenario: not valid JSON: {json}"),
+    ("[1]", {}, "scenario: expected a JSON object"),
+    ({"state": {"q": 0.5}}, {},
+     "scenario.command: expected one of evolve, conjunct, hazard, growth, domain-map, slippage, "
+     "validate"),
+    ({**_E, "command": "Evolve"}, {},
+     "scenario.command: expected one of evolve, conjunct, hazard, growth, domain-map, slippage, "
+     "validate"),
+    ({**_E, "state": {"a": [0, 1, 0], "q": 0.5}}, {}, "state: give exactly one of 'a' or 'q'"),
+    ({**_E, "state": {"c1": 0.5}}, {}, "state: give exactly one of 'a' or 'q'"),
+    ({**_G, "state": {"a": None}}, {}, "state: give exactly one of 'a' or 'q'"),
+    ({**_G, "state": {"q": 0.5, "c1": 0.1}}, {},
+     "state.c1: the q shorthand fixes c1 = sin q and c2 = 0"),
+    ({**_G, "state": {"q": 0.5, "c2": 0}}, {},
+     "state.c2: the q shorthand fixes c1 = sin q and c2 = 0"),
+    ({**_C, "schedule": {"steps": [1]}}, {}, "schedule.t: required"),
+    ({**_C, "schedule": {"t": 1}}, {},
+     "schedule.steps: give exactly one of schedule.steps or a grid with axis 's'"),
+    ({**_H, "state": {"q": None}}, {},
+     "state.q: give exactly one of state.q or a grid with axis 'q'"),
+    ({**_H, "grid": [_S_GRID, _grid("q")]}, {},
+     "state.q: give exactly one of state.q or a grid with axis 'q'"),
+    ({**_S, "state": {}}, {}, "state.c1: give exactly one of state.c1 or a grid with axis 'c1'"),
+    ({**_E, "grid": []}, {}, "grid: axis 't' is required"),
+    ({**_D, "grid": [_grid("a2")]}, {}, "grid: axis 'c1' is required"),
+    ({**_H, "grid": [_S_GRID, _grid("t")]}, {}, "grid[1].axis: hazard takes no 't' axis"),
+    ({**_C, "grid": _grid("t")}, {}, "grid[0].axis: conjunct takes no 't' axis"),
+    ({"command": "growth", "state": {"q": 0.5}}, {},
+     "scenario.n: growth requires an integer n >= 0"),
+    ({**_S, "n": 0}, {}, "scenario.n: slippage requires an integer n >= 1"),
+    ({**_G, "state": {"a": [0, 0.5, 0], "c2": 0.1}}, {},
+     "state.c2: growth runs on the slice c2 = 0"),
+    ({**_G, "state": {"a": [0.1, 0.5, 0]}}, {}, "state.a: growth runs on the slice a = [0, a2, 0]"),
+    ({**_E, "grid": {**_grid("t"), "count": 10**12}}, {},
+     "grid[0].count: the run would write 1000000000000 rows, over the budget of 10000000"),
+    ({**_S, "n": 10**7}, {},
+     "scenario.n: the run would write 50000000 rows, over the budget of 10000000"),
+    # run: the subcommand and the flags
+    (_H, {"command": "growth"},
+     "scenario.command: 'hazard', but the 'growth' subcommand was invoked"),
+    (_H, {"tol": math.nan}, "--tol: expected a finite number"),
+    (_H, {"tol": -1e-3}, "--tol: must be >= 0"),
+    (_H, {"seed": -1}, "--seed: must be >= 0"),
+]
+
+
+@pytest.mark.parametrize("payload,flags,message", _EXIT_1_MESSAGES)
+def test_every_exit_1_message_in_full(tmp_path, capsys, payload, flags, message):
+    path = tmp_path / "scenario.json"
+    if isinstance(payload, dict):
+        path.write_text(json.dumps(payload), encoding="utf-8")
+    elif payload is not None:
+        path.write_text(payload, encoding="utf-8")
+    if "{json}" in message:
+        with pytest.raises(ValueError) as exc:
+            json.loads(payload)
+        message = message.format(json=exc.value)
+    out = tmp_path / "out"
+    assert run(str(path), out_dir=str(out), **flags) == 1
+    assert not out.exists()
+    assert capsys.readouterr().err == "error: " + message.format(path=str(path)) + "\n"
+
+
 # ---------------------------------------------------------------- emit_csv
 
 def test_emit_csv_header_only(tmp_path):
