@@ -13,12 +13,13 @@ A scenario file selects exactly one command and supplies its parameters::
 
 "grid" may be one object or a list of them.  Angle-valued fields (q, t,
 steps, grid start/stop) accept rational multiples of pi as strings such as
-"pi/4", "2pi/3" or "-pi/6"; all angles are radians.  `COMMANDS` is the one
-statement of what each command accepts.  Anything else -- an unknown field
-or one the command does not use, a wrongly typed or out-of-range value --
-exits with status 1 and writes nothing; the message starts with the field
-path.  Exit status 2 flags an internal validation failure (oracle
-disagreement above tolerance) after the report files are written.
+"pi/4", "2pi/3" or "-pi/6"; all angles are radians.  `FIELDS` (how each
+field is read) and `COMMANDS` (what each command accepts) are the one
+statement of the schema.  Anything else -- an unknown field or one the
+command does not use, a wrongly typed or out-of-range value -- exits with
+status 1 and writes nothing; the message starts with the field path.  Exit
+status 2 flags an internal validation failure (oracle disagreement above
+tolerance) after the report files are written.
 
 Each CSV's columns are documented in the README.
 """
@@ -96,24 +97,23 @@ def _require_number(value: Any, where: str) -> float:
     return value
 
 
-def _require_tol(value: Any, where: str) -> float:
-    tol = _require_number(value, where)
-    if tol < 0:
-        raise ScenarioError(f"{where}: must be >= 0")
-    return tol
-
-
 def _require_int(value: Any, where: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ScenarioError(f"{where}: expected an integer, got {type(value).__name__}")
     return value
 
 
-def _require_seed(value: Any, where: str) -> int:
-    seed = _require_int(value, where)
-    if seed < 0:
-        raise ScenarioError(f"{where}: must be >= 0")
-    return seed
+def _at_least_0(read: Callable[[Any, str], Any]) -> Callable[[Any, str], Any]:
+    """`read`, with a value below 0 rejected."""
+    def require(value: Any, where: str):
+        value = read(value, where)
+        if value < 0:
+            raise ScenarioError(f"{where}: must be >= 0")
+        return value
+    return require
+
+
+_require_tol, _require_seed = _at_least_0(_require_number), _at_least_0(_require_int)
 
 
 def _check_keys(obj: dict, allowed: tuple[str, ...], where: str) -> None:
@@ -157,48 +157,32 @@ class Scenario(NamedTuple):
     steps: Optional[tuple[float, ...]] = None
     grids: tuple[Grid, ...] = ()
     n: Optional[int] = None
-    tol: Optional[float] = None
-    seed: Optional[int] = None
+    tol: float = DEFAULT_TOL
+    seed: int = 0
 
     def grid(self, axis: str) -> Optional[Grid]:
-        hits = [g for g in self.grids if g.axis == axis]
-        return hits[0] if hits else None
+        return next((g for g in self.grids if g.axis == axis), None)
 
 
-def _parse_state(raw: Any, keys: tuple[str, ...]) -> dict:
-    if not isinstance(raw, dict):
-        raise ScenarioError("state: expected an object")
-    _check_keys(raw, keys, "state")
-    out: dict = {}
-    if raw.get("a") is not None:
-        a = raw["a"]
-        if not isinstance(a, list) or len(a) != 3:
-            raise ScenarioError("state.a: expected a list of three numbers")
-        out["a"] = np.array([_require_number(x, f"state.a[{i}]") for i, x in enumerate(a)])
-    if raw.get("q") is not None:
-        out["q"] = parse_angle(raw["q"], "state.q")
-    for key in ("c1", "c2"):
-        if key in raw:
-            out[key] = _require_number(raw[key], f"state.{key}")
-    return out
+def _require_vector(value: Any, where: str) -> np.ndarray:
+    if not isinstance(value, list) or len(value) != 3:
+        raise ScenarioError(f"{where}: expected a list of three numbers")
+    return np.array([_require_number(x, f"{where}[{i}]") for i, x in enumerate(value)])
 
 
-def _parse_schedule(raw: Any) -> dict:
-    if not isinstance(raw, dict):
-        raise ScenarioError("schedule: expected an object")
-    _check_keys(raw, ("t", "steps"), "schedule")
-    out: dict = {}
-    if "t" in raw:
-        out["t"] = parse_angle(raw["t"], "schedule.t")
-    if "steps" in raw:
-        if not isinstance(raw["steps"], list) or not raw["steps"]:
-            raise ScenarioError("schedule.steps: expected a non-empty list")
-        out["steps"] = tuple(parse_angle(s, f"schedule.steps[{i}]")
-                             for i, s in enumerate(raw["steps"]))
-    return out
+def _or_null(read: Callable[[Any, str], Any]) -> Callable[[Any, str], Any]:
+    """`read`, with a null value read as absent (None)."""
+    return lambda value, where: None if value is None else read(value, where)
 
 
-def _parse_grids(raw: Any) -> tuple[Grid, ...]:
+def _require_steps(value: Any, where: str) -> tuple[float, ...]:
+    if not isinstance(value, list) or not value:
+        raise ScenarioError(f"{where}: expected a non-empty list")
+    return tuple(parse_angle(s, f"{where}[{i}]") for i, s in enumerate(value))
+
+
+def _parse_grids(raw: Any, _where: str) -> tuple[Grid, ...]:
+    # a message starts with its entry's own path, grid[i]
     entries = raw if isinstance(raw, list) else [raw]
     grids: list[Grid] = []
     for i, g in enumerate(entries):
@@ -225,8 +209,38 @@ def _parse_grids(raw: Any) -> tuple[Grid, ...]:
     return tuple(grids)
 
 
-def _given(sc: Scenario, path: str) -> bool:
-    return getattr(sc, path.rpartition(".")[2]) is not None
+# the reader of each field path a command may accept: (value, where) -> the
+# value read, or None for a null read as absent; `where` starts each message
+FIELDS = {
+    "state.a": _or_null(_require_vector),
+    "state.q": _or_null(parse_angle),
+    "state.c1": _require_number,
+    "state.c2": _require_number,
+    "schedule.t": parse_angle,
+    "schedule.steps": _require_steps,
+    "grid": _parse_grids,
+    "n": _require_int,
+    "tol": _require_tol,
+    "seed": _require_seed,
+}
+
+
+def _read(raw: Any, paths: tuple[str, ...], values: dict, group: str = "") -> None:
+    """Read the level `group` ("" for the top, "state" or "schedule") of a
+    scenario into `values`.  Its keys must be those of the accepted `paths`
+    (and "command" at the top), listed in spec order, and its fields are read
+    in that order: a field by its `FIELDS` entry, a group by this walk."""
+    where, prefix = (group, f"{group}.") if group else ("scenario", "")
+    if not isinstance(raw, dict):
+        raise ScenarioError(f"{where}: expected an object")
+    keys = tuple(dict.fromkeys(path[len(prefix):].partition(".")[0]
+                               for path in paths if path.startswith(prefix)))
+    _check_keys(raw, keys if group else ("command",) + keys, where)
+    for key in (key for key in keys if key in raw):
+        if prefix + key not in FIELDS:  # a group
+            _read(raw[key], paths, values, key)
+        elif (value := FIELDS[prefix + key](raw[key], f"{where}.{key}")) is not None:
+            values[key] = value
 
 
 def load_scenario(path: str) -> Scenario:
@@ -244,20 +258,10 @@ def load_scenario(path: str) -> Scenario:
     if not isinstance(command, str) or command not in COMMANDS:
         raise ScenarioError(f"scenario.command: expected one of {', '.join(COMMANDS)}")
     spec = COMMANDS[command]
-    _check_keys(raw, ("command",) + spec.fields, "scenario")
-
     values: dict = {}
-    if "state" in raw:
-        values.update(_parse_state(raw["state"], spec.state))
-    if "schedule" in raw:
-        values.update(_parse_schedule(raw["schedule"]))
-    if "grid" in raw:
-        values["grids"] = _parse_grids(raw["grid"])
-    for field, parse in (("n", _require_int), ("tol", _require_tol), ("seed", _require_seed)):
-        if field in raw:
-            values[field] = parse(raw[field], f"scenario.{field}")
+    _read(raw, spec.fields, values)
 
-    if "a" in spec.state:  # the state in full, or as the edge-state shorthand q
+    if "state.a" in spec.fields:  # the state in full, or as the edge-state shorthand q
         if ("a" in values) == ("q" in values):
             raise ScenarioError("state: give exactly one of 'a' or 'q'")
         if "q" in values:
@@ -269,13 +273,13 @@ def load_scenario(path: str) -> Scenario:
         else:
             values.setdefault("c1", 0.0)
             values.setdefault("c2", 0.0)
-    sc = Scenario(command, **values)
+    sc = Scenario(command, grids=values.pop("grid", ()), **values)
     for field in spec.required:
-        if not _given(sc, field):
+        if field.rpartition(".")[2] not in values:
             raise ScenarioError(f"{field}: required")
     if spec.either:
         field, axis = spec.either
-        if _given(sc, field) == (sc.grid(axis) is not None):
+        if (field.rpartition(".")[2] in values) == (sc.grid(axis) is not None):
             raise ScenarioError(f"{field}: give exactly one of {field} or a grid with axis "
                                 f"{axis!r}")
     for axis in spec.axes:
@@ -352,8 +356,9 @@ def _lookup(table: Callable[[np.ndarray], np.ndarray], count: int) -> Callable[[
         return lambda index: whole[..., index]
 
     def lookup(index: np.ndarray):
-        distinct, inverse = np.unique(index, return_inverse=True)
-        return table(distinct)[..., inverse]
+        # sorted, not np.unique: its first call imports numpy.ma
+        distinct = np.array(sorted(set(index.tolist())))
+        return table(distinct)[..., np.searchsorted(distinct, index)]
 
     return lookup
 
@@ -591,12 +596,9 @@ def _run_conjunct(sc: Scenario, tol: float, seed: int) -> tuple[list, Body, Call
     return header, Body(s_grid.count, chunk, _first_maximum), lambda p: dict(zip(keys, p))
 
 
-def _max_each(left: tuple, right: tuple) -> tuple:
-    return tuple(map(max, left, right))
-
-
-def _sum_each(left: tuple, right: tuple) -> tuple:
-    return tuple(map(operator.add, left, right))
+def _each(op: Callable[[Any, Any], Any]) -> Callable[[tuple, tuple], tuple]:
+    """The fold of two partials that merges them entry by entry with `op`."""
+    return lambda left, right: tuple(map(op, left, right))
 
 
 def _run_hazard(sc: Scenario, tol: float, seed: int) -> tuple[list, Body, Callable]:
@@ -640,7 +642,7 @@ def _run_hazard(sc: Scenario, tol: float, seed: int) -> tuple[list, Body, Callab
         return {"max_sigma2_conjunction": partial[0], "hazard": exceeds(partial[1], tol)}
 
     header = ["q", "s", "sigma2_exact", "sigma2_conjunction", "margin_exact", "margin_conjunction"]
-    return header, Body(q_grid.count * s_grid.count, chunk, _max_each), summary
+    return header, Body(q_grid.count * s_grid.count, chunk, _each(max)), summary
 
 
 def _run_growth(sc: Scenario, tol: float, seed: int) -> tuple[list, Body, Callable]:
@@ -682,7 +684,7 @@ def _run_domain_map(sc: Scenario, tol: float, seed: int) -> tuple[list, Body, Ca
 
     header = ["a2", "c1", "slice_margin", "supnorm_margin", "oracle_margin",
               "near_boundary", "agree"]
-    return header, Body(points, chunk, _sum_each), summary
+    return header, Body(points, chunk, _each(operator.add)), summary
 
 
 def _run_slippage(sc: Scenario, tol: float, seed: int) -> tuple[list, Body, Callable]:
@@ -720,7 +722,7 @@ def _run_validate(sc: Scenario, tol: float, seed: int) -> tuple[list, Body, Call
 class _Spec(NamedTuple):
     """What one command accepts; `load_scenario` checks each scenario against it.
 
-    A spec reading state key "a" takes the state in full (a, c1, c2) or as
+    A spec accepting "state.a" takes the state in full (a, c1, c2) or as
     the edge-state shorthand q, exactly one; `load_scenario` expands q to
     a = [0, cos q, 0], c1 = sin q, c2 = 0 and defaults c1 and c2 to 0, so
     its runner reads a, c1 and c2 only.  `either` is (field path, grid
@@ -732,8 +734,7 @@ class _Spec(NamedTuple):
 
     # (header, the rows as a `Body`, summary from the folded partial)
     runner: Callable[[Scenario, float, int], tuple[list, Body, Callable[[Any], dict]]]
-    fields: tuple[str, ...]  # top-level fields besides "command"
-    state: tuple[str, ...] = ()  # the state keys it reads
+    fields: tuple[str, ...]  # the `FIELDS` paths it accepts, in reading order
     axes: tuple[str, ...] = ()  # the grid axes it requires
     either: tuple[str, ...] = ()
     required: tuple[str, ...] = ()  # field paths that must be given
@@ -741,19 +742,19 @@ class _Spec(NamedTuple):
     on_slice: bool = False
 
 
-_FULL_STATE = ("a", "q", "c1", "c2")
+_FULL_STATE = ("state.a", "state.q", "state.c1", "state.c2")
 
-# the one statement of what each command accepts
+# with `FIELDS`, the one statement of what each command accepts
 COMMANDS = {
-    "evolve": _Spec(_run_evolve, ("state", "grid", "tol", "seed"), _FULL_STATE, axes=("t",)),
-    "conjunct": _Spec(_run_conjunct, ("state", "schedule", "grid", "tol", "seed"), _FULL_STATE,
+    "evolve": _Spec(_run_evolve, (*_FULL_STATE, "grid", "tol", "seed"), axes=("t",)),
+    "conjunct": _Spec(_run_conjunct, (*_FULL_STATE, "schedule.t", "schedule.steps", "grid", "tol",
+                                      "seed"),
                       either=("schedule.steps", "s"), required=("schedule.t",)),
-    "hazard": _Spec(_run_hazard, ("state", "grid", "tol", "seed"), ("q",), axes=("s",),
+    "hazard": _Spec(_run_hazard, ("state.q", "grid", "tol", "seed"), axes=("s",),
                     either=("state.q", "q")),
-    "growth": _Spec(_run_growth, ("state", "n", "tol", "seed"), _FULL_STATE, n_min=0,
-                    on_slice=True),
+    "growth": _Spec(_run_growth, (*_FULL_STATE, "n", "tol", "seed"), n_min=0, on_slice=True),
     "domain-map": _Spec(_run_domain_map, ("grid", "tol", "seed"), axes=("a2", "c1")),
-    "slippage": _Spec(_run_slippage, ("state", "grid", "n", "tol", "seed"), ("c1", "c2"),
+    "slippage": _Spec(_run_slippage, ("state.c1", "state.c2", "grid", "n", "tol", "seed"),
                       axes=("a2",), either=("state.c1", "c1"), n_min=1, on_slice=True),
     "validate": _Spec(_run_validate, ("tol", "seed")),
 }
@@ -773,11 +774,9 @@ def run(scenario_path: str, out_dir: str = ".", seed: Optional[int] = None,
         if command is not None and sc.command != command:
             raise ScenarioError(f"scenario.command: {sc.command!r}, but the {command!r} "
                                 f"subcommand was invoked")
-        effective_tol = _require_tol(tol, "--tol") if tol is not None else (
-            sc.tol if sc.tol is not None else DEFAULT_TOL)
-        effective_seed = _require_seed(seed, "--seed") if seed is not None else (
-            sc.seed if sc.seed is not None else 0)
-        header, rows, finish = COMMANDS[sc.command].runner(sc, effective_tol, effective_seed)
+        tol = sc.tol if tol is None else FIELDS["tol"](tol, "--tol")
+        seed = sc.seed if seed is None else FIELDS["seed"](seed, "--seed")
+        header, rows, finish = COMMANDS[sc.command].runner(sc, tol, seed)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -792,8 +791,8 @@ def run(scenario_path: str, out_dir: str = ".", seed: Optional[int] = None,
         summary = {
             "command": sc.command,
             "csv": csv_name,
-            "seed": effective_seed,
-            "tol": effective_tol,
+            "seed": seed,
+            "tol": tol,
             "rows": len(rows),
             **finish(emit_csv(header, rows, temps[0])),
         }

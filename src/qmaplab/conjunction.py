@@ -193,7 +193,7 @@ def brute_force_max(a2, c1, n: int, grid_points: int = 128, *, reuses=None):
     shape, a2, c1, counts = a2.shape, a2.ravel(), c1.ravel(), counts.ravel()
     h = _TWO_PI / grid_points
     legs = np.zeros((n + 1, counts.size))
-    for m in np.unique(counts).tolist():
+    for m in sorted(set(counts.tolist())):  # np.unique would import numpy.ma
         own = counts == m
         legs[:m + 1, own] = _grid_argmax(a2[own], c1[own], m, grid_points)[1] * h
     best = np.empty(counts.size)

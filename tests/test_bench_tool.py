@@ -174,3 +174,10 @@ def test_tier1_without_a_summary_keeps_the_output(monkeypatch):
     assert "counts" not in tier1
     with pytest.raises(ValueError, match="summary"):
         bench.read_tier1("")
+
+
+def test_both_trees_run_from_paths_of_equal_length():
+    # the JSON keys stay base and change; the directories differ only in name
+    assert set(bench.TREES) == {"base", "change"}
+    assert len({len(name) for name in bench.TREES.values()}) == 1
+    assert len(set(bench.TREES.values())) == 2

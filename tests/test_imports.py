@@ -65,3 +65,28 @@ def test_the_cli_imports_nothing_a_run_does_not_use():
     added = set(ast.literal_eval(proc.stdout))
     assert added & {"dataclasses", "argparse", "signal"} == set()
     assert {"qmaplab.checks", "qmaplab.floatrepr", "qmaplab.feasibility"} <= added
+
+
+def test_no_run_imports_numpy_ma(tmp_path):
+    """`np.unique`'s first call imports numpy.ma (7-15 ms): every bundled
+    scenario, and a hazard whose s axis is longer than one chunk (the long
+    axis path of `cli._lookup`), runs in a fresh interpreter without it."""
+    code = """if True:
+        import json, os, sys
+        from qmaplab import cli
+        scenarios, out = sys.argv[1:]
+        for name in sorted(os.listdir(scenarios)):
+            assert cli.run(os.path.join(scenarios, name), out_dir=os.path.join(out, name)) == 0
+        grid = {"axis": "s", "start": 0, "stop": 1, "count": cli._CHUNK_ROWS + 5}
+        path = os.path.join(out, "long.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump({"command": "hazard", "state": {"q": 0.5}, "grid": grid}, fh)
+        assert cli.run(path, out_dir=os.path.join(out, "long")) == 0
+        print(len(os.listdir(out)), "numpy.ma" in sys.modules)
+    """
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(_PACKAGE.parent), os.environ.get("PYTHONPATH")) if p))
+    scenarios = _PACKAGE.parent.parent / "scenarios"
+    proc = subprocess.run([sys.executable, "-c", code, str(scenarios), str(tmp_path)], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == ["10", "False"]

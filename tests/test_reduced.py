@@ -465,7 +465,7 @@ def test_oracle_call_leaves_no_reference_cycle(name):
     # with the cyclic collector off, a cycle an oracle leaves behind (say, a
     # recursive closure that refers to itself, and the arrays it holds)
     # stays until gc.collect() finds it.  A first call may import a module
-    # (np.unique imports numpy.ma), whose import leaves cycles once
+    # (a lazily imported numpy submodule), whose import leaves cycles once
     _ORACLE_CALLS[name](np.random.default_rng(3))
     gc.collect()
     gc.disable()

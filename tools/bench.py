@@ -4,11 +4,11 @@ Run from the repository root::
 
     python3 tools/bench.py --base REV --out BENCH_<n>.json [--seed 1 ...]
 
-The base revision is unpacked with ``git archive`` into a temporary
-directory, and the checkout's files (tracked and untracked, less what
-``.gitignore`` excludes) are copied into another, so both sides run from a
-fresh tree without bytecode caches, as a clean checkout would, and no
-repository state changes.  For each workload and seed the two trees'
+The base revision is unpacked with ``git archive`` into ``<tmp>/base``,
+and the checkout's files (tracked and untracked, less what ``.gitignore``
+excludes) are copied into ``<tmp>/head``, paths of equal length, so both
+sides run from a fresh tree without bytecode caches, as a clean checkout
+would, and no repository state changes.  For each workload and seed the two trees'
 ``perfbench/run.py --trace 0`` runs alternate over 10 pairs, base first in
 even pairs and change first in odd ones, so a drift of the machine falls on
 both sides.
@@ -44,6 +44,9 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PAIRS = 10
+# each side's directory under the temporary one: names of equal length, as a
+# run's RSS and time move with the length of the path it runs from
+TREES = {"base": "base", "change": "head"}
 
 
 def unpack_revision(rev: str, dest: str) -> str:
@@ -184,7 +187,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     with tempfile.TemporaryDirectory(prefix="bench-") as tmp:
-        trees = {"base": os.path.join(tmp, "base"), "change": os.path.join(tmp, "change")}
+        trees = {side: os.path.join(tmp, name) for side, name in TREES.items()}
         commit = unpack_revision(args.base, trees["base"])
         copy_checkout(trees["change"])
         with open(os.path.join(trees["change"], "BENCHMARK.json"), encoding="utf-8") as fh:
