@@ -164,15 +164,15 @@ class Scenario(NamedTuple):
         return next((g for g in self.grids if g.axis == axis), None)
 
 
+def _or_null(read: Callable[[Any, str], Any]) -> Callable[[Any, str], Any]:
+    """`read`, with a null value read as absent (None)."""
+    return lambda value, where: None if value is None else read(value, where)
+
+
 def _require_vector(value: Any, where: str) -> np.ndarray:
     if not isinstance(value, list) or len(value) != 3:
         raise ScenarioError(f"{where}: expected a list of three numbers")
     return np.array([_require_number(x, f"{where}[{i}]") for i, x in enumerate(value)])
-
-
-def _or_null(read: Callable[[Any, str], Any]) -> Callable[[Any, str], Any]:
-    """`read`, with a null value read as absent (None)."""
-    return lambda value, where: None if value is None else read(value, where)
 
 
 def _require_steps(value: Any, where: str) -> tuple[float, ...]:
