@@ -65,7 +65,7 @@ def test_bundled_scenarios_pass_the_independent_checker(tmp_path, name):
 _PI_STRINGS = {"pi/4": math.pi / 4, "-pi/6": -math.pi / 6, "2pi/3": 2 * math.pi / 3,
                "pi": math.pi, "-0.5pi": -0.5 * math.pi, "3*pi/2": 1.5 * math.pi}
 # numbers of magnitude up to 1.5 only, the edges 0 and +-1 among them: the
-# checker's EXACT is an absolute 1e-12, which rounding alone passes for
+# checker's EXACT is an absolute 1e-12, which rounding alone exceeds at
 # magnitudes far above 1
 _NUMBERS = st.one_of(st.sampled_from([0.0, 1.0, -1.0]), st.floats(-1.5, 1.5))
 # one angle in ten a pi-string, so most payloads stay readable by the checker
@@ -189,7 +189,10 @@ def _less_found(payload: dict, out: str, code: int, problems: list) -> tuple:
     return code, problems
 
 
-def _valid_scenario_passes(payload: dict) -> None:
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(_valid_scenarios())
+def _valid_scenarios_pass(payload):
+    # tempfile, not tmp_path: a function-scoped fixture is shared by every example
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "scenario.json")
         with open(path, "w", encoding="utf-8") as fh:
@@ -198,12 +201,6 @@ def _valid_scenario_passes(payload: dict) -> None:
         code = run(path, out_dir=out)
         problems = check.check(payload, out)[1] if code in (0, 2) and not _unchecked(payload) else []
         assert _less_found(payload, out, code, problems) == (0, []), (payload, code, problems)
-
-
-@settings(derandomize=True, database=None, max_examples=150, deadline=None)
-@given(_valid_scenarios())
-def _valid_scenarios_pass(payload):
-    _valid_scenario_passes(payload)
 
 
 for _edge in _EDGES:

@@ -85,10 +85,3 @@ def test_readme_schema_example_names_every_field():
     parts = {part for path in FIELDS for part in path.split(".")}
     assert keys == {"command", "axis", "start", "stop", "count"} | parts
 
-
-def test_the_schema_row_sees_a_changed_spec():
-    spec = COMMANDS["slippage"]
-    assert _schema_row("slippage", spec) == [
-        "`slippage`", "state, grid, n", "`c1`, `c2`, on the slice", "`a2`",
-        "`state.c1` or axis `c1`", "`n >= 1`"]
-    assert _schema_row("slippage", spec._replace(n_min=2))[5] == "`n >= 2`"
