@@ -523,7 +523,7 @@ def emit_csv(header: list[str], rows: Body, path: str):
     return partial
 
 
-def _run_evolve(sc: Scenario, tol: float, seed: int) -> tuple[list, Body, Callable]:
+def _run_evolve(sc: Scenario) -> tuple[list, Body, Callable]:
     t_grid = sc.grids[0]
 
     def chunk(lo: int, hi: int) -> tuple[tuple, None]:
@@ -549,7 +549,7 @@ def _first_hazard(magnitudes: np.ndarray, tol: float) -> Optional[int]:
     return int(hazards[0]) if hazards.size else None
 
 
-def _run_conjunct(sc: Scenario, tol: float, seed: int) -> tuple[list, Body, Callable]:
+def _run_conjunct(sc: Scenario) -> tuple[list, Body, Callable]:
     a, c1, c2 = sc.a, sc.c1, sc.c2
     s_grid = sc.grid("s")
     if s_grid is None:
@@ -570,7 +570,7 @@ def _run_conjunct(sc: Scenario, tol: float, seed: int) -> tuple[list, Body, Call
                              _norms(*exact))
         peak = float(magnitudes.max())
         summary = {
-            "first_unphysical_step": _first_hazard(magnitudes, tol),
+            "first_unphysical_step": _first_hazard(magnitudes, sc.tol),
             "worst_margin": 1.0 - peak,
             "max_magnitude": peak,
         }
@@ -586,7 +586,7 @@ def _run_conjunct(sc: Scenario, tol: float, seed: int) -> tuple[list, Body, Call
         exact = rotate(a, c1, c2, sc.t + s)[:3]
         norm_exact = _norms(*exact)
         rows = (s, exact[1], conj[1], norm_exact, norm_conj, 1.0 - norm_exact, 1.0 - norm_conj)
-        argmax, hazard = int(np.argmax(conj[1])), _first_hazard(norm_conj, tol)
+        argmax, hazard = int(np.argmax(conj[1])), _first_hazard(norm_conj, sc.tol)
         return rows, (float(conj[1][argmax]), float(s[argmax]),
                       None if hazard is None else float(s[hazard]))
 
@@ -601,7 +601,7 @@ def _each(op: Callable[[Any, Any], Any]) -> Callable[[tuple, tuple], tuple]:
     return lambda left, right: tuple(map(op, left, right))
 
 
-def _run_hazard(sc: Scenario, tol: float, seed: int) -> tuple[list, Body, Callable]:
+def _run_hazard(sc: Scenario) -> tuple[list, Body, Callable]:
     q_grid = sc.grid("q") or Grid("q", sc.q, sc.q, 1)
     s_grid = sc.grid("s")
     q_cells = _axis(q_grid.at, q_grid.count)
@@ -639,14 +639,14 @@ def _run_hazard(sc: Scenario, tol: float, seed: int) -> tuple[list, Body, Callab
 
     def summary(partial: tuple) -> dict:
         # |sigma2| past 1 + tol either way leaves the Bloch ball on this slice
-        return {"max_sigma2_conjunction": partial[0], "hazard": exceeds(partial[1], tol)}
+        return {"max_sigma2_conjunction": partial[0], "hazard": exceeds(partial[1], sc.tol)}
 
     header = ["q", "s", "sigma2_exact", "sigma2_conjunction", "margin_exact", "margin_conjunction"]
     return header, Body(q_grid.count * s_grid.count, chunk, _each(max)), summary
 
 
-def _run_growth(sc: Scenario, tol: float, seed: int) -> tuple[list, Body, Callable]:
-    a2, c1 = float(sc.a[1]), sc.c1
+def _run_growth(sc: Scenario) -> tuple[list, Body, Callable]:
+    a2, c1, tol = float(sc.a[1]), sc.c1, sc.tol
 
     def chunk(lo: int, hi: int) -> tuple[tuple, float]:
         durations, magnitudes = _greedy_rows(a2, c1, np.arange(lo, hi))
@@ -666,7 +666,7 @@ def _run_growth(sc: Scenario, tol: float, seed: int) -> tuple[list, Body, Callab
     return header, Body(sc.n + 1, chunk, lambda left, right: right), summary
 
 
-def _run_domain_map(sc: Scenario, tol: float, seed: int) -> tuple[list, Body, Callable]:
+def _run_domain_map(sc: Scenario) -> tuple[list, Body, Callable]:
     a2_grid, c1_grid = sc.grid("a2"), sc.grid("c1")
     a2_cells, c1_cells = _axis(a2_grid.at, a2_grid.count), _axis(c1_grid.at, c1_grid.count)
     points = a2_grid.count * c1_grid.count
@@ -675,7 +675,7 @@ def _run_domain_map(sc: Scenario, tol: float, seed: int) -> tuple[list, Body, Ca
         # rows run over c1 within each a2
         ai, ci = np.unravel_index(np.arange(lo, hi), (a2_grid.count, c1_grid.count))
         sl, sup, best, near, agree = checks.three_way_agreement(a2_grid.at(ai), c1_grid.at(ci),
-                                                                tol)
+                                                                sc.tol)
         rows = (a2_cells(ai), c1_cells(ci), sl, sup, best, near, agree)
         return rows, (int(near.sum()), int((~near & ~agree).sum()))
 
@@ -687,7 +687,7 @@ def _run_domain_map(sc: Scenario, tol: float, seed: int) -> tuple[list, Body, Ca
     return header, Body(points, chunk, _each(operator.add)), summary
 
 
-def _run_slippage(sc: Scenario, tol: float, seed: int) -> tuple[list, Body, Callable]:
+def _run_slippage(sc: Scenario) -> tuple[list, Body, Callable]:
     a2_grid = sc.grid("a2")
     c1_grid = sc.grid("c1") or Grid("c1", sc.c1, sc.c1, 1)
     shape = (sc.n, a2_grid.count, c1_grid.count)
@@ -700,15 +700,15 @@ def _run_slippage(sc: Scenario, tol: float, seed: int) -> tuple[list, Body, Call
         n, a2, c1 = ni + 1, a2_grid.at(ai), c1_grid.at(ci)
         margin = slipped_domain_check(a2, c1, n)
         return (n_cells(ni), a2_cells(ai), c1_cells(ci),
-                inside(margin, tol), margin, slip_state(a2, c1, n)), None
+                inside(margin, sc.tol), margin, slip_state(a2, c1, n)), None
 
     header = ["n", "a2", "c1", "inside", "margin", "a2_slipped"]
     return header, Body(math.prod(shape), chunk), lambda _: {"max_n": sc.n}
 
 
-def _run_validate(sc: Scenario, tol: float, seed: int) -> tuple[list, Body, Callable]:
+def _run_validate(sc: Scenario) -> tuple[list, Body, Callable]:
     """Oracle cross-check suites; any failed check flips the exit status to 2."""
-    names, metrics, values, bounds = zip(*checks.validate_suite(np.random.default_rng(seed), tol))
+    names, metrics, values, bounds = zip(*checks.validate_suite(np.random.default_rng(sc.seed), sc.tol))
     # compared as Python numbers: an integer count stays exact
     passed = [value < bound for value, bound in zip(values, bounds)]
     details = [f"{metric}={value:.3e}" if isinstance(value, float) else f"{metric}={value}"
@@ -733,7 +733,7 @@ class _Spec(NamedTuple):
     """
 
     # (header, the rows as a `Body`, summary from the folded partial)
-    runner: Callable[[Scenario, float, int], tuple[list, Body, Callable[[Any], dict]]]
+    runner: Callable[[Scenario], tuple[list, Body, Callable[[Any], dict]]]
     fields: tuple[str, ...]  # the `FIELDS` paths it accepts, in reading order
     axes: tuple[str, ...] = ()  # the grid axes it requires
     either: tuple[str, ...] = ()
@@ -774,9 +774,9 @@ def run(scenario_path: str, out_dir: str = ".", seed: Optional[int] = None,
         if command is not None and sc.command != command:
             raise ScenarioError(f"scenario.command: {sc.command!r}, but the {command!r} "
                                 f"subcommand was invoked")
-        tol = sc.tol if tol is None else FIELDS["tol"](tol, "--tol")
-        seed = sc.seed if seed is None else FIELDS["seed"](seed, "--seed")
-        header, rows, finish = COMMANDS[sc.command].runner(sc, tol, seed)
+        sc = sc._replace(**{key: FIELDS[key](value, f"--{key}") for key, value
+                            in (("tol", tol), ("seed", seed)) if value is not None})
+        header, rows, finish = COMMANDS[sc.command].runner(sc)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -791,8 +791,8 @@ def run(scenario_path: str, out_dir: str = ".", seed: Optional[int] = None,
         summary = {
             "command": sc.command,
             "csv": csv_name,
-            "seed": seed,
-            "tol": tol,
+            "seed": sc.seed,
+            "tol": sc.tol,
             "rows": len(rows),
             **finish(emit_csv(header, rows, temps[0])),
         }

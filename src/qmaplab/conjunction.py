@@ -19,7 +19,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .dynamics import _turn, _turn_component
-from .optimize import golden_section_max
 from .pauli import _as_bloch, _norms, _require_count, _require_finite
 from .reduced import _slice_sq
 from .tolerances import BOUNDARY_EPS, ZERO_CORRELATION_SQ
@@ -163,21 +162,23 @@ def _grid_argmax(a2, c1, n: int, grid_points: int) -> tuple[np.ndarray, np.ndarr
 
 
 def brute_force_max(a2, c1, n: int, grid_points: int = 128, *, reuses=None):
-    """Independent oracle for the growth law: the exact maximum of |<S_2>|
-    over a uniform grid on [0, 2 pi)^(n+1) (`_grid_argmax`, an envelope
-    that costs O(n^2 G^2) rather than G^(n+1)), then one cyclic pass of
-    golden-section searches (one bracketed 1-D solve per leg).  n is capped
-    at 3.
+    """Independent oracle for the growth law (n <= 3): the exact maximum of
+    |<S_2>| over a uniform grid on [0, 2 pi)^(n+1) (`_grid_argmax`, an
+    envelope costing O(n^2 G^2) rather than G^(n+1)), then one cyclic pass
+    taking each leg to its exact maximum on its grid bracket g +/- 2 pi / G:
+    the value is linear in u = head cos x + c1 sin x, extreme at atan2(c1,
+    head) and half a turn on, so |value| peaks there (on the turn nearest
+    g, clipped into the bracket) or at a bracket end; the first largest
+    wins.  Unbracketed, the pass is the greedy construction, blind to the grid.
 
     Broadcasts over a2 and c1 and, when given, over `reuses`: each point's
-    own number of reuses, integers 0..n (n for every point by default).  The
-    grid maxima of all points with the same count are one `_grid_argmax`
-    call, and the refinement of leg i is one `golden_section_max` call over
-    the points with reuses >= i, with the bits of the per-point calls.  The
-    legs are stored as (n + 1, points), and a point's legs past its own
-    count stay 0.0: such a leg maps v to fl(v * 1.0) + fl(c1 * 0.0) = v up
-    to the sign of a zero, which the absolute value drops.  Returns the
-    broadcast shape (a numpy scalar for a single point).
+    own number of reuses, integers 0..n (n for every point by default).
+    Points with the same count share one `_grid_argmax` call, and leg i's
+    step covers those with reuses >= i, with the bits of per-point calls.
+    The legs are stored as (n + 1, points); a point's legs past its own
+    count stay 0.0 and map v to fl(v * 1.0) + fl(c1 * 0.0) = v up to a
+    zero's sign, which the absolute value drops.  Returns the broadcast
+    shape (a numpy scalar for a single point).
     """
     n = _require_count(n, "n", 0)
     if n > 3:
@@ -197,18 +198,17 @@ def brute_force_max(a2, c1, n: int, grid_points: int = 128, *, reuses=None):
         own = counts == m
         legs[:m + 1, own] = _grid_argmax(a2[own], c1[own], m, grid_points)[1] * h
     best = np.empty(counts.size)
-    # one cyclic refinement pass: golden-section each leg on +/- one spacing;
-    # the other legs stay put, so those before leg i are folded once
     for i in range(n + 1):
         live = counts >= i
         a, c, own = a2[live], c1[live], legs[:, live]
-        head = _sigma2_legs(a, c, own[:i])
-        # the fixed legs after leg i: cos and sin once, not per probe
-        tail = [(np.cos(s), np.sin(s)) for s in own[i + 1:]]
-        # a point's value is the one from its own last leg, i = reuses
-        legs[i, live], best[live] = golden_section_max(
-            lambda x: abs(_fold(head, c, [(np.cos(x), np.sin(x)), *tail])),
-            own[i] - h, own[i] + h)
+        head, g = _sigma2_legs(a, c, own[:i]), own[i]
+        peaks = np.arctan2(c, head) + np.array([[0.0], [math.pi]])  # the extremes of u
+        peaks = g + np.remainder(peaks - g + math.pi, _TWO_PI) - math.pi
+        x = np.concatenate((np.clip(peaks, g - h, g + h), [g - h, g + h]))
+        values = abs(_sigma2_legs(head, c, [x, *own[i + 1:]]))
+        # the first largest; a point's value is its own last leg's, i = reuses
+        first = values.argmax(axis=0), np.arange(values.shape[1])
+        legs[i, live], best[live] = x[first], values[first]
     return best.reshape(shape)[()]
 
 

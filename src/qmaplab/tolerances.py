@@ -15,9 +15,8 @@ ZERO_CORRELATION_SQ = 1e-300
 # `golden_section_max` stops a bracket once it is no wider than this, W ~
 # sqrt(eps), eps = 2^-52.  Near a smooth maximum f(x* + d) = f* - |f''| d^2 / 2,
 # so within W the value is off by at most |f''| W^2 / 2 ~ |f''| eps / 2:
-# 2 eps f* in `sup_norm_grid` (|f''| <= 4 f*) and eps |f*| / 2 in the
-# brute-force legs (|v''| <= |v*| on the extremal schedule).  Below W rounding
-# decides each golden comparison.
+# 2 eps f* in `sup_norm_grid` (|f''| <= 4 f*).  Below W rounding decides each
+# golden comparison.
 GOLDEN_TOL = 1.5e-8
 # `sup_norm_grid`: rounding slack of one grid value in a block's bound, per
 # unit of p^2 + q^2 + a3^2 + 1, p = |a1| + |c2|, q = |a2| + |c1|.  A grid

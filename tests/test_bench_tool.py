@@ -181,3 +181,34 @@ def test_both_trees_run_from_paths_of_equal_length():
     assert set(bench.TREES) == {"base", "change"}
     assert len({len(name) for name in bench.TREES.values()}) == 1
     assert len(set(bench.TREES.values())) == 2
+
+
+def test_report_records_the_provenance_of_both_sides(monkeypatch, tmp_path):
+    # two workloads, and every run names its side and workload: `provenance`
+    # is the change's first run, `base_provenance` the base's
+    declared = {"run_seconds": 1, "workloads": [{"name": "first"}, {"name": "second"}],
+                "end_to_end": [{"name": "setup_s", "better": "lower", "bound": 0.25},
+                               {"name": "rows_per_s", "better": "higher", "bound": 0.25}]}
+
+    def unpack_revision(rev, dest):
+        Path(dest).mkdir()
+        return "0" * 40
+
+    def copy_checkout(dest):
+        Path(dest).mkdir()
+        (Path(dest) / "BENCHMARK.json").write_text(json.dumps(declared))
+
+    def run_once(tree, workload, seed, seconds):
+        side = "base" if Path(tree).name == bench.TREES["base"] else "change"
+        return dict(_run(0.17, 1000.0, 0.5), provenance={"side": side, "workload": workload})
+
+    monkeypatch.setattr(bench, "unpack_revision", unpack_revision)
+    monkeypatch.setattr(bench, "copy_checkout", copy_checkout)
+    monkeypatch.setattr(bench, "run_once", run_once)
+    monkeypatch.setattr(bench, "run_tier1", lambda tree: {"wall_s": 0.0, "exit_status": 0})
+    out = tmp_path / "bench.json"
+    assert bench.main(["--base", "HEAD", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["provenance"] == {"side": "change", "workload": "first"}
+    assert report["base_provenance"] == {"side": "base", "workload": "first"}
+    assert [r["workload"] for r in report["results"]] == ["first", "second"]

@@ -812,7 +812,7 @@ BUNDLED_DIGESTS = {
         "summary.json": "e4331e141ad0f9c5b039a5b5ef175d81f85a8ed644998d5189c7fd0e1d4bbe57",
     },
     "validate.json": {
-        "validate.csv": "a8f864ceb6c491f349ce9966090a51b64d1aec6c63a3cbe2c3e9b5ddbdb85800",
+        "validate.csv": "3282d38985068b191ce07f5ca58681bee6ee6e1a011978afb1112bbdb97366a5",
         "summary.json": "5aaadf245ae0034821fd48bd5c5e3a6b677300790efec567780a589743c1f729",
     },
 }
@@ -836,11 +836,11 @@ def test_bundled_scenarios_byte_identical(tmp_path):
 
 # sha256 of validate.csv and summary.json of `validate` at seeds 0-3, tol 1e-9
 VALIDATE_SEED_DIGESTS = {
-    0: ("a8f864ceb6c491f349ce9966090a51b64d1aec6c63a3cbe2c3e9b5ddbdb85800",
+    0: ("3282d38985068b191ce07f5ca58681bee6ee6e1a011978afb1112bbdb97366a5",
         "5aaadf245ae0034821fd48bd5c5e3a6b677300790efec567780a589743c1f729"),
-    1: ("5e2bee44474cdb4cbd110d899b3dfac57467fc2ab36811c567b8c7a7a0cca4a4",
+    1: ("3296e64ae3017a64522faceec5a4b537d471cf7e5d91ab5e08a2e783b8963bde",
         "e091b93fc6e70b3a320311fb068f09192d40414dea109596ab74212780a521f3"),
-    2: ("38874b168c1e7dbe38796634b2a70405c45d248e1901d2acb78450e47932bf79",
+    2: ("62ee1a11912dfb1fb8c54e5f36fbc9a6fd93222ae55a7289f1736adaf79c43e7",
         "56ed0bea74fbd2a6b2641af22e569b7ab6f8cecb92d244d3d741097a9d7871ca"),
     3: ("442482ffb1896ebb4d4034f98ad1dd0417b3843c401dceed2878ee1551c89ce6",
         "08a9c3168b7b74bbeb732c5ad323c22ebf48a80a28cda3a5732da37829beb3e9"),
@@ -1068,8 +1068,7 @@ def test_validate_calls_each_kernel_o1_times(tmp_path, monkeypatch):
                                                "in_compatibility_domain", "compat_slice_check",
                                                "feasibility_search", "certified", "crosscheck",
                                                "brute_force_max"))
-    golden = [_count_calls(monkeypatch, module, ("golden_section_max",))
-              for module in (conjunction, reduced)]
+    golden = _count_calls(monkeypatch, reduced, ("golden_section_max",))
     payload = {"command": "validate", "seed": 5}
     assert run(write_scenario(tmp_path, payload), out_dir=str(tmp_path / "out")) == 0
     # per-point loops made 500, 500, 40,401, 40,522, 121, 121, 1000 and 20 calls
@@ -1079,28 +1078,28 @@ def test_validate_calls_each_kernel_o1_times(tmp_path, monkeypatch):
     assert calls["feasibility_search"] == calls["certified"] == 1
     assert calls["crosscheck"] == 1
     assert calls["brute_force_max"] == 1  # every number of reuses, n = 0..3, at once
-    # one per brute-force leg index and one for the sup-norm grid; per-n calls made 11
-    assert sum(c["golden_section_max"] for c in golden) <= 5
+    # one for the sup-norm grid; the brute-force legs take a closed form
+    assert "golden_section_max" not in vars(conjunction)
+    assert golden["golden_section_max"] == 1
 
 
 def test_validate_refinements_stay_within_their_evaluation_budget(tmp_path, monkeypatch):
-    evals = {}
-    for module in (reduced, conjunction):
-        def counted(f, lo, hi, _counts=evals.setdefault(module, []),
-                    _original=module.golden_section_max):
-            _counts.append(0)
+    evals = []
 
-            def f_counted(x):
-                _counts[-1] += 1
-                return f(x)
-            return _original(f_counted, lo, hi)
+    def counted(f, lo, hi, _original=reduced.golden_section_max):
+        evals.append(0)
 
-        monkeypatch.setattr(module, "golden_section_max", counted)
+        def f_counted(x):
+            evals[-1] += 1
+            return f(x)
+        return _original(f_counted, lo, hi)
+
+    monkeypatch.setattr(reduced, "golden_section_max", counted)
     payload = {"command": "validate", "seed": 5}
     assert run(write_scenario(tmp_path, payload), out_dir=str(tmp_path / "out")) == 0
-    # f evaluations per call: stopping at GOLDEN_TOL = 1e-12 took 45 and 57
-    assert evals[reduced] and max(evals[reduced]) <= 25
-    assert len(evals[conjunction]) == 4 and max(evals[conjunction]) <= 37
+    # f evaluations per call: stopping at GOLDEN_TOL = 1e-12 took 45
+    assert evals and max(evals) <= 25
+    assert "golden_section_max" not in vars(conjunction)
 
 
 def test_domain_map_calls_each_kernel_o1_times(tmp_path, monkeypatch):
@@ -1480,9 +1479,9 @@ def test_growth_chunks_out_of_row_order_give_the_same_rows(tmp_path):
     those of `greedy_extremal_growth`."""
     sc = load_scenario(write_scenario(tmp_path, _GRID_PAYLOADS["growth"]))
     ranges = [(0, 7), (7, 14), (14, 30), (30, 41)]
-    body = cli.COMMANDS["growth"].runner(sc, 1e-9, 0)[1]
+    body = cli.COMMANDS["growth"].runner(sc)[1]
     in_order = [body.chunk(lo, hi) for lo, hi in ranges]
-    body = cli.COMMANDS["growth"].runner(sc, 1e-9, 0)[1]
+    body = cli.COMMANDS["growth"].runner(sc)[1]
     for i in (3, 1, 0, 2, 2, 1, 3):  # forward past rows, back, and the same chunk again
         columns, partial = body.chunk(*ranges[i])
         assert columns[0] == in_order[i][0][0]
@@ -1500,7 +1499,7 @@ def test_every_runner_returns_a_body():
     commands = set()
     for name in sorted(BUNDLED_DIGESTS):
         sc = load_scenario(os.path.join(SCENARIOS, name))
-        header, rows, _ = cli.COMMANDS[sc.command].runner(sc, 1e-9, 0)
+        header, rows, _ = cli.COMMANDS[sc.command].runner(sc)
         assert type(rows) is Body, name
         columns, _ = rows.chunk(0, len(rows))
         assert type(columns) is tuple and len(columns) == len(header), name

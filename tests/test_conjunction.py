@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qmaplab import checks
+from qmaplab import checks, conjunction
 from qmaplab.conjunction import (
     _greedy_rows,
     _grid_argmax,
@@ -21,7 +21,6 @@ from qmaplab.conjunction import (
     greedy_extremal_growth,
 )
 from qmaplab.dynamics import rotate
-from qmaplab.optimize import golden_section_max
 from qmaplab.reduced import compat_slice_check
 from qmaplab.slippage import max_safe_repetitions
 
@@ -343,19 +342,24 @@ def _enumerated_grid_argmax(a2, c1, n, grid_points):
 
 
 def _refined(a2, c1, idx, grid_points):
-    """The cyclic golden-section pass brute_force_max runs from grid legs."""
-    grid = np.arange(grid_points) * (2 * math.pi / grid_points)
+    """Per point, the pass brute_force_max runs from grid legs: leg i in
+    turn moves to the first largest |value| of four abscissae, the extremes
+    atan2(c1, head) and half a turn on of u = head cos x + c1 sin x (each on
+    the turn nearest the leg, clipped into its bracket), then the bracket's
+    two ends."""
     h = 2 * math.pi / grid_points
-    legs = [grid[j] for j in idx]
-    for i in range(len(legs)):
+    legs = [j * h for j in idx]
+    for i, g in enumerate(legs):
+        peak = np.arctan2(c1, _sigma2_legs(a2, c1, legs[:i]))
+        nearest = [g + np.remainder(x - g + math.pi, 2 * math.pi) - math.pi
+                   for x in (peak, peak + math.pi)]
+        candidates = [min(max(x, g - h), g + h) for x in nearest] + [g - h, g + h]
 
-        def objective(x, i=i):
-            trial = legs.copy()
-            trial[i] = x
-            return abs(_sigma2_legs(a2, c1, trial))
+        def value(x, i=i):
+            return abs(_sigma2_legs(a2, c1, [*legs[:i], x, *legs[i + 1:]]))
 
-        legs[i], best = golden_section_max(objective, legs[i] - h, legs[i] + h)
-    return best
+        legs[i] = max(candidates, key=value)  # max keeps the first largest
+    return abs(_sigma2_legs(a2, c1, legs))
 
 
 # c1 = 0, a2 = 0 and |a2| = 1 first, then 300 seeded pairs
@@ -395,6 +399,31 @@ def test_batch_brute_force_equals_per_point_calls(grid_points):
     grid = brute_force_max(a2[:2, None], c1[None, 3:6], 1, grid_points)
     assert grid.shape == (2, 3)
     assert grid[1, 2] == brute_force_max(a2[1], c1[5], 1, grid_points)
+
+
+@pytest.mark.parametrize("grid_points", [64, 128])
+def test_brute_force_within_two_ulps_of_greedy(grid_points):
+    a2, c1 = np.array(_PAIRS).T
+    for n in range(4):
+        greedy = _greedy_rows(a2, c1, n)[1]
+        gap = np.abs(brute_force_max(a2, c1, n, grid_points) - greedy)
+        assert np.all(gap <= 2 * np.spacing(greedy)), (n, gap.max())
+
+
+def test_brute_force_stays_on_the_grid_bracket(monkeypatch):
+    # grid legs a quarter turn off: each leg moves at most one spacing, so
+    # the check fails.  An unbracketed exact step would pass here, as one
+    # such pass is the greedy construction whatever grid it starts from
+    grid_argmax = conjunction._grid_argmax
+
+    def quarter_turn_off(a2, c1, n, grid_points):
+        best, idx = grid_argmax(a2, c1, n, grid_points)
+        return best, (idx + grid_points // 4) % grid_points
+
+    monkeypatch.setattr(conjunction, "_grid_argmax", quarter_turn_off)
+    pairs = np.random.default_rng(0).uniform(-1, 1, (4, 5, 2))
+    _, _, worst, bound = checks.greedy_vs_brute_force(pairs, grid_points=64)
+    assert worst > bound, worst
 
 
 def test_mixed_n_brute_force_equals_per_n_calls():

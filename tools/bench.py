@@ -19,7 +19,9 @@ outcome counts and the 10 slowest tests (``--durations=10``, set in
 
 Each run's last line of standard output (its end-to-end metrics, ``failed``
 and ``attempted``) and its ``result.json`` (``wall_run_s`` and provenance)
-are read.  The output file holds, per workload and seed and for every
+are read; the first run of each side gives the output's ``provenance``
+(the change's) and ``base_provenance``, so a base tree on another numpy or
+BLAS shows.  The output file holds, per workload and seed and for every
 metric, both medians, the base's quartiles and IQR, the number of pairs
 the change won, the metric's relative bound with whether the change's
 median is worse than the base's by more than it, and whether a claimed
@@ -194,7 +196,7 @@ def main(argv=None) -> int:
             declared = json.load(fh)
         better, limits = directions(declared), bounds(declared)
         seconds = declared["run_seconds"]
-        results = []
+        results, provenance = [], {}
         for workload in (w["name"] for w in declared["workloads"]):
             for seed in args.seed:
                 runs = {"base": [], "change": []}
@@ -202,6 +204,7 @@ def main(argv=None) -> int:
                     order = ("base", "change") if i % 2 == 0 else ("change", "base")
                     for side in order:
                         runs[side].append(run_once(trees[side], workload, seed, seconds))
+                        provenance.setdefault(side, runs[side][-1]["provenance"])
                     pair = {side: runs[side][-1]["metrics"] for side in order}
                     print(f"{workload} seed {seed} pair {i + 1}/{PAIRS}: "
                           f"{json.dumps(pair)}", flush=True)
@@ -220,7 +223,8 @@ def main(argv=None) -> int:
             "change": "the checkout's files, tracked and untracked, less the ignored ones",
             "settings": {"pairs": PAIRS, "seconds": seconds, "seeds": args.seed,
                          "order": "alternating: base first in even pairs, change first in odd"},
-            "provenance": runs["change"][0]["provenance"],
+            "provenance": provenance["change"],
+            "base_provenance": provenance["base"],
             "finished": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
             "results": results,
             "tier1": tier1,
