@@ -9,7 +9,7 @@ metric, value, bound) and passes when value < bound; a count passes at
 
 Every check is an array program: the unitary cross-check is one
 `crosscheck` call over all its states, the growth check one closed-form
-greedy call and one `brute_force_max` call over every number of reuses, the
+greedy call and one `brute_force_max` call for each number of reuses, the
 feasibility oracle one `feasibility_search` call over the whole grid (per
 chunk of a `domain-map`), and `certified` audits all of its answers as one
 batch (a stacked eigvalsh of the witnesses and of the dual certificates over
@@ -134,11 +134,11 @@ def sup_norm_closed_vs_grid(rng):
 
 def greedy_vs_brute_force(pairs, grid_points: int):
     """Greedy growth vs brute-force grid maximization; pairs[n] are the
-    (a2, c1) pairs tried with n reuses, one `brute_force_max` call for all."""
+    (a2, c1) pairs tried with n reuses, one `brute_force_max` call per n."""
     pairs = np.asarray(pairs, dtype=float)
-    a2, c1, reuses = pairs[..., 0], pairs[..., 1], np.arange(len(pairs))[:, None]
-    greedy = _greedy_rows(a2, c1, reuses)[1]
-    brute = brute_force_max(a2, c1, len(pairs) - 1, grid_points, reuses=reuses)
+    a2, c1 = pairs[..., 0], pairs[..., 1]
+    greedy = _greedy_rows(a2, c1, np.arange(len(pairs))[:, None])[1]
+    brute = [brute_force_max(a2[n], c1[n], n, grid_points) for n in range(len(pairs))]
     errors = np.abs(greedy - brute).ravel().tolist()
     return "greedy_vs_brute_force", "max_abs_err", _worst(errors), GREEDY_BOUND
 

@@ -161,7 +161,7 @@ def _grid_argmax(a2, c1, n: int, grid_points: int) -> tuple[np.ndarray, np.ndarr
     return best, idx
 
 
-def brute_force_max(a2, c1, n: int, grid_points: int = 128, *, reuses=None):
+def brute_force_max(a2, c1, n: int, grid_points: int = 128):
     """Independent oracle for the growth law (n <= 3): the exact maximum of
     |<S_2>| over a uniform grid on [0, 2 pi)^(n+1) (`_grid_argmax`, an
     envelope costing O(n^2 G^2) rather than G^(n+1)), then one cyclic pass
@@ -171,44 +171,26 @@ def brute_force_max(a2, c1, n: int, grid_points: int = 128, *, reuses=None):
     g, clipped into the bracket) or at a bracket end; the first largest
     wins.  Unbracketed, the pass is the greedy construction, blind to the grid.
 
-    Broadcasts over a2 and c1 and, when given, over `reuses`: each point's
-    own number of reuses, integers 0..n (n for every point by default).
-    Points with the same count share one `_grid_argmax` call, and leg i's
-    step covers those with reuses >= i, with the bits of per-point calls.
-    The legs are stored as (n + 1, points); a point's legs past its own
-    count stay 0.0 and map v to fl(v * 1.0) + fl(c1 * 0.0) = v up to a
-    zero's sign, which the absolute value drops.  Returns the broadcast
+    Broadcasts over a2 and c1, which share n, and returns their broadcast
     shape (a numpy scalar for a single point).
     """
     n = _require_count(n, "n", 0)
     if n > 3:
         raise ValueError("brute_force_max supports n <= 3; use greedy_extremal_growth")
     grid_points = _require_count(grid_points, "grid_points", 64)
-    counts = np.asarray(n if reuses is None else reuses)
-    if counts.dtype.kind not in "iu":
-        raise ValueError(f"reuses must be integers, got reuses={reuses!r}")
-    outside = (counts < 0) | (counts > n)
-    if outside.any():
-        raise ValueError(f"reuses must lie in 0..n = {n}, got {counts[outside].flat[0]}")
-    a2, c1, counts = np.broadcast_arrays(_require_finite(a2, "a2"), _require_finite(c1, "c1"), counts)
-    shape, a2, c1, counts = a2.shape, a2.ravel(), c1.ravel(), counts.ravel()
+    a2, c1 = np.broadcast_arrays(_require_finite(a2, "a2"), _require_finite(c1, "c1"))
+    shape, a2, c1 = a2.shape, a2.ravel(), c1.ravel()
     h = _TWO_PI / grid_points
-    legs = np.zeros((n + 1, counts.size))
-    for m in sorted(set(counts.tolist())):  # np.unique would import numpy.ma
-        own = counts == m
-        legs[:m + 1, own] = _grid_argmax(a2[own], c1[own], m, grid_points)[1] * h
-    best = np.empty(counts.size)
-    for i in range(n + 1):
-        live = counts >= i
-        a, c, own = a2[live], c1[live], legs[:, live]
-        head, g = _sigma2_legs(a, c, own[:i]), own[i]
-        peaks = np.arctan2(c, head) + np.array([[0.0], [math.pi]])  # the extremes of u
+    legs = _grid_argmax(a2, c1, n, grid_points)[1] * h
+    points = np.arange(a2.size)
+    for i, g in enumerate(legs):
+        head = _sigma2_legs(a2, c1, legs[:i])
+        peaks = np.arctan2(c1, head) + np.array([[0.0], [math.pi]])  # the extremes of u
         peaks = g + np.remainder(peaks - g + math.pi, _TWO_PI) - math.pi
         x = np.concatenate((np.clip(peaks, g - h, g + h), [g - h, g + h]))
-        values = abs(_sigma2_legs(head, c, [x, *own[i + 1:]]))
-        # the first largest; a point's value is its own last leg's, i = reuses
-        first = values.argmax(axis=0), np.arange(values.shape[1])
-        legs[i, live], best[live] = x[first], values[first]
+        values = abs(_sigma2_legs(head, c1, [x, *legs[i + 1:]]))
+        first = values.argmax(axis=0), points  # the first largest
+        legs[i], best = x[first], values[first]
     return best.reshape(shape)[()]
 
 
@@ -216,9 +198,10 @@ def first_unphysical_n(a2: float, c1: float) -> Optional[int]:
     """Smallest n >= 0 with a2^2 + (n+1) c1^2 > 1, i.e. the first number of
     reuses whose worst-case schedule exceeds the Bloch ball.
 
-    None when c1 == 0 (no correlation, no growth).  `reduced._slice_sq` at
-    m = n + 1 is tested directly with the `tolerances.BOUNDARY_EPS` guard,
-    so sums landing exactly on 1 do not count; no floor/ceil decides n.
+    None when c1^2 < `tolerances.ZERO_CORRELATION_SQ` (no correlation, no
+    growth), c1 = 0 included.  `reduced._slice_sq` at m = n + 1 is tested
+    directly with the `tolerances.BOUNDARY_EPS` guard, so sums landing
+    exactly on 1 do not count; no floor/ceil decides n.
     Raises ValueError for non-finite a2 or c1.
     """
     _require_finite(a2, "a2")

@@ -34,8 +34,9 @@ def slipped_domain_check(a2, c1, n):
 def max_safe_repetitions(a2: float, c1: float) -> Optional[Union[int, float]]:
     """Largest n >= 1 surviving the slipped-domain condition.
 
-    Returns math.inf when c1 == 0 (no growth, any number of reuses is safe),
-    None when even n = 1 fails.  Whenever both are defined this equals
+    Returns math.inf when c1^2 < `tolerances.ZERO_CORRELATION_SQ`, c1 = 0
+    included (no growth, any number of reuses is safe), None when even
+    n = 1 fails.  Whenever both are defined this equals
     `first_unphysical_n(a2, c1) - 1`.
     """
     first = first_unphysical_n(a2, c1)

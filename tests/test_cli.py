@@ -747,7 +747,7 @@ def _nan_first(kernel):
     ("crosscheck", "mean_values_vs_unitary,false,max_discrepancy", _nan_first),
     ("sup_norm_grid", "sup_norm_closed_vs_grid,false,max_rel_err", _nan_first),
     ("brute_force_max", "greedy_vs_brute_force,false,max_abs_err",
-     lambda kernel: lambda a2, c1, n, grid_points, reuses: np.full(np.shape(a2), np.nan)),
+     lambda kernel: lambda a2, c1, n, grid_points: np.full(np.shape(a2), np.nan)),
 ])
 def test_validate_nan_discrepancy_fails_its_check(tmp_path, monkeypatch, kernel, check, spy):
     # Python's max drops NaN, so a NaN discrepancy once read as a pass
@@ -1077,7 +1077,7 @@ def test_validate_calls_each_kernel_o1_times(tmp_path, monkeypatch):
     assert calls["compat_slice_check"] <= 2
     assert calls["feasibility_search"] == calls["certified"] == 1
     assert calls["crosscheck"] == 1
-    assert calls["brute_force_max"] == 1  # every number of reuses, n = 0..3, at once
+    assert calls["brute_force_max"] == 4  # one for each number of reuses, n = 0..3
     # one for the sup-norm grid; the brute-force legs take a closed form
     assert "golden_section_max" not in vars(conjunction)
     assert golden["golden_section_max"] == 1

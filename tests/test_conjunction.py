@@ -282,21 +282,12 @@ def test_brute_force_argument_errors():
         brute_force_max(0.5, 0.1, -1)
     with pytest.raises(ValueError, match="grid_points must be >= 64, got grid_points=32"):
         brute_force_max(0.5, 0.1, 1, grid_points=32)
-    # per-point reuse counts are checked element by element against 0..n
-    with pytest.raises(ValueError, match=r"reuses must lie in 0\.\.n = 3, got 4"):
-        brute_force_max([0.5, 0.4], 0.1, 3, reuses=[1, 4])
-    with pytest.raises(ValueError, match=r"reuses must lie in 0\.\.n = 1, got 2"):
-        brute_force_max([0.5, 0.4], 0.1, 1, reuses=[1, 2])
-    with pytest.raises(ValueError, match="got -2"):
-        brute_force_max([0.5, 0.4], 0.1, 2, reuses=np.array([0, -2]))
-    with pytest.raises(ValueError, match="reuses must be integers, got reuses="):
-        brute_force_max([0.5, 0.4], 0.1, 2, reuses=[1.0, 2.0])
 
 
 @pytest.mark.parametrize("n", [1.5, 2.0, True, np.True_, np.array([1.0, 2.0]),
                                np.array([True, False]), np.array([1, 2]), "2"])
 def test_non_integer_n_raises(n):
-    # n is one integer per call; per-point counts go in brute_force_max's `reuses`
+    # n is one integer per call, shared by every point
     with pytest.raises(ValueError, match="n must be an integer, got n="):
         brute_force_max(0.5, 0.1, n, grid_points=64)
     with pytest.raises(ValueError, match="n must be an integer, got n="):
@@ -385,12 +376,14 @@ def test_envelope_equals_enumeration_exactly(n, grid_points):
 
 @pytest.mark.parametrize("grid_points", [64, 128])
 def test_batch_brute_force_equals_per_point_calls(grid_points):
-    # the edge pairs (c1 = 0, a2 = 0, |a2| = 1) and 10 seeded pairs
-    a2, c1 = np.array(_PAIRS[:16]).T
+    # the edge pairs (c1 = 0, a2 = 0, |a2| = 1), 10 seeded pairs, then the
+    # signed zeros c1 = -0.0 and a2 = -0.0
+    pairs = _PAIRS[:16] + [(-0.0, 0.4), (0.6, -0.0), (-0.0, -0.0), (-1.0, -0.0)]
+    a2, c1 = np.array(pairs).T
     for n in range(4):
         batch = brute_force_max(a2, c1, n, grid_points)  # one call for every pair
         assert batch.shape == a2.shape
-        for k, (a, c) in enumerate(_PAIRS[:16]):
+        for k, (a, c) in enumerate(pairs):
             expected = _refined(a, c, _grid_argmax(a, c, n, grid_points)[1][:, 0], grid_points)
             assert batch[k] == expected, (n, a, c)
             if k % 4 == 0:
@@ -426,34 +419,6 @@ def test_brute_force_stays_on_the_grid_bracket(monkeypatch):
     assert worst > bound, worst
 
 
-def test_mixed_n_brute_force_equals_per_n_calls():
-    # the edge pairs (c1 = 0 and -0.0, a2 = +-0.0, |a2| = 1) with every n,
-    # then 300 seeded pairs with seeded n
-    edges = [(0.0, 0.5), (-0.0, 0.4), (0.6, 0.0), (0.6, -0.0), (0.0, 0.0), (-0.0, -0.0),
-             (1.0, 0.3), (-1.0, -0.7), (1.0, 0.0), (-1.0, -0.0)]
-    a2, c1 = np.array(edges * 4 + _PAIRS[6:]).T
-    n = np.r_[np.repeat(np.arange(4), len(edges)),
-              np.random.default_rng(31).integers(0, 4, len(_PAIRS) - 6)]
-    mixed = brute_force_max(a2, c1, 3, grid_points=64, reuses=n)  # one call for every pair
-    assert mixed.shape == a2.shape
-    for m in range(4):
-        per_n = brute_force_max(a2[n == m], c1[n == m], m, grid_points=64)
-        assert np.array_equal(mixed[n == m].view(np.int64), per_n.view(np.int64)), m
-        if m < 3:  # a bound above every count pads the same way
-            padded = brute_force_max(a2[n == m], c1[n == m], m + 1, 64, reuses=m)
-            assert np.array_equal(padded.view(np.int64), per_n.view(np.int64)), m
-    # reuses = n everywhere is the default, and an array of reuses broadcasts
-    # against scalar a2 and c1
-    scalar_n = brute_force_max(a2[:12], c1[:12], 2, grid_points=64)
-    assert np.array_equal(scalar_n.view(np.int64),
-                          brute_force_max(a2[:12], c1[:12], 2, 64, reuses=np.full(12, 2)).view(np.int64))
-    per_point = [brute_force_max(a2[7], c1[7], m, grid_points=64) for m in range(4)]
-    assert np.array_equal(brute_force_max(a2[7], c1[7], 3, 64, reuses=np.arange(4)).view(np.int64),
-                          np.array(per_point).view(np.int64))
-    empty = brute_force_max(np.zeros(0), np.zeros(0), 3, 64, reuses=np.zeros(0, dtype=int))
-    assert empty.shape == (0,)
-
-
 def test_empty_batches_give_empty_results():
     assert brute_force_max(np.zeros(0), np.zeros(0), 2, grid_points=64).shape == (0,)
     _, _, worst, _ = checks.greedy_vs_brute_force(np.zeros((4, 0, 2)), grid_points=64)
@@ -465,22 +430,22 @@ def test_growth_check_counts_every_draw(monkeypatch, n):
     # a brute-force answer off by 1e-3 at the last draw for n reuses
     calls = []
 
-    def off_at_last(a2, c1, m, grid_points, reuses):
-        calls.append((a2, c1, m, reuses))
-        values = brute_force_max(a2, c1, m, grid_points, reuses=reuses)
-        off = np.zeros(values.shape)
-        off[n, -1] = 1e-3
-        return values + off
+    def off_at_last(a2, c1, m, grid_points):
+        calls.append((a2, c1, m))
+        values = brute_force_max(a2, c1, m, grid_points)
+        if m == n:
+            values[-1] += 1e-3
+        return values
 
     monkeypatch.setattr(checks, "brute_force_max", off_at_last)
     pairs = np.random.default_rng(5).uniform(-1, 1, (4, 3, 2))
     _, _, worst, bound = checks.greedy_vs_brute_force(pairs, grid_points=64)
     assert abs(worst - 1e-3) < 1e-9 and worst > bound
-    # one call for every pair, row m of the pairs with m reuses
-    [(a2, c1, m, reuses)] = calls
-    assert np.array_equal(a2, pairs[..., 0]) and np.array_equal(c1, pairs[..., 1])
-    assert m == 3 and type(m) is int
-    assert np.array_equal(np.broadcast_to(reuses, a2.shape), np.arange(4)[:, None].repeat(3, axis=1))
+    # one call for each number of reuses m, on row m of the pairs
+    assert len(calls) == 4
+    for row, (a2, c1, m) in enumerate(calls):
+        assert np.array_equal(a2, pairs[row, :, 0]) and np.array_equal(c1, pairs[row, :, 1])
+        assert m == row and type(m) is int
 
 
 def test_batched_brute_force_checks_every_element():

@@ -167,6 +167,29 @@ def test_slice_check_agrees_with_sup_norm_on_grid():
     assert np.abs(4 * oracle - sl).max() <= 16 * eps
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-3, 1e100, 1e-200])
+def test_slice_margins_are_even_in_a2_and_in_c1_bit_for_bit(scale):
+    """Both slice margins keep their bits under a2 -> -a2 and c1 -> -c1.
+
+    `compat_slice_check` reads a2 and c1 only as the squares a2 * a2 and
+    c1 * c1, and fl((-x)(-x)) = fl(x x).  `in_compatibility_domain` at
+    a = (0, a2, 0), c2 = 0 takes r^2 = 0 * 0 + a2 * a2 and k^2 = c1 * c1
+    + 0 * 0, squares again, so A and B keep their bits; C = a2 c1 - 0 * 0
+    only changes sign, as rounding to nearest is odd.  hypot(B, C) is even
+    in C, and A + hypot, sqrt and 1 - sup follow from unchanged bits.
+    """
+    a2, c1 = np.random.default_rng(20).uniform(-1, 1, (2, 200_000)) * scale
+    zero = np.zeros_like(a2)
+
+    def margins(a2, c1):
+        general = in_compatibility_domain(c1, 0.0, np.stack((zero, a2, zero)))
+        return np.stack((compat_slice_check(a2, c1), general)).view(np.int64)
+
+    expected = margins(a2, c1)
+    for flipped in (margins(-a2, c1), margins(a2, -c1), margins(-a2, -c1)):
+        assert np.array_equal(flipped, expected)
+
+
 @pytest.mark.parametrize("margin,tol,counted", [(-1e-6, 1e-9, 1), (-1e-10, 0.0, 0)])
 def test_a_verdict_mismatch_counts_past_the_band(monkeypatch, margin, tol, counted):
     # one grid point reads outside by its slice margin and inside by its

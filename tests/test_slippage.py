@@ -25,6 +25,21 @@ def test_slipped_domain_margin_formula():
     assert abs(margin - (1 - math.sqrt(0.25 + 4 * 0.04))) < 1e-12
 
 
+def test_slipped_margin_does_not_rise_with_n():
+    """slipped_domain_check(a2, c1, n) is non-increasing in n, exactly.
+
+    The margin is 1 - sqrt(fl(fl(a2 a2) + fl((n + 1) fl(c1 c1)))).  n + 1
+    converts to float exactly, and fl(c1 c1) >= 0, so the exact product
+    does not fall as n grows.  Rounding is monotone, so neither does its
+    rounded value, the rounded sum or sqrt, and 1 - x reverses the order:
+    a larger n never gives a larger margin.
+    """
+    a2, c1 = np.random.default_rng(37).uniform(-1, 1, (2, 5000, 1))
+    margins = slipped_domain_check(a2, c1, np.arange(1, 40))
+    assert margins.shape == (5000, 39)
+    assert np.all(np.diff(margins, axis=1) <= 0.0)
+
+
 def test_slipped_domain_rejects_small_n():
     with pytest.raises(ValueError):
         slipped_domain_check(0.5, 0.2, 0)
