@@ -16,7 +16,6 @@ import math
 import numpy as np
 
 from .dynamics import _turn
-from .optimize import golden_section_max
 from .pauli import _as_blochs, _broadcast, _require_count
 from .tolerances import GRID_VALUE_PAD
 
@@ -86,7 +85,7 @@ _WIDTHS, _SLICE = (512, 64, 8), 1 << 13
 
 def sup_norm_grid(c1, c2, a, points: int = 100_000):
     """Validation path for `sup_norm_over_time`: dense grid over [0, 2 pi)
-    plus one golden-section refinement around the first best grid point.
+    plus one parabolic step from the first best grid point.
 
     Broadcasts like `sup_norm_over_time`.  A depth-first branch and bound
     (Shubert, SIAM J. Numer. Anal. 9, 1972) walks blocks of each `_WIDTHS`
@@ -95,9 +94,22 @@ def sup_norm_grid(c1, c2, a, points: int = 100_000):
     + 2 delta is below the state's best value so far: L = 2 (p^2 + q^2) >=
     |f''| (p = |a1| + |c2|, q = |a2| + |c1|), H the block width, delta =
     `tolerances.GRID_VALUE_PAD` (p^2 + q^2 + a3^2 + 1).  A new best resets
-    the first argmax, so it is the one a walk of every point finds.  `points`
-    must be an integer >= 1 and every input finite; a supremum past the float
-    range raises ValueError.
+    the first argmax, so it is the one a walk of every point finds.
+
+    The step goes to the vertex of the parabola through t_k and t_k -+ h
+    (indices mod `points`, h = 2 pi / `points`; Brent, Algorithms for
+    Minimization without Derivatives, 1973, ch. 5).  With d- and d+ the
+    neighbours' values less f(t_k), both <= 0, t = t_k + (h / 2) (d- - d+) /
+    (d- + d+) where d- + d+ < 0, else t_k (a flat row, or NaN from an
+    infinite f(t_k)); by monotone rounding the step is within h / 2.  It
+    reads three values of f, not the closed form it checks.  For f = A + R
+    cos 2(t - t*), R <= A, and t_k = t* + d, the vertex is t* + d - (h / 2)
+    tan(2d) cot(h) = t* + (d / 3)(h^2 - 4 d^2) + O(h^5), at most e = h^3 /
+    (9 sqrt 3) from t*, so f(t) is short by R (1 - cos 2e) <= (A + R) h^6 /
+    243 and the sup's relative error is at most h^6 / 486, rounding aside.
+
+    `points` must be an integer >= 1 and every input finite; a supremum past
+    the float range raises ValueError.
     """
     points = _require_count(points, "points", 1)
     a, c1, c2 = _broadcast(a, c1, c2)
@@ -110,7 +122,8 @@ def sup_norm_grid(c1, c2, a, points: int = 100_000):
     # a level's points in a block of the level above: its blocks' starts and end, or every point
     offsets = [np.arange(0, up + (w > 1), w) for up, w in zip([size, *widths], widths)]
     best, k = np.full(c1.size, -np.inf), np.zeros(c1.size, dtype=int)
-    with np.errstate(over="ignore"):  # an infinite L keeps every block; `_finite_sup` raises
+    # an infinite L keeps every block, an infinite f(t_k) takes no step; `_finite_sup` raises
+    with np.errstate(over="ignore", invalid="ignore"):
         a3_sq = a[2] * a[2]
         pq_sq = np.square(np.abs(a[0]) + np.abs(c2)) + np.square(np.abs(a[1]) + np.abs(c1))
         delta = GRID_VALUE_PAD * (pq_sq + a3_sq + 1)
@@ -139,8 +152,11 @@ def sup_norm_grid(c1, c2, a, points: int = 100_000):
         work = [(0, np.arange(c1.size), np.zeros(c1.size, dtype=int))]  # (level, state, start)
         while work:
             visit(*work.pop())
-        t_best, f_best = golden_section_max(lambda t: norm_sq(slice(None), np.cos(t), np.sin(t)),
-                                            ts[k] - h, ts[k] + h)
+        near = (k + np.array([[-1], [1]])) % points  # t_k - h and t_k + h
+        d = norm_sq(slice(None), cos_t[near], sin_t[near]) - best
+        curv = d[0] + d[1]
+        t_best = ts[k] + np.where(curv < 0, h / 2 * ((d[0] - d[1]) / curv), 0.0)
+        f_best = norm_sq(slice(None), np.cos(t_best), np.sin(t_best))
     sup = _finite_sup(np.sqrt(np.maximum(f_best, 0.0))).reshape(shape)
     return sup[()], (t_best % (2 * math.pi)).reshape(shape)[()]
 

@@ -12,12 +12,6 @@ DENSITY_TOL = 1e-12
 BOUNDARY_EPS = 1e-12
 # `first_unphysical_n`: c1^2 below this is no correlation, so no growth
 ZERO_CORRELATION_SQ = 1e-300
-# `golden_section_max` stops a bracket once it is no wider than this, W ~
-# sqrt(eps), eps = 2^-52.  Near a smooth maximum f(x* + d) = f* - |f''| d^2 / 2,
-# so within W the value is off by at most |f''| W^2 / 2 ~ |f''| eps / 2:
-# 2 eps f* in `sup_norm_grid` (|f''| <= 4 f*).  Below W rounding decides each
-# golden comparison.
-GOLDEN_TOL = 1.5e-8
 # `sup_norm_grid`: rounding slack of one grid value in a block's bound, per
 # unit of p^2 + q^2 + a3^2 + 1, p = |a1| + |c2|, q = |a2| + |c1|.  A grid
 # value a1(t)^2 + a2(t)^2 + a3^2 is within 12u (p^2 + q^2 + a3^2) of its

@@ -53,14 +53,20 @@ def test_conjunct_edge_quarter_pi_is_unphysical_at_step_one():
 
 @pytest.mark.parametrize("seed", range(10))
 def test_conjunct_single_leg_matches_exact_evolution(seed):
-    # the hazard needs at least one reuse: the first leg alone is exact
+    # the hazard needs at least one reuse: the first leg alone is exact.
+    # Both sides take `_turn(a1, a2, c1, c2, cos t, sin t)` and carry a3, so
+    # the first leg is `rotate` bit for bit, one point or a batch of them
     rng = np.random.default_rng(seed)
     a = rng.uniform(-1, 1, 3)
     c1, c2 = rng.uniform(-1, 1, 2)
     t = float(rng.uniform(0, 6))
     _, trajectory = conjunct(c1, c2, a, [t])
-    exact = rotate(a, c1, c2, t)[:3]
-    assert np.abs(trajectory[0] - exact).max() < 1e-12
+    assert np.array_equal(trajectory[0], rotate(a, c1, c2, t)[:3])
+    a = rng.uniform(-1, 1, 3) * 10.0 ** rng.uniform(-3, 3)
+    (c1, c2), t = rng.uniform(-1e3, 1e3, (2, 500)), rng.uniform(-50, 50, 500)
+    _, trajectory = conjunct(c1, c2, a, t[None, :])
+    assert trajectory.shape == (1, 3, 500)
+    assert np.array_equal(trajectory[0], np.broadcast_arrays(*rotate(a, c1, c2, t)[:3]))
 
 
 def test_sigma2_conjunction_reduces_at_s_zero():

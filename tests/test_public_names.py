@@ -55,7 +55,8 @@ def test_every_stub_is_pinned_by_the_tracer():
     stubs = _stubs()
     # the scan sees the known stubs
     assert {"dynamics.evolve_mean_values", "reduced.ReducedMap.apply",
-            "conjunction.sigma2_conjunction", "pauli.min_eigenvalue"} <= set(stubs)
+            "conjunction.sigma2_conjunction", "pauli.min_eigenvalue",
+            "optimize.golden_section_max"} <= set(stubs)
     assert [name for name in stubs if name not in _traced()] == []
 
 
