@@ -7,14 +7,16 @@ suite calls the same functions with its own seeds.  A check returns (name,
 metric, value, bound) and passes when value < bound; a count passes at
 `COUNT_BOUND` (1), i.e. when it is zero.
 
-Every check is an array program: the unitary cross-check is one
-`crosscheck` call over all its states, the growth check one closed-form
-greedy call and one `brute_force_max` call for each number of reuses, the
-feasibility oracle one `feasibility_search` call over the whole grid (per
-chunk of a `domain-map`), and `certified` audits all of its answers as one
-batch (a stacked eigvalsh of the witnesses and of the dual certificates over
-the whole stack), so `validate` makes one oracle call and `domain-map` one
-per chunk.
+Every check is an array program.  The unitary cross-check and the slice
+verdict grid run in blocks of at most `reduced._SLICE` (8,192) values: 4
+`crosscheck` calls of 256 states (a 4x4 complex matrix is 32 values) and 6
+`slice_margins` calls of 40 grid rows, so each peaks near 0.5 MB under
+tracemalloc, not 1.4 and 2.3 MB in one batch.  The growth check makes one
+closed-form greedy call and one `brute_force_max` call for each number of
+reuses, the feasibility oracle one `feasibility_search` call over the whole
+grid (per chunk of a `domain-map`), and `certified` audits all of its answers
+as one batch (a stacked eigvalsh of the witnesses and of the dual
+certificates over the whole stack).
 """
 from __future__ import annotations
 
@@ -26,7 +28,8 @@ from .conjunction import _greedy_rows, brute_force_max
 from .dynamics import crosscheck
 from .feasibility import dual_certificate, feasibility_search
 from .pauli import A, T11, T21, _broadcast, _read_back, density_from_params
-from .reduced import compat_slice_check, in_compatibility_domain, sup_norm_grid, sup_norm_over_time
+from .reduced import (_SLICE, compat_slice_check, in_compatibility_domain, sup_norm_grid,
+                      sup_norm_over_time)
 from .tolerances import (BOUNDARY_BAND, COUNT_BOUND, DUAL_TOL, GREEDY_BOUND, MEAN_VALUES_BOUND,
                          MISMATCH_BAND, READ_BACK_TOL, REL_ERR_FLOOR, SUP_NORM_BOUND,
                          WITNESS_EIG_TOL, inside)
@@ -106,7 +109,9 @@ def _worst(errors) -> float:
     or the first non-finite error: `max` drops NaN, so a NaN discrepancy
     would pass; as the value it fails every bound."""
     errors = [0.0, *errors]
-    return next((e for e in errors if not math.isfinite(e)), max(errors))
+    if all(map(math.isfinite, errors)):
+        return max(errors)
+    return next(e for e in errors if not math.isfinite(e))
 
 
 # per state: a, b and T.ravel() in [-1, 1], then t in [0, 4 pi]
@@ -117,9 +122,12 @@ _STATE_HI = np.r_[np.full(15, 1.0), 4 * math.pi]
 def mean_values_vs_unitary(rng):
     """Closed-form evolution vs unitary conjugation, 1000 random states and
     times: one block of draws, in the order and with the values of drawing
-    a, b, T and t state by state, and one `crosscheck` call."""
+    a, b, T and t state by state, and `crosscheck` calls of 256 states
+    (a state's 4x4 complex matrix is 32 values)."""
     draws = rng.uniform(_STATE_LO, _STATE_HI, (1000, 16)).T
-    worst = _worst(crosscheck(draws[:15], draws[15]).tolist())
+    rows = _SLICE // 32
+    worst = _worst(e for lo in range(0, 1000, rows)
+                   for e in crosscheck(draws[:15, lo:lo + rows], draws[15, lo:lo + rows]).tolist())
     return "mean_values_vs_unitary", "max_discrepancy", worst, MEAN_VALUES_BOUND
 
 
@@ -144,10 +152,13 @@ def greedy_vs_brute_force(pairs, grid_points: int):
 
 
 def slice_vs_sup_norm_verdicts(tol: float):
-    """Slice check vs sup-over-time verdicts on a dense analytic grid."""
-    grid = np.linspace(-1.2, 1.2, 201)
-    sl, sup = slice_margins(grid[:, None], grid)
-    mismatches = int(np.sum(~(np.abs(sl) <= MISMATCH_BAND) & (inside(sl, tol) != inside(sup, tol))))
+    """Slice check vs sup-over-time verdicts on a dense analytic grid, in
+    blocks of 40 rows."""
+    grid, mismatches = np.linspace(-1.2, 1.2, 201), 0
+    rows = _SLICE // grid.size
+    for lo in range(0, grid.size, rows):
+        sl, sup = slice_margins(grid[lo:lo + rows, None], grid)
+        mismatches += int(np.sum(~(np.abs(sl) <= MISMATCH_BAND) & (inside(sl, tol) != inside(sup, tol))))
     return "slice_vs_sup_norm_verdicts", "mismatches", mismatches, COUNT_BOUND
 
 

@@ -118,7 +118,8 @@ def sup_norm_grid(c1, c2, a, points: int = 100_000):
     h, widths = 2 * math.pi / points, [w for w in _WIDTHS if w < points] + [1]
     size = -(-points // widths[0]) * widths[0]
     # index `points` is t = 2 pi, where f repeats F_0; the blocks' indices past it read it too
-    cos_t, sin_t = np.cos(np.append(ts, 0.0)), np.sin(np.append(ts, 0.0))
+    ends = np.append(ts, 0.0)
+    sin_t, cos_t = np.sin(ends), np.cos(ends, out=ends)
     # a level's points in a block of the level above: its blocks' starts and end, or every point
     offsets = [np.arange(0, up + (w > 1), w) for up, w in zip([size, *widths], widths)]
     best, k = np.full(c1.size, -np.inf), np.zeros(c1.size, dtype=int)

@@ -785,6 +785,14 @@ def test_validate_nan_discrepancy_fails_its_check(tmp_path, monkeypatch, kernel,
     assert f"{check}=nan" in (out / "validate.csv").read_text().splitlines()
 
 
+@pytest.mark.parametrize("errors,worst", [
+    ([], 0.0), ([-1.0], 0.0), ([0.5, 2.0, 1.0], 2.0), ([1.0, math.nan, math.inf], math.nan),
+    ([3.0, -math.inf, math.nan], -math.inf), (iter([math.inf, 1e300]), math.inf)])
+def test_worst_is_the_max_or_the_first_non_finite_error(errors, worst):
+    got = checks._worst(errors)
+    assert got == worst or (math.isnan(got) and math.isnan(worst))
+
+
 def test_domain_map_oracle_disagreement_exits_2(tmp_path, monkeypatch, capsys):
     original = checks.feasibility_search
     payload = {"command": "domain-map", "grid": [
@@ -1099,10 +1107,13 @@ def test_validate_calls_each_kernel_o1_times(tmp_path, monkeypatch):
     assert run(write_scenario(tmp_path, payload), out_dir=str(tmp_path / "out")) == 0
     # per-point loops made 500, 500, 40,401, 40,522, 121, 121, 1000 and 20 calls
     assert calls["sup_norm_grid"] == calls["sup_norm_over_time"] == 1
-    assert calls["in_compatibility_domain"] == 1
-    assert calls["compat_slice_check"] <= 2
+    # one call per block of at most 8,192 values: the 201 x 201 slice grid in
+    # 6 blocks of 40 rows (plus the oracle check's slice margins), and the
+    # 1000 states in 4 blocks of 256, each state's 4x4 complex matrix 32 values
+    assert calls["in_compatibility_domain"] == 6
+    assert calls["compat_slice_check"] == 7
     assert calls["feasibility_search"] == calls["certified"] == 1
-    assert calls["crosscheck"] == 1
+    assert calls["crosscheck"] == 4
     assert calls["brute_force_max"] == 4  # one for each number of reuses, n = 0..3
     # neither oracle searches: the sup-norm grid takes one parabolic step and
     # the brute-force legs a closed form
@@ -1469,6 +1480,28 @@ def test_memory_stays_bounded_as_the_grid_grows(tmp_path, monkeypatch):
             {"axis": "s", "start": 0, "stop": 2.0, "count": 1001}]}
         for q_count in (20, 200)])
     assert abs(peaks[1] - peaks[0]) < 1 << 20, peaks
+
+
+def test_each_validate_check_stays_in_its_working_set():
+    """Peak traced memory of each `validate_suite` check over its start.
+    The largest, the sup-norm grid, holds its t grid with its cos and sin
+    (3 x 160 kB) and a few 64 kB slices of its walk; every other check runs
+    in blocks of at most 8,192 values.  1.25 MB leaves that grid about 0.1
+    MB and fails one batch of the 201 x 201 slice grid (2.27 MB) or of the
+    1000 states of the unitary cross-check (1.41 MB)."""
+    peaks = {}
+    tracemalloc.start()
+    try:
+        suite = checks.validate_suite(np.random.default_rng(5), 1e-9)
+        for _ in range(6):
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            name = next(suite)[0]
+            peaks[name] = tracemalloc.get_traced_memory()[1] - start
+        assert next(suite, None) is None
+    finally:
+        tracemalloc.stop()
+    assert max(peaks.values()) < 1.25e6, peaks
 
 
 def test_growth_memory_stays_bounded_as_n_grows(tmp_path, monkeypatch):

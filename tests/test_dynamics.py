@@ -147,6 +147,59 @@ def _closed_form(a1, a2, a3, c1, c2, t):
     return (a1 * ct - c2 * st, a2 * ct + c1 * st, a3, c1 * ct - a2 * st, c2 * ct + a1 * st)
 
 
+_U = 2.0 ** -53  # the unit roundoff
+
+
+def _wide_draws(seed: int, n: int = 20_000):
+    """n states (a, c1, c2), |a_i|, |c1| and |c2| log-uniform in 1e-3..1e3
+    with random signs, times t in [-50, 50], and scale = |a1| + |a2| + |c1| + |c2|."""
+    rng = np.random.default_rng(seed)
+    a1, a2, a3, c1, c2 = rng.choice([-1.0, 1.0], (5, n)) * 10.0 ** rng.uniform(-3, 3, (5, n))
+    t = rng.uniform(-50, 50, n)
+    return (a1, a2, a3), c1, c2, t, abs(a1) + abs(a2) + abs(c1) + abs(c2)
+
+
+def test_rotate_reverses_within_its_rounding_bound():
+    """Rotating by t and then by -t returns a3 bit for bit and (a1, a2, c1,
+    c2) within 6 sqrt(2) u scale < 8.5 u scale.
+
+    `rotate` turns the pairs (a1, c2) and (c1, a2) by M = [[c, -s], [s, c]]
+    of the computed c = cos t and s = sin t.  numpy's cos is even and sin odd
+    bit for bit (asserted), so -t turns by M^T, and M^T M = (c^2 + s^2) I.
+    cos and sin within one ulp leave c and s within e = u of the true values
+    (|c|, |s| <= 1), so |c^2 + s^2 - 1| <= 2 sqrt(2) e + 2 e^2.  A component
+    x c -+ y s rounds two products and a sum: within (2u + u^2) n of its
+    value for the pair's 1-norm n = |x| + |y| <= scale.  The second turn
+    carries the first turn's error by |c| + |s| <= sqrt(2) (1 + e) and rounds
+    a pair of 1-norm <= sqrt(2) (1 + e) n + O(u) n.  So each component ends
+    within 2 sqrt(2) (e + 2u) n + O(u^2) n of its start."""
+    a, c1, c2, t, scale = _wide_draws(20)
+    assert np.array_equal(np.cos(-t), np.cos(t)) and np.array_equal(np.sin(-t), -np.sin(t))
+    a1, a2, a3, b1, b2 = rotate(a, c1, c2, t)
+    back = rotate((a1, a2, a3), b1, b2, -t)
+    assert np.array_equal(back[2], a[2])
+    err = np.abs(np.stack(back[:2] + back[3:]) - np.stack((a[0], a[1], c1, c2))).max(axis=0)
+    assert np.all(err <= 8.5 * _U * scale), (err / (_U * scale)).max()
+
+
+def test_rotate_is_periodic_within_its_argument_rounding():
+    """Rotating by fl(t + fl(2 pi)) matches rotating by t within
+    u scale (|t| + 2 pi + 10) < u scale (|t| + 17), and a3 bit for bit.
+
+    fl(2 pi) is within half an ulp, 4u, of 2 pi, and the sum rounds within
+    u |t + fl(2 pi)|, so t' is within u (|t| + 2 pi + 4) + 4u^2 of t + 2 pi.
+    A component of the exact turn has a t-derivative of at most its pair's
+    1-norm n <= scale, so the exact turns by t' and by t differ by at most
+    n |t' - t - 2 pi|.  Each computed turn is within (e + 2u + u^2) n of the
+    exact one, e = u as in the reversal test above: cos and sin within e,
+    two products and a sum rounded.  Together u n (|t| + 2 pi + 10) + O(u^2) n."""
+    a, c1, c2, t, scale = _wide_draws(21)
+    turned, shifted = rotate(a, c1, c2, t), rotate(a, c1, c2, t + 2 * math.pi)
+    assert np.array_equal(shifted[2], turned[2])
+    err = np.abs(np.stack(shifted[:2] + shifted[3:]) - np.stack(turned[:2] + turned[3:])).max(axis=0)
+    assert np.all(err <= _U * scale * (np.abs(t) + 17)), (err / (_U * scale * (1 + np.abs(t)))).max()
+
+
 def test_rotate_equals_scalar_closed_form_exactly():
     rng = np.random.default_rng(17)
     n = 2000
@@ -216,7 +269,9 @@ def test_block_draw_replays_per_state_draws(monkeypatch):
     monkeypatch.setattr(checks, "crosscheck", spy)
     per_state, block = np.random.default_rng(1001), np.random.default_rng(1001)
     _, _, worst, _ = checks.mean_values_vs_unitary(block)
-    ((stack, times),) = seen  # one call for every state
+    # the calls' stacks joined in order hold every state once
+    stack, times = (np.concatenate(parts, axis=-1) for parts in zip(*seen))
+    assert stack.shape == (15, 1000)
     expected = []
     for k in range(1000):
         s = np.concatenate((per_state.uniform(-1, 1, 3), per_state.uniform(-1, 1, 3),

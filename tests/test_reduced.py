@@ -206,16 +206,17 @@ def test_slice_margins_are_even_in_a2_and_in_c1_bit_for_bit(scale):
 
 @pytest.mark.parametrize("margin,tol,counted", [(-1e-6, 1e-9, 1), (-1e-10, 0.0, 0)])
 def test_a_verdict_mismatch_counts_past_the_band(monkeypatch, margin, tol, counted):
-    # one grid point reads outside by its slice margin and inside by its
-    # sup-norm margin: a mismatch at |margin| 1e-6, inside the 1e-9 band not
-    def margins(a2, c1):
-        sup = np.full(np.broadcast_shapes(np.shape(a2), np.shape(c1)), 0.5)
-        sl = sup.copy()
-        sl[0, 0] = margin
-        return sl, sup
+    # grid point (row, col) reads outside by its slice margin and inside by
+    # its sup-norm margin: a mismatch at |margin| 1e-6, inside the 1e-9 band
+    # not; found by its coordinates, so it counts once whatever the blocks
+    grid = np.linspace(-1.2, 1.2, 201)
+    for row, col in ((0, 0), (200, 37)):  # in the first block and in the last
+        def margins(a2, c1):
+            sup = np.full(np.broadcast_shapes(np.shape(a2), np.shape(c1)), 0.5)
+            return np.where((a2 == grid[row]) & (c1 == grid[col]), margin, sup), sup
 
-    monkeypatch.setattr(checks, "slice_margins", margins)
-    assert checks.slice_vs_sup_norm_verdicts(tol)[2] == counted
+        monkeypatch.setattr(checks, "slice_margins", margins)
+        assert checks.slice_vs_sup_norm_verdicts(tol)[2] == counted
 
 
 def _sup_norm_scalar_reference(c1, c2, a):
